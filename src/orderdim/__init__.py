@@ -3,7 +3,7 @@
 Submodules:
 
 - poset: finite posets, linear orders, realizer tuples, Szpilrajn.
-- dimension: order dimension by exhaustive realizer search.
+- dimension: order dimension by critical-pair colouring, with witnesses.
 - geometry: rational point clouds, regions, back-and-forth embeddings.
 - homogeneity: density-axiom reports and homogeneity certificates.
 - ramsey: grid structures, rigid copies, product Ramsey numbers.

@@ -230,7 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="order dimension with witness realizers")
     add_in(p)
-    p.add_argument("--max-ext", type=int, default=None)
+    p.add_argument(
+        "--max-ext",
+        type=int,
+        default=None,
+        help="bound on search steps (default: ORDERDIM_BUDGET or 1000000)",
+    )
     add_out(p)
     p.set_defaults(func=_cmd_dim)
 

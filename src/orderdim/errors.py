@@ -85,6 +85,13 @@ class LimitExceeded(OrderError):
         super().__init__(detail)
 
 
+class SelfCheckFailed(OrderError):
+    """A result failed the library's own cross-check: a bug, not bad input."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+
+
 class InvalidEmbedding(OrderError):
     def __init__(self, detail: str = "mapping does not preserve the structure"):
         super().__init__(detail)

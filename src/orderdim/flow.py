@@ -360,7 +360,8 @@ def logic_action(g: Mapping[str, str], t: RealizerTuple) -> RealizerTuple:
     moved = RealizerTuple(
         [LinearOrder([g[lab] for lab in o.order]) for o in t.orders]
     )
-    assert is_realizer(p, moved)
+    if not is_realizer(p, moved):
+        raise NotARealizer("the transported tuple fails its self-check")
     return moved
 
 

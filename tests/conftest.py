@@ -12,6 +12,7 @@ import random
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from orderdim.dimension import all_linear_extensions
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -90,3 +91,104 @@ def naive_is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
             if in_all != p.less(a, b):
                 return False
     return True
+
+
+def random_poset_shuffled(rng: random.Random, m: int) -> FinitePoset:
+    """random_poset with its labels dealt out of index order, so that
+    breaking ties by label and by element index differ."""
+    labels = [f"x{i}" for i in range(m)]
+    rng.shuffle(labels)
+    return FinitePoset(labels, random_poset(rng, m).lt)
+
+
+def naive_critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
+    """Critical pairs from the down- and up-sets, in element index order."""
+    return [
+        (x, y)
+        for x in p.elements
+        for y in p.elements
+        if p.incomparable(x, y)
+        and p.downset(x) <= p.downset(y)
+        and p.upset(y) <= p.upset(x)
+    ]
+
+
+def _reversal_masks(
+    exts: list[LinearOrder], pairs: list[tuple[str, str]]
+) -> list[int]:
+    """Bit c set iff the extension puts pairs[c][1] below pairs[c][0]."""
+    masks = []
+    for ext in exts:
+        rank = ext.rank
+        mask = 0
+        for c, (x, y) in enumerate(pairs):
+            if rank[y] < rank[x]:
+                mask |= 1 << c
+        masks.append(mask)
+    return masks
+
+
+def _search_cover(masks: list[int], full: int, n: int) -> tuple[int, ...] | None:
+    """First non-decreasing index tuple of length n whose masks cover full."""
+    count = len(masks)
+    suffix_union = [0] * (count + 1)
+    suffix_best = [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | masks[i]
+        pop = bin(masks[i]).count("1")
+        suffix_best[i] = max(suffix_best[i + 1], pop)
+    chosen: list[int] = []
+
+    def rec(start: int, uncovered: int, slots: int) -> bool:
+        if uncovered == 0:
+            while len(chosen) < n:
+                chosen.append(chosen[-1] if chosen else 0)
+            return True
+        if slots == 0 or start >= count:
+            return False
+        if uncovered & ~suffix_union[start]:
+            return False
+        if slots * suffix_best[start] < bin(uncovered).count("1"):
+            return False
+        for i in range(start, count):
+            if slots == 1 and uncovered & ~masks[i]:
+                continue
+            chosen.append(i)
+            if rec(i, uncovered & ~masks[i], slots - 1):
+                return True
+            chosen.pop()
+        return False
+
+    if count == 0:
+        return None
+    if rec(0, full, n):
+        return tuple(chosen)
+    return None
+
+
+class CoverSearch:
+    """The enumerate-and-cover realizer search, the oracle for the
+    colouring search: list the extension stream once, then search index
+    tuples for a cover of the critical pairs."""
+
+    def __init__(self, p: FinitePoset):
+        self.exts = list(all_linear_extensions(p))
+        pairs = naive_critical_pairs(p)
+        self.masks = _reversal_masks(self.exts, pairs)
+        self.full = (1 << len(pairs)) - 1
+
+    def realizers(self, n: int) -> RealizerTuple | None:
+        """The lexicographically first non-decreasing n-tuple of stream
+        indices whose members reverse every critical pair."""
+        hit = _search_cover(self.masks, self.full, n)
+        if hit is None:
+            return None
+        return RealizerTuple([self.exts[i] for i in hit])
+
+    def dimension(self) -> tuple[int, RealizerTuple]:
+        """Least n with a cover, and its witness."""
+        for n in range(1, len(self.exts[0]) + 1):
+            witness = self.realizers(n)
+            if witness is not None:
+                return n, witness
+        raise AssertionError("every finite poset has a realizer")

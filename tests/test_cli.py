@@ -94,6 +94,22 @@ class TestPipes:
         assert payload["dim"] == 3
         assert len(payload["witness"]) == 3
 
+    def test_crown6_dim_past_extension_cap(self, capsys, monkeypatch):
+        _, crown_json = run(capsys, monkeypatch, ["gen", "crown", "--n", "6"])
+        code, out = run(capsys, monkeypatch, ["dim"], stdin_text=crown_json)
+        assert code == 0
+        assert json.loads(out)["dim"] == 6
+
+    def test_dim_max_ext_bounds_search_steps(self, capsys, monkeypatch):
+        _, crown_json = run(capsys, monkeypatch, ["gen", "crown", "--n", "6"])
+        code, out = run(
+            capsys, monkeypatch, ["dim", "--max-ext", "5"], stdin_text=crown_json
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "LimitExceeded"
+        assert "critical-pair colouring" in payload["detail"]
+
     def test_dim_witness_realizes_input(self, capsys, monkeypatch):
         _, crown_json = run(capsys, monkeypatch, ["gen", "crown", "--n", "2"])
         _, out = run(capsys, monkeypatch, ["dim"], stdin_text=crown_json)

@@ -7,14 +7,18 @@ in some member, checked over all index multisets of the extension stream.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orderdim.errors import LimitExceeded
+from orderdim.errors import LimitExceeded, NotARealizer, SelfCheckFailed
 from orderdim.poset import (
+    FinitePoset,
     LinearOrder,
     RealizerTuple,
     antichain,
@@ -31,7 +35,14 @@ from orderdim.dimension import (
     ore_embedding,
 )
 
-from conftest import all_posets_on, naive_is_realizer, random_poset
+from conftest import (
+    all_posets_on,
+    CoverSearch,
+    naive_critical_pairs,
+    naive_is_realizer,
+    random_poset,
+    random_poset_shuffled,
+)
 
 # frozen from a brute-force permutation filter over all |P|! orders
 CROWN_EXTENSION_COUNTS = {2: 6, 3: 48, 4: 720}
@@ -225,3 +236,139 @@ class TestOreEmbedding:
         t = RealizerTuple([LinearOrder(("a", "b")), LinearOrder(("a", "b"))])
         with pytest.raises(NotARealizer):
             ore_embedding(p, t)
+
+
+def assert_matches_cover_search(p):
+    """dimension() and find_realizers(p, n), n = d .. d + 2, return the
+    witnesses of the enumerate-and-cover oracle."""
+    oracle = CoverSearch(p)
+    d, first = oracle.dimension()
+    res = dimension(p)
+    assert res.dim == d
+    assert res.witness == first
+    for n in (d, d + 1, d + 2):
+        got = find_realizers(p, n)
+        assert got == oracle.realizers(n)
+        assert naive_is_realizer(p, got)
+    if d > 1:
+        assert find_realizers(p, d - 1) is None
+
+
+class TestAgainstCoverSearch:
+    """The colouring search rebuilds the cover search's witness exactly."""
+
+    # Labels out of index order: a tie broken by label instead of by
+    # element index picks a different extension.
+    LABELS = ("c", "a", "d", "b")
+
+    def test_critical_pairs_match_naive(self):
+        for p in all_posets_on(self.LABELS):
+            assert critical_pairs(p) == naive_critical_pairs(p)
+        rng = random.Random(7)
+        for _ in range(100):
+            p = random_poset_shuffled(rng, rng.randint(2, 8))
+            assert critical_pairs(p) == naive_critical_pairs(p)
+
+    def test_every_poset_on_four_labels(self):
+        for p in all_posets_on(self.LABELS):
+            assert_matches_cover_search(p)
+
+    def test_shuffled_random_posets(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            p = random_poset_shuffled(rng, rng.randint(2, 8))
+            assert_matches_cover_search(p)
+
+    def test_shuffled_labels_change_the_witness(self):
+        """The stream breaks ties by element index, not by label."""
+        p = antichain(2, ("b", "a"))
+        t = dimension(p).witness
+        assert [o.order for o in t.orders] == [("b", "a"), ("a", "b")]
+
+
+class TestNoElementCap:
+    def test_antichain16(self):
+        p = antichain(16)
+        res = dimension(p)
+        assert res.dim == 2
+        assert naive_is_realizer(p, res.witness)
+
+    def test_crown6(self):
+        p = crown(6)
+        res = dimension(p)
+        assert res.dim == 6
+        assert naive_is_realizer(p, res.witness)
+
+    def test_find_realizers_past_cap(self):
+        p = antichain(12)
+        assert find_realizers(p, 1) is None
+        t = find_realizers(p, 3)
+        assert t is not None and naive_is_realizer(p, t)
+
+    def test_budget_probe_antichain10(self):
+        assert dimension(antichain(10), budget=20_000).dim == 2
+
+
+class TestSearchBudget:
+    def test_tiny_budget_names_colouring(self):
+        with pytest.raises(LimitExceeded, match="critical-pair colouring"):
+            dimension(crown(6), budget=5)
+
+    def test_tiny_budget_find_realizers(self):
+        with pytest.raises(LimitExceeded):
+            find_realizers(crown(6), 6, budget=5)
+
+    def test_one_meter_spans_both_phases(self):
+        # antichain(16) takes a few hundred colouring steps and about 1,400
+        # witness steps: 1,500 covers either phase alone, not both.
+        with pytest.raises(LimitExceeded, match="witness search"):
+            dimension(antichain(16), budget=1_500)
+
+    def test_env_budget_honoured(self, monkeypatch):
+        monkeypatch.setenv("ORDERDIM_BUDGET", "5")
+        with pytest.raises(LimitExceeded):
+            dimension(crown(6))
+        with pytest.raises(LimitExceeded):
+            find_realizers(crown(6), 6)
+
+
+class TestSelfChecks:
+    def test_failed_witness_check_is_typed(self, monkeypatch):
+        dim_mod = sys.modules["orderdim.dimension"]
+        monkeypatch.setattr(dim_mod, "is_realizer", lambda p, t: False)
+        with pytest.raises(NotARealizer):
+            dimension(crown(3))
+        with pytest.raises(NotARealizer):
+            find_realizers(crown(3), 3)
+
+    def test_failed_ore_cross_check_is_typed(self, monkeypatch):
+        p = chain(2, ("a", "b"))
+        t = RealizerTuple([LinearOrder(("a", "b"))])
+        monkeypatch.setattr(FinitePoset, "less", lambda self, a, b: False)
+        with pytest.raises(SelfCheckFailed):
+            ore_embedding(p, t)
+
+    def test_checks_run_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from orderdim.poset import crown\n"
+            "d = sys.modules['orderdim.dimension']\n"
+            "d.is_realizer = lambda p, t: False\n"
+            "try:\n"
+            "    d.dimension(crown(3))\n"
+            "except d.NotARealizer:\n"
+            "    print('typed')\n"
+        )
+        import orderdim
+
+        src = os.path.dirname(os.path.dirname(orderdim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "typed"

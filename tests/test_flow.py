@@ -541,6 +541,17 @@ class TestLogicAction:
         with pytest.raises(ElementMismatch):
             logic_action({"p0": "p1", "p1": "p1", "p2": "p2"}, st.realizers)
 
+    def test_failed_self_check_is_typed(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(
+            sys.modules["orderdim.flow"], "is_realizer", lambda p, t: False
+        )
+        st = induced_structure(three_antichain())
+        ident = {f"p{i}": f"p{i}" for i in range(3)}
+        with pytest.raises(NotARealizer):
+            logic_action(ident, st.realizers)
+
     def test_finite_scale_orbit_covers_antichain_census(self):
         c = three_antichain()
         st = induced_structure(c)
