@@ -4,8 +4,8 @@ Every subcommand wraps one library operation family.  JSON is the only
 interchange format; fractions travel as "p/q" strings, so piping output
 between subcommands is lossless.  Inputs default to stdin (a lone "-"
 also means stdin), output goes to stdout unless --out is given.  Library
-errors exit 1 after printing a single-line error JSON; usage errors exit
-2 via argparse.
+errors, and a search that recurses too deep, exit 1 after printing a
+single-line error JSON; usage errors exit 2 via argparse.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .homogeneity import (
     check_dpo_fragment,
     nonhom_witness,
     qn_lex_nonhom_witness,
-    two_homogeneity_certificate,
+    two_homogeneity_demo,
 )
 from .poset import FinitePoset, OrderedStructure, crown
 from .ramsey import (
@@ -147,16 +147,6 @@ def _cmd_check(args) -> None:
     )
 
 
-def _two_homogeneity_demo(n: int):
-    # an ascending 4-chain: per-axis values stay distinct, both pairs
-    # ascend on every axis, so the extension is guaranteed to exist
-    pts = [tuple(4 * k + i for i in range(n)) for k in range(4)]
-    c = PointCloud(n, pts)
-    return two_homogeneity_certificate(
-        c, (pts[0], pts[1]), (pts[2], pts[3]), steps=4
-    )
-
-
 def _cmd_certify(args) -> None:
     if args.kind == "ap":
         cert = ap_failure_certificate(args.n)
@@ -165,7 +155,7 @@ def _cmd_certify(args) -> None:
     elif args.kind == "qnlex":
         cert = qn_lex_nonhom_witness(args.n)
     else:
-        cert = _two_homogeneity_demo(args.n)
+        cert = two_homogeneity_demo(args.n)
     _emit_json(cert.to_json(), args.out)
 
 
@@ -311,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (OrderError, ValueError, KeyError, TypeError) as exc:
+    except (OrderError, ValueError, KeyError, TypeError, RecursionError) as exc:
         detail = str(exc) or type(exc).__name__
         sys.stdout.write(
             json.dumps(

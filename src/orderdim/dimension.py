@@ -23,8 +23,8 @@ whose pairs already placed unreversed no longer split into n - k classes.
 The enumerate-and-cover search that defines this witness directly lives
 in the test suite as the oracle, next to a naive realizer checker.
 
-Relations are held as one Python int per row: bit j of up[i], and bit i
-of down[j], say that element i is below element j.  One budget meter
+The searches read the poset's own bit rows: bit j of up[i], and bit i of
+down[j], say that element i is below element j.  One budget meter
 serves a whole `dimension` or `find_realizers` call; its phase name says
 which part of the search ran out.
 """
@@ -32,13 +32,11 @@ which part of the search ran out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .budget import DEFAULT_MAX_ELEMENTS, BudgetMeter, effective_budget
 from .errors import LimitExceeded, NotARealizer, SelfCheckFailed
-from .poset import FinitePoset, LinearOrder, RealizerTuple, is_realizer
+from .poset import FinitePoset, LinearOrder, RealizerTuple, _bits, is_realizer
 
 __all__ = [
     "DimensionResult",
@@ -59,17 +57,6 @@ class DimensionResult:
     witness: RealizerTuple
 
 
-def _rows(p: FinitePoset) -> tuple[list[int], list[int]]:
-    """Bitset rows of the strict order: (up, down)."""
-    m = len(p)
-    up = [0] * m
-    down = [0] * m
-    for i, j in zip(*np.nonzero(p.lt)):
-        up[int(i)] |= 1 << int(j)
-        down[int(j)] |= 1 << int(i)
-    return up, down
-
-
 def all_linear_extensions(
     p: FinitePoset,
     budget: int | None = None,
@@ -82,7 +69,7 @@ def all_linear_extensions(
             f"extension enumeration capped at {max_elements} elements, got {m}"
         )
     meter = BudgetMeter(effective_budget(budget), "linear extension enumeration")
-    _, preds = _rows(p)
+    preds = p.down
     order: list[int] = []
 
     def rec(taken: int) -> Iterator[LinearOrder]:
@@ -99,7 +86,7 @@ def all_linear_extensions(
     return rec(0)
 
 
-def _critical_indices(up: list[int], down: list[int]) -> list[tuple[int, int]]:
+def _critical_indices(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
     out = []
     for x in range(len(up)):
         comparable = up[x] | down[x] | 1 << x
@@ -115,17 +102,10 @@ def _critical_indices(up: list[int], down: list[int]) -> list[tuple[int, int]]:
 def critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
     """Ordered pairs (x, y): incomparable, down(x) <= down(y), up(y) <= up(x)."""
     e = p.elements
-    return [(e[x], e[y]) for x, y in _critical_indices(*_rows(p))]
+    return [(e[x], e[y]) for x, y in _critical_indices(p.up, p.down)]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _reverse(above: list[int], lo: int, hi: int) -> list[int] | None:
+def _reverse(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
     """Reachability rows with lo < hi added, or None if that closes a cycle."""
     if above[hi] >> lo & 1:
         return None
@@ -144,7 +124,7 @@ class _RealizerSearch:
     """
 
     def __init__(self, p: FinitePoset, budget: int | None):
-        self.up, self.down = _rows(p)
+        self.up, self.down = p.up, p.down
         self.pairs = _critical_indices(self.up, self.down)
         self.full = (1 << len(self.pairs)) - 1
         self.meter = BudgetMeter(effective_budget(budget), COLOURING)

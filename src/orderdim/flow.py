@@ -38,8 +38,6 @@ from itertools import product as iter_product
 from math import factorial
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .budget import effective_budget
 from .dimension import all_linear_extensions
 from .errors import (
@@ -66,6 +64,7 @@ from .poset import (
     RealizerTuple,
     _closure,
     _find_cycle,
+    _first_loop,
     is_realizer,
 )
 
@@ -102,10 +101,11 @@ def _pair_mask(order: LinearOrder, index: Mapping[str, int]) -> int:
 
 
 def _poset_mask(p: FinitePoset) -> int:
+    """The strict order's pairs packed into one big int, as in _pair_mask."""
     m = len(p)
     mask = 0
-    for i, j in zip(*np.nonzero(p.lt)):
-        mask |= 1 << (int(i) * m + int(j))
+    for i, row in enumerate(p.up):
+        mask |= row << (i * m)
     return mask
 
 
@@ -296,16 +296,17 @@ def extend_realizer_closure(
             raise ElementMismatch(
                 f"order element {lab!r} is outside the base order"
             )
-    edges = np.array(base_order.lt)
-    seq = [base_order.index(lab) for lab in partial.order]
-    for pos, i in enumerate(seq):
-        for j in seq[pos + 1 :]:
-            edges[i, j] = True
+    edges = list(base_order.up)
+    above = 0
+    for lab in reversed(partial.order):
+        i = base_order.index(lab)
+        edges[i] |= above
+        above |= 1 << i
     closed = _closure(edges)
-    diag = np.nonzero(np.diagonal(closed))[0]
-    if diag.size:
-        raise CycleFound(_find_cycle(edges, int(diag[0]), base_order.elements))
-    return FinitePoset(base_order.elements, closed)
+    loop = _first_loop(closed)
+    if loop is not None:
+        raise CycleFound(_find_cycle(edges, loop, base_order.elements))
+    return FinitePoset.from_rows(base_order.elements, closed)
 
 
 def cloud_automorphisms(

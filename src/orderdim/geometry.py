@@ -18,8 +18,6 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     ColinearPoints,
     ElementMismatch,
@@ -178,12 +176,12 @@ def induced_structure(c: PointCloud) -> OrderedStructure:
     if k < 1:
         raise TooSmall("induced_structure needs at least one point")
     labels = tuple(c.label(i) for i in range(k))
-    lt = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            if i != j and product_less(c.points[i], c.points[j]):
-                lt[i, j] = True
-    poset = FinitePoset(labels, lt)
+    pts = c.points
+    up = [
+        sum(1 << j for j in range(k) if product_less(pts[i], pts[j]))
+        for i in range(k)
+    ]
+    poset = FinitePoset.from_rows(labels, up)
     orders = []
     for i in range(c.dim):
         pri = cyclic_priority(i, c.dim)

@@ -26,13 +26,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ElementMismatch,
     FlipNotRealizable,
     LimitExceeded,
     NotOrderPreserving,
+    SelfCheckFailed,
     TooSmall,
 )
 from .geometry import (
@@ -53,7 +52,10 @@ from .geometry import (
 from .poset import (
     FinitePoset,
     OrderedStructure,
+    _axiom_violation,
+    _bits,
     _closure,
+    _first_loop,
     crown,
     is_realizer,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "qn_lex_nonhom_witness",
     "two_homogeneity_extend",
     "two_homogeneity_certificate",
+    "two_homogeneity_demo",
 ]
 
 
@@ -167,10 +170,12 @@ class Certificate:
         return Certificate(CertificateKind(payload["kind"]), payload["data"])
 
 
-def _matrix_is_partial_order(lt: np.ndarray) -> bool:
-    if lt.diagonal().any():
-        return False
-    return not ((lt @ lt) & ~lt).any()
+def _replayed(kind: CertificateKind, data: dict, what: str) -> Certificate:
+    """The certificate, once its own replay has accepted it."""
+    cert = Certificate(kind, data)
+    if not cert.replay():
+        raise SelfCheckFailed(f"{what} certificate failed its own replay")
+    return cert
 
 
 def _structure_parts(
@@ -213,7 +218,7 @@ def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
             density_defects=(DensityDefect(whole, (), ((None, None),) * s.dim),),
         )
     n = struct.n
-    poset_ok = _matrix_is_partial_order(struct.poset.lt)
+    poset_ok = _axiom_violation(struct.poset.elements, struct.poset.up) is None
     linears_ok = all(
         sorted(o.order) == sorted(labels) and len(o) == len(labels)
         for o in struct.realizers.orders
@@ -271,38 +276,45 @@ def _ap_diagram(n: int) -> tuple[list[str], set[tuple[str, str]], list[tuple[str
     return a + b, seeded, free
 
 
-def _enumerate_amalgams(n: int, budget: int = 100_000):
-    """Yield every partial order on the diagram respecting both fragments."""
+def _ap_rows(n: int) -> tuple[list[str], list[int], list[tuple[int, int]], list[int]]:
+    """The AP diagram as bit rows: labels, seeded rows, free pairs as
+    index pairs, and the element masks of the two fragments."""
     labels, seeded, free = _ap_diagram(n)
     idx = {lab: k for k, lab in enumerate(labels)}
-    k = len(labels)
-    base = np.zeros((k, k), dtype=bool)
+    base = [0] * len(labels)
     for x, y in seeded:
-        base[idx[x], idx[y]] = True
-    fragment_b = [lab for lab in labels if lab != "b1"]
-    fragment_c = [lab for lab in labels if lab.startswith("a")] + ["b1"]
+        base[idx[x]] |= 1 << idx[y]
+    mask_b = sum(1 << k for k, lab in enumerate(labels) if lab != "b1")
+    mask_c = sum(
+        1 << k for k, lab in enumerate(labels) if lab.startswith("a") or lab == "b1"
+    )
+    return labels, base, [(idx[x], idx[y]) for x, y in free], [mask_b, mask_c]
+
+
+def _respects(closed: list[int], base: list[int], fragments: list[int]) -> bool:
+    """Whether closed is acyclic and agrees with base inside each fragment."""
+    if _first_loop(closed) is not None:
+        return False
+    return not any(
+        (closed[r] ^ base[r]) & mask for mask in fragments for r in _bits(mask)
+    )
+
+
+def _enumerate_amalgams(n: int, budget: int = 100_000):
+    """Yield every partial order on the diagram respecting both fragments."""
+    labels, base, free, fragments = _ap_rows(n)
     if 3 ** len(free) > budget:
         raise LimitExceeded(f"amalgam enumeration needs {3 ** len(free)} cases")
     for choice in iter_product(AP_OPTIONS, repeat=len(free)):
-        mat = base.copy()
+        rows = list(base)
         for (x, y), opt in zip(free, choice):
             if opt == "lt":
-                mat[idx[x], idx[y]] = True
+                rows[x] |= 1 << y
             elif opt == "gt":
-                mat[idx[y], idx[x]] = True
-        closed = _closure(mat)
-        if closed.diagonal().any():
-            continue
-        ok = True
-        for fragment in (fragment_b, fragment_c):
-            rows = [idx[lab] for lab in fragment]
-            sub = closed[np.ix_(rows, rows)]
-            want = base[np.ix_(rows, rows)]
-            if (sub != want).any():
-                ok = False
-                break
-        if ok:
-            yield choice, FinitePoset(labels, closed)
+                rows[y] |= 1 << x
+        closed = _closure(rows)
+        if _respects(closed, base, fragments):
+            yield choice, FinitePoset.from_rows(labels, closed)
 
 
 def _forced_conclusions(n: int) -> dict:
@@ -335,27 +347,12 @@ def _forced_conclusions(n: int) -> dict:
 
 
 def _verify_chase(n: int) -> bool:
-    labels, seeded, free = _ap_diagram(n)
-    idx = {lab: k for k, lab in enumerate(labels)}
-    k = len(labels)
-    base = np.zeros((k, k), dtype=bool)
-    for x, y in seeded:
-        base[idx[x], idx[y]] = True
-    fragments = [
-        [lab for lab in labels if lab != "b1"],
-        [lab for lab in labels if lab.startswith("a")] + ["b1"],
-    ]
+    _labels, base, free, fragments = _ap_rows(n)
     for x, y in free:
         for lo, hi in ((x, y), (y, x)):
-            mat = base.copy()
-            mat[idx[lo], idx[hi]] = True
-            closed = _closure(mat)
-            broke = closed.diagonal().any()
-            for fragment in fragments:
-                rows = [idx[lab] for lab in fragment]
-                if (closed[np.ix_(rows, rows)] != base[np.ix_(rows, rows)]).any():
-                    broke = True
-            if not broke:
+            rows = list(base)
+            rows[lo] |= 1 << hi
+            if _respects(_closure(rows), base, fragments):
                 return False
     return True
 
@@ -396,10 +393,7 @@ def ap_failure_certificate(n: int = 2) -> Certificate:
         data["completions"] = completions
     else:
         data["mode"] = "chase"
-    cert = Certificate(CertificateKind.APFailure, data)
-    if not cert.replay():
-        raise AssertionError("amalgamation certificate failed its own replay")
-    return cert
+    return _replayed(CertificateKind.APFailure, data, "amalgamation")
 
 
 def _replay_ap(data: dict) -> bool:
@@ -456,10 +450,7 @@ def nonhom_witness(n: int) -> Certificate:
         ],
         "grid_step": "1/2",
     }
-    cert = Certificate(CertificateKind.NotUltrahomogeneous, data)
-    if not cert.replay():
-        raise AssertionError("antichain-swap certificate failed its own replay")
-    return cert
+    return _replayed(CertificateKind.NotUltrahomogeneous, data, "antichain-swap")
 
 
 def _grid_candidates(points: Sequence[Point], step: Fraction):
@@ -537,10 +528,7 @@ def qn_lex_nonhom_witness(n: int) -> Certificate:
         ),
         "grid_step": "1/2",
     }
-    cert = Certificate(CertificateKind.QnLexNotUltrahomogeneous, data)
-    if not cert.replay():
-        raise AssertionError("lexicographic certificate failed its own replay")
-    return cert
+    return _replayed(CertificateKind.QnLexNotUltrahomogeneous, data, "lexicographic")
 
 
 def _lex_rel(n: int):
@@ -671,10 +659,18 @@ def two_homogeneity_certificate(
         "grown_cloud": emb.cloud.to_json(),
         "mapping": [[lab, i] for lab, i in emb.images],
     }
-    cert = Certificate(CertificateKind.TwoHomogeneityExtension, data)
-    if not cert.replay():
-        raise AssertionError("two-homogeneity certificate failed its own replay")
-    return cert
+    return _replayed(CertificateKind.TwoHomogeneityExtension, data, "two-homogeneity")
+
+
+def two_homogeneity_demo(n: int) -> Certificate:
+    """The two-homogeneity certificate on an ascending four-chain in n
+    coordinates.  Per-axis values stay distinct and both pairs ascend on
+    every axis, so the extension is guaranteed to exist."""
+    pts = [tuple(4 * k + i for i in range(n)) for k in range(4)]
+    c = PointCloud(n, pts)
+    return two_homogeneity_certificate(
+        c, (pts[0], pts[1]), (pts[2], pts[3]), steps=4
+    )
 
 
 def _replay_two_hom(data: dict) -> bool:

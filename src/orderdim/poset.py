@@ -2,9 +2,13 @@
 
 Conventions that the rest of the package relies on:
 
-- A relation is a dense boolean matrix ``lt`` over an ordered label tuple;
-  ``lt[i, j]`` means ``elements[i] < elements[j]`` strictly.  Matrices are
-  frozen (non-writeable) after construction.
+- A relation is stored as one Python int per element: bit j of ``up[i]``,
+  and bit i of ``down[j]``, say that ``elements[i] < elements[j]``
+  strictly.  Rows are frozen into tuples at construction.
+- ``FinitePoset.lt`` is the same relation as a read-only numpy bool
+  matrix, ``lt[i, j]`` iff ``elements[i] < elements[j]``.  It is built,
+  and numpy imported, only when it is first read; nothing in the package
+  reads it.
 - A linear order is the sequence of labels from bottom to top.
 - A realizer is a tuple of linear orders over one element set whose
   intersection equals the poset's relation.
@@ -17,15 +21,15 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     CycleIntroduced,
     DuplicateLabel,
     ElementMismatch,
     NotARealizer,
     NotLinear,
+    OrderError,
     ReflexiveViolation,
+    SelfCheckFailed,
     TooSmall,
     TransitivityViolation,
 )
@@ -48,10 +52,89 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=bool)
-    out.setflags(write=False)
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: Sequence[int], m: int) -> list[int]:
+    cols = [0] * m
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
+
+
+def _matrix_rows(lt, m: int) -> list[int]:
+    """Bit rows of an m x m boolean matrix: a numpy array or nested lists."""
+    rows = lt.tolist() if hasattr(lt, "tolist") else lt
+    if not (
+        isinstance(rows, (list, tuple))
+        and len(rows) == m
+        and all(isinstance(r, (list, tuple)) and len(r) == m for r in rows)
+    ):
+        raise ElementMismatch(f"relation is not a {m} x {m} matrix")
+    out = []
+    for row in rows:
+        bits = 0
+        for j, v in enumerate(row):
+            if v:
+                bits |= 1 << j
+        out.append(bits)
     return out
+
+
+def _closure(rows: Sequence[int]) -> list[int]:
+    """Transitive closure of bit rows (Warshall); a cycle shows on the diagonal."""
+    out = list(rows)
+    for k in range(len(out)):
+        bit = 1 << k
+        for i, row in enumerate(out):
+            if row & bit:
+                out[i] = row | out[k]
+    return out
+
+
+def _beyond(up: Sequence[int], row: int) -> int:
+    """Elements above some element of row: two steps along up."""
+    out = 0
+    for j in _bits(row):
+        out |= up[j]
+    return out
+
+
+def _first_loop(rows: Sequence[int]) -> int | None:
+    """Least i with bit i of rows[i] set, or None."""
+    return next((i for i, row in enumerate(rows) if row >> i & 1), None)
+
+
+def _axiom_violation(labels: Sequence[str], up: Sequence[int]) -> OrderError | None:
+    """The first broken strict-order axiom, as the error naming it, or None.
+
+    Reflexive entries come first, in index order.  Then the first pair
+    (i, k), in row-major order, that is missing although i < j and j < k
+    for some j, naming the smallest such j; a 2-cycle a < b < a shows up
+    as (a, b, a).
+    """
+    loop = _first_loop(up)
+    if loop is not None:
+        return ReflexiveViolation(labels[loop])
+    for i, row in enumerate(up):
+        gap = _beyond(up, row) & ~row
+        if gap:
+            k = (gap & -gap).bit_length() - 1
+            j = next(j for j in _bits(row) if up[j] >> k & 1)
+            return TransitivityViolation(labels[i], labels[j], labels[k])
+    return None
+
+
+def _chain_rows(m: int) -> list[int]:
+    """Rows of the chain 0 < 1 < ... < m-1."""
+    full = (1 << m) - 1
+    return [full ^ ((1 << (i + 1)) - 1) for i in range(m)]
 
 
 def tuple_label(parts: Sequence[str]) -> str:
@@ -63,19 +146,42 @@ class FinitePoset:
     """Strict partial order on an ordered tuple of distinct labels.
 
     Construct through validate_poset or the module constructors; the
-    class itself only checks shape, not the order axioms.
+    class itself only checks shape, not the order axioms.  ``lt`` may be
+    a numpy bool array or nested lists of bools; ``from_rows`` takes the
+    bit rows directly.
     """
 
-    __slots__ = ("elements", "lt", "__dict__")
+    __slots__ = ("elements", "up", "down", "__dict__")
 
-    def __init__(self, elements: Sequence[str], lt: np.ndarray):
+    def __init__(self, elements: Sequence[str], lt):
         self.elements: tuple[str, ...] = tuple(elements)
         m = len(self.elements)
-        if lt.shape != (m, m):
-            raise ElementMismatch(
-                f"relation shape {lt.shape} does not match {m} elements"
-            )
-        self.lt = _freeze(lt)
+        self.up: tuple[int, ...] = tuple(_matrix_rows(lt, m))
+        self.down: tuple[int, ...] = tuple(_transpose(self.up, m))
+
+    @classmethod
+    def from_rows(cls, elements: Sequence[str], up: Sequence[int]) -> "FinitePoset":
+        """Poset whose bit j of up[i] says elements[i] < elements[j]."""
+        p = cls.__new__(cls)
+        p.elements = tuple(elements)
+        m = len(p.elements)
+        p.up = tuple(up)
+        if len(p.up) != m or any(row >> m for row in p.up):
+            raise ElementMismatch(f"relation rows do not match {m} elements")
+        p.down = tuple(_transpose(p.up, m))
+        return p
+
+    @cached_property
+    def lt(self):
+        """The relation as a read-only numpy bool matrix, built on first read."""
+        import numpy as np
+
+        m = len(self.elements)
+        out = np.zeros((m, m), dtype=bool)
+        for i, row in enumerate(self.up):
+            out[i, list(_bits(row))] = True
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -90,15 +196,14 @@ class FinitePoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self.elements == other.elements and bool(
-            np.array_equal(self.lt, other.lt)
-        )
+        return self.elements == other.elements and self.up == other.up
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.lt.tobytes()))
+        return hash((self.elements, self.up))
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self)} elements, {int(self.lt.sum())} relations)"
+        count = sum(row.bit_count() for row in self.up)
+        return f"FinitePoset({len(self)} elements, {count} relations)"
 
     def index(self, label: str) -> int:
         try:
@@ -107,7 +212,7 @@ class FinitePoset:
             raise ElementMismatch(f"unknown element {label!r}") from None
 
     def less(self, a: str, b: str) -> bool:
-        return bool(self.lt[self.index(a), self.index(b)])
+        return bool(self.up[self.index(a)] >> self.index(b) & 1)
 
     def leq(self, a: str, b: str) -> bool:
         return a == b or self.less(a, b)
@@ -116,47 +221,57 @@ class FinitePoset:
         return a != b and not self.less(a, b) and not self.less(b, a)
 
     def lt_pairs(self) -> Iterator[tuple[str, str]]:
-        for i, j in zip(*np.nonzero(self.lt)):
-            yield self.elements[i], self.elements[j]
+        for i, row in enumerate(self.up):
+            for j in _bits(row):
+                yield self.elements[i], self.elements[j]
 
     def downset(self, label: str) -> frozenset[str]:
-        j = self.index(label)
-        return frozenset(self.elements[i] for i in np.nonzero(self.lt[:, j])[0])
+        return frozenset(self.elements[i] for i in _bits(self.down[self.index(label)]))
 
     def upset(self, label: str) -> frozenset[str]:
-        i = self.index(label)
-        return frozenset(self.elements[j] for j in np.nonzero(self.lt[i, :])[0])
+        return frozenset(self.elements[j] for j in _bits(self.up[self.index(label)]))
 
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
-        strict2 = self.lt @ self.lt
-        cov = self.lt & ~strict2
+        e = self.elements
         return [
-            (self.elements[i], self.elements[j]) for i, j in zip(*np.nonzero(cov))
+            (e[i], e[j])
+            for i, row in enumerate(self.up)
+            for j in _bits(row & ~_beyond(self.up, row))
         ]
 
     def is_chain(self) -> bool:
-        comparable = np.array(self.lt | self.lt.T)
-        np.fill_diagonal(comparable, True)
-        return bool(comparable.all())
+        full = (1 << len(self)) - 1
+        return all(
+            up | down | 1 << i == full
+            for i, (up, down) in enumerate(zip(self.up, self.down))
+        )
 
     def restrict(self, labels: Sequence[str]) -> "FinitePoset":
         idx = [self.index(x) for x in labels]
-        return FinitePoset(tuple(labels), self.lt[np.ix_(idx, idx)])
+        rows = []
+        for i in idx:
+            row = self.up[i]
+            rows.append(sum(1 << b for b, j in enumerate(idx) if row >> j & 1))
+        return FinitePoset.from_rows(labels, rows)
 
     def to_json(self) -> dict:
+        m = len(self)
         return {
             "elements": list(self.elements),
-            "lt": [[bool(v) for v in row] for row in self.lt],
+            "lt": [[bool(row >> j & 1) for j in range(m)] for row in self.up],
         }
 
     @staticmethod
     def from_json(data: dict) -> "FinitePoset":
-        return validate_poset(data["elements"], np.array(data["lt"], dtype=bool))
+        return validate_poset(data["elements"], data["lt"])
 
 
-def validate_poset(elements: Sequence[str], lt: np.ndarray | Sequence[Sequence[bool]]) -> FinitePoset:
-    """Check the strict-order axioms, naming the first violation found."""
+def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
+    """Check the strict-order axioms, naming the first violation found.
+
+    ``lt`` is a numpy bool array or nested lists of bools.
+    """
     labels = tuple(elements)
     if len(labels) < 1:
         raise TooSmall("a poset needs at least one element")
@@ -165,20 +280,11 @@ def validate_poset(elements: Sequence[str], lt: np.ndarray | Sequence[Sequence[b
         if x in seen:
             raise DuplicateLabel(x)
         seen.add(x)
-    mat = np.array(lt, dtype=bool)
-    m = len(labels)
-    if mat.shape != (m, m):
-        raise ElementMismatch(f"relation shape {mat.shape} does not match {m} elements")
-    diag = np.nonzero(np.diagonal(mat))[0]
-    if diag.size:
-        raise ReflexiveViolation(labels[int(diag[0])])
-    gap = (mat @ mat) & ~mat
-    bad = np.nonzero(gap)
-    if bad[0].size:
-        i, k = int(bad[0][0]), int(bad[1][0])
-        j = int(np.nonzero(mat[i, :] & mat[:, k])[0][0])
-        raise TransitivityViolation(labels[i], labels[j], labels[k])
-    return FinitePoset(labels, mat)
+    up = _matrix_rows(lt, len(labels))
+    err = _axiom_violation(labels, up)
+    if err is not None:
+        raise err
+    return FinitePoset.from_rows(labels, up)
 
 
 class LinearOrder:
@@ -216,32 +322,32 @@ class LinearOrder:
         return self.rank[a] < self.rank[b]
 
     def to_poset(self) -> FinitePoset:
-        m = len(self.order)
-        lt = np.triu(np.ones((m, m), dtype=bool), k=1)
-        return FinitePoset(self.order, lt)
+        return FinitePoset.from_rows(self.order, _chain_rows(len(self.order)))
 
     @staticmethod
     def from_poset(p: FinitePoset) -> "LinearOrder":
         if not p.is_chain():
             raise NotLinear(f"{p!r} is not a chain")
-        order = sorted(p.elements, key=lambda e: len(p.downset(e)))
-        return LinearOrder(order)
+        order = sorted(range(len(p)), key=lambda i: p.down[i].bit_count())
+        return LinearOrder([p.elements[i] for i in order])
 
 
-def _rank_array(order: LinearOrder, elements: Sequence[str]) -> np.ndarray:
-    try:
-        return np.array([order.rank[e] for e in elements])
-    except KeyError as exc:
-        raise ElementMismatch(f"order is missing element {exc.args[0]!r}") from None
-
-
-def _intersection_matrix(orders: Sequence[LinearOrder], elements: Sequence[str]) -> np.ndarray:
-    out = np.ones((len(elements), len(elements)), dtype=bool)
+def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
+    """Bit rows of the pairs that every order puts in the same direction."""
+    m = len(elements)
+    out = [(1 << m) - 1] * m
     for o in orders:
-        if len(o) != len(elements):
+        if len(o) != m:
             raise ElementMismatch("orders range over different element sets")
-        r = _rank_array(o, elements)
-        out &= r[:, None] < r[None, :]
+        rank = o.rank
+        try:
+            pos = [rank[e] for e in elements]
+        except KeyError as exc:
+            raise ElementMismatch(f"order is missing element {exc.args[0]!r}") from None
+        above = 0
+        for i in sorted(range(m), key=pos.__getitem__, reverse=True):
+            out[i] &= above
+            above |= 1 << i
     return out
 
 
@@ -276,7 +382,7 @@ class RealizerTuple:
 
     def intersection(self, elements: Sequence[str] | None = None) -> FinitePoset:
         elems = tuple(elements) if elements is not None else self.orders[0].order
-        return FinitePoset(elems, _intersection_matrix(self.orders, elems))
+        return FinitePoset.from_rows(elems, _intersection_rows(self.orders, elems))
 
     def to_json(self) -> list[list[str]]:
         return [list(o.order) for o in self.orders]
@@ -290,7 +396,7 @@ def is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
     """True iff a < b in p exactly when a is before b in every order of t."""
     if set(t.orders[0].order) != set(p.elements):
         raise ElementMismatch("realizer support differs from poset elements")
-    return bool(np.array_equal(_intersection_matrix(t.orders, p.elements), p.lt))
+    return tuple(_intersection_rows(t.orders, p.elements)) == p.up
 
 
 class OrderedStructure:
@@ -323,10 +429,6 @@ class OrderedStructure:
     def __repr__(self) -> str:
         return f"OrderedStructure(m={len(self)}, n={self.n})"
 
-    def order_index_pairs(self) -> list[np.ndarray]:
-        """Per-order rank arrays aligned with the element tuple."""
-        return [_rank_array(o, self.elements) for o in self.realizers.orders]
-
     def restrict(self, labels: Sequence[str]) -> "OrderedStructure":
         keep = set(labels)
         sub = self.poset.restrict(tuple(labels))
@@ -353,22 +455,18 @@ class OrderedStructure:
         return OrderedStructure(p, RealizerTuple.from_json(data["orders"]))
 
 
-def _closure(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    for k in range(out.shape[0]):
-        out |= np.outer(out[:, k], out[k, :])
-    return out
+def _find_cycle(edges: Sequence[int], start: int, labels: Sequence[str]) -> list[str]:
+    """Walk edges from start back to start; edges must admit such a cycle.
 
-
-def _find_cycle(edges: np.ndarray, start: int, labels: Sequence[str]) -> list[str]:
-    """Walk edges from start back to start; edges must admit such a cycle."""
+    Breadth first, neighbours in index order, so the walk is a shortest
+    cycle through start.
+    """
     parent: dict[int, int | None] = {start: None}
     frontier = [start]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for raw in np.nonzero(edges[u, :])[0]:
-                v = int(raw)
+            for v in _bits(edges[u]):
                 if v == start:
                     path = [u]
                     while parent[path[-1]] is not None:
@@ -379,7 +477,7 @@ def _find_cycle(edges: np.ndarray, start: int, labels: Sequence[str]) -> list[st
                     parent[v] = u
                     nxt.append(v)
         frontier = nxt
-    raise AssertionError("no cycle reachable from start")
+    raise SelfCheckFailed("no cycle reachable from start")
 
 
 def szpilrajn_extend(
@@ -390,22 +488,20 @@ def szpilrajn_extend(
     Deterministic: repeatedly emits the lexicographically smallest label
     among the current minimal elements of the forced closure.
     """
-    edges = np.array(p.lt)
+    edges = list(p.up)
     for a, b in forced:
-        edges[p.index(a), p.index(b)] = True
+        edges[p.index(a)] |= 1 << p.index(b)
     closed = _closure(edges)
-    diag = np.nonzero(np.diagonal(closed))[0]
-    if diag.size:
-        cycle = _find_cycle(edges, int(diag[0]), p.elements)
-        raise CycleIntroduced(cycle)
-    remaining = set(range(len(p)))
+    loop = _first_loop(closed)
+    if loop is not None:
+        raise CycleIntroduced(_find_cycle(edges, loop, p.elements))
+    below = _transpose(closed, len(p))
+    remaining = (1 << len(p)) - 1
     out: list[str] = []
     while remaining:
-        minimal = [
-            i for i in remaining if not any(closed[j, i] for j in remaining if j != i)
-        ]
+        minimal = [i for i in _bits(remaining) if not below[i] & remaining]
         pick = min(minimal, key=lambda i: p.elements[i])
-        remaining.remove(pick)
+        remaining ^= 1 << pick
         out.append(p.elements[pick])
     return LinearOrder(out)
 
@@ -415,12 +511,9 @@ def crown(n: int) -> FinitePoset:
     if n < 2:
         raise TooSmall("crown(n) needs n >= 2")
     labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
-    lt = np.zeros((2 * n, 2 * n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                lt[i, n + j] = True
-    return FinitePoset(labels, lt)
+    tops = ((1 << n) - 1) << n
+    up = [tops & ~(1 << (n + i)) for i in range(n)] + [0] * n
+    return FinitePoset.from_rows(labels, up)
 
 
 def chain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
@@ -429,15 +522,14 @@ def chain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
     elems = tuple(labels) if labels is not None else tuple(f"c{i}" for i in range(1, m + 1))
     if len(elems) != m:
         raise ElementMismatch(f"expected {m} labels, got {len(elems)}")
-    lt = np.triu(np.ones((m, m), dtype=bool), k=1)
-    return FinitePoset(elems, lt)
+    return FinitePoset.from_rows(elems, _chain_rows(m))
 
 
 def antichain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
     if m < 1:
         raise TooSmall("antichain(m) needs m >= 1")
     elems = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(1, m + 1))
-    return FinitePoset(elems, np.zeros((m, m), dtype=bool))
+    return FinitePoset.from_rows(elems, [0] * len(elems))
 
 
 def product_order(ps: Sequence[FinitePoset]) -> FinitePoset:
@@ -446,17 +538,21 @@ def product_order(ps: Sequence[FinitePoset]) -> FinitePoset:
         raise TooSmall("product_order needs at least one factor")
     tuples = list(iter_product(*[p.elements for p in ps]))
     labels = [tuple_label(t) for t in tuples]
-    leqs = []
-    for p in ps:
-        leq = p.lt | np.eye(len(p), dtype=bool)
-        leqs.append(leq)
     m = len(tuples)
-    lt = np.ones((m, m), dtype=bool)
+    up = [((1 << m) - 1) & ~(1 << a) for a in range(m)]
     for axis, p in enumerate(ps):
-        ranks = np.array([p.index(t[axis]) for t in tuples])
-        lt &= leqs[axis][np.ix_(ranks, ranks)]
-    np.fill_diagonal(lt, False)
-    return FinitePoset(labels, lt)
+        coord = [p.index(t[axis]) for t in tuples]
+        at = [0] * len(p)
+        for b, v in enumerate(coord):
+            at[v] |= 1 << b
+        # Tuples whose coordinate on this axis is >= v in p.
+        at_least = [0] * len(p)
+        for v, row in enumerate(p.up):
+            for w in _bits(row | 1 << v):
+                at_least[v] |= at[w]
+        for a, v in enumerate(coord):
+            up[a] &= at_least[v]
+    return FinitePoset.from_rows(labels, up)
 
 
 def lex_order(ps: Sequence[FinitePoset], i: int) -> LinearOrder:

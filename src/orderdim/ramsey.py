@@ -22,8 +22,6 @@ from itertools import combinations, product as iter_product
 from math import comb
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import ElementMismatch, LimitExceeded, TooSmall
 from .poset import (
     FinitePoset,
@@ -94,10 +92,11 @@ class GridStruct:
     @cached_property
     def structure(self) -> OrderedStructure:
         labels = [self.label(p) for p in self.points]
-        lt = [
-            [_grid_product_less(p, q) for q in self.points] for p in self.points
+        up = [
+            sum(1 << j for j, q in enumerate(self.points) if _grid_product_less(p, q))
+            for p in self.points
         ]
-        poset = FinitePoset(labels, np.array(lt, dtype=bool))
+        poset = FinitePoset.from_rows(labels, up)
         orders = []
         for i in range(self.n):
             pri = [(i + j) % self.n for j in range(self.n)]

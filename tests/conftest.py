@@ -13,6 +13,14 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from orderdim.dimension import all_linear_extensions
+from orderdim.errors import (
+    CycleIntroduced,
+    DuplicateLabel,
+    ElementMismatch,
+    ReflexiveViolation,
+    TooSmall,
+    TransitivityViolation,
+)
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -31,6 +39,7 @@ settings.load_profile("fast")
 
 
 def transitive_close(mat: np.ndarray) -> np.ndarray:
+    """Matrix closure; the oracle for the library's bit-row closure."""
     out = mat.copy()
     for k in range(out.shape[0]):
         out |= np.outer(out[:, k], out[k, :])
@@ -192,3 +201,116 @@ class CoverSearch:
             if witness is not None:
                 return n, witness
         raise AssertionError("every finite poset has a realizer")
+
+
+# --- numpy oracles for the bit-row poset kernel ----------------------------
+#
+# The library's matrix code before it moved to one Python int per row,
+# kept as independent references: same axioms, same first violation, same
+# tie-breaks, computed on dense boolean matrices.
+
+
+def oracle_validate_poset(elements, lt) -> FinitePoset:
+    labels = tuple(elements)
+    if len(labels) < 1:
+        raise TooSmall("a poset needs at least one element")
+    seen: set[str] = set()
+    for x in labels:
+        if x in seen:
+            raise DuplicateLabel(x)
+        seen.add(x)
+    mat = np.array(lt, dtype=bool)
+    m = len(labels)
+    if mat.shape != (m, m):
+        raise ElementMismatch(f"relation shape {mat.shape} does not match {m} elements")
+    diag = np.nonzero(np.diagonal(mat))[0]
+    if diag.size:
+        raise ReflexiveViolation(labels[int(diag[0])])
+    gap = (mat @ mat) & ~mat
+    bad = np.nonzero(gap)
+    if bad[0].size:
+        i, k = int(bad[0][0]), int(bad[1][0])
+        j = int(np.nonzero(mat[i, :] & mat[:, k])[0][0])
+        raise TransitivityViolation(labels[i], labels[j], labels[k])
+    return FinitePoset(labels, mat)
+
+
+def oracle_find_cycle(edges: np.ndarray, start: int, labels) -> list[str]:
+    """Breadth-first walk from start back to start, neighbours in index order."""
+    parent: dict[int, int | None] = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for raw in np.nonzero(edges[u, :])[0]:
+                v = int(raw)
+                if v == start:
+                    path = [u]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return [labels[i] for i in path] + [labels[start]]
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    raise AssertionError("no cycle reachable from start")
+
+
+def oracle_szpilrajn_extend(p: FinitePoset, forced=()) -> LinearOrder:
+    edges = np.array(p.lt)
+    for a, b in forced:
+        edges[p.index(a), p.index(b)] = True
+    closed = transitive_close(edges)
+    diag = np.nonzero(np.diagonal(closed))[0]
+    if diag.size:
+        raise CycleIntroduced(oracle_find_cycle(edges, int(diag[0]), p.elements))
+    remaining = set(range(len(p)))
+    out: list[str] = []
+    while remaining:
+        minimal = [
+            i for i in remaining if not any(closed[j, i] for j in remaining if j != i)
+        ]
+        pick = min(minimal, key=lambda i: p.elements[i])
+        remaining.remove(pick)
+        out.append(p.elements[pick])
+    return LinearOrder(out)
+
+
+def oracle_covers(p: FinitePoset) -> list[tuple[str, str]]:
+    cov = p.lt & ~(p.lt @ p.lt)
+    return [(p.elements[i], p.elements[j]) for i, j in zip(*np.nonzero(cov))]
+
+
+def oracle_is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
+    out = np.ones((len(p), len(p)), dtype=bool)
+    for o in t.orders:
+        r = np.array([o.rank[e] for e in p.elements])
+        out &= r[:, None] < r[None, :]
+    return bool(np.array_equal(out, p.lt))
+
+
+def random_relation(rng: random.Random, m: int) -> tuple[list[str], np.ndarray]:
+    """Shuffled labels and a random relation: a valid poset, a poset with
+    a reflexive entry, an acyclic relation left unclosed, or arbitrary
+    edges (cycles and 2-cycles included), chosen at random."""
+    labels = [f"x{i}" for i in range(m)]
+    rng.shuffle(labels)
+    kind = rng.choice(("poset", "reflexive", "unclosed", "arbitrary"))
+    if kind in ("poset", "reflexive"):
+        mat = np.array(random_poset(rng, m).lt)
+        if kind == "reflexive":
+            i = rng.randrange(m)
+            mat[i, i] = True
+        return labels, mat
+    density = rng.uniform(0.1, 0.5)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    mat = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(m):
+            if i == j or (kind == "unclosed" and i > j):
+                continue
+            if rng.random() < density:
+                mat[perm[i], perm[j]] = True
+    return labels, mat

@@ -362,3 +362,24 @@ class TestDeterminismAndErrors:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_recursion_error_is_single_line_json(self, capsys, monkeypatch):
+        def too_deep(p, budget=None):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("orderdim.cli.dimension", too_deep)
+        _, crown_json = run(capsys, monkeypatch, ["gen", "crown", "--n", "3"])
+        code, out = run(capsys, monkeypatch, ["dim"], stdin_text=crown_json)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "error": "RecursionError",
+            "detail": "maximum recursion depth exceeded",
+        }
+
+    def test_failed_certificate_replay_is_single_line_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(Certificate, "replay", lambda self: False)
+        code, out = run(capsys, monkeypatch, ["certify", "twohom"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "SelfCheckFailed"

@@ -15,6 +15,7 @@ from orderdim.errors import (
     ElementMismatch,
     FlipNotRealizable,
     NotOrderPreserving,
+    SelfCheckFailed,
     TooSmall,
 )
 from orderdim.geometry import (
@@ -36,6 +37,7 @@ from orderdim.homogeneity import (
     nonhom_witness,
     qn_lex_nonhom_witness,
     two_homogeneity_certificate,
+    two_homogeneity_demo,
     two_homogeneity_extend,
 )
 from orderdim.poset import OrderedStructure, crown, validate_poset
@@ -445,3 +447,20 @@ class TestTwoHomogeneity:
             for pair2 in incs[:3]:
                 emb = two_homogeneity_extend(cloud, pair1, pair2, steps=2)
                 pairwise_order_preserved(emb)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ap_failure_certificate(2),
+        lambda: ap_failure_certificate(3),
+        lambda: nonhom_witness(2),
+        lambda: qn_lex_nonhom_witness(2),
+        lambda: two_homogeneity_demo(2),
+    ],
+    ids=["ap-enumerate", "ap-chase", "nonhom", "qnlex", "twohom"],
+)
+def test_failed_self_replay_is_typed(build, monkeypatch):
+    monkeypatch.setattr(Certificate, "replay", lambda self: False)
+    with pytest.raises(SelfCheckFailed):
+        build()
