@@ -12,27 +12,23 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from orderdim.dimension import dimension
-from orderdim.poset import crown, validate_poset
+from orderdim.poset import FinitePoset, _closure, crown
 
 
-def random_poset(rng: random.Random, m: int):
-    labels = [f"x{i}" for i in range(m)]
+def random_poset(rng: random.Random, m: int) -> FinitePoset:
+    """Random edges along a random permutation, so acyclic, then closed."""
     perm = list(range(m))
     rng.shuffle(perm)
     density = rng.uniform(0.1, 0.6)
-    mat = np.zeros((m, m), dtype=bool)
+    rows = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
             if rng.random() < density:
-                mat[perm[i], perm[j]] = True
-    for k in range(m):
-        mat |= np.outer(mat[:, k], mat[k, :])
-    return validate_poset(labels, mat)
+                rows[perm[i]] |= 1 << perm[j]
+    return FinitePoset.from_rows([f"x{i}" for i in range(m)], _closure(rows))
 
 
 def main() -> None:

@@ -1,16 +1,20 @@
 """Search budgets.
 
-Exhaustive enumerations (all linear extensions, all realizers, all
-colorings) are exponential in the worst case.  Rather than hang, every
-enumerator checks a step budget and raises LimitExceeded when it runs out.
-The default budget can be overridden with the ORDERDIM_BUDGET environment
-variable; a handful of expensive entry points also accept an explicit
-`budget=` argument which takes precedence.
+Exhaustive enumerations (linear extensions, realizers, critical-pair
+colourings, grid and copy colorings, amalgams) are exponential in the
+worst case.  Rather than hang, every search resolves one step budget per
+public call through `effective_budget`: an explicit `budget=` argument,
+else the ORDERDIM_BUDGET environment variable, else 1,000,000.  Its
+steps are counted on one `BudgetMeter`, whose phase name starts the
+LimitExceeded message.  Searches whose size is known up front also
+refuse, before any work, a space larger than the whole budget.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import LimitExceeded
 
 DEFAULT_EXTENSION_BUDGET = 1_000_000
 
@@ -42,21 +46,29 @@ def effective_budget(explicit: int | None = None) -> int:
 class BudgetMeter:
     """Counts down enumeration steps; raises LimitExceeded at zero.
 
-    Cheap enough to tick once per node in a backtracking search.
+    Cheap enough to tick once per node in a backtracking search.  `what`
+    names the phase running now; a search may rename it between phases.
     """
 
-    __slots__ = ("remaining", "what")
+    __slots__ = ("budget", "remaining", "what")
 
     def __init__(self, budget: int, what: str):
+        self.budget = budget
         self.remaining = budget
         self.what = what
 
     def tick(self, cost: int = 1) -> None:
         self.remaining -= cost
         if self.remaining < 0:
-            from .errors import LimitExceeded
-
             raise LimitExceeded(
                 f"{self.what}: step budget exhausted "
                 f"(raise {ENV_VAR} or pass budget= to continue)"
+            )
+
+    def require(self, cases: int, detail: str) -> None:
+        """Refuse up front a space of `cases` that the budget cannot cover."""
+        if cases > self.budget:
+            raise LimitExceeded(
+                f"{self.what}: {detail}: {cases} cases, "
+                f"over the budget of {self.budget}"
             )

@@ -4,8 +4,9 @@ Every subcommand wraps one library operation family.  JSON is the only
 interchange format; fractions travel as "p/q" strings, so piping output
 between subcommands is lossless.  Inputs default to stdin (a lone "-"
 also means stdin), output goes to stdout unless --out is given.  Library
-errors, and a search that recurses too deep, exit 1 after printing a
-single-line error JSON; usage errors exit 2 via argparse.
+errors, unreadable files, and a search that recurses too deep, exit 1
+after printing a single-line error JSON; usage errors exit 2 via
+argparse.
 """
 
 from __future__ import annotations
@@ -301,7 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (OrderError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (
+        OrderError, ValueError, KeyError, TypeError, RecursionError, OSError
+    ) as exc:
         detail = str(exc) or type(exc).__name__
         sys.stdout.write(
             json.dumps(

@@ -58,15 +58,13 @@ class DimensionResult:
 
 
 def all_linear_extensions(
-    p: FinitePoset,
-    budget: int | None = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    p: FinitePoset, budget: int | None = None
 ) -> Iterator[LinearOrder]:
     """Every linear extension exactly once, smallest-available-index first."""
     m = len(p)
-    if m > max_elements:
+    if m > DEFAULT_MAX_ELEMENTS:
         raise LimitExceeded(
-            f"extension enumeration capped at {max_elements} elements, got {m}"
+            f"extension enumeration capped at {DEFAULT_MAX_ELEMENTS} elements, got {m}"
         )
     meter = BudgetMeter(effective_budget(budget), "linear extension enumeration")
     preds = p.down

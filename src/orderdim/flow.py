@@ -38,7 +38,7 @@ from itertools import product as iter_product
 from math import factorial
 from typing import Mapping, Sequence
 
-from .budget import effective_budget
+from .budget import BudgetMeter, effective_budget
 from .dimension import all_linear_extensions
 from .errors import (
     CycleFound,
@@ -190,12 +190,9 @@ def enumerate_realizers(
     """
     cap = effective_budget(budget)
     exts = list(all_linear_extensions(s.poset, budget=cap))
-    count = len(exts) ** s.n
-    if count > cap:
-        raise LimitExceeded(
-            f"{len(exts)} extensions give {count} candidate {s.n}-tuples, "
-            f"over the budget of {cap}"
-        )
+    BudgetMeter(cap, "realizer enumeration").require(
+        len(exts) ** s.n, f"candidate {s.n}-tuples of {len(exts)} extensions"
+    )
     index = {e: i for i, e in enumerate(s.poset.elements)}
     want = _poset_mask(s.poset)
     masks = [_pair_mask(o, index) for o in exts]

@@ -32,7 +32,6 @@ __all__ = [
     "Region",
     "PartialEmbedding",
     "frac_str",
-    "parse_frac",
     "induced_structure",
     "iter_balls",
     "sample_dn",
@@ -59,10 +58,6 @@ def as_fraction(v: object) -> Fraction:
 
 def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def cyclic_priority(i: int, n: int) -> list[int]:
@@ -154,7 +149,7 @@ class PointCloud:
     def from_json(data: dict) -> "PointCloud":
         return PointCloud(
             int(data["dim"]),
-            [tuple(parse_frac(s) for s in row) for row in data["points"]],
+            data["points"],
             bool(data.get("strict", True)),
         )
 
@@ -287,8 +282,8 @@ class Region:
         return Region(
             tuple(
                 (
-                    None if lo is None else parse_frac(lo),
-                    None if hi is None else parse_frac(hi),
+                    None if lo is None else as_fraction(lo),
+                    None if hi is None else as_fraction(hi),
                 )
                 for lo, hi in data
             )

@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
+from .budget import BudgetMeter, effective_budget
 from .errors import (
     ElementMismatch,
     FlipNotRealizable,
-    LimitExceeded,
     NotOrderPreserving,
     SelfCheckFailed,
     TooSmall,
@@ -45,7 +45,6 @@ from .geometry import (
     frac_str,
     induced_structure,
     lex_less,
-    parse_frac,
     pick_in_region,
     product_less,
 )
@@ -300,11 +299,12 @@ def _respects(closed: list[int], base: list[int], fragments: list[int]) -> bool:
     )
 
 
-def _enumerate_amalgams(n: int, budget: int = 100_000):
+def _enumerate_amalgams(n: int):
     """Yield every partial order on the diagram respecting both fragments."""
     labels, base, free, fragments = _ap_rows(n)
-    if 3 ** len(free) > budget:
-        raise LimitExceeded(f"amalgam enumeration needs {3 ** len(free)} cases")
+    BudgetMeter(effective_budget(), "amalgam enumeration").require(
+        3 ** len(free), "choices for the free pairs"
+    )
     for choice in iter_product(AP_OPTIONS, repeat=len(free)):
         rows = list(base)
         for (x, y), opt in zip(free, choice):
@@ -468,7 +468,7 @@ def _grid_candidates(points: Sequence[Point], step: Fraction):
 
 def _replay_nonhom(data: dict) -> bool:
     n = int(data["n"])
-    pts = {k: tuple(parse_frac(s) for s in v) for k, v in data["points"].items()}
+    pts = {k: tuple(as_fraction(s) for s in v) for k, v in data["points"].items()}
     a, b, c, x = pts["a"], pts["b"], pts["c"], pts["x"]
     cloud = PointCloud(n, [a, b, c, x])
     s = induced_structure(cloud)
@@ -484,7 +484,7 @@ def _replay_nonhom(data: dict) -> bool:
     if not all(b[i] < max(a[i], c[i]) for i in range(n)):
         return False
     # independent exhaustive search over an exact grid
-    step = parse_frac(data["grid_step"])
+    step = as_fraction(data["grid_step"])
     for y in _grid_candidates([a, b, c, x], step):
         if product_less(a, y) and product_less(c, y) and not product_less(b, y):
             return False
@@ -542,7 +542,7 @@ def _lex_rel(n: int):
 
 def _replay_qn_lex(data: dict) -> bool:
     n = int(data["n"])
-    pts = {k: tuple(parse_frac(s) for s in v) for k, v in data["points"].items()}
+    pts = {k: tuple(as_fraction(s) for s in v) for k, v in data["points"].items()}
     a, x, b, c = pts["a"], pts["x"], pts["b"], pts["c"]
     a2, b2, c2 = pts["a2"], pts["b2"], pts["c2"]
     lex = _lex_rel(n)
@@ -567,7 +567,7 @@ def _replay_qn_lex(data: dict) -> bool:
     if not (a2[0] == b2[0] and all(a2[i] == c2[i] for i in range(1, n))):
         return False
     # independent exhaustive search: no image for x exists
-    step = parse_frac(data["grid_step"])
+    step = as_fraction(data["grid_step"])
     for y in _grid_candidates([a2, b2, c2], step):
         if lex(0, a2, y) and lex(0, y, b2) and all(
             lex(i, a2, y) and lex(i, y, c2) for i in range(1, n)

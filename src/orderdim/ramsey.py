@@ -4,9 +4,15 @@ The pipeline mirrors the induced-coloring argument: structures embed
 rigidly into grids at their rank coordinates, colorings of copies pull
 back to colorings of subgrids, and a monochromatic subgrid found there
 pushes forward to a monochromatic copy.  Every search here is an
-exhaustive sweep over a finite space; "prune" flags only cut branches
-that provably contain nothing (completed monochromatic groups, color
-permutations), so verdicts are identical with pruning off.
+exhaustive sweep over a finite space.  The coloring search cuts only
+branches that provably contain nothing (completed monochromatic groups,
+color permutations), so it returns the first coloring an uncut
+depth-first search would; that uncut search is the test oracle.
+
+Each public call resolves one budget and spends it on one meter, across
+every r of `product_ramsey_number` and every scan of a reduction.  The
+meter's phase, "grid coloring search at r=...", "copy coloring search"
+or "monochromatic-subgrid scan", opens the LimitExceeded message.
 
 Canonical orderings, used for coloring serialization: grid points are
 row-major; copies are indexed by their element subsets in lexicographic
@@ -22,7 +28,9 @@ from itertools import combinations, product as iter_product
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import ElementMismatch, LimitExceeded, TooSmall
+from .budget import BudgetMeter, effective_budget
+from .errors import ElementMismatch, TooSmall
+from .geometry import product_less
 from .poset import (
     FinitePoset,
     LinearOrder,
@@ -44,7 +52,9 @@ __all__ = [
     "ramsey_witness_check",
 ]
 
-DEFAULT_SEARCH_BUDGET = 2_000_000
+GRID_SEARCH = "grid coloring search"
+COPY_SEARCH = "copy coloring search"
+SCAN = "monochromatic-subgrid scan"
 
 GridPoint = tuple[int, ...]
 
@@ -55,10 +65,6 @@ def _point_label(p: GridPoint) -> str:
 
 def _label_point(label: str) -> GridPoint:
     return tuple(int(v) for v in label.split(","))
-
-
-def _grid_product_less(p: GridPoint, q: GridPoint) -> bool:
-    return p != q and all(a <= b for a, b in zip(p, q))
 
 
 class GridStruct:
@@ -93,7 +99,7 @@ class GridStruct:
     def structure(self) -> OrderedStructure:
         labels = [self.label(p) for p in self.points]
         up = [
-            sum(1 << j for j, q in enumerate(self.points) if _grid_product_less(p, q))
+            sum(1 << j for j, q in enumerate(self.points) if product_less(p, q))
             for p in self.points
         ]
         poset = FinitePoset.from_rows(labels, up)
@@ -280,9 +286,16 @@ def induced_coloring(
 
 
 def find_mono_subgrid(
-    col: Coloring, m: int, budget: int = DEFAULT_SEARCH_BUDGET
+    col: Coloring, m: int, budget: int | None = None
 ) -> Subgrid | None:
     """First m^n-subgrid whose l^n-subgrids share one color, if any."""
+    return _mono_subgrid_scan(col, m, BudgetMeter(effective_budget(budget), SCAN))
+
+
+def _mono_subgrid_scan(
+    col: Coloring, m: int, meter: BudgetMeter
+) -> Subgrid | None:
+    """find_mono_subgrid on a meter that the caller may share."""
     if col.kind != "subgrids":
         raise ElementMismatch("expected a coloring of subgrids")
     if not col.keys:
@@ -293,15 +306,13 @@ def find_mono_subgrid(
     r = max(v for axes in col.keys for axis in axes for v in axis)
     if not l <= m <= r:
         raise TooSmall(f"need l <= m <= r, got l={l}, m={m}, r={r}")
-    spent = 0
+    tick = meter.tick
     for big in iter_product(combinations(range(1, r + 1), m), repeat=n):
         seen: set[int] = set()
         for small in iter_product(
             *[list(combinations(axis, l)) for axis in big]
         ):
-            spent += 1
-            if spent > budget:
-                raise LimitExceeded("monochromatic-subgrid scan over budget")
+            tick()
             seen.add(col.color(small))
             if len(seen) > 1:
                 break
@@ -314,61 +325,50 @@ def _search_free_coloring(
     num_cells: int,
     k: int,
     groups: Sequence[Sequence[int]],
-    prune: bool = True,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    meter: BudgetMeter,
 ) -> list[int] | None:
     """A coloring of the cells leaving every group non-monochromatic.
 
-    Exhaustive depth-first search in canonical cell order.  A branch
-    dies once some fully colored group is monochromatic, since later
-    cells cannot undo that.  With prune on, color names are normalized
-    to first-use order, which is sound because renaming colors preserves
-    (non-)monochromaticity.  Returns None when no such coloring exists.
+    Exhaustive depth-first search in canonical cell order, run on an
+    explicit stack so that no recursion grows with the cell count.  A
+    branch dies once some fully colored group is monochromatic, since
+    later cells cannot undo that.  Color names are normalized to
+    first-use order, which is sound because renaming colors preserves
+    (non-)monochromaticity.  Every color tried ticks the meter.  Returns
+    None when no such coloring exists.
     """
     if any(not g for g in groups):
         raise ElementMismatch("groups must be nonempty")
-    closers: dict[int, list[int]] = {}
-    for gid, members in enumerate(groups):
-        closers.setdefault(max(members), []).append(gid)
+    closers: list[list[Sequence[int]]] = [[] for _ in range(num_cells)]
+    for members in groups:
+        closers[max(members)].append(members)
+    tick = meter.tick
     colors = [0] * num_cells
-    spent = 0
-
-    def alive(t: int) -> bool:
-        for gid in closers.get(t, ()):
-            first = colors[groups[gid][0]]
-            if all(colors[c] == first for c in groups[gid]):
-                return False
-        return True
-
-    def descend(t: int, used: int) -> bool:
-        nonlocal spent
-        if t == num_cells:
-            return True
-        cap = min(k, used + 1) if prune else k
-        for col in range(1, cap + 1):
-            spent += 1
-            if spent > budget:
-                raise LimitExceeded("coloring search over budget")
-            colors[t] = col
-            if alive(t) and descend(t + 1, max(used, col)):
-                return True
-        colors[t] = 0
-        return False
-
-    return list(colors) if descend(0, 0) else None
+    # used[t]: how many colors the cells before t have opened.
+    used = [0] * (num_cells + 1)
+    t = 0
+    while 0 <= t < num_cells:
+        col = colors[t] + 1
+        if col > k or col > used[t] + 1:
+            colors[t] = 0
+            t -= 1
+            continue
+        tick()
+        colors[t] = col
+        for members in closers[t]:
+            if all(colors[c] == col for c in members):
+                break  # a monochromatic group closes here: try the next color
+        else:
+            used[t + 1] = max(used[t], col)
+            t += 1
+    return colors if t == num_cells else None
 
 
-def _grid_counterexample(
-    k: int,
-    l: int,
-    m: int,
-    n: int,
-    r: int,
-    prune: bool = True,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> Coloring | None:
-    """A k-coloring of the l^n-subgrids of r^n with no monochromatic
-    m^n-subgrid, or None when every coloring has one."""
+def _grid_groups(
+    l: int, m: int, n: int, r: int
+) -> tuple[list[tuple[tuple[int, ...], ...]], list[list[int]]]:
+    """The l^n-subgrids of r^n, and for each m^n-subgrid the indices of
+    the l^n-subgrids inside it."""
     cells = all_subgrids(r, n, l)
     index = {key: t for t, key in enumerate(cells)}
     groups = []
@@ -381,7 +381,24 @@ def _grid_counterexample(
                 )
             ]
         )
-    found = _search_free_coloring(len(cells), k, groups, prune, budget)
+    return cells, groups
+
+
+def _grid_counterexample(
+    k: int,
+    l: int,
+    m: int,
+    n: int,
+    r: int,
+    meter: BudgetMeter | None = None,
+) -> Coloring | None:
+    """A k-coloring of the l^n-subgrids of r^n with no monochromatic
+    m^n-subgrid, or None when every coloring has one.  Spends the given
+    meter, else one of its own."""
+    if meter is None:
+        meter = BudgetMeter(effective_budget(), f"{GRID_SEARCH} at r={r}")
+    cells, groups = _grid_groups(l, m, n, r)
+    found = _search_free_coloring(len(cells), k, groups, meter)
     if found is None:
         return None
     return Coloring("subgrids", k, tuple(cells), tuple(found))
@@ -393,23 +410,24 @@ def product_ramsey_number(
     m: int,
     n: int,
     r_max: int = 6,
-    prune: bool = True,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int | None = None,
 ) -> int | None:
     """Least r <= r_max such that every k-coloring of the l^n-subgrids
     of r^n has a monochromatic m^n-subgrid, or None past r_max.
 
     Exhaustive over colorings via the counterexample search; below m
-    no m^n-subgrid exists at all, so the scan starts there.
+    no m^n-subgrid exists at all, so the scan starts there.  One budget
+    covers every r tried.
     """
     if min(k, l, m, n) < 1:
         raise TooSmall("all parameters must be positive")
     if l > m:
         raise TooSmall("the subgrids being colored must fit in the target")
+    meter = BudgetMeter(effective_budget(budget), GRID_SEARCH)
     for r in range(m, r_max + 1):
-        if comb(r, l) ** n * k > budget:
-            raise LimitExceeded(f"coloring space at r={r} exceeds the budget")
-        if _grid_counterexample(k, l, m, n, r, prune, budget) is None:
+        meter.what = f"{GRID_SEARCH} at r={r}"
+        meter.require(comb(r, l) ** n * k, "cells times colors")
+        if _grid_counterexample(k, l, m, n, r, meter) is None:
             return r
     return None
 
@@ -446,8 +464,7 @@ def ramsey_witness_check(
     k: int,
     r: int,
     method: str = "reduction",
-    prune: bool = True,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int | None = None,
 ) -> bool:
     """Does the r^n grid witness the partition property for a inside b?
 
@@ -457,8 +474,12 @@ def ramsey_witness_check(
     every coloring and replays the two-step argument (pull back to
     subgrids, locate a monochromatic one, read off the rigid copy of b),
     falling back to a direct scan when the located subgrid does not
-    settle the coloring.  Both methods decide the same predicate.
+    settle the coloring.  Both methods decide the same predicate.  One
+    budget covers the whole call, every subgrid scan included.
     """
+    meter = BudgetMeter(
+        effective_budget(budget), COPY_SEARCH if method == "exhaustive" else SCAN
+    )
     if a.n != b.n:
         raise ElementMismatch("pattern and target carry different realizer counts")
     if len(a.elements) > len(b.elements):
@@ -468,21 +489,17 @@ def ramsey_witness_check(
     if not copies_b:
         return False
     if method == "exhaustive":
-        return (
-            _search_free_coloring(len(copies_a), k, groups, prune, budget)
-            is None
-        )
+        return _search_free_coloring(len(copies_a), k, groups, meter) is None
     if method != "reduction":
         raise ElementMismatch(f"unknown method {method!r}")
-    if k ** len(copies_a) > budget:
-        raise LimitExceeded("coloring space exceeds the budget")
+    meter.require(k ** len(copies_a), "colorings to scan")
     m = len(b.elements)
     inner = enumerate_copies(b, a)
     for assignment in iter_product(range(1, k + 1), repeat=len(copies_a)):
         coloring = Coloring("copies", k, tuple(copies_a), assignment)
         pulled = induced_coloring(coloring, a, grid)
         settled = False
-        mono = find_mono_subgrid(pulled, m, budget)
+        mono = _mono_subgrid_scan(pulled, m, meter)
         if mono is not None:
             rigid_b = rigid_copy_in_subgrid(b, mono.axes)
             psi = dict(

@@ -203,6 +203,38 @@ class CoverSearch:
         raise AssertionError("every finite poset has a realizer")
 
 
+def naive_free_coloring(
+    num_cells: int, k: int, groups: list[list[int]]
+) -> list[int] | None:
+    """The Ramsey coloring search with no color-symmetry cut, the oracle
+    for the library's: the first coloring in lexicographic order, cells
+    in index order, that leaves every group non-monochromatic, or None.
+    Recursive and unbudgeted, so for small inputs only."""
+    closers: dict[int, list[list[int]]] = {}
+    for members in groups:
+        closers.setdefault(max(members), []).append(members)
+    colors = [0] * num_cells
+
+    def alive(t: int) -> bool:
+        for members in closers.get(t, ()):
+            first = colors[members[0]]
+            if all(colors[c] == first for c in members):
+                return False
+        return True
+
+    def descend(t: int) -> bool:
+        if t == num_cells:
+            return True
+        for col in range(1, k + 1):
+            colors[t] = col
+            if alive(t) and descend(t + 1):
+                return True
+        colors[t] = 0
+        return False
+
+    return list(colors) if descend(0) else None
+
+
 # --- numpy oracles for the bit-row poset kernel ----------------------------
 #
 # The library's matrix code before it moved to one Python int per row,

@@ -265,6 +265,20 @@ class TestRamsey:
         assert code == 0
         assert json.loads(out) == {"value": None}
 
+    def test_number_honours_env_budget(self, capsys, monkeypatch):
+        args = ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2",
+                "--n", "2", "--rmax", "5"]
+        code, out = run(capsys, monkeypatch, args)
+        assert code == 0
+        assert out == '{\n  "value": 5\n}\n'
+        monkeypatch.setenv("ORDERDIM_BUDGET", "100")
+        code, out = run(capsys, monkeypatch, args)
+        assert code == 1
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "LimitExceeded"
+        assert payload["detail"].startswith("grid coloring search at r=")
+
     def test_witness_check(self, capsys, monkeypatch, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -383,3 +397,21 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "SelfCheckFailed"
+
+    def test_missing_input_file_is_single_line_json(self, capsys, monkeypatch, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out = run(capsys, monkeypatch, ["dim", "--in", str(missing)])
+        assert code == 1
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "FileNotFoundError"
+        assert str(missing) in payload["detail"]
+
+    def test_float_coordinates_are_refused(self, capsys, monkeypatch):
+        cloud = '{"dim": 2, "points": [[1.5, 2]]}'
+        code, out = run(capsys, monkeypatch, ["check", "dpo"], stdin_text=cloud)
+        assert code == 1
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "TypeError"
+        assert "floats are not exact" in payload["detail"]

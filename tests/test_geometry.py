@@ -54,6 +54,10 @@ class TestPointCloud:
         with pytest.raises(TypeError):
             PointCloud(2, [(0.5, 1)])
 
+    def test_json_rejects_floats(self):
+        with pytest.raises(TypeError):
+            PointCloud.from_json({"dim": 2, "points": [[1.5, 2]]})
+
     def test_rejects_duplicate_points_even_relaxed(self):
         with pytest.raises(ColinearPoints) as e:
             PointCloud(2, [(0, 1), (2, 3), (0, 1)], strict=False)
@@ -283,6 +287,10 @@ class TestPickInRegion:
     def test_region_json_round_trip(self):
         r = Region(((None, F(7, 2)), (F(-1), None)))
         assert Region.from_json(r.to_json()) == r
+
+    def test_region_json_rejects_floats(self):
+        with pytest.raises(TypeError):
+            Region.from_json([[None, 3.5], ["-1/1", None]])
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_result_in_region_and_insertable(self, seed, k):

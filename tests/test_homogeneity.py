@@ -14,6 +14,7 @@ from orderdim.dimension import dimension
 from orderdim.errors import (
     ElementMismatch,
     FlipNotRealizable,
+    LimitExceeded,
     NotOrderPreserving,
     SelfCheckFailed,
     TooSmall,
@@ -175,6 +176,16 @@ class TestApFailure:
         for _, poset in survivors:
             assert poset == crown(3)
             assert dimension(poset).dim == 3
+
+    def test_amalgam_enumeration_honours_env_budget(self, monkeypatch):
+        # two free pairs at width two: 3^2 completions to try
+        monkeypatch.setenv("ORDERDIM_BUDGET", "8")
+        with pytest.raises(LimitExceeded, match="amalgam enumeration: .*: 9 cases"):
+            ap_failure_certificate(2)
+        from orderdim.homogeneity import _enumerate_amalgams
+
+        monkeypatch.setenv("ORDERDIM_BUDGET", "9")
+        assert len(list(_enumerate_amalgams(2))) == AP_COMPLETION_COUNT
 
     def test_chase_mode_at_width_three(self):
         cert = ap_failure_certificate(3)

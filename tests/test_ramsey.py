@@ -7,7 +7,8 @@ from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
-from conftest import random_structure
+from conftest import naive_free_coloring, random_structure
+from orderdim.budget import BudgetMeter, effective_budget
 from orderdim.errors import ElementMismatch, LimitExceeded, TooSmall
 from orderdim.geometry import cyclic_priority, lex_less, product_less
 from orderdim.poset import LinearOrder, OrderedStructure
@@ -15,7 +16,10 @@ from orderdim.ramsey import (
     Coloring,
     GridStruct,
     Subgrid,
+    _copy_groups,
     _grid_counterexample,
+    _grid_groups,
+    _search_free_coloring,
     all_subgrids,
     enumerate_copies,
     find_mono_subgrid,
@@ -359,6 +363,34 @@ class TestFindMonoSubgrid:
         with pytest.raises(LimitExceeded):
             find_mono_subgrid(col, 2, budget=3)
 
+    def test_env_budget_names_the_scan(self, monkeypatch):
+        monkeypatch.setenv("ORDERDIM_BUDGET", "3")
+        keys = tuple(all_subgrids(4, 2, 1))
+        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
+        with pytest.raises(LimitExceeded, match="^monochromatic-subgrid scan: "):
+            find_mono_subgrid(col, 2)
+
+
+class TestColoringSearch:
+    def test_deep_search_does_not_recurse(self):
+        meter = BudgetMeter(effective_budget(), "test")
+        found = _search_free_coloring(1100, 2, [[0, 1]], meter)
+        assert found == [1, 2] + [1] * 1098
+
+    def test_matches_the_uncut_oracle_on_random_groups(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            cells = rng.randrange(1, 9)
+            k = rng.randrange(1, 5)
+            groups = [
+                rng.sample(range(cells), rng.randrange(1, min(cells, 4) + 1))
+                for _ in range(rng.randrange(0, 12))
+            ]
+            meter = BudgetMeter(effective_budget(), "test")
+            assert _search_free_coloring(cells, k, groups, meter) == (
+                naive_free_coloring(cells, k, groups)
+            )
+
 
 class TestProductRamseyNumber:
     def test_pigeonhole_line(self):
@@ -383,10 +415,14 @@ class TestProductRamseyNumber:
         assert product_ramsey_number(2, 1, 2, 2, r_max=4) is None
 
     def test_pruning_does_not_change_verdicts(self):
+        # the library's search against the uncut oracle on the same groups
         for r in (2, 3, 4):
-            pruned = _grid_counterexample(2, 1, 2, 2, r, prune=True)
-            plain = _grid_counterexample(2, 1, 2, 2, r, prune=False)
+            cells, groups = _grid_groups(1, 2, 2, r)
+            pruned = _grid_counterexample(2, 1, 2, 2, r)
+            plain = naive_free_coloring(len(cells), 2, groups)
             assert (pruned is None) == (plain is None)
+            if pruned is not None:
+                assert list(pruned.values) == plain
 
     def test_invalid_parameters(self):
         with pytest.raises(TooSmall):
@@ -397,6 +433,31 @@ class TestProductRamseyNumber:
     def test_budget(self):
         with pytest.raises(LimitExceeded):
             product_ramsey_number(2, 1, 2, 2, budget=10)
+
+    def test_env_budget_honoured(self, monkeypatch):
+        monkeypatch.setenv("ORDERDIM_BUDGET", "100")
+        with pytest.raises(LimitExceeded, match="grid coloring search at r=4"):
+            product_ramsey_number(2, 1, 2, 2, r_max=5)
+
+    def test_one_meter_serves_every_r(self):
+        steps = []
+        for r in range(2, SQUARE_POINT_THRESHOLD + 1):
+            meter = BudgetMeter(10**9, "test")
+            _grid_counterexample(2, 1, 2, 2, r, meter)
+            steps.append(10**9 - meter.remaining)
+        # enough for any single r, too little for all of them together
+        budget = sum(steps) - 1
+        assert max(steps) <= budget
+        assert product_ramsey_number(2, 1, 2, 2, budget=sum(steps)) == (
+            SQUARE_POINT_THRESHOLD
+        )
+        with pytest.raises(LimitExceeded, match="grid coloring search"):
+            product_ramsey_number(2, 1, 2, 2, budget=budget)
+
+    def test_oversized_space_refused_up_front(self):
+        # r = 2 and 3 spend 22 steps; r = 4 has 16 cells of 2 colors
+        with pytest.raises(LimitExceeded, match="at r=4: cells times colors: 32"):
+            product_ramsey_number(2, 1, 2, 2, r_max=4, budget=25)
 
 
 class TestRamseyWitnessCheck:
@@ -427,15 +488,18 @@ class TestRamseyWitnessCheck:
                 assert fast == full
 
     def test_pruning_does_not_change_verdicts(self):
+        # the library's search against the uncut oracle on the same groups
         for r in (2, 3):
-            pruned = ramsey_witness_check(
-                one_point(), crossed_antichain(), 2, r, method="exhaustive"
+            copies_a, _, groups = _copy_groups(
+                GridStruct(r, 2), one_point(), crossed_antichain()
             )
-            plain = ramsey_witness_check(
-                one_point(), crossed_antichain(), 2, r,
-                method="exhaustive", prune=False,
-            )
+            meter = BudgetMeter(effective_budget(), "test")
+            pruned = _search_free_coloring(len(copies_a), 2, groups, meter)
+            plain = naive_free_coloring(len(copies_a), 2, groups)
             assert pruned == plain
+            assert ramsey_witness_check(
+                one_point(), crossed_antichain(), 2, r, method="exhaustive"
+            ) == (plain is None)
 
     def test_inner_copies_sit_rigidly_in_subgrids(self):
         # the reduction's key step: inside a rigidly embedded target,
@@ -472,3 +536,22 @@ class TestRamseyWitnessCheck:
     def test_reduction_budget(self):
         with pytest.raises(LimitExceeded):
             ramsey_witness_check(one_point(), aligned_chain(), 2, 5)
+
+    def test_env_budget_honoured(self, monkeypatch):
+        monkeypatch.setenv("ORDERDIM_BUDGET", "20")
+        with pytest.raises(LimitExceeded, match="copy coloring search"):
+            ramsey_witness_check(
+                one_point(), crossed_antichain(), 2, 3, method="exhaustive"
+            )
+
+    def test_one_meter_serves_every_scan(self, monkeypatch):
+        # 2^9 colorings pass the up-front check; each scan alone is far
+        # below the budget, their sum is not
+        monkeypatch.setenv("ORDERDIM_BUDGET", "1000")
+        with pytest.raises(
+            LimitExceeded, match="monochromatic-subgrid scan: step budget"
+        ):
+            ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
+        assert ramsey_witness_check(
+            one_point(), crossed_antichain(), 2, 3, budget=10_000
+        )

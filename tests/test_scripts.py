@@ -10,7 +10,8 @@ from pathlib import Path
 
 import orderdim
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_certificates.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "make_certificates.py"
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__file__)))
 
 # Hands the script's writer one certificate whose replay fails.
@@ -25,6 +26,33 @@ class Failing:
 
 script["write_certificates"]([("broken", Failing())], Path(sys.argv[2]))
 print("written")
+"""
+
+
+# Runs a script as __main__ with numpy made unimportable.
+WITHOUT_NUMPY = r"""
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+# scripts/dimension_survey.py --samples 20 --max-size 7.  Pinned: the
+# random posets must come from the same draws in the same order, however
+# the script represents them.
+SURVEY_20_7 = """\
+  m  samples dim counts                max  bound
+  2       20 1:8 2:12                    2      -
+  3       20 1:3 2:17                    2      -
+  4       20 1:2 2:18                    2      2
+  5       20 2:20                        2      2
+  6       20 1:1 2:19                    2      3
+  7       20 2:20                        2      3
+
+crowns:
+  crown(2): 4 elements, dimension 2
+  crown(3): 6 elements, dimension 3
+  crown(4): 8 elements, dimension 4
 """
 
 
@@ -53,3 +81,12 @@ def test_failed_replay_exits_nonzero_under_optimize(tmp_path):
     assert "broken: certificate failed its replay" in out.stderr
     assert "written" not in out.stdout
     assert not list(tmp_path.iterdir())
+
+
+def test_dimension_survey_runs_without_numpy():
+    survey = SCRIPTS / "dimension_survey.py"
+    out = run_python(
+        ["-c", WITHOUT_NUMPY, str(survey), "--samples", "20", "--max-size", "7"]
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == SURVEY_20_7
