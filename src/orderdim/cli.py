@@ -7,6 +7,12 @@ also means stdin), output goes to stdout unless --out is given.  Library
 errors, unreadable files, and a search that recurses too deep, exit 1
 after printing a single-line error JSON; usage errors exit 2 via
 argparse.
+
+Each handler imports the library modules it calls, when it is called,
+so a process loads only what its subcommand runs: `gen crown` and
+`export dot` load poset alone (beyond the package's eager core),
+`ramsey number` and `gen grid` add ramsey but no geometry.
+`python -X importtime -m orderdim.cli <cmd>` lists the modules loaded.
 """
 
 from __future__ import annotations
@@ -16,30 +22,7 @@ import json
 import sys
 from typing import Sequence
 
-from .dimension import dimension
 from .errors import OrderError
-from .flow import enumerate_realizers, semidirect_decomposition, symmetric_sample
-from .geometry import (
-    PartialEmbedding,
-    PointCloud,
-    back_and_forth_iso,
-    forth_extend,
-    sample_dn,
-)
-from .homogeneity import (
-    ap_failure_certificate,
-    check_dpo_fragment,
-    nonhom_witness,
-    qn_lex_nonhom_witness,
-    two_homogeneity_demo,
-)
-from .poset import FinitePoset, OrderedStructure, crown
-from .ramsey import (
-    GridStruct,
-    product_ramsey_number,
-    ramsey_witness_check,
-    rigid_embed,
-)
 
 __all__ = ["main"]
 
@@ -67,25 +50,37 @@ def _emit_json(payload, out: str | None) -> None:
 
 def _cmd_gen(args) -> None:
     if args.shape == "crown":
+        from .poset import crown
+
         payload = crown(args.n).to_json()
     elif args.shape == "grid":
+        from .ramsey import GridStruct
+
         payload = GridStruct(args.m, args.n).structure.to_json()
+    elif args.symmetric:
+        from .flow import symmetric_sample
+
+        payload = symmetric_sample(args.n, args.count, seed=args.seed).to_json()
     else:
-        if args.symmetric:
-            cloud = symmetric_sample(args.n, args.count, seed=args.seed)
-        else:
-            cloud = sample_dn(args.n, args.count, seed=args.seed)
-        payload = cloud.to_json()
+        from .geometry import sample_dn
+
+        payload = sample_dn(args.n, args.count, seed=args.seed).to_json()
     _emit_json(payload, args.out)
 
 
 def _cmd_dim(args) -> None:
+    from .dimension import dimension
+    from .poset import FinitePoset
+
     p = FinitePoset.from_json(_read_json(args.infile))
     res = dimension(p, budget=args.max_ext)
     _emit_json({"dim": res.dim, "witness": res.witness.to_json()}, args.out)
 
 
 def _cmd_embed(args) -> None:
+    from .poset import OrderedStructure
+    from .ramsey import rigid_embed
+
     s = OrderedStructure.from_json(_read_json(args.infile))
     coords = rigid_embed(s)
     _emit_json(
@@ -98,6 +93,9 @@ def _cmd_embed(args) -> None:
 
 
 def _cmd_extend(args) -> None:
+    from .geometry import PartialEmbedding, PointCloud, forth_extend
+    from .poset import OrderedStructure
+
     s = OrderedStructure.from_json(_read_json(args.struct))
     c = PointCloud.from_json(_read_json(args.cloud))
     emb = PartialEmbedding(source=s, cloud=c, images=())
@@ -110,6 +108,8 @@ def _cmd_extend(args) -> None:
 
 
 def _cmd_iso(args) -> None:
+    from .geometry import PointCloud, back_and_forth_iso
+
     a = PointCloud.from_json(_read_json(args.a))
     b = PointCloud.from_json(_read_json(args.b))
     fwd, bwd = back_and_forth_iso(a, b, args.steps)
@@ -127,6 +127,9 @@ def _cmd_iso(args) -> None:
 
 
 def _cmd_check(args) -> None:
+    from .geometry import PointCloud
+    from .homogeneity import check_dpo_fragment
+
     cloud = PointCloud.from_json(_read_json(args.infile))
     report = check_dpo_fragment(cloud)
     _emit_json(
@@ -149,6 +152,13 @@ def _cmd_check(args) -> None:
 
 
 def _cmd_certify(args) -> None:
+    from .homogeneity import (
+        ap_failure_certificate,
+        nonhom_witness,
+        qn_lex_nonhom_witness,
+        two_homogeneity_demo,
+    )
+
     if args.kind == "ap":
         cert = ap_failure_certificate(args.n)
     elif args.kind == "nonhom":
@@ -161,6 +171,9 @@ def _cmd_certify(args) -> None:
 
 
 def _cmd_ramsey(args) -> None:
+    from .poset import OrderedStructure
+    from .ramsey import product_ramsey_number, ramsey_witness_check
+
     if args.mode == "number":
         value = product_ramsey_number(
             args.k, args.l, args.m, args.n, r_max=args.rmax
@@ -175,14 +188,22 @@ def _cmd_ramsey(args) -> None:
 
 def _cmd_flow(args) -> None:
     if args.mode == "realizers":
+        from .flow import enumerate_realizers
+        from .poset import OrderedStructure
+
         s = OrderedStructure.from_json(_read_json(args.infile))
         _emit_json(enumerate_realizers(s).to_json(), args.out)
     else:
+        from .flow import semidirect_decomposition
+        from .geometry import PointCloud
+
         c = PointCloud.from_json(_read_json(args.infile))
         _emit_json(semidirect_decomposition(c).to_json(), args.out)
 
 
 def _cmd_export(args) -> None:
+    from .poset import FinitePoset
+
     p = FinitePoset.from_json(_read_json(args.infile))
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in p.elements:

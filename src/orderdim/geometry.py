@@ -24,7 +24,13 @@ from .errors import (
     InvalidEmbedding,
     TooSmall,
 )
-from .poset import FinitePoset, LinearOrder, OrderedStructure, RealizerTuple
+from .poset import (
+    FinitePoset,
+    LinearOrder,
+    OrderedStructure,
+    RealizerTuple,
+    product_less,
+)
 
 __all__ = [
     "Point",
@@ -159,10 +165,6 @@ def lex_less(a: Point, b: Point, priority: Sequence[int]) -> bool:
         if a[axis] != b[axis]:
             return a[axis] < b[axis]
     return False
-
-
-def product_less(a: Point, b: Point) -> bool:
-    return a != b and all(x <= y for x, y in zip(a, b))
 
 
 def induced_structure(c: PointCloud) -> OrderedStructure:

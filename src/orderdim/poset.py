@@ -137,6 +137,18 @@ def _chain_rows(m: int) -> list[int]:
     return [full ^ ((1 << (i + 1)) - 1) for i in range(m)]
 
 
+def product_less(a: Sequence, b: Sequence) -> bool:
+    """Componentwise <= and not equal: the product order on tuples."""
+    return a != b and all(x <= y for x, y in zip(a, b))
+
+
+def _json_labels(value: object, what: str) -> list[str]:
+    """value, when it is a JSON list of strings; TypeError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return value
+
+
 def tuple_label(parts: Sequence[str]) -> str:
     """Canonical label for an element of a product: "(a,b,c)"."""
     return "(" + ",".join(parts) + ")"
@@ -264,7 +276,13 @@ class FinitePoset:
 
     @staticmethod
     def from_json(data: dict) -> "FinitePoset":
-        return validate_poset(data["elements"], data["lt"])
+        """The poset of a to_json payload.  Stricter than the constructor:
+        labels must be strings and relation cells JSON booleans."""
+        labels = _json_labels(data["elements"], "elements")
+        lt = data["lt"]
+        if not all(isinstance(v, bool) for row in lt for v in row):
+            raise TypeError("lt cells must be JSON booleans")
+        return validate_poset(labels, lt)
 
 
 def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
@@ -389,7 +407,10 @@ class RealizerTuple:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[str]]) -> "RealizerTuple":
-        return RealizerTuple([LinearOrder(o) for o in data])
+        """The tuple of a to_json payload: a list of lists of labels."""
+        if not isinstance(data, list):
+            raise TypeError("orders must be a list of label lists")
+        return RealizerTuple([LinearOrder(_json_labels(o, "each order")) for o in data])
 
 
 def is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:

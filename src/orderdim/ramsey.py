@@ -30,12 +30,13 @@ from typing import Iterator, Sequence
 
 from .budget import BudgetMeter, effective_budget
 from .errors import ElementMismatch, TooSmall
-from .geometry import product_less
 from .poset import (
     FinitePoset,
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
+    _bits,
+    product_less,
 )
 
 __all__ = [
@@ -204,7 +205,12 @@ def rigid_embed(s: OrderedStructure) -> list[GridPoint]:
 def _is_copy(
     a: OrderedStructure, b: OrderedStructure, phi: dict[str, str]
 ) -> bool:
-    """Does phi embed a into b, orders and poset both?"""
+    """Does phi embed a into b, orders and poset both?
+
+    The poset part compares bit rows: the row of each element of a,
+    carried along phi, must equal the row of its image in b restricted
+    to the image set.
+    """
     for i in range(a.n):
         seq = a.realizers.orders[i].order
         rank = b.realizers.orders[i].rank
@@ -212,10 +218,18 @@ def _is_copy(
             rank[phi[x]] >= rank[phi[y]] for x, y in zip(seq, seq[1:])
         ):
             return False
-    for x in a.elements:
-        for y in a.elements:
-            if x != y and a.poset.less(x, y) != b.poset.less(phi[x], phi[y]):
-                return False
+    index = b.poset.index
+    img = [index(phi[x]) for x in a.elements]
+    image = 0
+    for j in img:
+        image |= 1 << j
+    b_up = b.poset.up
+    for i, row in enumerate(a.poset.up):
+        carried = 0
+        for j in _bits(row):
+            carried |= 1 << img[j]
+        if carried != b_up[img[i]] & image:
+            return False
     return True
 
 

@@ -235,6 +235,26 @@ def naive_free_coloring(
     return list(colors) if descend(0) else None
 
 
+def naive_is_copy(
+    a: OrderedStructure, b: OrderedStructure, phi: dict[str, str]
+) -> bool:
+    """The copy test of ramsey._is_copy label by label, its oracle: phi
+    keeps every order of a, and x < y in a exactly when phi(x) < phi(y)
+    in b, asked through poset.less for each pair."""
+    for i in range(a.n):
+        seq = a.realizers.orders[i].order
+        rank = b.realizers.orders[i].rank
+        if any(
+            rank[phi[x]] >= rank[phi[y]] for x, y in zip(seq, seq[1:])
+        ):
+            return False
+    for x in a.elements:
+        for y in a.elements:
+            if x != y and a.poset.less(x, y) != b.poset.less(phi[x], phi[y]):
+                return False
+    return True
+
+
 # --- numpy oracles for the bit-row poset kernel ----------------------------
 #
 # The library's matrix code before it moved to one Python int per row,

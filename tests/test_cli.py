@@ -7,6 +7,7 @@ as they would in a shell.
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -381,7 +382,7 @@ class TestDeterminismAndErrors:
         def too_deep(p, budget=None):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("orderdim.cli.dimension", too_deep)
+        monkeypatch.setattr(sys.modules["orderdim.dimension"], "dimension", too_deep)
         _, crown_json = run(capsys, monkeypatch, ["gen", "crown", "--n", "3"])
         code, out = run(capsys, monkeypatch, ["dim"], stdin_text=crown_json)
         assert code == 1
@@ -390,6 +391,26 @@ class TestDeterminismAndErrors:
             "error": "RecursionError",
             "detail": "maximum recursion depth exceeded",
         }
+
+    @pytest.mark.parametrize(
+        "args, payload",
+        [
+            (["dim"], {"elements": "ab", "lt": [[False, False], [False, False]]}),
+            (["export", "dot"], {"elements": [1, 2], "lt": [[False, False], [False, False]]}),
+            (["dim"], {"elements": ["a", "b"], "lt": [[False, 1], [False, False]]}),
+            (["dim"], {"elements": ["a", "b"], "lt": [["x", False], [False, False]]}),
+            (
+                ["flow", "realizers"],
+                {"elements": ["a", "b"], "lt": [[False, False], [False, False]],
+                 "orders": ["ab", "ba"]},
+            ),
+        ],
+    )
+    def test_malformed_poset_json_is_single_line_json(self, capsys, monkeypatch, args, payload):
+        code, out = run(capsys, monkeypatch, args, stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "TypeError"
 
     def test_failed_certificate_replay_is_single_line_json(self, capsys, monkeypatch):
         monkeypatch.setattr(Certificate, "replay", lambda self: False)

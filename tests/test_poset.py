@@ -320,6 +320,39 @@ class TestCoversAndJson:
         s = OrderedStructure(p, t)
         assert OrderedStructure.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize(
+        "elements",
+        ["ab", [1, "b"], [None, "b"], ("a", "b"), {"a": 0, "b": 1}],
+    )
+    def test_json_labels_must_be_a_list_of_strings(self, elements):
+        with pytest.raises(TypeError):
+            FinitePoset.from_json(
+                {"elements": elements, "lt": [[False, False], [False, False]]}
+            )
+
+    @pytest.mark.parametrize("cell", [2, 1.5, "x", None, 0, 1, [True]])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_json_cells_must_be_booleans(self, cell, where):
+        lt = [[False, False], [False, False]]
+        lt[where[0]][where[1]] = cell
+        with pytest.raises(TypeError):
+            FinitePoset.from_json({"elements": ["a", "b"], "lt": lt})
+
+    @pytest.mark.parametrize("orders", ["ab", ["ab", "ba"], [["a", 1], ["b", "a"]]])
+    def test_json_orders_must_be_lists_of_strings(self, orders):
+        payload = antichain(2, ("a", "b")).to_json()
+        payload["orders"] = orders
+        with pytest.raises(TypeError):
+            OrderedStructure.from_json(payload)
+
+    def test_json_checks_keep_shape_and_axiom_errors(self):
+        with pytest.raises(ElementMismatch):
+            FinitePoset.from_json({"elements": ["a", "b"], "lt": [[False]]})
+        with pytest.raises(ReflexiveViolation):
+            FinitePoset.from_json(
+                {"elements": ["a", "b"], "lt": [[False, False], [False, True]]}
+            )
+
     def test_restrict_keeps_induced_relation(self):
         p = crown(3)
         q = p.restrict(("a1", "b1", "b2"))

@@ -7,7 +7,7 @@ from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
-from conftest import naive_free_coloring, random_structure
+from conftest import naive_free_coloring, naive_is_copy, random_structure
 from orderdim.budget import BudgetMeter, effective_budget
 from orderdim.errors import ElementMismatch, LimitExceeded, TooSmall
 from orderdim.geometry import cyclic_priority, lex_less, product_less
@@ -18,6 +18,7 @@ from orderdim.ramsey import (
     Subgrid,
     _copy_groups,
     _grid_counterexample,
+    _is_copy,
     _grid_groups,
     _search_free_coloring,
     all_subgrids,
@@ -239,6 +240,35 @@ class TestEnumerateCopies:
     def test_mismatched_widths(self):
         with pytest.raises(ElementMismatch):
             enumerate_copies(GridStruct(2, 2), one_point(n=3))
+
+    def test_bit_row_copy_test_matches_pairwise_oracle(self):
+        # Hosts may carry more orders than the pattern; then the poset
+        # test is not implied by the order test and decides on its own.
+        rng = random.Random(23)
+        decided_by_poset = verdicts = 0
+        for _ in range(600):
+            n_b = rng.randint(1, 3)
+            b = random_structure(rng, rng.randint(1, 6), n_b)
+            a = random_structure(rng, rng.randint(1, len(b)), rng.randint(1, n_b))
+            if rng.random() < 0.5:
+                image = rng.sample(b.elements, len(a))
+            else:  # the map enumerate_copies tries: matched first-order ranks
+                subset = rng.sample(b.elements, len(a))
+                image = sorted(subset, key=b.realizers.orders[0].rank.__getitem__)
+                image = [
+                    image[a.realizers.orders[0].rank[x] - 1] for x in a.elements
+                ]
+            phi = dict(zip(a.elements, image))
+            expect = naive_is_copy(a, b, phi)
+            assert _is_copy(a, b, phi) == expect
+            verdicts += expect
+            keeps_orders = all(
+                b.realizers.orders[i].rank[phi[x]] < b.realizers.orders[i].rank[phi[y]]
+                for i, o in enumerate(a.realizers.orders)
+                for x, y in zip(o.order, o.order[1:])
+            )
+            decided_by_poset += keeps_orders and not expect
+        assert verdicts and decided_by_poset
 
 
 def parity_coloring(grid, a):
