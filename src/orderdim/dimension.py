@@ -49,6 +49,7 @@ __all__ = [
 
 COLOURING = "critical-pair colouring"
 WITNESS = "witness search"
+EXTENSIONS = "linear extension enumeration"
 
 
 @dataclass(frozen=True)
@@ -61,27 +62,53 @@ def all_linear_extensions(
     p: FinitePoset, budget: int | None = None
 ) -> Iterator[LinearOrder]:
     """Every linear extension exactly once, smallest-available-index first."""
-    m = len(p)
+    e = p.elements
+    meter = BudgetMeter(effective_budget(budget), EXTENSIONS)
+    return (LinearOrder([e[i] for i in seq]) for seq in _extensions(p.down, meter))
+
+
+def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, ...]]:
+    """all_linear_extensions as index sequences, on a meter that the caller
+    may share.
+
+    down[i] holds elements that must come before element i; it need not
+    be transitively closed.  Sequences come in lexicographic order, one
+    tick each.  A cyclic relation yields nothing: the walk stops at its
+    first dead end, which for an acyclic relation never occurs.
+    """
+    m = len(down)
     if m > DEFAULT_MAX_ELEMENTS:
         raise LimitExceeded(
             f"extension enumeration capped at {DEFAULT_MAX_ELEMENTS} elements, got {m}"
         )
-    meter = BudgetMeter(effective_budget(budget), "linear extension enumeration")
-    preds = p.down
-    order: list[int] = []
 
-    def rec(taken: int) -> Iterator[LinearOrder]:
-        if len(order) == m:
-            meter.tick()
-            yield LinearOrder([p.elements[i] for i in order])
-            return
-        for i in range(m):
-            if not (taken >> i) & 1 and preds[i] & ~taken == 0:
-                order.append(i)
-                yield from rec(taken | (1 << i))
-                order.pop()
+    def walk() -> Iterator[tuple[int, ...]]:
+        order = [0] * m
+        taken = d = i = 0
+        while True:
+            if d == m:
+                meter.tick()
+                yield tuple(order)
+            else:
+                fresh = i == 0
+                while i < m and (taken >> i & 1 or down[i] & ~taken):
+                    i += 1
+                if i < m:
+                    order[d] = i
+                    taken |= 1 << i
+                    d += 1
+                    i = 0
+                    continue
+                if fresh:
+                    return
+            if d == 0:
+                return
+            d -= 1
+            i = order[d]
+            taken ^= 1 << i
+            i += 1
 
-    return rec(0)
+    return walk()
 
 
 def _critical_indices(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:

@@ -3,11 +3,12 @@
 A structure's realizer tuples form a finite stand-in for the realizer
 space of the ambient generic order, and the automorphism group of a
 point sample stands in for the full (infinite) automorphism group.
-Everything here is exhaustive at small scale:
+Everything here lists every answer at small scale, without brute force:
 
 - enumerate_realizers lists every tuple of linear extensions whose
   intersection is the base order, tagging each with the coordinate
-  permutation that classifies it when one exists.
+  permutation that classifies it when one exists.  Once the first n - 1
+  orders are fixed, the last one is built, not searched for.
 - classify_realizer matches a tuple's orders against a cloud's
   coordinate orders as rank sequences; permutation_witness is the same
   matcher with the one-directional variant needed for clouds and grids
@@ -18,7 +19,7 @@ Everything here is exhaustive at small scale:
   semidirect_decomposition cover the group side: the action on
   realizer tuples and the factorization of sample automorphisms into a
   coordinate permutation composed with a coordinate-order-preserving
-  part.
+  part.  Automorphisms are found by backtracking over bit rows.
 
 Finite-scale caveat: the census equals n! and every tuple classifies
 only for special base structures; small samples routinely admit
@@ -36,26 +37,20 @@ from dataclasses import dataclass
 from itertools import permutations
 from itertools import product as iter_product
 from math import factorial
+from operator import and_, or_, xor
 from typing import Mapping, Sequence
 
 from .budget import BudgetMeter, effective_budget
-from .dimension import all_linear_extensions
+from .dimension import EXTENSIONS, _extensions
 from .errors import (
     CycleFound,
     DecompositionFailed,
     ElementMismatch,
-    LimitExceeded,
     NotARealizer,
     NotOrderPreserving,
     TooSmall,
 )
-from .geometry import (
-    Point,
-    PointCloud,
-    as_fraction,
-    induced_structure,
-    product_less,
-)
+from .geometry import Point, PointCloud, _product_poset, as_fraction, induced_structure
 from .homogeneity import FlipPattern
 from .poset import (
     FinitePoset,
@@ -65,6 +60,8 @@ from .poset import (
     _closure,
     _find_cycle,
     _first_loop,
+    _intersection_rows,
+    _sequence_rows,
     is_realizer,
 )
 
@@ -83,30 +80,9 @@ __all__ = [
     "semidirect_decomposition",
 ]
 
-# 8! = 40320 permutations is where the brute automorphism scan stops
-# being instant.
-DEFAULT_MAX_AUTOMORPHISM_POINTS = 8
-
-
-def _pair_mask(order: LinearOrder, index: Mapping[str, int]) -> int:
-    """Ordered pairs of a linear order packed into one big int."""
-    m = len(index)
-    seq = [index[lab] for lab in order.order]
-    mask = 0
-    for pos, i in enumerate(seq):
-        base = i * m
-        for j in seq[pos + 1 :]:
-            mask |= 1 << (base + j)
-    return mask
-
-
-def _poset_mask(p: FinitePoset) -> int:
-    """The strict order's pairs packed into one big int, as in _pair_mask."""
-    m = len(p)
-    mask = 0
-    for i, row in enumerate(p.up):
-        mask |= row << (i * m)
-    return mask
+REALIZERS = "realizer enumeration"
+AUTOMORPHISMS = "automorphism search"
+FACTORING = "automorphism factoring"
 
 
 @dataclass(frozen=True)
@@ -125,24 +101,16 @@ class RealizerSet:
 
     def __post_init__(self) -> None:
         p = self.base.poset
-        index = {e: i for i, e in enumerate(p.elements)}
-        want = _poset_mask(p)
-        cache: dict[int, int] = {}
+        rows: dict[int, list[int]] = {}
         for t, _sigma in self.tuples:
-            if set(t.orders[0].order) != set(index):
-                raise ElementMismatch(
-                    "tuple support differs from the base elements"
-                )
-            acc = -1
+            acc = [-1] * len(p)
             for o in t.orders:
-                key = id(o)
-                if key not in cache:
-                    cache[key] = _pair_mask(o, index)
-                acc &= cache[key]
-            if acc != want:
-                raise NotARealizer(
-                    "a stored tuple does not realize the base order"
-                )
+                if id(o) not in rows:
+                    # Raises ElementMismatch unless o orders p's elements.
+                    rows[id(o)] = _intersection_rows((o,), p.elements)
+                acc = list(map(and_, acc, rows[id(o)]))
+            if tuple(acc) != p.up:
+                raise NotARealizer("a stored tuple does not realize the base order")
 
     @property
     def census(self) -> int:
@@ -164,17 +132,12 @@ class RealizerSet:
         }
 
 
-def _sequence_sigma(
-    hits: Sequence[tuple[int, ...]], n: int
-) -> tuple[int, ...] | None:
-    """Permutation sigma with i in hits[sigma[i]] for all i, or None.
-
-    hits[k] lists the reference indices whose order the tuple's k-th
-    order equals; n is small, so a direct permutation scan is fine.
-    """
+def _first_sigma(match: Sequence[Sequence[bool]]) -> tuple[int, ...] | None:
+    """Lexicographically first sigma with all match[i][sigma[i]] true, or None."""
+    n = len(match)
     for sigma in permutations(range(n)):
-        if all(i in hits[sigma[i]] for i in range(n)):
-            return tuple(sigma)
+        if all(match[i][sigma[i]] for i in range(n)):
+            return sigma
     return None
 
 
@@ -183,32 +146,48 @@ def enumerate_realizers(
 ) -> RealizerSet:
     """All n-tuples of linear extensions realizing the structure's order.
 
-    Exhaustive: every extension is enumerated, every n-tuple is tested
-    by intersecting pair masks.  The reference orders for the sigma tags
-    are the structure's own realizers (for an induced cloud structure
-    those are its coordinate orders).
+    The first n - 1 orders (the head) run over every tuple of linear
+    extensions.  The last order must reverse each incomparable pair that
+    the whole head puts one way, so it runs over the linear extensions
+    of P with those pairs reversed: none when that relation has a cycle,
+    and for n = 2 at most one, Dushnik and Miller's conjugate order.
+    Tuples come out in lexicographic order of their indices into the
+    extension stream.  The sigma tags refer to the structure's own
+    realizers (for an induced cloud structure, its coordinate orders).
+    One meter counts extensions, heads and tuples.
     """
-    cap = effective_budget(budget)
-    exts = list(all_linear_extensions(s.poset, budget=cap))
-    BudgetMeter(cap, "realizer enumeration").require(
-        len(exts) ** s.n, f"candidate {s.n}-tuples of {len(exts)} extensions"
-    )
-    index = {e: i for i, e in enumerate(s.poset.elements)}
-    want = _poset_mask(s.poset)
-    masks = [_pair_mask(o, index) for o in exts]
-    refs = [o.order for o in s.realizers.orders]
-    hits = [
-        tuple(i for i, r in enumerate(refs) if o.order == r) for o in exts
-    ]
+    p = s.poset
+    m, n = len(p), s.n
+    meter = BudgetMeter(effective_budget(budget), EXTENSIONS)
+    seqs = list(_extensions(p.down, meter))
+    meter.what = REALIZERS
+    position = {seq: k for k, seq in enumerate(seqs)}
+    exts = [LinearOrder([p.elements[i] for i in seq]) for seq in seqs]
+    # Bit j of ahead[k][i]: i and j are incomparable, extension k puts i first.
+    ahead = [list(map(xor, _sequence_rows(seq, m), p.up)) for seq in seqs]
+    # Bit i of equals[k]: extension k is the i-th reference order.
+    refs = s.realizers.orders
+    equals = [sum(1 << i for i, r in enumerate(refs) if o == r) for o in exts]
+    # An empty head (n = 1) puts every incomparable pair both ways.
+    unrelated = [((1 << m) - 1) ^ 1 << i ^ p.up[i] ^ p.down[i] for i in range(m)]
     entries: list[tuple[RealizerTuple, tuple[int, ...] | None]] = []
-    for combo in iter_product(range(len(exts)), repeat=s.n):
-        acc = masks[combo[0]]
-        for k in combo[1:]:
-            acc &= masks[k]
-        if acc != want:
-            continue
-        t = RealizerTuple([exts[k] for k in combo])
-        entries.append((t, _sequence_sigma([hits[k] for k in combo], s.n)))
+    for head in iter_product(range(len(exts)), repeat=n - 1):
+        meter.tick()
+        agreed = unrelated
+        seen = 0
+        for k in head:
+            agreed = list(map(and_, agreed, ahead[k]))
+            seen |= equals[k]
+        below = list(map(or_, p.down, agreed))
+        for seq in _extensions(below, meter):
+            combo = head + (position[seq],)
+            sigma = None
+            # Shortcut: a sigma needs every reference order in the tuple.
+            if seen | equals[combo[-1]] == (1 << n) - 1:
+                sigma = _first_sigma(
+                    [[bool(equals[k] >> i & 1) for k in combo] for i in range(n)]
+                )
+            entries.append((RealizerTuple([exts[k] for k in combo]), sigma))
     return RealizerSet(s, tuple(entries))
 
 
@@ -255,10 +234,7 @@ def permutation_witness(
                     for b in labels
                     if pts[a][i] < pts[b][i]
                 )
-    for sigma in permutations(range(dim)):
-        if all(match[i][sigma[i]] for i in range(dim)):
-            return tuple(sigma)
-    return None
+    return _first_sigma(match)
 
 
 def classify_realizer(
@@ -271,9 +247,7 @@ def classify_realizer(
     must realize the cloud's product order to be classifiable at all.
     """
     s = induced_structure(c)
-    if set(t.orders[0].order) != set(s.poset.elements):
-        raise ElementMismatch("tuple support differs from the cloud labels")
-    if not is_realizer(s.poset, t):
+    if not is_realizer(s.poset, t):  # ElementMismatch on foreign labels
         raise NotARealizer("the tuple does not realize the cloud's order")
     points = {c.label(i): p for i, p in enumerate(c.points)}
     return permutation_witness(points, t, biconditional=True)
@@ -288,17 +262,8 @@ def extend_realizer_closure(
     linear order contradicts the base order) and comes back as a
     partial order ready for szpilrajn_extend.
     """
-    for lab in partial.order:
-        if lab not in base_order:
-            raise ElementMismatch(
-                f"order element {lab!r} is outside the base order"
-            )
-    edges = list(base_order.up)
-    above = 0
-    for lab in reversed(partial.order):
-        i = base_order.index(lab)
-        edges[i] |= above
-        above |= 1 << i
+    seq = [base_order.index(lab) for lab in partial.order]
+    edges = list(map(or_, base_order.up, _sequence_rows(seq, len(base_order))))
     closed = _closure(edges)
     loop = _first_loop(closed)
     if loop is not None:
@@ -306,33 +271,62 @@ def extend_realizer_closure(
     return FinitePoset.from_rows(base_order.elements, closed)
 
 
-def cloud_automorphisms(
-    c: PointCloud, max_points: int = DEFAULT_MAX_AUTOMORPHISM_POINTS
-) -> list[dict[str, str]]:
+def cloud_automorphisms(c: PointCloud, budget: int | None = None) -> list[dict[str, str]]:
     """All self-bijections preserving the product order both ways.
 
-    Brute force over point permutations, so the cloud size is capped.
-    The identity always appears; output is sorted by image sequence.
+    The identity always appears; output is sorted by image sequence,
+    whose labels compare as strings ("p10" < "p2").
     """
-    m = len(c)
-    if m > max_points:
-        raise LimitExceeded(
-            f"automorphism scan caps at {max_points} points, got {m}"
-        )
-    pts = list(c.points)
-    rel = [
-        tuple(product_less(pts[i], pts[j]) for j in range(m)) for i in range(m)
-    ]
+    return _automorphisms(c, BudgetMeter(effective_budget(budget), AUTOMORPHISMS))
+
+
+def _automorphisms(c: PointCloud, meter: BudgetMeter) -> list[dict[str, str]]:
+    """cloud_automorphisms on a meter that the caller may share.
+
+    Backtracking maps points in index order to unused images of the same
+    up- and down-degree (one tick each) that relate to earlier images as
+    the point relates to earlier points.
+    """
+    p = _product_poset(c)
+    up, down, labels = p.up, p.down, p.elements
+    m = len(p)
+    degree = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
+    image = [0] * m
+    # wants[i]: images of the points before i that lie above i, and below.
+    wants = [(0, 0)] * m
+    used = 0
     out = []
-    for perm in permutations(range(m)):
-        if all(
-            rel[i][j] == rel[perm[i]][perm[j]]
-            for i in range(m)
-            for j in range(m)
-            if i != j
-        ):
-            out.append({c.label(i): c.label(perm[i]) for i in range(m)})
-    out.sort(key=lambda g: tuple(g[c.label(i)] for i in range(m)))
+    i = j = 0
+    while True:
+        want_up, want_down = wants[i]
+        while j < m:
+            if not used >> j & 1 and degree[j] == degree[i]:
+                meter.tick()
+                if up[j] & used == want_up and down[j] & used == want_down:
+                    break
+            j += 1
+        if j < m:
+            image[i] = j
+            if i < m - 1:
+                used |= 1 << j
+                i, j = i + 1, 0
+                above = below = 0
+                for a in range(i):
+                    if up[i] >> a & 1:
+                        above |= 1 << image[a]
+                    elif down[i] >> a & 1:
+                        below |= 1 << image[a]
+                wants[i] = (above, below)
+                continue
+            out.append({labels[a]: labels[image[a]] for a in range(m)})
+        elif i == 0:
+            break
+        else:
+            i -= 1
+            j = image[i]
+            used ^= 1 << j
+        j += 1
+    out.sort(key=lambda g: tuple(g[lab] for lab in labels))
     return out
 
 
@@ -478,14 +472,17 @@ class DecompositionReport:
 
 
 def semidirect_decomposition(
-    c: PointCloud, max_points: int = DEFAULT_MAX_AUTOMORPHISM_POINTS
+    c: PointCloud, budget: int | None = None
 ) -> DecompositionReport:
     """Factor the whole automorphism group of a symmetric sample.
 
     Failures are recorded per map, not raised: finite samples can admit
-    accidental automorphisms with no coordinate-permutation part.
+    accidental automorphisms with no coordinate-permutation part.  One
+    meter counts the search and each map factored.
     """
-    autos = cloud_automorphisms(c, max_points)
+    meter = BudgetMeter(effective_budget(budget), AUTOMORPHISMS)
+    autos = _automorphisms(c, meter)
+    meter.what = FACTORING
     stabilizer = [g for g in autos if _preserves_each_axis(c, g)]
     present = sum(
         1
@@ -495,6 +492,7 @@ def semidirect_decomposition(
     factorizations = []
     failures = []
     for g in autos:
+        meter.tick()
         try:
             sigma, h = factor_automorphism(c, g)
             factorizations.append((dict(g), sigma, h))

@@ -55,6 +55,8 @@ Endpoint = Fraction | None  # None stands for the missing (infinite) bound
 def as_fraction(v: object) -> Fraction:
     if isinstance(v, float):
         raise TypeError("floats are not exact; pass int, Fraction, or 'p/q' string")
+    if isinstance(v, bool):
+        raise TypeError("booleans are not coordinates")
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, str)):
@@ -153,11 +155,19 @@ class PointCloud:
 
     @staticmethod
     def from_json(data: dict) -> "PointCloud":
-        return PointCloud(
-            int(data["dim"]),
-            data["points"],
-            bool(data.get("strict", True)),
-        )
+        """The cloud of a to_json payload.  Stricter than the constructor:
+        dim must be a JSON integer, points a list of lists, and strict,
+        when present, a JSON boolean."""
+        dim = data["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError("dim must be a JSON integer")
+        points = data["points"]
+        if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
+            raise TypeError("points must be a list of lists")
+        strict = data.get("strict", True)
+        if not isinstance(strict, bool):
+            raise TypeError("strict must be a JSON boolean")
+        return PointCloud(dim, points, strict)
 
 
 def lex_less(a: Point, b: Point, priority: Sequence[int]) -> bool:
@@ -167,18 +177,25 @@ def lex_less(a: Point, b: Point, priority: Sequence[int]) -> bool:
     return False
 
 
-def induced_structure(c: PointCloud) -> OrderedStructure:
-    """Product order on the points, realized by the n lexicographic orders."""
+def _product_poset(c: PointCloud) -> FinitePoset:
+    """The product order on the points, labelled as the cloud labels them."""
     k = len(c)
     if k < 1:
-        raise TooSmall("induced_structure needs at least one point")
+        raise TooSmall("the product order needs at least one point")
     labels = tuple(c.label(i) for i in range(k))
     pts = c.points
     up = [
         sum(1 << j for j in range(k) if product_less(pts[i], pts[j]))
         for i in range(k)
     ]
-    poset = FinitePoset.from_rows(labels, up)
+    return FinitePoset.from_rows(labels, up)
+
+
+def induced_structure(c: PointCloud) -> OrderedStructure:
+    """Product order on the points, realized by the n lexicographic orders."""
+    poset = _product_poset(c)
+    labels = poset.elements
+    k = len(labels)
     orders = []
     for i in range(c.dim):
         pri = cyclic_priority(i, c.dim)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product as iter_product
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -350,6 +351,17 @@ class LinearOrder:
         return LinearOrder([p.elements[i] for i in order])
 
 
+def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
+    """Bit rows, over m elements, of the linear order that lists the
+    element indices in seq from bottom to top; other rows stay empty."""
+    out = [0] * m
+    above = 0
+    for i in reversed(seq):
+        out[i] = above
+        above |= 1 << i
+    return out
+
+
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
     """Bit rows of the pairs that every order puts in the same direction."""
     m = len(elements)
@@ -362,10 +374,8 @@ def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -
             pos = [rank[e] for e in elements]
         except KeyError as exc:
             raise ElementMismatch(f"order is missing element {exc.args[0]!r}") from None
-        above = 0
-        for i in sorted(range(m), key=pos.__getitem__, reverse=True):
-            out[i] &= above
-            above |= 1 << i
+        rows = _sequence_rows(sorted(range(m), key=pos.__getitem__), m)
+        out = list(map(and_, out, rows))
     return out
 
 

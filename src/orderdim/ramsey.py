@@ -64,10 +64,6 @@ def _point_label(p: GridPoint) -> str:
     return ",".join(str(v) for v in p)
 
 
-def _label_point(label: str) -> GridPoint:
-    return tuple(int(v) for v in label.split(","))
-
-
 class GridStruct:
     """The m^n grid: product order plus its n cyclic lexicographic orders.
 
@@ -218,6 +214,11 @@ def _is_copy(
             rank[phi[x]] >= rank[phi[y]] for x, y in zip(seq, seq[1:])
         ):
             return False
+    if a.n == b.n:
+        # Each poset is the intersection of its orders, and phi keeps
+        # every order, so it keeps the poset too.  Only a host with more
+        # orders than the pattern needs the row test below.
+        return True
     index = b.poset.index
     img = [index(phi[x]) for x in a.elements]
     image = 0

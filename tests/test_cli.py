@@ -164,6 +164,20 @@ class TestPipes:
         sigmas = sorted(f["sigma"] for f in payload["factorizations"])
         assert sigmas == [[0, 1], [1, 0]]
 
+    def test_decompose_past_eight_points(self, capsys, monkeypatch):
+        _, cloud_json = run(
+            capsys,
+            monkeypatch,
+            ["gen", "sample", "--n", "2", "--count", "10", "--symmetric", "--seed", "3"],
+        )
+        code, out = run(
+            capsys, monkeypatch, ["flow", "decompose"], stdin_text=cloud_json
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["group_size"] == 4
+        assert payload["axis_permutations"] == 2
+
 
 class TestEmbedExtendIso:
     def test_rigid_embed_matches_ranks(self, capsys, monkeypatch):
@@ -407,6 +421,22 @@ class TestDeterminismAndErrors:
         ],
     )
     def test_malformed_poset_json_is_single_line_json(self, capsys, monkeypatch, args, payload):
+        code, out = run(capsys, monkeypatch, args, stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "TypeError"
+
+    @pytest.mark.parametrize("args", [["check", "dpo"], ["flow", "decompose"]])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2.7, "points": [["1/1", "2/1"]]},
+            {"dim": "2", "points": [["1/1", "2/1"]]},
+            {"dim": 2, "points": [[True, False]]},
+            {"dim": 2, "points": [["1/1", "2/1"]], "strict": "false"},
+        ],
+    )
+    def test_malformed_cloud_json_is_single_line_json(self, capsys, monkeypatch, args, payload):
         code, out = run(capsys, monkeypatch, args, stdin_text=json.dumps(payload))
         assert code == 1
         assert out.count("\n") == 1

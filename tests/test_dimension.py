@@ -27,7 +27,9 @@ from orderdim.poset import (
     hiraguchi_bound,
     is_realizer,
 )
+from orderdim.budget import BudgetMeter
 from orderdim.dimension import (
+    _extensions,
     all_linear_extensions,
     critical_pairs,
     dimension,
@@ -42,6 +44,7 @@ from conftest import (
     naive_is_realizer,
     random_poset,
     random_poset_shuffled,
+    random_relation,
 )
 
 # frozen from a brute-force permutation filter over all |P|! orders
@@ -103,6 +106,20 @@ class TestExtensionStream:
         for ext in all_linear_extensions(p):
             for a, b in p.lt_pairs():
                 assert ext.rank[a] < ext.rank[b]
+
+    @given(st.integers(0, 5_000), st.integers(1, 6))
+    def test_index_stream_matches_a_permutation_filter(self, seed, m):
+        # any relation, closed or not, cyclic or reflexive or not: the
+        # sequences are the permutations, in lexicographic order, that put
+        # every i before j whenever i is related to j
+        _labels, mat = random_relation(random.Random(seed), m)
+        down = [sum(1 << i for i in range(m) if mat[i][j]) for j in range(m)]
+        want = []
+        for seq in permutations(range(m)):
+            pos = {x: k for k, x in enumerate(seq)}
+            if all(pos[i] < pos[j] for i in range(m) for j in range(m) if mat[i][j]):
+                want.append(seq)
+        assert list(_extensions(down, BudgetMeter(10**6, "test"))) == want
 
     def test_element_cap(self):
         with pytest.raises(LimitExceeded):

@@ -8,6 +8,8 @@ admit realizer tuples no coordinate permutation explains, and finite
 symmetric samples have accidental automorphisms.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import permutations
 from itertools import product as iter_product
@@ -72,6 +74,12 @@ INEXACT_EIGHT_SEED = 0  # symmetric_sample(2, 8, seed=0): 48 automorphisms
 INEXACT_EIGHT_GROUP = 48
 INEXACT_EIGHT_CENSUS = 48
 N3_ORBIT_GROUP = 720  # one S_3 orbit is a 6-antichain: S_6 acts
+# sample_dn(3, 7, seed=1), frozen from the run that tested every triple
+LARGE_CENSUS = 117_360
+LARGE_CLASSIFIED = 6
+LARGE_CENSUS_DIGEST = "1abcf71a33fa0004"
+# symmetric_sample(2, 10, seed=3), frozen from a scan of all 10! permutations
+TEN_POINT_GROUP = 4
 
 
 def three_antichain() -> PointCloud:
@@ -88,15 +96,81 @@ def three_point_three_axes() -> PointCloud:
     return PointCloud(3, [(1, 1, 1), (2, 2, 2), (4, 4, 0)])
 
 
-def naive_realizer_tuples(s: OrderedStructure) -> set[RealizerTuple]:
-    """Mask-free census oracle: test every n-tuple of extensions."""
+SMALL_CLOUDS = {
+    "two-chain": lambda: PointCloud(2, [(1, 1), (2, 2)]),
+    "three-antichain": three_antichain,
+    "two-point-three-axes": two_point_three_axes,
+    "three-point-three-axes": three_point_three_axes,
+    "dn-2-4-5": lambda: sample_dn(2, 4, seed=FOUR_POINT_SEED),
+    "dn-2-4-0": lambda: sample_dn(2, 4, seed=FOUR_POINT_SEED_CENSUS_SIX),
+    "dn-2-5-9": lambda: sample_dn(2, 5, seed=9),
+    "dn-2-6-0": lambda: sample_dn(2, 6, seed=0),
+    "dn-2-7-1": lambda: sample_dn(2, 7, seed=1),
+    "dn-2-8-2": lambda: sample_dn(2, 8, seed=2),
+    "dn-3-7-3": lambda: sample_dn(3, 7, seed=3),
+    "sym-2-2-0": lambda: symmetric_sample(2, 2, seed=0),
+    "sym-2-4-3": lambda: symmetric_sample(2, 4, seed=3),
+    "sym-2-6-3": lambda: symmetric_sample(2, 6, seed=3),
+    "sym-2-8-3": lambda: symmetric_sample(2, 8, seed=3),
+    "sym-2-8-6": lambda: symmetric_sample(2, 8, seed=EXACT_EIGHT_SEED),
+    "sym-2-8-0": lambda: symmetric_sample(2, 8, seed=INEXACT_EIGHT_SEED),
+    "sym-3-6-0": lambda: symmetric_sample(3, 6, seed=0),
+    "relaxed-7": lambda: PointCloud(
+        2, list(sample_dn(2, 4, seed=0).points) + [(0, 0), (0, 1), (1, 0)], strict=False
+    ),
+}
+
+
+def naive_realizer_tuples(
+    s: OrderedStructure,
+) -> list[tuple[RealizerTuple, tuple[int, ...] | None]]:
+    """Census oracle: test every n-tuple of extensions, in iter_product order.
+
+    A tuple is kept when the ordered pairs that all its orders share are
+    exactly the base order's pairs.  Its sigma is the first permutation,
+    in lexicographic order, with order sigma[i] equal to reference order i.
+    """
+    labels = s.poset.elements
+    pairs = list(permutations(labels, 2))
+    want = sum(1 << b for b, (x, y) in enumerate(pairs) if s.poset.less(x, y))
     exts = list(all_linear_extensions(s.poset))
-    out = set()
-    for combo in iter_product(exts, repeat=s.n):
-        t = RealizerTuple(combo)
-        if is_realizer(s.poset, t):
-            out.add(t)
+    shared = [
+        sum(1 << b for b, (x, y) in enumerate(pairs) if o.before(x, y))
+        for o in exts
+    ]
+    refs = s.realizers.orders
+    out = []
+    for combo in iter_product(range(len(exts)), repeat=s.n):
+        acc = -1
+        for k in combo:
+            acc &= shared[k]
+        if acc != want:
+            continue
+        orders = [exts[k] for k in combo]
+        sigma = next(
+            (
+                sg
+                for sg in permutations(range(s.n))
+                if all(orders[sg[i]] == refs[i] for i in range(s.n))
+            ),
+            None,
+        )
+        out.append((RealizerTuple(orders), sigma))
     return out
+
+
+def brute_automorphisms(c: PointCloud) -> list[dict[str, str]]:
+    """Automorphism oracle: every point permutation, sorted by image labels."""
+    pts = list(c.points)
+    m = len(pts)
+    rel = [[product_less(a, b) for b in pts] for a in pts]
+    out = []
+    for perm in permutations(range(m)):
+        if all(
+            rel[i][j] == rel[perm[i]][perm[j]] for i in range(m) for j in range(m)
+        ):
+            out.append({c.label(i): c.label(perm[i]) for i in range(m)})
+    return sorted(out, key=lambda g: tuple(g[c.label(i)] for i in range(m)))
 
 
 def order_sequences(t: RealizerTuple) -> tuple[tuple[str, ...], ...]:
@@ -188,12 +262,43 @@ class TestEnumerateRealizers:
             OrderedStructure.from_orders(
                 [LinearOrder(("a", "b")), LinearOrder(("b", "a"))]
             ),
+            OrderedStructure.from_orders([LinearOrder(("a", "b", "c"))]),
             induced_structure(three_point_three_axes()),
         ]
         cases += [random_structure(Random(s), 4, 2) for s in range(4)]
+        cases += [random_structure(Random(s), 5, 3) for s in range(4)]
         for s in cases:
             rs = enumerate_realizers(s)
-            assert {t for t, _ in rs.tuples} == naive_realizer_tuples(s)
+            assert list(rs.tuples) == naive_realizer_tuples(s)
+
+    @pytest.mark.parametrize(
+        "case",
+        [("grid", 2, 2), ("grid", 3, 2), ("grid", 2, 3)]
+        + [
+            ("dn", 2, 5, 1), ("dn", 2, 6, 2), ("dn", 2, 7, 3), ("dn", 2, 8, 2),
+            ("dn", 2, 7, 11), ("dn", 3, 4, 1), ("dn", 3, 5, 4), ("dn", 3, 6, 5),
+        ],
+        ids=lambda case: "-".join(map(str, case)),
+    )
+    def test_tuples_and_sigmas_match_naive_oracle_in_order(self, case):
+        if case[0] == "grid":
+            s = GridStruct(*case[1:]).structure
+        else:
+            s = induced_structure(sample_dn(*case[1:]))
+        assert list(enumerate_realizers(s).tuples) == naive_realizer_tuples(s)
+
+    def test_large_census_matches_the_brute_force_output(self):
+        # sample_dn(3, 7, seed=1) has 248 extensions, so 15.3M candidate
+        # triples: too many for the oracle here.  The digest and counts
+        # were frozen from the run that tested every triple.
+        rs = enumerate_realizers(induced_structure(sample_dn(3, 7, seed=1)))
+        assert (rs.census, rs.classified) == (LARGE_CENSUS, LARGE_CLASSIFIED)
+        digest = hashlib.sha256(
+            json.dumps(
+                [[list(o.order) for o in t.orders] + [sigma] for t, sigma in rs.tuples]
+            ).encode()
+        ).hexdigest()[:16]
+        assert digest == LARGE_CENSUS_DIGEST
 
     def test_budget_gate(self):
         s = OrderedStructure.from_orders(
@@ -204,6 +309,17 @@ class TestEnumerateRealizers:
         )
         with pytest.raises(LimitExceeded):
             enumerate_realizers(s, budget=10)
+
+    def test_one_meter_counts_extensions_heads_and_tuples(self):
+        # 2 extensions, 2 heads and 2 tuples: 6 steps in all
+        s = OrderedStructure.from_orders(
+            [LinearOrder(("a", "b")), LinearOrder(("b", "a"))]
+        )
+        assert enumerate_realizers(s, budget=6).census == 2
+        with pytest.raises(LimitExceeded, match="^realizer enumeration"):
+            enumerate_realizers(s, budget=5)
+        with pytest.raises(LimitExceeded, match="^linear extension enumeration"):
+            enumerate_realizers(s, budget=1)
 
     def test_set_reverifies_tuples(self):
         s = OrderedStructure.from_orders(
@@ -473,23 +589,34 @@ class TestCloudAutomorphisms:
         c = sample_dn(2, 6, seed=SIX_POINT_SEED)
         autos = cloud_automorphisms(c)
         assert len(autos) == SIX_POINT_AUTOMORPHISMS
-        pts = list(c.points)
-        brute = []
-        for perm in permutations(range(6)):
-            if all(
-                product_less(pts[i], pts[j])
-                == product_less(pts[perm[i]], pts[perm[j]])
-                for i in range(6)
-                for j in range(6)
-            ):
-                brute.append({c.label(i): c.label(perm[i]) for i in range(6)})
-        assert autos == sorted(
-            brute, key=lambda g: tuple(g[c.label(i)] for i in range(6))
+        assert autos == brute_automorphisms(c)
+
+    @pytest.mark.parametrize("make", list(SMALL_CLOUDS.values()), ids=list(SMALL_CLOUDS))
+    def test_every_small_test_cloud_matches_brute_force(self, make):
+        c = make()
+        assert len(c) <= 8
+        assert cloud_automorphisms(c) == brute_automorphisms(c)
+
+    def test_sorted_by_label_strings_past_ten_points(self):
+        # p0, p2 and p10 are an antichain below a 9-chain, so S_3 acts on
+        # them alone; their images sort as strings, "p10" before "p2"
+        chain = [(10 + k, 10 + k) for k in range(9)]
+        pts = chain[:]
+        for idx, p in ((0, (1, 3)), (2, (2, 2)), (10, (3, 1))):
+            pts.insert(idx, p)
+        c = PointCloud(2, pts)
+        autos = cloud_automorphisms(c)
+        assert [g["p0"] for g in autos] == ["p0", "p0", "p10", "p10", "p2", "p2"]
+        assert all(
+            g[lab] == lab for g in autos for lab in g if lab not in ("p0", "p2", "p10")
         )
 
-    def test_cap(self):
-        with pytest.raises(LimitExceeded):
-            cloud_automorphisms(sample_dn(2, 6, seed=0), max_points=4)
+    def test_budget(self):
+        # an antichain has m! automorphisms, so the search must spend the
+        # budget; there is no size cap any more
+        c = PointCloud(2, [(i, 10 - i) for i in range(10)])
+        with pytest.raises(LimitExceeded, match="^automorphism search"):
+            cloud_automorphisms(c, budget=1_000)
 
     def test_identity_always_present(self):
         c = sample_dn(2, 5, seed=9)
@@ -671,6 +798,31 @@ class TestSemidirectDecomposition:
         assert rep.axis_permutations == 6
         assert not rep.exact
         assert len(rep.failures) == N3_ORBIT_GROUP - 6
+
+    def test_ten_point_sample_answers(self):
+        # past the old 8-point cap; each map must still preserve the order
+        c = symmetric_sample(2, 10, seed=3)
+        rep = semidirect_decomposition(c)
+        assert rep.group_size == TEN_POINT_GROUP
+        assert (rep.stabilizer_size, rep.axis_permutations) == (1, 2)
+        assert not rep.exact
+        assert len(rep.factorizations) == 2
+        assert len(rep.failures) == TEN_POINT_GROUP - 2
+        st = induced_structure(c)
+        maps = [g for g, _s, _h in rep.factorizations] + [g for g, _r in rep.failures]
+        for g in maps:
+            assert is_realizer(st.poset, logic_action(g, st.realizers))
+
+    def test_one_meter_counts_search_and_factoring(self):
+        # the search tries 3 + 6 + 6 = 15 candidate images on a 3-antichain,
+        # and factoring ticks once for each of its 6 maps
+        c = three_antichain()
+        assert len(cloud_automorphisms(c, budget=15)) == 6
+        with pytest.raises(LimitExceeded, match="^automorphism search"):
+            cloud_automorphisms(c, budget=14)
+        with pytest.raises(LimitExceeded, match="^automorphism factoring"):
+            semidirect_decomposition(c, budget=20)
+        assert semidirect_decomposition(c, budget=21).group_size == 6
 
     def test_report_json_shape(self):
         rep = semidirect_decomposition(symmetric_sample(2, 2, seed=0))

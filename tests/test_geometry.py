@@ -58,6 +58,27 @@ class TestPointCloud:
         with pytest.raises(TypeError):
             PointCloud.from_json({"dim": 2, "points": [[1.5, 2]]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2.7, "points": [[1, 2]]},
+            {"dim": "2", "points": [[1, 2]]},
+            {"dim": True, "points": [[1, 2]]},
+            {"dim": 2, "points": [[True, False]]},
+            {"dim": 2, "points": [[1, 2]], "strict": "false"},
+            {"dim": 2, "points": [[1, 2]], "strict": 0},
+            {"dim": 2, "points": "12"},
+            {"dim": 2, "points": [(1, 2)]},
+        ],
+    )
+    def test_json_is_read_strictly(self, payload):
+        with pytest.raises(TypeError):
+            PointCloud.from_json(payload)
+
+    def test_rejects_boolean_coordinates(self):
+        with pytest.raises(TypeError):
+            PointCloud(2, [(True, 2)])
+
     def test_rejects_duplicate_points_even_relaxed(self):
         with pytest.raises(ColinearPoints) as e:
             PointCloud(2, [(0, 1), (2, 3), (0, 1)], strict=False)
