@@ -9,8 +9,10 @@ reversed (Trotter & Moore 1977).  So dim(P) <= t exactly when the critical
 pairs split into t reversible classes.  `dimension` finds the least such t
 by backtracking over class assignments: classes open in order of first
 use, and each keeps its own reachability bitsets, grown as pairs join it.
-Deciding dim(P) <= t is NP-complete for t >= 3 (Yannakakis 1982), so the
-search ticks a budget.
+One class needs no search: reverse the pairs one by one until a cycle
+closes.  Two are ruled out at once when the pairs that form 2-cycles with
+each other close an odd cycle.  Deciding dim(P) <= t is NP-complete for
+t >= 3 (Yannakakis 1982), so the search ticks a budget.
 
 The witness is the lexicographically first non-decreasing tuple of
 indices into the extension stream of `all_linear_extensions` whose
@@ -20,8 +22,13 @@ pairs still unreversed split into n - k classes, and otherwise takes the
 first extension in stream order whose leftover pairs do.  That extension
 is found depth-first, smallest element index first, pruning every prefix
 whose pairs already placed unreversed no longer split into n - k classes.
-The enumerate-and-cover search that defines this witness directly lives
-in the test suite as the oracle, next to a naive realizer checker.
+With one class to go, each frame of the walk carries that class's
+reachability rows, so a candidate adds only the pairs it leaves
+unreversed.  The last slot reverses every pair left, so an element waits
+for its predecessors and for the y of each pair (x, y) it is the x of;
+the walk takes the first element ready and never backs up.  The
+enumerate-and-cover search that defines this witness directly lives in
+the test suite as the oracle, next to a naive realizer checker.
 
 The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter
@@ -32,11 +39,11 @@ which part of the search ran out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_MAX_ELEMENTS, BudgetMeter, effective_budget
 from .errors import LimitExceeded, NotARealizer, SelfCheckFailed
-from .poset import FinitePoset, LinearOrder, RealizerTuple, _bits, is_realizer
+from .poset import FinitePoset, LinearOrder, RealizerTuple, _beyond, _bits, is_realizer
 
 __all__ = [
     "DimensionResult",
@@ -113,14 +120,11 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
 
 def _critical_indices(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
     out = []
+    everything = (1 << len(up)) - 1
     for x in range(len(up)):
-        comparable = up[x] | down[x] | 1 << x
-        for y in range(len(up)):
-            if comparable >> y & 1:
-                continue
-            if down[x] & ~down[y] or up[y] & ~up[x]:
-                continue
-            out.append((x, y))
+        for y in _bits(everything & ~(up[x] | down[x] | 1 << x)):
+            if not (down[x] & ~down[y] or up[y] & ~up[x]):
+                out.append((x, y))
     return out
 
 
@@ -162,32 +166,31 @@ class _RealizerSearch:
         before it, so a class assignment that cannot work fails early.
 
         Pairs (a, b) and (c, d) cannot share a class when a <= d and c <= b.
+        Also keeps, as pair masks, conflicts[c]: the pairs that pair c cannot
+        share a class with; by_x[i] and by_y[i]: the pairs whose x, or y, is i.
         """
-        m = len(self.up)
-        by_x = [0] * m
-        by_y = [0] * m
+        m, count = len(self.up), len(self.pairs)
+        self.by_x = by_x = [0] * m
+        self.by_y = by_y = [0] * m
         for c, (x, y) in enumerate(self.pairs):
             by_x[x] |= 1 << c
             by_y[y] |= 1 << c
-        conflicts = []
-        for a, b in self.pairs:
-            with_y = 0
-            for v in _bits(self.up[a] | 1 << a):
-                with_y |= by_y[v]
-            with_x = 0
-            for u in _bits(self.down[b] | 1 << b):
-                with_x |= by_x[u]
-            conflicts.append(with_y & with_x)
-        score = [0] * len(self.pairs)
-        degree = [bin(c).count("1") for c in conflicts]
-        left = set(range(len(self.pairs)))
+        # y_from[a]: pairs whose y is a or above a; x_to[b]: whose x is b or below.
+        y_from = [_beyond(by_y, self.up[a] | 1 << a) if by_x[a] else 0 for a in range(m)]
+        x_to = [_beyond(by_x, self.down[b] | 1 << b) if by_y[b] else 0 for b in range(m)]
+        self.conflicts = [y_from[a] & x_to[b] for a, b in self.pairs]
+        # One int per pair packs (conflicts with pairs taken, degree, -index).
+        width = count.bit_length()
+        keys = [c.bit_count() << width | count - 1 - i for i, c in enumerate(self.conflicts)]
+        taken_one = 1 << 2 * width
+        left = set(range(count))
         out = []
         while left:
-            c = max(left, key=lambda i: (score[i], degree[i], -i))
+            c = max(left, key=keys.__getitem__)
             left.remove(c)
             out.append(c)
-            for d in _bits(conflicts[c]):
-                score[d] += 1
+            for d in _bits(self.conflicts[c]):
+                keys[d] += taken_one
         return out
 
     def splits(self, mask: int, t: int) -> bool:
@@ -196,12 +199,43 @@ class _RealizerSearch:
             return True
         if t <= 0:
             return False
-        if (self.dim is not None and t >= self.dim) or bin(mask).count("1") <= t:
+        if (self.dim is not None and t >= self.dim) or mask.bit_count() <= t:
             return True
         key = (mask, t)
         if key not in self.memo:
-            self.memo[key] = self._colour(mask, t)
+            if t == 1:
+                seq = [c for c in self.order if mask >> c & 1]
+                self.memo[key] = self._join(self.up, seq) is not None
+            else:
+                self.memo[key] = (t > 2 or self._bipartite(mask)) and self._colour(mask, t)
         return self.memo[key]
+
+    def _join(self, rows: Sequence[int] | None, seq: Iterable[int]) -> Sequence[int] | None:
+        """rows with the pairs in seq reversed, one tick each; None on a cycle."""
+        for c in seq:
+            self.meter.tick()
+            x, y = self.pairs[c]
+            rows = _reverse(rows, y, x)
+            if rows is None:
+                break
+        return rows
+
+    def _bipartite(self, mask: int) -> bool:
+        """Whether the 2-cycle conflicts among the pairs in mask close no
+        odd cycle; one that does rules out two classes."""
+        while mask:
+            # Breadth first from the lowest pair left; layers alternate sides.
+            frontier, side, other = mask & -mask, 0, 0
+            while frontier:
+                side |= frontier
+                mask &= ~frontier
+                reach = 0
+                for c in _bits(frontier):
+                    reach |= self.conflicts[c]
+                if reach & side:
+                    return False
+                frontier, side, other = reach & mask, other, side
+        return True
 
     def _colour(self, mask: int, t: int) -> bool:
         seq = [c for c in self.order if mask >> c & 1]
@@ -266,41 +300,44 @@ class _RealizerSearch:
     def _first_extension(self, unreversed: int, r: int) -> tuple[list[int], int]:
         """First extension in stream order whose leftover pairs split into r."""
         m = len(self.up)
-        x_of = [0] * m
-        y_of = [0] * m
-        for c in _bits(unreversed):
-            x, y = self.pairs[c]
-            x_of[x] |= 1 << c
-            y_of[y] |= 1 << c
+        x_of = [row & unreversed for row in self.by_x]
+        y_of = [row & unreversed for row in self.by_y]
+        need = list(self.down)
+        if r == 0:  # each pair's x waits for its y, so no candidate fails
+            for c in _bits(unreversed):
+                x, y = self.pairs[c]
+                need[x] |= 1 << y
         everything = (1 << m) - 1
         tick = self.meter.tick
         order: list[int] = []
         dead: set[tuple[int, int]] = set()
-        # Frames: placed elements, pairs already left unreversed, pairs
-        # whose lower end is placed, next element to try.
-        stack = [[0, 0, 0, 0]]
-        while stack:
-            frame = stack[-1]
-            taken, kept, y_placed, i = frame
-            if taken == everything:
-                return order, unreversed & ~kept
+        # State, saved on the stack at each placement: placed elements, pairs left
+        # unreversed, pairs whose y is placed, class rows (r = 1), next element.
+        stack = []
+        taken = kept = y_placed = i = 0
+        rows = self.up
+        while taken != everything:
             while i < m:
-                if not taken >> i & 1 and not self.down[i] & ~taken:
+                if not taken >> i & 1 and not need[i] & ~taken:
                     tick()
-                    grown = kept | x_of[i] & ~y_placed
-                    state = (taken | 1 << i, grown)
-                    if state not in dead and self.splits(grown, r):
-                        frame[3] = i + 1
-                        order.append(i)
-                        stack.append([taken | 1 << i, grown, y_placed | y_of[i], 0])
-                        break
+                    new = x_of[i] & ~y_placed
+                    if not dead or (taken | 1 << i, kept | new) not in dead:
+                        grown = self._join(rows, _bits(new)) if r == 1 and new else rows
+                        if grown is not None and (r < 2 or self.splits(kept | new, r)):
+                            break
                 i += 1
-            else:
+            if i < m:
+                stack.append((taken, kept, y_placed, rows, i + 1))
+                order.append(i)
+                taken, kept, y_placed = taken | 1 << i, kept | new, y_placed | y_of[i]
+                rows, i = grown, 0
+            elif stack:
                 dead.add((taken, kept))
-                stack.pop()
-                if order:
-                    order.pop()
-        raise SelfCheckFailed("no linear extension completes the realizer")
+                taken, kept, y_placed, rows, i = stack.pop()
+                order.pop()
+            else:
+                raise SelfCheckFailed("no linear extension completes the realizer")
+        return order, unreversed & ~kept
 
 
 def _checked(p: FinitePoset, orders: list[list[int]]) -> RealizerTuple:

@@ -385,28 +385,28 @@ def symmetric_sample(n: int, count: int, seed: int = 0) -> PointCloud:
     return PointCloud(n, pts, strict=n <= 2)
 
 
-def _axis_map(c: PointCloud, sigma: Sequence[int]) -> dict[str, str] | None:
-    """Label map of the coordinate permutation, or None if it leaves c."""
+def _axis_maps(c: PointCloud) -> list[tuple[tuple[int, ...], dict[str, str]]]:
+    """Each coordinate permutation that maps c onto itself, with the
+    inverse of its label map."""
     index = {p: i for i, p in enumerate(c.points)}
-    out = {}
-    for i, p in enumerate(c.points):
-        j = index.get(tuple(p[sigma[k]] for k in range(len(p))))
-        if j is None:
-            return None
-        out[c.label(i)] = c.label(j)
+    out = []
+    for sigma in permutations(range(c.dim)):
+        inv = {}
+        for i, p in enumerate(c.points):
+            j = index.get(tuple(p[k] for k in sigma))
+            if j is None:
+                break
+            inv[c.label(j)] = c.label(i)
+        else:
+            out.append((sigma, inv))
     return out
 
 
 def _preserves_each_axis(c: PointCloud, h: Mapping[str, str]) -> bool:
-    pts = {c.label(i): p for i, p in enumerate(c.points)}
-    labels = list(pts)
-    return all(
-        (pts[a][i] < pts[b][i]) == (pts[h[a]][i] < pts[h[b]][i])
-        for i in range(c.dim)
-        for a in labels
-        for b in labels
-        if a != b
-    )
+    """Whether h, a map on c's labels, keeps every coordinate order both
+    ways.  Such an h is one-to-one, so it keeps each point's dense rank
+    on every axis; the ranks pin the point down, so h fixes every label."""
+    return all(h[lab] == lab for lab in map(c.label, range(len(c))))
 
 
 def factor_automorphism(
@@ -419,23 +419,22 @@ def factor_automorphism(
     (sigma, h).  Zero or several candidate factorizations raise; both
     are finite-sample defects worth reporting rather than hiding.
     """
-    hits: list[tuple[tuple[int, ...], dict[str, str]]] = []
-    for sigma in permutations(range(c.dim)):
-        t_map = _axis_map(c, sigma)
-        if t_map is None:
-            continue
-        inv = {v: k for k, v in t_map.items()}
+    return _factor(c, g, _axis_maps(c))
+
+
+def _factor(
+    c: PointCloud, g: Mapping[str, str], maps: list[tuple[tuple[int, ...], dict[str, str]]]
+) -> tuple[tuple[int, ...], dict[str, str]]:
+    """factor_automorphism against axis maps built once per cloud."""
+    hits = []
+    for sigma, inv in maps:
         h = {lab: inv[g[lab]] for lab in g}
         if _preserves_each_axis(c, h):
-            hits.append((tuple(sigma), h))
+            hits.append((sigma, h))
     if not hits:
-        raise DecompositionFailed(
-            "no coordinate permutation factors the map"
-        )
+        raise DecompositionFailed("no coordinate permutation factors the map")
     if len(hits) > 1:
-        raise DecompositionFailed(
-            f"{len(hits)} factorizations; the split is not unique"
-        )
+        raise DecompositionFailed(f"{len(hits)} factorizations; the split is not unique")
     return hits[0]
 
 
@@ -484,17 +483,14 @@ def semidirect_decomposition(
     autos = _automorphisms(c, meter)
     meter.what = FACTORING
     stabilizer = [g for g in autos if _preserves_each_axis(c, g)]
-    present = sum(
-        1
-        for sigma in permutations(range(c.dim))
-        if _axis_map(c, sigma) is not None
-    )
+    maps = _axis_maps(c)
+    present = len(maps)
     factorizations = []
     failures = []
     for g in autos:
         meter.tick()
         try:
-            sigma, h = factor_automorphism(c, g)
+            sigma, h = _factor(c, g, maps)
             factorizations.append((dict(g), sigma, h))
         except DecompositionFailed as exc:
             failures.append((dict(g), str(exc)))

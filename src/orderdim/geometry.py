@@ -60,7 +60,10 @@ def as_fraction(v: object) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, str)):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
 
 

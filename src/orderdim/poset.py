@@ -365,16 +365,18 @@ def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
     """Bit rows of the pairs that every order puts in the same direction."""
     m = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != m:
+        raise DuplicateLabel(next(x for i, x in enumerate(elements) if x in elements[:i]))
     out = [(1 << m) - 1] * m
     for o in orders:
         if len(o) != m:
             raise ElementMismatch("orders range over different element sets")
-        rank = o.rank
         try:
-            pos = [rank[e] for e in elements]
-        except KeyError as exc:
-            raise ElementMismatch(f"order is missing element {exc.args[0]!r}") from None
-        rows = _sequence_rows(sorted(range(m), key=pos.__getitem__), m)
+            rows = _sequence_rows([index[e] for e in o.order], m)
+        except KeyError:
+            missing = next(e for e in elements if e not in o.rank)
+            raise ElementMismatch(f"order is missing element {missing!r}") from None
         out = list(map(and_, out, rows))
     return out
 

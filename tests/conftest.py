@@ -18,6 +18,7 @@ from orderdim.errors import (
     DuplicateLabel,
     ElementMismatch,
     ReflexiveViolation,
+    SelfCheckFailed,
     TooSmall,
     TransitivityViolation,
 )
@@ -201,6 +202,129 @@ class CoverSearch:
             if witness is not None:
                 return n, witness
         raise AssertionError("every finite poset has a realizer")
+
+
+def oracle_conflict_order(search) -> tuple[list[int], list[int]]:
+    """A search's conflict rows and pair order, built pair by pair with a
+    tuple key, the oracle for `_RealizerSearch._conflict_order`."""
+    m = len(search.up)
+    by_x = [0] * m
+    by_y = [0] * m
+    for c, (x, y) in enumerate(search.pairs):
+        by_x[x] |= 1 << c
+        by_y[y] |= 1 << c
+    conflicts = []
+    for a, b in search.pairs:
+        with_y = with_x = 0
+        for v in range(m):
+            if v == a or search.up[a] >> v & 1:
+                with_y |= by_y[v]
+            if v == b or search.down[b] >> v & 1:
+                with_x |= by_x[v]
+        conflicts.append(with_y & with_x)
+    score = [0] * len(search.pairs)
+    degree = [bin(c).count("1") for c in conflicts]
+    left = set(range(len(search.pairs)))
+    out = []
+    while left:
+        c = max(left, key=lambda i: (score[i], degree[i], -i))
+        left.remove(c)
+        out.append(c)
+        for d in range(len(search.pairs)):
+            if conflicts[c] >> d & 1:
+                score[d] += 1
+    return conflicts, out
+
+
+def oracle_first_extension(search, unreversed: int, r: int) -> tuple[list[int], int]:
+    """The witness walk that asks `search.splits` at every candidate, for
+    every r: the oracle for the greedy (r = 0) and carried-class (r = 1)
+    walks of `_RealizerSearch._first_extension`."""
+    m = len(search.up)
+    x_of = [0] * m
+    y_of = [0] * m
+    for c, (x, y) in enumerate(search.pairs):
+        if unreversed >> c & 1:
+            x_of[x] |= 1 << c
+            y_of[y] |= 1 << c
+    everything = (1 << m) - 1
+    order: list[int] = []
+    dead: set[tuple[int, int]] = set()
+    stack = [[0, 0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        taken, kept, y_placed, i = frame
+        if taken == everything:
+            return order, unreversed & ~kept
+        while i < m:
+            if not taken >> i & 1 and not search.down[i] & ~taken:
+                grown = kept | x_of[i] & ~y_placed
+                state = (taken | 1 << i, grown)
+                if state not in dead and search.splits(grown, r):
+                    frame[3] = i + 1
+                    order.append(i)
+                    stack.append([taken | 1 << i, grown, y_placed | y_of[i], 0])
+                    break
+            i += 1
+        else:
+            dead.add((taken, kept))
+            stack.pop()
+            if order:
+                order.pop()
+    raise SelfCheckFailed("no linear extension completes the realizer")
+
+
+def naive_two_colourable(search, mask: int) -> bool:
+    """Whether the pairs in mask 2-colour so that no two pairs forming a
+    2-cycle (a <= d and c <= b for (a, b), (c, d)) share a colour; by
+    depth-first colouring, the oracle for the odd-cycle prune."""
+    pairs = [c for c in range(len(search.pairs)) if mask >> c & 1]
+
+    def leq(u: int, v: int) -> bool:
+        return u == v or bool(search.up[u] >> v & 1)
+
+    def clash(c: int, d: int) -> bool:
+        (a, b), (x, y) = search.pairs[c], search.pairs[d]
+        return leq(a, y) and leq(x, b)
+
+    colour: dict[int, int] = {}
+    for start in pairs:
+        if start in colour:
+            continue
+        colour[start] = 0
+        todo = [start]
+        while todo:
+            c = todo.pop()
+            for d in pairs:
+                if d != c and clash(c, d):
+                    if d not in colour:
+                        colour[d] = 1 - colour[c]
+                        todo.append(d)
+                    elif colour[d] == colour[c]:
+                        return False
+    return True
+
+
+def oracle_intersection_rows(orders, elements) -> list[int]:
+    """Bit rows of the pairs every order puts the same way, by sorting on
+    each order's ranks: the oracle for `poset._intersection_rows`."""
+    m = len(elements)
+    out = [(1 << m) - 1] * m
+    for o in orders:
+        if len(o) != m:
+            raise ElementMismatch("orders range over different element sets")
+        rank = o.rank
+        try:
+            pos = [rank[e] for e in elements]
+        except KeyError as exc:
+            raise ElementMismatch(f"order is missing element {exc.args[0]!r}") from None
+        seq = sorted(range(m), key=pos.__getitem__)
+        rows = [0] * m
+        for k, i in enumerate(seq):
+            for j in seq[k + 1:]:
+                rows[i] |= 1 << j
+        out = [a & b for a, b in zip(out, rows)]
+    return out
 
 
 def naive_free_coloring(

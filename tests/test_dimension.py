@@ -7,6 +7,8 @@ in some member, checked over all index multisets of the extension stream.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -29,6 +31,7 @@ from orderdim.poset import (
 )
 from orderdim.budget import BudgetMeter
 from orderdim.dimension import (
+    _RealizerSearch,
     _extensions,
     all_linear_extensions,
     critical_pairs,
@@ -42,6 +45,9 @@ from conftest import (
     CoverSearch,
     naive_critical_pairs,
     naive_is_realizer,
+    naive_two_colourable,
+    oracle_conflict_order,
+    oracle_first_extension,
     random_poset,
     random_poset_shuffled,
     random_relation,
@@ -49,6 +55,10 @@ from conftest import (
 
 # frozen from a brute-force permutation filter over all |P|! orders
 CROWN_EXTENSION_COUNTS = {2: 6, 3: 48, 4: 720}
+# sha256 prefix of [[dim, witness], ...] for the 20 posets of
+# TestTwentyEightElements, frozen from the search as it stood before the
+# greedy last slot, the carried one-class closure and the odd-cycle prune
+WITNESS_DIGEST_28 = "17bda5d72c82313a"
 
 
 def naive_dimension(p, max_n=4):
@@ -303,6 +313,94 @@ class TestAgainstCoverSearch:
         assert [o.order for o in t.orders] == [("b", "a"), ("a", "b")]
 
 
+def _walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except SelfCheckFailed:
+        return "no extension"
+
+
+class TestFastPathsAgainstOracles:
+    """The greedy last slot, the carried one-class closure, the packed
+    conflict order and the odd-cycle prune against the code they replace."""
+
+    @given(st.integers(0, 2**32), st.integers(1, 7), st.booleans())
+    def test_greedy_and_carried_walks_match_the_splits_walk(self, seed, m, shuffled):
+        rng = random.Random(seed)
+        p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
+        fast = _RealizerSearch(p, 10**9)
+        slow = _RealizerSearch(p, 10**9)
+        for unreversed in (fast.full, rng.getrandbits(len(fast.pairs))):
+            for r in (0, 1):
+                assert _walk_outcome(fast._first_extension, unreversed, r) == _walk_outcome(
+                    oracle_first_extension, slow, unreversed, r
+                )
+
+    @pytest.mark.parametrize("p", [antichain(6), crown(3), crown(4), chain(4)], ids=repr)
+    def test_walks_on_every_witness_slot(self, p):
+        fast = _RealizerSearch(p, 10**9)
+        slow = _RealizerSearch(p, 10**9)
+        n = slow.least_classes(len(p))
+        unreversed = slow.full
+        for r in range(n - 1, -1, -1):
+            order, reversed_ = oracle_first_extension(slow, unreversed, r)
+            if r <= 1:
+                assert fast._first_extension(unreversed, r) == (order, reversed_)
+            unreversed &= ~reversed_
+        assert unreversed == 0
+
+    @given(st.integers(0, 2**32), st.integers(1, 9), st.booleans())
+    def test_conflict_order_matches_the_tuple_key(self, seed, m, shuffled):
+        rng = random.Random(seed)
+        p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
+        search = _RealizerSearch(p, None)
+        assert (search.conflicts, search.order) == oracle_conflict_order(search)
+
+    @pytest.mark.parametrize("p", [antichain(8), crown(3), crown(5)], ids=repr)
+    def test_conflict_order_on_fixed_posets(self, p):
+        search = _RealizerSearch(p, None)
+        assert (search.conflicts, search.order) == oracle_conflict_order(search)
+
+    @given(st.integers(0, 2**32), st.integers(2, 8))
+    def test_odd_cycle_prune_agrees_with_colouring(self, seed, m):
+        rng = random.Random(seed)
+        search = _RealizerSearch(random_poset_shuffled(rng, m), 10**9)
+        for mask in (search.full, rng.getrandbits(len(search.pairs))):
+            bipartite = search._bipartite(mask)
+            assert bipartite == naive_two_colourable(search, mask)
+            if not bipartite:
+                assert not search._colour(mask, 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_odd_cycle_prune_on_crowns(self, n):
+        # Crowns of dimension 3 and more carry odd conflict cycles that
+        # random posets this small almost never do.
+        search = _RealizerSearch(crown(n), 10**9)
+        assert not search._bipartite(search.full)
+        assert search.splits(search.full, 2) is False
+        rng = random.Random(n)
+        for _ in range(30):
+            mask = rng.getrandbits(len(search.pairs))
+            bipartite = search._bipartite(mask)
+            assert bipartite == naive_two_colourable(search, mask)
+            if not bipartite:
+                assert not search._colour(mask, 2)
+
+
+class TestTwentyEightElements:
+    def test_seeded_set_finishes_with_frozen_witnesses(self):
+        # 20 posets from random_poset with random.Random(28); the digest
+        # was taken from the search before the carried class, the greedy
+        # last slot and the odd-cycle prune, under the default budget.
+        rng = random.Random(28)
+        out = []
+        for _ in range(20):
+            res = dimension(random_poset(rng, 28))
+            out.append([res.dim, res.witness.to_json()])
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+        assert digest == WITNESS_DIGEST_28
+
+
 class TestNoElementCap:
     def test_antichain16(self):
         p = antichain(16)
@@ -336,10 +434,17 @@ class TestSearchBudget:
             find_realizers(crown(6), 6, budget=5)
 
     def test_one_meter_spans_both_phases(self):
-        # antichain(16) takes a few hundred colouring steps and about 1,400
-        # witness steps: 1,500 covers either phase alone, not both.
+        # antichain(16) takes 362 colouring steps and 152 witness steps:
+        # 16 candidates and 120 carried pairs in the first slot, 16 picks
+        # in the greedy last one.  450 covers either phase alone, not both.
+        search = _RealizerSearch(antichain(16), 450)
+        assert search.least_classes(16) == 2
+        assert search.meter.remaining == 450 - 362
+        search.meter = BudgetMeter(450, "fresh meter")
+        assert len(search.witness(2)) == 2
+        assert search.meter.remaining == 450 - 152
         with pytest.raises(LimitExceeded, match="witness search"):
-            dimension(antichain(16), budget=1_500)
+            dimension(antichain(16), budget=450)
 
     def test_env_budget_honoured(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "5")

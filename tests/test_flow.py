@@ -31,6 +31,7 @@ from orderdim.errors import (
 )
 from orderdim.flow import (
     FlipPattern,
+    _preserves_each_axis,
     RealizerSet,
     classify_realizer,
     cloud_automorphisms,
@@ -171,6 +172,36 @@ def brute_automorphisms(c: PointCloud) -> list[dict[str, str]]:
         ):
             out.append({c.label(i): c.label(perm[i]) for i in range(m)})
     return sorted(out, key=lambda g: tuple(g[c.label(i)] for i in range(m)))
+
+
+def naive_preserves_each_axis(c: PointCloud, h) -> bool:
+    """Pairwise check that h keeps every coordinate order both ways: the
+    oracle for flow._preserves_each_axis."""
+    pts = {c.label(i): p for i, p in enumerate(c.points)}
+    labels = list(pts)
+    return all(
+        (pts[a][i] < pts[b][i]) == (pts[h[a]][i] < pts[h[b]][i])
+        for i in range(c.dim)
+        for a in labels
+        for b in labels
+        if a != b
+    )
+
+
+def naive_factorizations(c: PointCloud, g) -> list:
+    """Every (sigma, h) with g = T_sigma o h and h axis-preserving, each
+    axis map rebuilt per sigma and h checked pairwise."""
+    index = {p: i for i, p in enumerate(c.points)}
+    hits = []
+    for sigma in permutations(range(c.dim)):
+        images = [index.get(tuple(p[k] for k in sigma)) for p in c.points]
+        if None in images:
+            continue
+        inv = {c.label(j): c.label(i) for i, j in enumerate(images)}
+        h = {lab: inv[g[lab]] for lab in g}
+        if naive_preserves_each_axis(c, h):
+            hits.append((sigma, h))
+    return hits
 
 
 def order_sequences(t: RealizerTuple) -> tuple[tuple[str, ...], ...]:
@@ -834,6 +865,41 @@ class TestSemidirectDecomposition:
             [1, 0],
         ]
         assert payload["failures"] == []
+
+
+class TestFactoringAgainstPairwiseOracle:
+    CLOUDS = [
+        (symmetric_sample, 2, 4, 1),
+        (symmetric_sample, 2, 6, 8),
+        (symmetric_sample, 3, 6, 0),
+        (sample_dn, 2, 6, 3),
+        (sample_dn, 3, 5, 1),
+    ]
+
+    @pytest.mark.parametrize("make, n, k, seed", CLOUDS)
+    def test_axis_check_matches_on_automorphisms_and_random_maps(self, make, n, k, seed):
+        c = make(n, k, seed=seed)
+        labels = [c.label(i) for i in range(len(c))]
+        rng = Random(seed)
+        maps = cloud_automorphisms(c)[:40]
+        for _ in range(40):
+            shuffled = labels[:]
+            rng.shuffle(shuffled)
+            maps.append(dict(zip(labels, shuffled)))
+            maps.append({lab: rng.choice(labels) for lab in labels})
+        for h in maps:
+            assert _preserves_each_axis(c, h) == naive_preserves_each_axis(c, h)
+
+    @pytest.mark.parametrize("make, n, k, seed", CLOUDS)
+    def test_factorizations_match(self, make, n, k, seed):
+        c = make(n, k, seed=seed)
+        for g in cloud_automorphisms(c)[:60]:
+            hits = naive_factorizations(c, g)
+            if len(hits) == 1:
+                assert factor_automorphism(c, g) == hits[0]
+            else:
+                with pytest.raises(DecompositionFailed):
+                    factor_automorphism(c, g)
 
 
 class TestOrbitTransport:

@@ -28,6 +28,7 @@ from orderdim.poset import (
     crown,
     hiraguchi_bound,
     is_realizer,
+    _intersection_rows,
     lex_order,
     product_order,
     szpilrajn_extend,
@@ -35,7 +36,7 @@ from orderdim.poset import (
     validate_poset,
 )
 
-from conftest import all_posets_on, naive_is_realizer, random_poset
+from conftest import all_posets_on, naive_is_realizer, oracle_intersection_rows, random_poset
 
 
 def rel(labels, pairs):
@@ -189,6 +190,55 @@ class TestIsRealizer:
                         [LinearOrder(perm), LinearOrder(tuple(reversed(perm)))]
                     )
                     assert is_realizer(p, t) == naive_is_realizer(p, t)
+
+
+def _rows_outcome(orders, elements):
+    try:
+        return _intersection_rows(orders, elements)
+    except ElementMismatch as exc:
+        return ("ElementMismatch", str(exc))
+
+
+def _oracle_rows_outcome(orders, elements):
+    try:
+        return oracle_intersection_rows(orders, elements)
+    except ElementMismatch as exc:
+        return ("ElementMismatch", str(exc))
+
+
+class TestIntersectionRows:
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 7),
+        st.integers(1, 3),
+        st.sampled_from(["same", "foreign", "short", "elements-foreign"]),
+    )
+    def test_matches_the_rank_sort_oracle(self, seed, m, n, fault):
+        rng = random.Random(seed)
+        elements = [f"e{i}" for i in range(m)]
+        rng.shuffle(elements)
+        orders = []
+        for _ in range(n):
+            seq = elements[:]
+            rng.shuffle(seq)
+            orders.append(seq)
+        k = rng.randrange(n)
+        if fault == "foreign":
+            orders[k][rng.randrange(m)] = "zz"
+        elif fault == "short":
+            orders[k].pop(rng.randrange(m))
+        elif fault == "elements-foreign":
+            elements[rng.randrange(m)] = "zz"
+        orders = [LinearOrder(o) for o in orders]
+        got = _rows_outcome(orders, tuple(elements))
+        assert got == _oracle_rows_outcome(orders, tuple(elements))
+        if fault != "same":
+            assert got[0] == "ElementMismatch"
+
+    def test_duplicate_elements_are_refused(self):
+        t = RealizerTuple([LinearOrder(("a", "b", "c"))])
+        with pytest.raises(DuplicateLabel):
+            t.intersection(("a", "a", "b"))
 
 
 class TestCrown:
