@@ -6,7 +6,8 @@ between subcommands is lossless.  Inputs default to stdin (a lone "-"
 also means stdin), output goes to stdout unless --out is given.  Library
 errors, unreadable files, and a search that recurses too deep, exit 1
 after printing a single-line error JSON; usage errors exit 2 via
-argparse.
+argparse.  A reader that closes stdout early gets exit 1 and no
+traceback.
 
 Each handler imports the library modules it calls, when it is called,
 so a process loads only what its subcommand runs: `gen crown` and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -322,7 +324,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(args)
+        # Flush here, so a reader gone early surfaces inside this try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's recipe: the flush at exit would raise again, so point
+        # stdout at devnull.  Nobody reads an error line now; exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(args) -> int:
+    try:
         args.func(args)
+    except BrokenPipeError:
+        raise
     except (
         OrderError, ValueError, KeyError, TypeError, RecursionError, OSError
     ) as exc:

@@ -7,12 +7,16 @@ some member placing y below x, and one linear extension can reverse a set
 of critical pairs exactly when the poset stays acyclic with all of them
 reversed (Trotter & Moore 1977).  So dim(P) <= t exactly when the critical
 pairs split into t reversible classes.  `dimension` finds the least such t
-by backtracking over class assignments: classes open in order of first
-use, and each keeps its own reachability bitsets, grown as pairs join it.
-One class needs no search: reverse the pairs one by one until a cycle
-closes.  Two are ruled out at once when the pairs that form 2-cycles with
-each other close an odd cycle.  Deciding dim(P) <= t is NP-complete for
-t >= 3 (Yannakakis 1982), so the search ticks a budget.
+without colouring up to t = 2.  One class holds exactly when there are
+no critical pairs: one extension reversing them all would realize the
+poset alone, so it would be a chain.  Two hold exactly when the graph on
+the critical pairs whose edges are the alternating 2-cycles has no odd
+cycle (Felsner & Trotter, "Dimension, graph and hypergraph coloring",
+Order 17, 2000).  From t = 3 on it backtracks over class assignments:
+classes open in order of first use, and each keeps its own reachability
+bitsets, grown as pairs join it.  The greedy pair order this colouring
+follows is built only when a colouring runs.  Deciding dim(P) <= t is
+NP-complete for t >= 3 (Yannakakis 1982), so the search ticks a budget.
 
 The witness is the lexicographically first non-decreasing tuple of
 indices into the extension stream of `all_linear_extensions` whose
@@ -22,13 +26,17 @@ pairs still unreversed split into n - k classes, and otherwise takes the
 first extension in stream order whose leftover pairs do.  That extension
 is found depth-first, smallest element index first, pruning every prefix
 whose pairs already placed unreversed no longer split into n - k classes.
-With one class to go, each frame of the walk carries that class's
-reachability rows, so a candidate adds only the pairs it leaves
-unreversed.  The last slot reverses every pair left, so an element waits
-for its predecessors and for the y of each pair (x, y) it is the x of;
-the walk takes the first element ready and never backs up.  The
-enumerate-and-cover search that defines this witness directly lives in
-the test suite as the oracle, next to a naive realizer checker.
+On these subsets the shortcuts above do not apply: one class reverses
+the pairs one by one until a cycle closes, and two are refused at once
+by an odd conflict cycle but otherwise coloured, since the odd-cycle
+equivalence is proved for the whole pair set only.  With one class to
+go, each frame of the walk carries that class's reachability rows, so a
+candidate adds only the pairs it leaves unreversed.  The last slot
+reverses every pair left, so an element waits for its predecessors and
+for the y of each pair (x, y) it is the x of; the walk takes the first
+element ready and never backs up.  The enumerate-and-cover search that
+defines this witness directly lives in the test suite as the oracle,
+next to a naive realizer checker.
 
 The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter
@@ -157,19 +165,14 @@ class _RealizerSearch:
         self.pairs = _critical_indices(self.up, self.down)
         self.full = (1 << len(self.pairs)) - 1
         self.meter = BudgetMeter(effective_budget(budget), COLOURING)
-        self.order = self._conflict_order()
         self.dim: int | None = None
         self.memo: dict[tuple[int, int], bool] = {}
-
-    def _conflict_order(self) -> list[int]:
-        """Pair indices, each next one sharing the most 2-cycles with those
-        before it, so a class assignment that cannot work fails early.
-
-        Pairs (a, b) and (c, d) cannot share a class when a <= d and c <= b.
-        Also keeps, as pair masks, conflicts[c]: the pairs that pair c cannot
-        share a class with; by_x[i] and by_y[i]: the pairs whose x, or y, is i.
-        """
-        m, count = len(self.up), len(self.pairs)
+        # The colouring order, built by _in_order when a colouring first runs.
+        self.order: list[int] | None = None
+        # As pair masks, conflicts[c]: the pairs that pair c cannot share a
+        # class with, each (u, v) with a <= v and u <= b for pair c = (a, b);
+        # by_x[i] and by_y[i]: the pairs whose x, or y, is i.
+        m = len(self.up)
         self.by_x = by_x = [0] * m
         self.by_y = by_y = [0] * m
         for c, (x, y) in enumerate(self.pairs):
@@ -179,6 +182,17 @@ class _RealizerSearch:
         y_from = [_beyond(by_y, self.up[a] | 1 << a) if by_x[a] else 0 for a in range(m)]
         x_to = [_beyond(by_x, self.down[b] | 1 << b) if by_y[b] else 0 for b in range(m)]
         self.conflicts = [y_from[a] & x_to[b] for a, b in self.pairs]
+
+    def _in_order(self, mask: int) -> list[int]:
+        """The pairs in mask in colouring order: each next pair shares the
+        most 2-cycles with those before it, so a class assignment that
+        cannot work fails early.  The order is built on first use."""
+        if self.order is None:
+            self.order = self._conflict_order()
+        return [c for c in self.order if mask >> c & 1]
+
+    def _conflict_order(self) -> list[int]:
+        count = len(self.pairs)
         # One int per pair packs (conflicts with pairs taken, degree, -index).
         width = count.bit_length()
         keys = [c.bit_count() << width | count - 1 - i for i, c in enumerate(self.conflicts)]
@@ -204,8 +218,7 @@ class _RealizerSearch:
         key = (mask, t)
         if key not in self.memo:
             if t == 1:
-                seq = [c for c in self.order if mask >> c & 1]
-                self.memo[key] = self._join(self.up, seq) is not None
+                self.memo[key] = self._join(self.up, self._in_order(mask)) is not None
             else:
                 self.memo[key] = (t > 2 or self._bipartite(mask)) and self._colour(mask, t)
         return self.memo[key]
@@ -238,7 +251,7 @@ class _RealizerSearch:
         return True
 
     def _colour(self, mask: int, t: int) -> bool:
-        seq = [c for c in self.order if mask >> c & 1]
+        seq = self._in_order(mask)
         tick = self.meter.tick
         classes: list[list[int]] = []
         tried = [-1] * len(seq)
@@ -275,9 +288,21 @@ class _RealizerSearch:
         return d == len(seq)
 
     def least_classes(self, limit: int) -> int | None:
-        """Least t <= limit splitting every critical pair, or None."""
+        """Least t <= limit splitting every critical pair, or None.
+
+        One class holds exactly when there are no pairs: one extension
+        reversing every critical pair would realize P alone, so P would be
+        a chain.  Two hold exactly when the conflicts close no odd cycle,
+        one step per pair; only t >= 3 colours.
+        """
         self.meter.what = COLOURING
-        for t in range(1, limit + 1):
+        if not self.pairs:
+            self.dim = 1
+            return 1
+        if limit >= 2:
+            self.meter.tick(len(self.pairs))
+            self.memo[self.full, 2] = self._bipartite(self.full)
+        for t in range(2, limit + 1):
             if self.splits(self.full, t):
                 self.dim = t
                 return t

@@ -482,7 +482,6 @@ def semidirect_decomposition(
     meter = BudgetMeter(effective_budget(budget), AUTOMORPHISMS)
     autos = _automorphisms(c, meter)
     meter.what = FACTORING
-    stabilizer = [g for g in autos if _preserves_each_axis(c, g)]
     maps = _axis_maps(c)
     present = len(maps)
     factorizations = []
@@ -494,14 +493,13 @@ def semidirect_decomposition(
             factorizations.append((dict(g), sigma, h))
         except DecompositionFailed as exc:
             failures.append((dict(g), str(exc)))
-    exact = (
-        present == factorial(c.dim)
-        and not failures
-        and len(autos) == len(stabilizer) * present
-    )
+    # Only the identity keeps every coordinate order (_preserves_each_axis),
+    # so the stabilizer is trivial: exact means the group is just the n!
+    # axis permutations.
+    exact = present == factorial(c.dim) and not failures and len(autos) == present
     return DecompositionReport(
         group_size=len(autos),
-        stabilizer_size=len(stabilizer),
+        stabilizer_size=1,
         axis_permutations=present,
         exact=exact,
         factorizations=tuple(factorizations),

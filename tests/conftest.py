@@ -8,11 +8,12 @@ on top for the property tests.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from orderdim.dimension import all_linear_extensions
+from orderdim.dimension import _RealizerSearch, _checked, all_linear_extensions
 from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
@@ -27,6 +28,7 @@ from orderdim.poset import (
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
+    _bits,
     validate_poset,
 )
 
@@ -303,6 +305,55 @@ def naive_two_colourable(search, mask: int) -> bool:
                     elif colour[d] == colour[c]:
                         return False
     return True
+
+
+def naturally_labelled_posets(m: int) -> Iterator[FinitePoset]:
+    """Every poset on m elements in which i below j implies i < j as
+    indices, built as bit rows: element k comes in on top of the first k
+    with any down-closed set of them below it."""
+    labels = tuple(f"n{i}" for i in range(m))
+
+    def grow(up: list[int], down: list[int]) -> Iterator[FinitePoset]:
+        k = len(down)
+        if k == m:
+            yield FinitePoset.from_rows(labels, up)
+            return
+        for below in range(1 << k):
+            if all(not down[i] & ~below for i in _bits(below)):
+                lifted = [row | (below >> i & 1) << k for i, row in enumerate(up)]
+                yield from grow(lifted + [0], down + [below])
+
+    return grow([], [])
+
+
+def oracle_least_classes(search, limit: int) -> int | None:
+    """least_classes as it was before it decided t <= 2 without
+    colouring: t = 1 by reversing the pairs in colouring order until a
+    cycle closes, t = 2 by the odd-cycle prune and then a 2-colouring,
+    each t as a split of the whole pair set.  The oracle for
+    `_RealizerSearch.least_classes`."""
+    full = search.full
+    for t in range(1, limit + 1):
+        if full.bit_count() <= t:
+            fits = True
+        elif t == 1:
+            fits = search._join(search.up, search._in_order(full)) is not None
+        elif t == 2:
+            fits = search._bipartite(full) and search._colour(full, 2)
+        else:
+            fits = search._colour(full, t)
+        if fits:
+            search.dim = t
+            return t
+    return None
+
+
+def oracle_dimension(p: FinitePoset) -> tuple[int, RealizerTuple]:
+    """dimension()'s dim and checked witness, with `oracle_least_classes`
+    in place of `least_classes`."""
+    search = _RealizerSearch(p, 10**9)
+    n = oracle_least_classes(search, len(p))
+    return n, _checked(p, search.witness(n))
 
 
 def oracle_intersection_rows(orders, elements) -> list[int]:

@@ -1,16 +1,19 @@
 """End-to-end tests for the command-line surface.
 
-Every invocation goes through main() in-process; stdin is monkeypatched
-for pipe-style tests so outputs of one subcommand feed the next exactly
-as they would in a shell.
+Invocations go through main() in-process; stdin is monkeypatched for
+pipe-style tests so outputs of one subcommand feed the next exactly as
+they would in a shell.  Only a closed stdout needs a real process.
 """
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import orderdim
 from orderdim.cli import main
 from orderdim.homogeneity import Certificate
 from orderdim.geometry import PointCloud
@@ -466,3 +469,37 @@ class TestDeterminismAndErrors:
         payload = json.loads(out)
         assert payload["error"] == "TypeError"
         assert "floats are not exact" in payload["detail"]
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early gets exit 1 and an empty stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "args, stdin",
+        [
+            (["gen", "crown", "--n", "3"], b""),
+            (["dim"], b"{bad"),  # the error line meets the closed pipe
+        ],
+        ids=["output", "error"],
+    )
+    def test_exits_one_without_traceback(self, args, stdin, unbuffered):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "orderdim.cli", *args],
+                input=stdin,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == 1
+        assert out.stderr == b""

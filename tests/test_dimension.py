@@ -46,11 +46,15 @@ from conftest import (
     naive_critical_pairs,
     naive_is_realizer,
     naive_two_colourable,
+    naturally_labelled_posets,
     oracle_conflict_order,
+    oracle_dimension,
     oracle_first_extension,
+    oracle_least_classes,
     random_poset,
     random_poset_shuffled,
     random_relation,
+    random_structure,
 )
 
 # frozen from a brute-force permutation filter over all |P|! orders
@@ -354,12 +358,12 @@ class TestFastPathsAgainstOracles:
         rng = random.Random(seed)
         p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
         search = _RealizerSearch(p, None)
-        assert (search.conflicts, search.order) == oracle_conflict_order(search)
+        assert (search.conflicts, search._in_order(search.full)) == oracle_conflict_order(search)
 
     @pytest.mark.parametrize("p", [antichain(8), crown(3), crown(5)], ids=repr)
     def test_conflict_order_on_fixed_posets(self, p):
         search = _RealizerSearch(p, None)
-        assert (search.conflicts, search.order) == oracle_conflict_order(search)
+        assert (search.conflicts, search._in_order(search.full)) == oracle_conflict_order(search)
 
     @given(st.integers(0, 2**32), st.integers(2, 8))
     def test_odd_cycle_prune_agrees_with_colouring(self, seed, m):
@@ -385,6 +389,69 @@ class TestFastPathsAgainstOracles:
             assert bipartite == naive_two_colourable(search, mask)
             if not bipartite:
                 assert not search._colour(mask, 2)
+
+
+def assert_decides_like_the_colouring(p):
+    """least_classes and dimension() agree with the path that coloured
+    t = 1 and t = 2; a call of dimension <= 2 never builds the order."""
+    search = _RealizerSearch(p, 10**9)
+    n = search.least_classes(len(p))
+    assert n == oracle_least_classes(_RealizerSearch(p, 10**9), len(p))
+    res = dimension(p)
+    assert (res.dim, res.witness) == oracle_dimension(p)
+    search.witness(n)
+    if n <= 2:
+        assert search.order is None
+    else:
+        assert search.order == oracle_conflict_order(search)[1]
+    return n
+
+
+class TestTwoClassDecision:
+    """No pairs decides one class, and an odd-cycle-free conflict graph
+    two, against the join and the colouring they replace."""
+
+    # Naturally labelled posets on m elements, one per labelled order
+    # whose relation follows index order: OEIS A006455.
+    COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357, 6: 4824}
+
+    @pytest.mark.parametrize("m", sorted(COUNTS))
+    def test_every_naturally_labelled_poset(self, m):
+        dims = [assert_decides_like_the_colouring(p) for p in naturally_labelled_posets(m)]
+        assert len(dims) == self.COUNTS[m]
+        if m == 6:
+            assert max(dims) == 3
+
+    # At 10-16 elements about a third of these have dimension 3 or more.
+    @given(st.integers(0, 2**32), st.integers(10, 16), st.integers(3, 4))
+    def test_random_structures_with_three_or_four_orders(self, seed, m, n):
+        rng = random.Random(seed)
+        assert_decides_like_the_colouring(random_structure(rng, m, n).poset)
+
+    @pytest.mark.parametrize("p", [chain(4), antichain(8), crown(3), crown(4)], ids=repr)
+    def test_fixed_posets(self, p):
+        assert_decides_like_the_colouring(p)
+
+    def test_odd_cycle_test_alone_does_not_decide_subsets(self):
+        # Seven critical pairs of a 12-element poset of dimension 3 whose
+        # conflicts close no odd cycle, yet no two reversible classes
+        # hold them: the witness phase must keep colouring its subsets.
+        up = (3202, 128, 2688, 0, 2568, 3787, 136, 0, 128, 2048, 2048, 0)
+        p = FinitePoset.from_rows([f"x{i}" for i in range(12)], up)
+        search = _RealizerSearch(p, 10**9)
+        subset = [(0, 9), (1, 11), (2, 1), (2, 3), (4, 10), (5, 2), (10, 7)]
+        mask = sum(1 << search.pairs.index(pair) for pair in subset)
+        assert search._bipartite(mask)
+        assert not search._colour(mask, 2)
+        assert not search.splits(mask, 2)
+        assert dimension(p).dim == 3
+
+    def test_find_realizers_below_two(self):
+        # A limit of 1 decides from the pair count alone.
+        search = _RealizerSearch(antichain(3), 10**9)
+        assert search.least_classes(1) is None
+        assert search.meter.remaining == 10**9
+        assert find_realizers(chain(3), 1) is not None
 
 
 class TestTwentyEightElements:
@@ -434,17 +501,18 @@ class TestSearchBudget:
             find_realizers(crown(6), 6, budget=5)
 
     def test_one_meter_spans_both_phases(self):
-        # antichain(16) takes 362 colouring steps and 152 witness steps:
-        # 16 candidates and 120 carried pairs in the first slot, 16 picks
-        # in the greedy last one.  450 covers either phase alone, not both.
-        search = _RealizerSearch(antichain(16), 450)
+        # antichain(16) takes 240 colouring steps, one per critical pair,
+        # and 152 witness steps: 16 candidates and 120 carried pairs in the
+        # first slot, 16 picks in the greedy last one.  300 covers either
+        # phase alone, not both.
+        search = _RealizerSearch(antichain(16), 300)
         assert search.least_classes(16) == 2
-        assert search.meter.remaining == 450 - 362
-        search.meter = BudgetMeter(450, "fresh meter")
+        assert search.meter.remaining == 300 - 240
+        search.meter = BudgetMeter(300, "fresh meter")
         assert len(search.witness(2)) == 2
-        assert search.meter.remaining == 450 - 152
+        assert search.meter.remaining == 300 - 152
         with pytest.raises(LimitExceeded, match="witness search"):
-            dimension(antichain(16), budget=450)
+            dimension(antichain(16), budget=300)
 
     def test_env_budget_honoured(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "5")

@@ -90,3 +90,9 @@ def test_dimension_survey_runs_without_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == SURVEY_20_7
+
+
+def test_two_class_decision_matches_the_colouring_under_optimize():
+    out = run_python([str(SCRIPTS / "check_dim_two.py"), "--max-size", "5"])
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1].split() == ["5", "357", "0", "0"]
