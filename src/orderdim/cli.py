@@ -12,7 +12,8 @@ traceback.
 Each handler imports the library modules it calls, when it is called,
 so a process loads only what its subcommand runs: `gen crown` and
 `export dot` load poset alone (beyond the package's eager core),
-`ramsey number` and `gen grid` add ramsey but no geometry.
+`ramsey number` and `gen grid` add ramsey but no geometry, and `flow
+realizers` adds flow alone.  No command loads dataclasses or inspect.
 `python -X importtime -m orderdim.cli <cmd>` lists the modules loaded.
 """
 
@@ -203,15 +204,21 @@ def _cmd_flow(args) -> None:
         _emit_json(semidirect_decomposition(c).to_json(), args.out)
 
 
+def _dot_id(label: str) -> str:
+    """label as a DOT quoted ID, with backslash, quote and newline escaped."""
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
 def _cmd_export(args) -> None:
     from .poset import FinitePoset
 
     p = FinitePoset.from_json(_read_json(args.infile))
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in p.elements:
-        lines.append(f'  "{e}";')
+        lines.append(f"  {_dot_id(e)};")
     for a, b in sorted(p.covers()):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.out)
 

@@ -46,12 +46,19 @@ which part of the search ran out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_MAX_ELEMENTS, BudgetMeter, effective_budget
 from .errors import LimitExceeded, NotARealizer, SelfCheckFailed
-from .poset import FinitePoset, LinearOrder, RealizerTuple, _beyond, _bits, is_realizer
+from .poset import (
+    FinitePoset,
+    LinearOrder,
+    RealizerTuple,
+    _beyond,
+    _bits,
+    _Frozen,
+    is_realizer,
+)
 
 __all__ = [
     "DimensionResult",
@@ -67,10 +74,14 @@ WITNESS = "witness search"
 EXTENSIONS = "linear extension enumeration"
 
 
-@dataclass(frozen=True)
-class DimensionResult:
-    dim: int
-    witness: RealizerTuple
+class DimensionResult(_Frozen):
+    """The dimension of a poset and a realizer of that many orders."""
+
+    __slots__ = ("dim", "witness")
+
+    def __init__(self, dim: int, witness: RealizerTuple):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "witness", witness)
 
 
 def all_linear_extensions(

@@ -28,17 +28,20 @@ samples in three or more coordinates are forced to contain colinear
 point pairs (two axis permutations agreeing at a position send any
 base point to images sharing that coordinate).  Tests treat those gaps
 as measured facts, not failures.
+
+Only the functions that take or make a point cloud import geometry, and
+FlipPattern is fetched from homogeneity on first use, so enumerating
+the realizers of an abstract structure loads neither module.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from itertools import product as iter_product
 from math import factorial
 from operator import and_, or_, xor
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .budget import BudgetMeter, effective_budget
 from .dimension import EXTENSIONS, _extensions
@@ -50,8 +53,6 @@ from .errors import (
     NotOrderPreserving,
     TooSmall,
 )
-from .geometry import Point, PointCloud, _product_poset, as_fraction, induced_structure
-from .homogeneity import FlipPattern
 from .poset import (
     FinitePoset,
     LinearOrder,
@@ -60,10 +61,14 @@ from .poset import (
     _closure,
     _find_cycle,
     _first_loop,
+    _Frozen,
     _intersection_rows,
     _sequence_rows,
     is_realizer,
 )
+
+if TYPE_CHECKING:
+    from .geometry import Point, PointCloud
 
 __all__ = [
     "FlipPattern",
@@ -85,8 +90,16 @@ AUTOMORPHISMS = "automorphism search"
 FACTORING = "automorphism factoring"
 
 
-@dataclass(frozen=True)
-class RealizerSet:
+def __getattr__(name: str):
+    """FlipPattern, re-exported from homogeneity, which loads on first use."""
+    if name == "FlipPattern":
+        from .homogeneity import FlipPattern
+
+        return FlipPattern
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class RealizerSet(_Frozen):
     """Every realizer tuple of a base structure, with classifications.
 
     Each entry pairs a tuple with the permutation sigma such that the
@@ -96,13 +109,16 @@ class RealizerSet:
     realizes the base order.
     """
 
-    base: OrderedStructure
-    tuples: tuple[tuple[RealizerTuple, tuple[int, ...] | None], ...]
+    __slots__ = ("base", "tuples")
 
-    def __post_init__(self) -> None:
-        p = self.base.poset
+    def __init__(
+        self,
+        base: OrderedStructure,
+        tuples: tuple[tuple[RealizerTuple, tuple[int, ...] | None], ...],
+    ):
+        p = base.poset
         rows: dict[int, list[int]] = {}
-        for t, _sigma in self.tuples:
+        for t, _sigma in tuples:
             acc = [-1] * len(p)
             for o in t.orders:
                 if id(o) not in rows:
@@ -111,6 +127,8 @@ class RealizerSet:
                 acc = list(map(and_, acc, rows[id(o)]))
             if tuple(acc) != p.up:
                 raise NotARealizer("a stored tuple does not realize the base order")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "tuples", tuples)
 
     @property
     def census(self) -> int:
@@ -204,6 +222,8 @@ def permutation_witness(
     biconditional=False it only has to respect every strict i-th
     coordinate comparison, the form that survives colinear points.
     """
+    from .geometry import as_fraction
+
     labels = sorted(points)
     if set(t.orders[0].order) != set(labels):
         raise ElementMismatch("tuple support differs from the point labels")
@@ -246,6 +266,8 @@ def classify_realizer(
     i; None when no permutation matches biconditionally.  The tuple
     must realize the cloud's product order to be classifiable at all.
     """
+    from .geometry import induced_structure
+
     s = induced_structure(c)
     if not is_realizer(s.poset, t):  # ElementMismatch on foreign labels
         raise NotARealizer("the tuple does not realize the cloud's order")
@@ -287,6 +309,8 @@ def _automorphisms(c: PointCloud, meter: BudgetMeter) -> list[dict[str, str]]:
     up- and down-degree (one tick each) that relate to earlier images as
     the point relates to earlier points.
     """
+    from .geometry import _product_poset
+
     p = _product_poset(c)
     up, down, labels = p.up, p.down, p.elements
     m = len(p)
@@ -368,6 +392,8 @@ def symmetric_sample(n: int, count: int, seed: int = 0) -> PointCloud:
     images sharing that coordinate, so those clouds are built relaxed
     while n <= 2 stays strict.
     """
+    from .geometry import PointCloud
+
     if n < 1:
         raise TooSmall("symmetric samples need n >= 1")
     if count < 1:
@@ -438,8 +464,7 @@ def _factor(
     return hits[0]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Frozen):
     """Outcome of factoring every automorphism of a symmetric sample.
 
     exact means: all n! coordinate permutations act on the sample, every
@@ -447,12 +472,32 @@ class DecompositionReport:
     (stabilizer size) * n!.
     """
 
-    group_size: int
-    stabilizer_size: int
-    axis_permutations: int
-    exact: bool
-    factorizations: tuple[tuple[dict[str, str], tuple[int, ...], dict[str, str]], ...]
-    failures: tuple[tuple[dict[str, str], str], ...]
+    __slots__ = (
+        "group_size",
+        "stabilizer_size",
+        "axis_permutations",
+        "exact",
+        "factorizations",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        group_size: int,
+        stabilizer_size: int,
+        axis_permutations: int,
+        exact: bool,
+        factorizations: tuple[
+            tuple[dict[str, str], tuple[int, ...], dict[str, str]], ...
+        ],
+        failures: tuple[tuple[dict[str, str], str], ...],
+    ):
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(self, "stabilizer_size", stabilizer_size)
+        object.__setattr__(self, "axis_permutations", axis_permutations)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "factorizations", factorizations)
+        object.__setattr__(self, "failures", failures)
 
     def to_json(self) -> dict:
         return {

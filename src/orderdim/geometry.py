@@ -13,7 +13,6 @@ just the i-th coordinate order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterator, Sequence
@@ -29,6 +28,7 @@ from .poset import (
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
+    _Frozen,
     product_less,
 )
 
@@ -270,16 +270,16 @@ def sample_dn(n: int, count: int, seed: int) -> PointCloud:
     return PointCloud(n, pts, strict=True)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Frozen):
     """Product of open intervals; None endpoints mean unbounded."""
 
-    intervals: tuple[tuple[Endpoint, Endpoint], ...]
+    __slots__ = ("intervals",)
 
-    def __post_init__(self):
-        for lo, hi in self.intervals:
+    def __init__(self, intervals: tuple[tuple[Endpoint, Endpoint], ...]):
+        for lo, hi in intervals:
             if lo is not None and hi is not None and not lo < hi:
                 raise TooSmall(f"empty interval ({lo}, {hi})")
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def dim(self) -> int:
@@ -355,8 +355,7 @@ def pick_in_region(c: PointCloud, r: Region) -> Point:
     return tuple(coords)
 
 
-@dataclass(frozen=True)
-class PartialEmbedding:
+class PartialEmbedding(_Frozen):
     """Partial map from a structure's elements to points of a cloud.
 
     images lists (element, point index) pairs in insertion order; the map
@@ -364,9 +363,17 @@ class PartialEmbedding:
     domain, which verify() checks pairwise.
     """
 
-    source: OrderedStructure
-    cloud: PointCloud
-    images: tuple[tuple[str, int], ...]
+    __slots__ = ("source", "cloud", "images")
+
+    def __init__(
+        self,
+        source: OrderedStructure,
+        cloud: PointCloud,
+        images: tuple[tuple[str, int], ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "cloud", cloud)
+        object.__setattr__(self, "images", images)
 
     @property
     def mapping(self) -> dict[str, int]:

@@ -20,7 +20,6 @@ check from the stored data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product as iter_product
@@ -55,6 +54,7 @@ from .poset import (
     _bits,
     _closure,
     _first_loop,
+    _Frozen,
     crown,
     is_realizer,
 )
@@ -76,8 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlipPattern:
+class FlipPattern(_Frozen):
     """Per-coordinate ascent signs of an ordered point pair.
 
     True marks an axis on which the pair ascends.  Two pairs of a strict
@@ -86,7 +85,10 @@ class FlipPattern:
     matches ascending axes to ascending axes in increasing order.
     """
 
-    signs: tuple[bool, ...]
+    __slots__ = ("signs",)
+
+    def __init__(self, signs: tuple[bool, ...]):
+        object.__setattr__(self, "signs", signs)
 
     @staticmethod
     def of_pair(u: Point, v: Point) -> "FlipPattern":
@@ -129,34 +131,55 @@ class CertificateKind(str, Enum):
     TwoHomogeneityExtension = "two-homogeneity-extension"
 
 
-@dataclass(frozen=True)
-class DensityDefect:
+class DensityDefect(_Frozen):
     """One empty minimal cell: its open region (None when the cell has
     collapsed to an empty slab, as happens between tied coordinates),
     the elements whose hyperplanes bound it, and the per-axis gap
     (lower neighbor, upper neighbor) in each realizer order."""
 
-    region: Region | None
-    witnesses: tuple[str, ...]
-    gaps: tuple[tuple[str | None, str | None], ...]
+    __slots__ = ("region", "witnesses", "gaps")
+
+    def __init__(
+        self,
+        region: Region | None,
+        witnesses: tuple[str, ...],
+        gaps: tuple[tuple[str | None, str | None], ...],
+    ):
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "gaps", gaps)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    poset_ok: bool
-    linears_ok: bool
-    realization_ok: bool
-    density_defects: tuple[DensityDefect, ...]
+class AxiomReport(_Frozen):
+    """The universal axioms' verdicts on a structure, and its empty cells."""
+
+    __slots__ = ("poset_ok", "linears_ok", "realization_ok", "density_defects")
+
+    def __init__(
+        self,
+        poset_ok: bool,
+        linears_ok: bool,
+        realization_ok: bool,
+        density_defects: tuple[DensityDefect, ...],
+    ):
+        object.__setattr__(self, "poset_ok", poset_ok)
+        object.__setattr__(self, "linears_ok", linears_ok)
+        object.__setattr__(self, "realization_ok", realization_ok)
+        object.__setattr__(self, "density_defects", density_defects)
 
     @property
     def universal_ok(self) -> bool:
         return self.poset_ok and self.linears_ok and self.realization_ok
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: CertificateKind
-    data: dict
+class Certificate(_Frozen):
+    """A certificate's kind and the data its replay re-checks."""
+
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind: CertificateKind, data: dict):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "data", data)
 
     def replay(self) -> bool:
         return _REPLAYERS[self.kind](self.data)

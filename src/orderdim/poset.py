@@ -155,6 +155,52 @@ def tuple_label(parts: Sequence[str]) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+class _Frozen:
+    """Immutable value over the fields a subclass lists in ``__slots__``.
+
+    A subclass's ``__init__`` checks its arguments and stores each field
+    with ``object.__setattr__``.  Equality holds only within one class
+    and compares the field tuples; ``hash`` is the field tuple's hash,
+    so it raises TypeError when a field is unhashable; the repr is
+    ``Name(field=value, ...)``.  Assigning or deleting any attribute
+    raises AttributeError.  A ``"__dict__"`` slot, for a cached_property,
+    is not a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(n for n in cls.__slots__ if n != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which re-runs its check.
+        return self.__class__, self._values()
+
+
 class FinitePoset:
     """Strict partial order on an ordered tuple of distinct labels.
 

@@ -22,7 +22,6 @@ combinations in the same lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import comb
@@ -36,6 +35,7 @@ from .poset import (
     OrderedStructure,
     RealizerTuple,
     _bits,
+    _Frozen,
     product_less,
 )
 
@@ -108,20 +108,20 @@ class GridStruct:
         return OrderedStructure(poset, RealizerTuple(orders))
 
 
-@dataclass(frozen=True)
-class Subgrid:
+class Subgrid(_Frozen):
     """Per-axis value subsets; the subgrid is their product."""
 
-    axes: tuple[tuple[int, ...], ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self):
-        if not self.axes:
+    def __init__(self, axes: tuple[tuple[int, ...], ...]):
+        if not axes:
             raise TooSmall("a subgrid needs at least one axis")
-        for axis in self.axes:
+        for axis in axes:
             if not axis or any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ElementMismatch(
                     "each axis must be a nonempty strictly increasing tuple"
                 )
+        object.__setattr__(self, "axes", axes)
 
     @property
     def side(self) -> int | None:
@@ -139,8 +139,7 @@ class Subgrid:
         return Subgrid(tuple(tuple(axis) for axis in payload["axes"]))
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Frozen):
     """Total map from a canonically ordered target set into {1..k}.
 
     kind is "copies" (keys are label tuples aligned with the pattern's
@@ -148,22 +147,23 @@ class Coloring:
     value array; the key list is regenerated from the same parameters.
     """
 
-    kind: str
-    k: int
-    keys: tuple
-    values: tuple[int, ...]
+    __slots__ = ("kind", "k", "keys", "values", "__dict__")
 
-    def __post_init__(self):
-        if self.kind not in ("copies", "subgrids"):
-            raise ElementMismatch(f"unknown coloring kind {self.kind!r}")
-        if self.k < 1:
+    def __init__(self, kind: str, k: int, keys: tuple, values: tuple[int, ...]):
+        if kind not in ("copies", "subgrids"):
+            raise ElementMismatch(f"unknown coloring kind {kind!r}")
+        if k < 1:
             raise TooSmall("colorings need k >= 1")
-        if len(self.keys) != len(self.values):
+        if len(keys) != len(values):
             raise ElementMismatch("one value per target key required")
-        if len(set(self.keys)) != len(self.keys):
+        if len(set(keys)) != len(keys):
             raise ElementMismatch("target keys must be distinct")
-        if any(not 1 <= v <= self.k for v in self.values):
+        if any(not 1 <= v <= k for v in values):
             raise ElementMismatch("colors must lie in 1..k")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
 
     @cached_property
     def _lookup(self) -> dict:

@@ -8,6 +8,7 @@ on top for the property tests.
 from __future__ import annotations
 
 import random
+import re
 from typing import Iterator
 
 import numpy as np
@@ -541,3 +542,36 @@ def random_relation(rng: random.Random, m: int) -> tuple[list[str], np.ndarray]:
             if rng.random() < density:
                 mat[perm[i], perm[j]] = True
     return labels, mat
+
+
+# A DOT quoted ID that uses only the escapes \\, \" and \n, and a node or
+# edge statement of `export dot` built from such IDs.
+_DOT_ID = r'"(?:[^"\\\n]|\\[\\"n])*"'
+_DOT_NODE = re.compile(rf"  ({_DOT_ID});")
+_DOT_EDGE = re.compile(rf"  ({_DOT_ID}) -> ({_DOT_ID});")
+
+
+def _dot_label(quoted: str) -> str:
+    return re.sub(
+        r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], quoted[1:-1]
+    )
+
+
+def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """Node labels and edges of an `export dot` Hasse diagram, unescaped.
+
+    Raises AssertionError on any line that is not the header, the
+    footer, or a statement whose IDs are all well-formed.
+    """
+    lines = text.split("\n")
+    assert lines[:2] == ["digraph hasse {", "  rankdir=BT;"], lines[:2]
+    assert lines[-2:] == ["}", ""], lines[-2:]
+    nodes, edges = [], []
+    for line in lines[2:-2]:
+        node, edge = _DOT_NODE.fullmatch(line), _DOT_EDGE.fullmatch(line)
+        assert node or edge, line
+        if node:
+            nodes.append(_dot_label(node[1]))
+        else:
+            edges.append((_dot_label(edge[1]), _dot_label(edge[2])))
+    return nodes, edges

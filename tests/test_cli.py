@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import parse_dot
 
 import orderdim
 from orderdim.cli import main
@@ -352,6 +353,22 @@ class TestExport:
         )
         assert code == 0
         assert '"1,1" -> "1,2";' in out
+
+    def test_dot_escapes_quotes_backslashes_and_newlines(self, capsys, monkeypatch):
+        labels = ['a"b', "c\\d", "e\nf", "g\\", '"', ""]
+        lt = [[False] * len(labels) for _ in labels]
+        lt[0][1] = lt[1][3] = lt[2][3] = True
+        lt[0][3] = True
+        code, out = run(
+            capsys, monkeypatch, ["export", "dot"],
+            stdin_text=json.dumps({"elements": labels, "lt": lt}),
+        )
+        assert code == 0
+        assert '  "a\\"b" -> "c\\\\d";' in out.splitlines()
+        assert '  "g\\\\";' in out.splitlines()
+        nodes, edges = parse_dot(out)
+        assert nodes == labels
+        assert edges == [("a\"b", "c\\d"), ("c\\d", "g\\"), ("e\nf", "g\\")]
 
 
 class TestDeterminismAndErrors:

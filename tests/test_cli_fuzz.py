@@ -4,7 +4,8 @@ Every input below is broken by construction: text that is not JSON,
 JSON of the wrong shape, a float or a boolean where a label, a relation
 cell or a coordinate goes, or a repeated label.  Each command must exit
 1 and print exactly one line, a JSON object naming the error, and no
-traceback may escape.
+traceback may escape.  Valid posets whose labels hold quotes,
+backslashes and newlines must give `export dot` well-formed DOT.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from conftest import parse_dot
 from hypothesis import given, strategies as st
 
 from orderdim.cli import main
@@ -185,3 +187,41 @@ def test_zero_denominator_coordinate_is_a_clean_error(workdir):
     code, out, _ = run_main(["check", "dpo", "--in", path])
     assert code == 1
     assert json.loads(out)["error"] == "ValueError"
+
+
+# Labels of valid posets for `export dot`, rich in DOT's special characters.
+dot_labels = st.lists(
+    st.text(st.sampled_from('ab"\\\n ->;{}'), max_size=5),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+@given(labels=dot_labels, data=st.data())
+def test_export_dot_quotes_every_label(labels, data, workdir):
+    # Relations only from lower to higher index: always acyclic; the
+    # command reads the transitive closure of the drawn edges.
+    m = len(labels)
+    up = [[False] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            up[i][j] = data.draw(st.booleans())
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                up[i][j] = up[i][j] or (up[i][k] and up[k][j])
+    path = os.path.join(workdir, "input.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"elements": labels, "lt": up}, fh)
+    code, out, err = run_main(["export", "dot", "--in", path])
+    assert code == 0, out
+    nodes, edges = parse_dot(out)
+    assert nodes == labels
+    covers = [
+        (labels[i], labels[j])
+        for i in range(m)
+        for j in range(m)
+        if up[i][j] and not any(up[i][k] and up[k][j] for k in range(m))
+    ]
+    assert sorted(edges) == sorted(covers)

@@ -1,0 +1,252 @@
+"""The library's result classes against frozen-dataclass twins.
+
+Each result class was a ``@dataclass(frozen=True)`` and is now a
+``__slots__`` subclass of ``poset._Frozen``.  The oracle is a frozen
+dataclass with the same name and fields, built here: on sample values
+the two must agree on repr, ==, hash (or the TypeError of an unhashable
+field) and the refusal of attribute assignment, and each class's
+constructor must still refuse what its ``__post_init__`` refused.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from orderdim.dimension import DimensionResult, dimension
+from orderdim.errors import ElementMismatch, NotARealizer, TooSmall
+from orderdim.flow import (
+    DecompositionReport,
+    RealizerSet,
+    enumerate_realizers,
+    semidirect_decomposition,
+    symmetric_sample,
+)
+from orderdim.geometry import PartialEmbedding, Region, back_and_forth_iso, sample_dn
+from orderdim.homogeneity import (
+    AxiomReport,
+    Certificate,
+    CertificateKind,
+    DensityDefect,
+    FlipPattern,
+    ap_failure_certificate,
+    check_dpo_fragment,
+)
+from orderdim.poset import LinearOrder, OrderedStructure, RealizerTuple, antichain, crown
+from orderdim.ramsey import Coloring, Subgrid
+
+# The dataclass fields of each former class, in order.
+FIELDS = {
+    DimensionResult: ("dim", "witness"),
+    Region: ("intervals",),
+    PartialEmbedding: ("source", "cloud", "images"),
+    FlipPattern: ("signs",),
+    DensityDefect: ("region", "witnesses", "gaps"),
+    AxiomReport: ("poset_ok", "linears_ok", "realization_ok", "density_defects"),
+    Certificate: ("kind", "data"),
+    Subgrid: ("axes",),
+    Coloring: ("kind", "k", "keys", "values"),
+    RealizerSet: ("base", "tuples"),
+    DecompositionReport: (
+        "group_size",
+        "stabilizer_size",
+        "axis_permutations",
+        "exact",
+        "factorizations",
+        "failures",
+    ),
+}
+
+STRUCTURE = OrderedStructure.from_orders(
+    [LinearOrder(("a", "b", "c")), LinearOrder(("b", "c", "a"))]
+)
+
+
+@lru_cache(maxsize=None)
+def twin(cls: type) -> type:
+    """A frozen dataclass named like cls, with cls's former fields."""
+    return dataclasses.make_dataclass(cls.__name__, FIELDS[cls], frozen=True)
+
+
+@lru_cache(maxsize=None)
+def samples() -> dict[type, list]:
+    """At least two instances of each class, most from library calls."""
+    report = check_dpo_fragment(sample_dn(2, 3, seed=0))
+    fwd, bwd = back_and_forth_iso(sample_dn(2, 3, seed=0), sample_dn(2, 3, seed=1), 3)
+    coloring = Coloring("subgrids", 2, ((1,), (2,), (3,)), (1, 2, 1))
+    coloring.color((2,))  # fills the cached lookup, which is no field
+    return {
+        DimensionResult: [
+            dimension(crown(3)),
+            dimension(antichain(3)),
+            DimensionResult(3, dimension(crown(3)).witness),
+        ],
+        Region: [
+            Region(((Fraction(0), Fraction(1)), (None, Fraction(2)))),
+            Region(((None, None),)),
+            Region(((Fraction(0), Fraction(1)), (None, Fraction(2)))),
+        ],
+        PartialEmbedding: [fwd, bwd],
+        FlipPattern: [FlipPattern((True, False)), FlipPattern((False, True))],
+        DensityDefect: list(report.density_defects[:3]),
+        AxiomReport: [report, check_dpo_fragment(sample_dn(2, 4, seed=2))],
+        Certificate: [
+            ap_failure_certificate(2),
+            Certificate(CertificateKind.APFailure, {}),
+        ],
+        Subgrid: [Subgrid(((1, 2), (1, 3))), Subgrid(((1,),)), Subgrid(((1, 2), (1, 3)))],
+        Coloring: [
+            coloring,
+            Coloring("subgrids", 2, ((1,), (2,), (3,)), (1, 2, 1)),
+            Coloring("copies", 3, (("a",), ("b",)), (3, 1)),
+        ],
+        RealizerSet: [enumerate_realizers(STRUCTURE), RealizerSet(STRUCTURE, ())],
+        DecompositionReport: [
+            semidirect_decomposition(symmetric_sample(2, 2)),
+            DecompositionReport(1, 1, 1, False, (), ()),
+        ],
+    }
+
+
+def as_twin(x):
+    cls = type(x)
+    return twin(cls)(*(getattr(x, f) for f in FIELDS[cls]))
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+CLASSES = sorted(FIELDS, key=lambda c: c.__name__)
+IDS = [c.__name__ for c in CLASSES]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+class TestAgainstTheDataclassTwin:
+    def test_repr(self, cls):
+        for x in samples()[cls]:
+            assert repr(x) == repr(as_twin(x))
+
+    def test_equality_within_the_class(self, cls):
+        xs = samples()[cls]
+        for a in xs:
+            for b in xs:
+                assert (a == b) == (as_twin(a) == as_twin(b))
+                assert (a != b) == (as_twin(a) != as_twin(b))
+
+    def test_no_equality_across_classes(self, cls):
+        for x in samples()[cls]:
+            assert x != as_twin(x)
+            assert as_twin(x) != x
+            assert x.__eq__(as_twin(x)) is NotImplemented
+            assert x != tuple(getattr(x, f) for f in FIELDS[cls])
+
+    def test_hash_or_the_same_type_error(self, cls):
+        for x in samples()[cls]:
+            assert hash_or_error(x) == hash_or_error(as_twin(x))
+
+    def test_construction_by_position_and_keyword(self, cls):
+        assert cls.__match_args__ == twin(cls).__match_args__ == FIELDS[cls]
+        for x in samples()[cls]:
+            values = [getattr(x, f) for f in FIELDS[cls]]
+            assert cls(*values) == x
+            assert cls(**dict(zip(FIELDS[cls], values))) == x
+
+    def test_assignment_and_deletion_raise(self, cls):
+        for x in samples()[cls]:
+            for f in (*FIELDS[cls], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, f, None)
+                with pytest.raises(AttributeError):
+                    setattr(as_twin(x), f, None)
+            for f in FIELDS[cls]:
+                with pytest.raises(AttributeError):
+                    delattr(x, f)
+            assert repr(x) == repr(as_twin(x))
+
+    def test_copy_and_pickle(self, cls):
+        for x in samples()[cls]:
+            assert copy.copy(x) == x
+            assert copy.deepcopy(x) == x
+            assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_equal_fields_of_another_class_are_unequal():
+    intervals = ((1, 2),)
+    assert Region(intervals) != Subgrid(intervals)
+    assert Subgrid(intervals) != Region(intervals)
+
+    class Narrower(Region):
+        __slots__ = ()
+
+    twin_narrower = dataclasses.make_dataclass(
+        "Narrower", [], bases=(twin(Region),), frozen=True
+    )
+    assert Narrower(intervals) != Region(intervals)
+    assert twin_narrower(intervals) != twin(Region)(intervals)
+
+
+class TestFormerPostInitChecks:
+    @pytest.mark.parametrize(
+        "intervals, message",
+        [
+            (((Fraction(1), Fraction(1)),), "empty interval (1, 1)"),
+            (((None, None), (Fraction(2), Fraction(1))), "empty interval (2, 1)"),
+        ],
+    )
+    def test_region_refuses_an_empty_interval(self, intervals, message):
+        with pytest.raises(TooSmall) as info:
+            Region(intervals)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "axes, error",
+        [
+            ((), TooSmall),
+            (((),), ElementMismatch),
+            (((1, 1),), ElementMismatch),
+            (((1, 2), (3, 2)), ElementMismatch),
+        ],
+    )
+    def test_subgrid_refuses_bad_axes(self, axes, error):
+        with pytest.raises(error):
+            Subgrid(axes)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("cells", 2, ((1,),), (1,)), ElementMismatch, "unknown coloring kind 'cells'"),
+            (("copies", 0, (), ()), TooSmall, "colorings need k >= 1"),
+            (("copies", 2, ((1,),), ()), ElementMismatch, "one value per target key required"),
+            (("copies", 2, ((1,), (1,)), (1, 2)), ElementMismatch, "target keys must be distinct"),
+            (("copies", 2, ((1,),), (3,)), ElementMismatch, "colors must lie in 1..k"),
+            (("copies", 2, ((1,),), (0,)), ElementMismatch, "colors must lie in 1..k"),
+        ],
+    )
+    def test_coloring_refuses_bad_colours(self, args, error, message):
+        with pytest.raises(error) as info:
+            Coloring(*args)
+        assert str(info.value) == message
+
+    def test_realizer_set_refuses_a_non_realizer(self):
+        order = STRUCTURE.realizers.orders[0]
+        with pytest.raises(NotARealizer):
+            RealizerSet(STRUCTURE, ((RealizerTuple([order, order]), None),))
+        foreign = LinearOrder(("a", "b", "x"))
+        with pytest.raises(ElementMismatch):
+            RealizerSet(STRUCTURE, ((RealizerTuple([foreign, foreign]), None),))
+
+    def test_coloring_keeps_its_cached_lookup(self):
+        c = Coloring("copies", 2, (("a",), ("b",)), (2, 1))
+        assert c.color(("b",)) == 1
+        assert "_lookup" in c.__dict__
+        with pytest.raises(ElementMismatch):
+            c.color(("z",))

@@ -92,10 +92,16 @@ EXPORTED = {
 }
 
 CROWN = json.dumps(orderdim.crown(3).to_json())
+GRID = json.dumps(orderdim.ramsey.GridStruct(2, 2).structure.to_json())
+SAMPLE = json.dumps(orderdim.geometry.sample_dn(2, 4, seed=1).to_json())
 
 
-def loaded(args: list[str], stdin: str = "") -> tuple[set[str], str]:
-    """The orderdim submodules a fresh interpreter imported, and its stdout."""
+def loaded(
+    args: list[str], stdin: str = "", prefix: str = "orderdim."
+) -> tuple[set[str], str]:
+    """The modules a fresh interpreter imported whose names start with
+    prefix, without it (the orderdim submodules by default, every module
+    with prefix=""), and its stdout."""
     out = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         input=stdin,
@@ -109,8 +115,8 @@ def loaded(args: list[str], stdin: str = "") -> tuple[set[str], str]:
     for line in out.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
-            if name.startswith("orderdim."):
-                names.add(name.removeprefix("orderdim."))
+            if name.startswith(prefix):
+                names.add(name.removeprefix(prefix))
     return names, out.stdout
 
 
@@ -152,6 +158,47 @@ class TestWhatLoads:
         names, out = loaded(["-m", "orderdim.cli", *argv])
         assert names & LAZY == {"ramsey"}
         assert out == cli_output(capsys, monkeypatch, argv)
+
+
+# One command line per family that the cli-pipelines benchmark runs, with
+# its stdin; SAMPLE_FILE stands for a file that holds SAMPLE.
+FAMILIES = {
+    "gen-crown": (["gen", "crown", "--n", "3"], ""),
+    "gen-grid": (["gen", "grid", "--m", "2", "--n", "2"], ""),
+    "gen-sample": (["gen", "sample", "--n", "2", "--count", "4", "--seed", "1"], ""),
+    "dim": (["dim"], CROWN),
+    "export-dot": (["export", "dot"], CROWN),
+    "check-dpo": (["check", "dpo"], SAMPLE),
+    "certify": (["certify", "ap", "--n", "2"], ""),
+    "ramsey-number": (
+        ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2", "--n", "1", "--rmax", "5"],
+        "",
+    ),
+    "flow-realizers": (["flow", "realizers"], GRID),
+    "iso-bnf": (["iso", "bnf", "--a", "-", "--b", "SAMPLE_FILE", "--steps", "10"], SAMPLE),
+}
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_no_command_loads_dataclasses_or_inspect(self, family, tmp_path):
+        argv, stdin = FAMILIES[family]
+        sample = tmp_path / "sample.json"
+        sample.write_text(SAMPLE, encoding="utf-8")
+        argv = [str(sample) if a == "SAMPLE_FILE" else a for a in argv]
+        names, _ = loaded(["-m", "orderdim.cli", *argv], stdin, prefix="")
+        assert "orderdim.poset" in names
+        assert not names & {"dataclasses", "inspect"}
+
+    def test_package_import_loads_no_dataclasses(self):
+        names, _ = loaded(["-c", "import orderdim"], prefix="")
+        assert not names & {"dataclasses", "inspect"}
+
+    def test_flow_realizers_loads_flow_alone(self, capsys, monkeypatch):
+        argv, stdin = FAMILIES["flow-realizers"]
+        names, out = loaded(["-m", "orderdim.cli", *argv], stdin)
+        assert names & LAZY == {"flow"}
+        assert out == cli_output(capsys, monkeypatch, argv, stdin)
 
 
 class TestNamespace:

@@ -19,3 +19,22 @@ def test_no_assert_statements_in_the_library():
         ]
     assert found == []
     assert len(list(SRC.rglob("*.py"))) >= 10
+
+
+def test_no_dataclasses_import_in_the_library():
+    # dataclasses loads inspect, and each decorated class execs generated
+    # methods: together 10-20 ms of every CLI process; the result classes
+    # subclass poset._Frozen instead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
