@@ -3,7 +3,12 @@
 For each size the script samples posets (random edge density along a
 random permutation, transitively closed), computes exact dimension with
 witness realizers, and prints the distribution plus the worst observed
-margin against the floor(m/2) bound.
+margin against the floor(m/2) bound.  With --profile it also prints, per
+size, the median wall time of one dimension() call next to the median
+steps of its two phases, critical-pair colouring and witness search, so
+a change in speed can be told apart from a change in work:
+
+    python scripts/dimension_survey.py --min-size 6 --max-size 10 --profile
 """
 
 import argparse
@@ -11,10 +16,12 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from statistics import median
+from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orderdim.dimension import dimension
+from orderdim.dimension import _RealizerSearch, dimension
 from orderdim.poset import FinitePoset, _closure, crown
 
 
@@ -31,28 +38,60 @@ def random_poset(rng: random.Random, m: int) -> FinitePoset:
     return FinitePoset.from_rows([f"x{i}" for i in range(m)], _closure(rows))
 
 
+def phase_steps(p: FinitePoset, n: int) -> tuple[int, int]:
+    """Steps of the colouring and the witness search of dimension(p) = n."""
+    search = _RealizerSearch(p, None)
+    search.least_classes(len(p))
+    meter = search.meter
+    colouring = meter.budget - meter.remaining
+    search.witness(n)
+    return colouring, meter.budget - meter.remaining - colouring
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=200, help="posets per size")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--min-size", type=int, default=2)
     ap.add_argument("--max-size", type=int, default=8)
+    ap.add_argument(
+        "--profile",
+        action="store_true",
+        help="also print median us per dimension() call and steps per phase",
+    )
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    profile = []
     print(f"{'m':>3} {'samples':>8} {'dim counts':<24} {'max':>4} {'bound':>6}")
     for m in range(args.min_size, args.max_size + 1):
         counts: Counter[int] = Counter()
+        micros, steps = [], []
         for _ in range(args.samples):
-            counts[dimension(random_poset(rng, m)).dim] += 1
+            p = random_poset(rng, m)
+            start = perf_counter()
+            res = dimension(p)
+            micros.append((perf_counter() - start) * 1e6)
+            counts[res.dim] += 1
+            if args.profile:
+                steps.append(phase_steps(p, res.dim))
         dist = " ".join(f"{d}:{counts[d]}" for d in sorted(counts))
         bound = m // 2 if m >= 4 else "-"
         print(f"{m:>3} {args.samples:>8} {dist:<24} {max(counts):>4} {bound:>6}")
+        if args.profile:
+            colouring, witness = zip(*steps)
+            profile.append((m, median(micros), median(colouring), median(witness)))
 
     print("\ncrowns:")
     for n in (2, 3, 4):
         res = dimension(crown(n))
         print(f"  crown({n}): {2 * n} elements, dimension {res.dim}")
+
+    if profile:
+        print("\nmedian per dimension() call:")
+        print(f"{'m':>3} {'us':>9} {'colouring':>10} {'witness':>8}")
+        for m, us, colouring, witness in profile:
+            print(f"{m:>3} {us:>9.1f} {colouring:>10g} {witness:>8g}")
 
 
 if __name__ == "__main__":

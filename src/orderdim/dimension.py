@@ -25,18 +25,25 @@ listing the stream: slot k of n repeats the previous order while the
 pairs still unreversed split into n - k classes, and otherwise takes the
 first extension in stream order whose leftover pairs do.  That extension
 is found depth-first, smallest element index first, pruning every prefix
-whose pairs already placed unreversed no longer split into n - k classes.
-On these subsets the shortcuts above do not apply: one class reverses
-the pairs one by one until a cycle closes, and two are refused at once
-by an odd conflict cycle but otherwise coloured, since the odd-cycle
-equivalence is proved for the whole pair set only.  With one class to
-go, each frame of the walk carries that class's reachability rows, so a
-candidate adds only the pairs it leaves unreversed.  The last slot
-reverses every pair left, so an element waits for its predecessors and
-for the y of each pair (x, y) it is the x of; the walk takes the first
-element ready and never backs up.  The enumerate-and-cover search that
-defines this witness directly lives in the test suite as the oracle,
-next to a naive realizer checker.
+whose pairs already placed unreversed no longer split into n - k classes;
+the candidates at each depth are the unplaced elements, taken by lowest
+set bit.  On these subsets the shortcuts above do not apply: one class
+reverses the pairs one by one until a cycle closes, and two are refused
+at once by an odd conflict cycle but otherwise coloured, since the
+odd-cycle equivalence is proved for the whole pair set only.  With one
+class to go, each frame of the walk carries that class's reachability
+rows, so a candidate adds only the pairs it leaves unreversed.  The last
+slot reverses every pair left, so it is no search: it is the
+lexicographically least topological order of the poset with y below x
+added for each such pair (x, y), one step per element placed.  The
+enumerate-and-cover search that defines this witness directly lives in
+the test suite as the oracle, next to a naive realizer checker.
+
+The witness is checked before any label is looked up: each index
+sequence must be a permutation of the elements, and the pairs that all
+of them order the same way must be exactly the poset's relation
+(`poset._meet_rows`, the core that `is_realizer` runs on labels).  Only
+then are its linear orders built.
 
 The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter
@@ -55,8 +62,8 @@ from .poset import (
     LinearOrder,
     RealizerTuple,
     _beyond,
-    _bits,
     _Frozen,
+    _meet_rows,
     is_realizer,
 )
 
@@ -140,9 +147,13 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
 def _critical_indices(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
     out = []
     everything = (1 << len(up)) - 1
-    for x in range(len(up)):
-        for y in _bits(everything & ~(up[x] | down[x] | 1 << x)):
-            if not (down[x] & ~down[y] or up[y] & ~up[x]):
+    for x, (above, below) in enumerate(zip(up, down)):
+        rest = everything & ~(above | below | 1 << x)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            if not (below & ~down[y] or up[y] & ~above):
                 out.append((x, y))
     return out
 
@@ -186,12 +197,16 @@ class _RealizerSearch:
         m = len(self.up)
         self.by_x = by_x = [0] * m
         self.by_y = by_y = [0] * m
+        xs = ys = 0
         for c, (x, y) in enumerate(self.pairs):
             by_x[x] |= 1 << c
             by_y[y] |= 1 << c
+            xs |= 1 << x
+            ys |= 1 << y
         # y_from[a]: pairs whose y is a or above a; x_to[b]: whose x is b or below.
-        y_from = [_beyond(by_y, self.up[a] | 1 << a) if by_x[a] else 0 for a in range(m)]
-        x_to = [_beyond(by_x, self.down[b] | 1 << b) if by_y[b] else 0 for b in range(m)]
+        up, down = self.up, self.down
+        y_from = [_beyond(by_y, (up[a] | 1 << a) & ys) if by_x[a] else 0 for a in range(m)]
+        x_to = [_beyond(by_x, (down[b] | 1 << b) & xs) if by_y[b] else 0 for b in range(m)]
         self.conflicts = [y_from[a] & x_to[b] for a, b in self.pairs]
 
     def _in_order(self, mask: int) -> list[int]:
@@ -214,8 +229,11 @@ class _RealizerSearch:
             c = max(left, key=keys.__getitem__)
             left.remove(c)
             out.append(c)
-            for d in _bits(self.conflicts[c]):
-                keys[d] += taken_one
+            rest = self.conflicts[c]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                keys[low.bit_length() - 1] += taken_one
         return out
 
     def splits(self, mask: int, t: int) -> bool:
@@ -254,8 +272,11 @@ class _RealizerSearch:
                 side |= frontier
                 mask &= ~frontier
                 reach = 0
-                for c in _bits(frontier):
-                    reach |= self.conflicts[c]
+                rest = frontier
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    reach |= self.conflicts[low.bit_length() - 1]
                 if reach & side:
                     return False
                 frontier, side, other = reach & mask, other, side
@@ -335,52 +356,99 @@ class _RealizerSearch:
 
     def _first_extension(self, unreversed: int, r: int) -> tuple[list[int], int]:
         """First extension in stream order whose leftover pairs split into r."""
+        if r == 0:
+            return self._last_extension(unreversed)
         m = len(self.up)
+        pairs, down = self.pairs, self.down
         x_of = [row & unreversed for row in self.by_x]
         y_of = [row & unreversed for row in self.by_y]
-        need = list(self.down)
-        if r == 0:  # each pair's x waits for its y, so no candidate fails
-            for c in _bits(unreversed):
-                x, y = self.pairs[c]
-                need[x] |= 1 << y
         everything = (1 << m) - 1
         tick = self.meter.tick
         order: list[int] = []
         dead: set[tuple[int, int]] = set()
         # State, saved on the stack at each placement: placed elements, pairs left
-        # unreversed, pairs whose y is placed, class rows (r = 1), next element.
+        # unreversed, pairs whose y is placed, class rows (r = 1), candidates left.
         stack = []
-        taken = kept = y_placed = i = 0
+        taken = kept = y_placed = 0
         rows = self.up
+        free = everything
         while taken != everything:
-            while i < m:
-                if not taken >> i & 1 and not need[i] & ~taken:
-                    tick()
-                    new = x_of[i] & ~y_placed
-                    if not dead or (taken | 1 << i, kept | new) not in dead:
-                        grown = self._join(rows, _bits(new)) if r == 1 and new else rows
-                        if grown is not None and (r < 2 or self.splits(kept | new, r)):
+            # Candidates are the elements not placed, lowest index first.
+            while free:
+                low = free & -free
+                free ^= low
+                i = low.bit_length() - 1
+                if down[i] & ~taken:
+                    continue
+                tick()
+                new = x_of[i] & ~y_placed
+                if dead and (taken | low, kept | new) in dead:
+                    continue
+                grown = rows
+                if r == 1:
+                    rest = new
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        tick()
+                        x, y = pairs[bit.bit_length() - 1]
+                        grown = _reverse(grown, y, x)
+                        if grown is None:
                             break
-                i += 1
-            if i < m:
-                stack.append((taken, kept, y_placed, rows, i + 1))
-                order.append(i)
-                taken, kept, y_placed = taken | 1 << i, kept | new, y_placed | y_of[i]
-                rows, i = grown, 0
-            elif stack:
+                    if grown is not None:
+                        break
+                elif self.splits(kept | new, r):
+                    break
+            else:
+                if not stack:
+                    raise SelfCheckFailed("no linear extension completes the realizer")
                 dead.add((taken, kept))
-                taken, kept, y_placed, rows, i = stack.pop()
+                taken, kept, y_placed, rows, free = stack.pop()
                 order.pop()
+                continue
+            stack.append((taken, kept, y_placed, rows, free))
+            order.append(i)
+            taken, kept, y_placed, rows = taken | low, kept | new, y_placed | y_of[i], grown
+            free = everything & ~taken
+        return order, unreversed & ~kept
+
+    def _last_extension(self, unreversed: int) -> tuple[list[int], int]:
+        """The extension reversing every pair in unreversed: each element
+        waits for its predecessors and for the y of each pair it is the x
+        of, and the least element ready goes next, one tick each."""
+        need = list(self.down)
+        rest = unreversed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x, y = self.pairs[low.bit_length() - 1]
+            need[x] |= 1 << y
+        tick = self.meter.tick
+        order: list[int] = []
+        free = (1 << len(need)) - 1
+        while free:
+            rest = free
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if not need[i] & free:
+                    break
+                rest ^= low
             else:
                 raise SelfCheckFailed("no linear extension completes the realizer")
-        return order, unreversed & ~kept
+            tick()
+            order.append(i)
+            free ^= low
+        return order, unreversed
 
 
 def _checked(p: FinitePoset, orders: list[list[int]]) -> RealizerTuple:
-    witness = RealizerTuple([LinearOrder([p.elements[i] for i in o]) for o in orders])
-    if not is_realizer(p, witness):
+    """The orders as labels, once their index sequences realize p."""
+    rows = _meet_rows(orders, len(p))
+    if rows is None or tuple(rows) != p.up:
         raise NotARealizer("the realizer search returned orders that fail its self-check")
-    return witness
+    e = p.elements
+    return RealizerTuple([LinearOrder([e[i] for i in o]) for o in orders])
 
 
 def find_realizers(

@@ -411,9 +411,13 @@ def symmetric_sample(n: int, count: int, seed: int = 0) -> PointCloud:
     return PointCloud(n, pts, strict=n <= 2)
 
 
-def _axis_maps(c: PointCloud) -> list[tuple[tuple[int, ...], dict[str, str]]]:
+def _axis_maps(
+    c: PointCloud, meter: BudgetMeter
+) -> list[tuple[tuple[int, ...], dict[str, str]]]:
     """Each coordinate permutation that maps c onto itself, with the
-    inverse of its label map."""
+    inverse of its label map.  All dim! permutations are tried, so a
+    budget smaller than that refuses the cloud before any is."""
+    meter.require(factorial(c.dim), f"{c.dim}! coordinate permutations")
     index = {p: i for i, p in enumerate(c.points)}
     out = []
     for sigma in permutations(range(c.dim)):
@@ -436,16 +440,17 @@ def _preserves_each_axis(c: PointCloud, h: Mapping[str, str]) -> bool:
 
 
 def factor_automorphism(
-    c: PointCloud, g: Mapping[str, str]
+    c: PointCloud, g: Mapping[str, str], budget: int | None = None
 ) -> tuple[tuple[int, ...], dict[str, str]]:
     """Split an automorphism as (coordinate permutation, axis stabilizer).
 
     Finds the sigma whose coordinate permutation T composes with some h
     preserving every coordinate order to give g = T o h, and returns
     (sigma, h).  Zero or several candidate factorizations raise; both
-    are finite-sample defects worth reporting rather than hiding.
+    are finite-sample defects worth reporting rather than hiding.  A
+    budget below dim! refuses the cloud with LimitExceeded.
     """
-    return _factor(c, g, _axis_maps(c))
+    return _factor(c, g, _axis_maps(c, BudgetMeter(effective_budget(budget), FACTORING)))
 
 
 def _factor(
@@ -522,12 +527,14 @@ def semidirect_decomposition(
 
     Failures are recorded per map, not raised: finite samples can admit
     accidental automorphisms with no coordinate-permutation part.  One
-    meter counts the search and each map factored.
+    meter counts the search and each map factored; a budget below dim!,
+    the coordinate permutations tried, refuses the cloud up front.
     """
-    meter = BudgetMeter(effective_budget(budget), AUTOMORPHISMS)
+    meter = BudgetMeter(effective_budget(budget), FACTORING)
+    maps = _axis_maps(c, meter)
+    meter.what = AUTOMORPHISMS
     autos = _automorphisms(c, meter)
     meter.what = FACTORING
-    maps = _axis_maps(c)
     present = len(maps)
     factorizations = []
     failures = []

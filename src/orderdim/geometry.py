@@ -21,6 +21,7 @@ from .errors import (
     ColinearPoints,
     ElementMismatch,
     InvalidEmbedding,
+    LimitExceeded,
     TooSmall,
 )
 from .poset import (
@@ -48,6 +49,12 @@ __all__ = [
 ]
 
 Point = tuple[Fraction, ...]
+
+# Clouds with more axes are refused.  Every search over a cloud walks its
+# axes, and flow's coordinate-permutation searches refuse dimension 10
+# already at the default budget (10! steps); a cap keeps a bare "dim" in
+# the input from sizing the per-axis structures downstream.
+MAX_CLOUD_DIM = 1000
 
 Endpoint = Fraction | None  # None stands for the missing (infinite) bound
 
@@ -88,11 +95,17 @@ class PointCloud:
     def __init__(self, dim: int, points: Sequence[Sequence[object]], strict: bool = True):
         if dim < 2:
             raise TooSmall("point clouds need dimension >= 2")
+        if dim > MAX_CLOUD_DIM:
+            raise LimitExceeded(
+                f"point clouds are capped at {MAX_CLOUD_DIM} dimensions, got {dim}"
+            )
         self.dim = dim
         self.strict = strict
         pts: list[Point] = []
         seen: dict[Point, int] = {}
-        axis_values: list[dict[Fraction, int]] = [{} for _ in range(dim)]
+        # Each axis's values, with the first point holding each; built from
+        # the points, so an empty cloud holds nothing per axis.
+        axis_values: list[dict[Fraction, int]] = []
         for idx, raw in enumerate(points):
             p = tuple(as_fraction(v) for v in raw)
             if len(p) != dim:
@@ -101,6 +114,8 @@ class PointCloud:
                 )
             if p in seen:
                 raise ColinearPoints(seen[p], idx, None)
+            if not axis_values:
+                axis_values = [{} for _ in p]
             if strict:
                 for j in range(dim):
                     if p[j] in axis_values[j]:
@@ -142,7 +157,7 @@ class PointCloud:
         return idx
 
     def axis_values(self, axis: int) -> frozenset[Fraction]:
-        return self._axis_values[axis]
+        return self._axis_values[axis] if self.points else frozenset()
 
     def with_point(self, p: Sequence[object]) -> "PointCloud":
         return PointCloud(self.dim, list(self.points) + [tuple(p)], self.strict)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product as iter_product
-from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -102,8 +101,10 @@ def _closure(rows: Sequence[int]) -> list[int]:
 def _beyond(up: Sequence[int], row: int) -> int:
     """Elements above some element of row: two steps along up."""
     out = 0
-    for j in _bits(row):
-        out |= up[j]
+    while row:
+        low = row & -row
+        row ^= low
+        out |= up[low.bit_length() - 1]
     return out
 
 
@@ -408,22 +409,42 @@ def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
     return out
 
 
+def _meet_rows(seqs: Iterable[Sequence[int]], m: int) -> list[int] | None:
+    """Bit rows of the pairs that every index sequence lists in the same
+    direction, or None when some sequence is not a permutation of
+    range(m).  The one realizer predicate: is_realizer reaches it through
+    _intersection_rows, the dimension search on its own index sequences."""
+    identity = list(range(m))
+    out = [(1 << m) - 1] * m
+    for seq in seqs:
+        if sorted(seq) != identity:
+            return None
+        # The AND of _sequence_rows(seq, m), row by row.
+        above = 0
+        for i in reversed(seq):
+            out[i] &= above
+            above |= 1 << i
+    return out
+
+
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
     """Bit rows of the pairs that every order puts in the same direction."""
     m = len(elements)
     index = {e: i for i, e in enumerate(elements)}
     if len(index) != m:
         raise DuplicateLabel(next(x for i, x in enumerate(elements) if x in elements[:i]))
-    out = [(1 << m) - 1] * m
+    seqs = []
     for o in orders:
         if len(o) != m:
             raise ElementMismatch("orders range over different element sets")
         try:
-            rows = _sequence_rows([index[e] for e in o.order], m)
+            seqs.append([index[e] for e in o.order])
         except KeyError:
             missing = next(e for e in elements if e not in o.rank)
             raise ElementMismatch(f"order is missing element {missing!r}") from None
-        out = list(map(and_, out, rows))
+    out = _meet_rows(seqs, m)
+    if out is None:
+        raise ElementMismatch("orders range over different element sets")
     return out
 
 

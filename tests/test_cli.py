@@ -16,8 +16,9 @@ from conftest import parse_dot
 
 import orderdim
 from orderdim.cli import main
+from orderdim.errors import LimitExceeded
 from orderdim.homogeneity import Certificate
-from orderdim.geometry import PointCloud
+from orderdim.geometry import MAX_CLOUD_DIM, PointCloud
 from orderdim.poset import FinitePoset, OrderedStructure
 
 RAMSEY_SINGLETON_VALUE = 3  # least r with every 2-coloring of points of
@@ -167,6 +168,15 @@ class TestPipes:
         assert payload["axis_permutations"] == 2
         sigmas = sorted(f["sigma"] for f in payload["factorizations"])
         assert sigmas == [[0, 1], [1, 0]]
+
+    def test_decompose_refuses_nine_axes_under_a_small_budget(self, capsys, monkeypatch):
+        # 9! coordinate permutations exceed a budget of 1000.
+        monkeypatch.setenv("ORDERDIM_BUDGET", "1000")
+        cloud = json.dumps({"dim": 9, "points": [[str(v) for v in range(1, 10)]]})
+        code, out = run(capsys, monkeypatch, ["flow", "decompose"], stdin_text=cloud)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "LimitExceeded"
 
     def test_decompose_past_eight_points(self, capsys, monkeypatch):
         _, cloud_json = run(
@@ -486,6 +496,48 @@ class TestDeterminismAndErrors:
         payload = json.loads(out)
         assert payload["error"] == "TypeError"
         assert "floats are not exact" in payload["detail"]
+
+
+# Runs the CLI under an address-space cap, so an allocation sized by the
+# input fails here instead of exhausting the machine.
+CAPPED_CLI = r"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from orderdim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestCloudInputGuard:
+    """A cloud's dim is refused before anything is allocated per axis."""
+
+    HUGE = {"dim": 1_000_000_000, "points": []}
+
+    @pytest.mark.parametrize("command", ["check dpo", "iso bnf", "flow decompose"])
+    def test_huge_dim_is_one_json_line(self, command, tmp_path):
+        cloud = tmp_path / "cloud.json"
+        cloud.write_text(json.dumps(self.HUGE))
+        args = command.split()
+        if command == "iso bnf":
+            args += ["--a", str(cloud), "--b", str(cloud)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, *args],
+            input=json.dumps(self.HUGE),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert out.returncode == 1, out.stderr
+        assert out.stdout.count("\n") == 1
+        assert json.loads(out.stdout)["error"] == "LimitExceeded"
+        assert out.stderr == ""
+
+    def test_cap_is_checked_in_the_constructor(self):
+        with pytest.raises(LimitExceeded, match="capped at 1000 dimensions"):
+            PointCloud(MAX_CLOUD_DIM + 1, [])
+        assert PointCloud(MAX_CLOUD_DIM, []).axis_values(MAX_CLOUD_DIM - 1) == frozenset()
 
 
 class TestClosedStdout:

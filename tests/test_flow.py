@@ -786,6 +786,15 @@ class TestSemidirectDecomposition:
         assert rep.exact
         assert not rep.failures
 
+    def test_nine_axes_are_refused_under_a_small_budget(self):
+        # 9! = 362,880 coordinate permutations, over a budget of 1000:
+        # both entry points refuse before trying one.
+        c = PointCloud(9, [list(range(1, 10))])
+        with pytest.raises(LimitExceeded, match="9! coordinate permutations"):
+            semidirect_decomposition(c, budget=1000)
+        with pytest.raises(LimitExceeded, match="9! coordinate permutations"):
+            factor_automorphism(c, {"p0": "p0"}, budget=1000)
+
     def test_identity_factors_trivially(self):
         c = symmetric_sample(2, 2, seed=0)
         ident = {c.label(i): c.label(i) for i in range(2)}

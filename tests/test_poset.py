@@ -29,6 +29,7 @@ from orderdim.poset import (
     hiraguchi_bound,
     is_realizer,
     _intersection_rows,
+    _meet_rows,
     lex_order,
     product_order,
     szpilrajn_extend,
@@ -234,6 +235,35 @@ class TestIntersectionRows:
         assert got == _oracle_rows_outcome(orders, tuple(elements))
         if fault != "same":
             assert got[0] == "ElementMismatch"
+
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.integers(1, 3),
+        st.sampled_from(["same", "repeated", "short", "long", "out of range"]),
+    )
+    def test_index_core_matches_the_rank_sort_oracle(self, seed, m, n, fault):
+        # _meet_rows on index sequences: the rows of the labelled orders
+        # when each sequence is a permutation of range(m), None otherwise.
+        rng = random.Random(seed)
+        seqs = [rng.sample(range(m), m) for _ in range(n)]
+        k = rng.randrange(n)
+        if fault == "repeated" and m > 1:
+            pos = rng.randrange(m)
+            seqs[k][pos] = seqs[k][(pos + 1 + rng.randrange(m - 1)) % m]
+        elif fault == "short":
+            seqs[k].pop(rng.randrange(m))
+        elif fault == "long":
+            seqs[k].insert(rng.randrange(m + 1), m)
+        elif fault == "out of range":
+            seqs[k][rng.randrange(m)] = rng.choice([-1, m])
+        got = _meet_rows(seqs, m)
+        if fault == "same" or (fault == "repeated" and m == 1):
+            elements = [f"e{i}" for i in range(m)]
+            orders = [LinearOrder([elements[i] for i in seq]) for seq in seqs]
+            assert got == oracle_intersection_rows(orders, elements)
+        else:
+            assert got is None
 
     def test_duplicate_elements_are_refused(self):
         t = RealizerTuple([LinearOrder(("a", "b", "c"))])

@@ -96,3 +96,18 @@ def test_two_class_decision_matches_the_colouring_under_optimize():
     out = run_python([str(SCRIPTS / "check_dim_two.py"), "--max-size", "5"])
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.splitlines()[-1].split() == ["5", "357", "0", "0"]
+
+
+def test_dimension_survey_profile_under_optimize():
+    survey = SCRIPTS / "dimension_survey.py"
+    out = run_python([str(survey), "--samples", "20", "--max-size", "7", "--profile"])
+    assert out.returncode == 0, out.stderr
+    head, sep, table = out.stdout.partition("\nmedian per dimension() call:\n")
+    # The same draws as without --profile, so the survey table is unchanged.
+    assert sep and head == SURVEY_20_7
+    lines = table.splitlines()
+    assert lines[0].split() == ["m", "us", "colouring", "witness"]
+    assert [int(line.split()[0]) for line in lines[1:]] == list(range(2, 8))
+    for line in lines[1:]:
+        us, colouring, witness = map(float, line.split()[1:])
+        assert us > 0 and colouring >= 0 and witness >= 1
