@@ -42,8 +42,8 @@ the test suite as the oracle, next to a naive realizer checker.
 The witness is checked before any label is looked up: each index
 sequence must be a permutation of the elements, and the pairs that all
 of them order the same way must be exactly the poset's relation
-(`poset._meet_rows`, the core that `is_realizer` runs on labels).  Only
-then are its linear orders built.
+(`poset._meet_rows`: that test, then `_meet_permutations`, the core that
+`is_realizer` runs on labels).  Only then are its linear orders built.
 
 The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter

@@ -416,7 +416,8 @@ def _axis_maps(
 ) -> list[tuple[tuple[int, ...], dict[str, str]]]:
     """Each coordinate permutation that maps c onto itself, with the
     inverse of its label map.  All dim! permutations are tried, so a
-    budget smaller than that refuses the cloud before any is."""
+    budget smaller than that refuses the cloud before any is; each costs
+    one step plus one per point it maps."""
     meter.require(factorial(c.dim), f"{c.dim}! coordinate permutations")
     index = {p: i for i, p in enumerate(c.points)}
     out = []
@@ -429,6 +430,7 @@ def _axis_maps(
             inv[c.label(j)] = c.label(i)
         else:
             out.append((sigma, inv))
+        meter.tick(1 + len(inv))
     return out
 
 
@@ -440,17 +442,17 @@ def _preserves_each_axis(c: PointCloud, h: Mapping[str, str]) -> bool:
 
 
 def factor_automorphism(
-    c: PointCloud, g: Mapping[str, str], budget: int | None = None
+    c: PointCloud, g: Mapping[str, str]
 ) -> tuple[tuple[int, ...], dict[str, str]]:
     """Split an automorphism as (coordinate permutation, axis stabilizer).
 
     Finds the sigma whose coordinate permutation T composes with some h
     preserving every coordinate order to give g = T o h, and returns
     (sigma, h).  Zero or several candidate factorizations raise; both
-    are finite-sample defects worth reporting rather than hiding.  A
-    budget below dim! refuses the cloud with LimitExceeded.
+    are finite-sample defects worth reporting rather than hiding.  The
+    walk over the dim! coordinate permutations runs on the default budget.
     """
-    return _factor(c, g, _axis_maps(c, BudgetMeter(effective_budget(budget), FACTORING)))
+    return _factor(c, g, _axis_maps(c, BudgetMeter(effective_budget(), FACTORING)))
 
 
 def _factor(
@@ -527,8 +529,8 @@ def semidirect_decomposition(
 
     Failures are recorded per map, not raised: finite samples can admit
     accidental automorphisms with no coordinate-permutation part.  One
-    meter counts the search and each map factored; a budget below dim!,
-    the coordinate permutations tried, refuses the cloud up front.
+    meter counts the coordinate permutations tried, the search and each
+    map factored; a budget below dim! refuses the cloud up front.
     """
     meter = BudgetMeter(effective_budget(budget), FACTORING)
     maps = _axis_maps(c, meter)

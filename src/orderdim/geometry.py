@@ -103,9 +103,7 @@ class PointCloud:
         self.strict = strict
         pts: list[Point] = []
         seen: dict[Point, int] = {}
-        # Each axis's values, with the first point holding each; built from
-        # the points, so an empty cloud holds nothing per axis.
-        axis_values: list[dict[Fraction, int]] = []
+        axis_values: list[dict[Fraction, int]] = [{} for _ in range(dim)]
         for idx, raw in enumerate(points):
             p = tuple(as_fraction(v) for v in raw)
             if len(p) != dim:
@@ -114,8 +112,6 @@ class PointCloud:
                 )
             if p in seen:
                 raise ColinearPoints(seen[p], idx, None)
-            if not axis_values:
-                axis_values = [{} for _ in p]
             if strict:
                 for j in range(dim):
                     if p[j] in axis_values[j]:
@@ -157,7 +153,7 @@ class PointCloud:
         return idx
 
     def axis_values(self, axis: int) -> frozenset[Fraction]:
-        return self._axis_values[axis] if self.points else frozenset()
+        return self._axis_values[axis]
 
     def with_point(self, p: Sequence[object]) -> "PointCloud":
         return PointCloud(self.dim, list(self.points) + [tuple(p)], self.strict)

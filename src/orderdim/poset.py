@@ -409,22 +409,27 @@ def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _meet_rows(seqs: Iterable[Sequence[int]], m: int) -> list[int] | None:
-    """Bit rows of the pairs that every index sequence lists in the same
-    direction, or None when some sequence is not a permutation of
-    range(m).  The one realizer predicate: is_realizer reaches it through
-    _intersection_rows, the dimension search on its own index sequences."""
-    identity = list(range(m))
+def _meet_permutations(seqs: Iterable[Sequence[int]], m: int) -> list[int]:
+    """Bit rows of the pairs that every sequence, each a permutation of
+    range(m), lists in the same direction: the AND of their _sequence_rows.
+    The one realizer predicate: is_realizer reaches it through
+    _intersection_rows, the dimension search through _meet_rows."""
     out = [(1 << m) - 1] * m
     for seq in seqs:
-        if sorted(seq) != identity:
-            return None
-        # The AND of _sequence_rows(seq, m), row by row.
         above = 0
         for i in reversed(seq):
             out[i] &= above
             above |= 1 << i
     return out
+
+
+def _meet_rows(seqs: Sequence[Sequence[int]], m: int) -> list[int] | None:
+    """_meet_permutations, or None when some sequence is not a
+    permutation of range(m)."""
+    identity = list(range(m))
+    if any(sorted(seq) != identity for seq in seqs):
+        return None
+    return _meet_permutations(seqs, m)
 
 
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
@@ -442,10 +447,7 @@ def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -
         except KeyError:
             missing = next(e for e in elements if e not in o.rank)
             raise ElementMismatch(f"order is missing element {missing!r}") from None
-    out = _meet_rows(seqs, m)
-    if out is None:
-        raise ElementMismatch("orders range over different element sets")
-    return out
+    return _meet_permutations(seqs, m)
 
 
 class RealizerTuple:

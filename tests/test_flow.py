@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 from itertools import permutations
 from itertools import product as iter_product
+from math import factorial
 from random import Random
 
 import numpy as np
@@ -786,14 +787,26 @@ class TestSemidirectDecomposition:
         assert rep.exact
         assert not rep.failures
 
-    def test_nine_axes_are_refused_under_a_small_budget(self):
+    def test_nine_axes_are_refused_under_a_small_budget(self, monkeypatch):
         # 9! = 362,880 coordinate permutations, over a budget of 1000:
         # both entry points refuse before trying one.
         c = PointCloud(9, [list(range(1, 10))])
         with pytest.raises(LimitExceeded, match="9! coordinate permutations"):
             semidirect_decomposition(c, budget=1000)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "1000")
         with pytest.raises(LimitExceeded, match="9! coordinate permutations"):
-            factor_automorphism(c, {"p0": "p0"}, budget=1000)
+            factor_automorphism(c, {"p0": "p0"})
+
+    def test_the_axis_map_walk_is_charged_per_point(self, monkeypatch):
+        # 6! = 720 permutations fit a budget of 2000, but each one maps
+        # all 720 points of this symmetric cloud: the walk itself runs out.
+        c = symmetric_sample(6, 720, seed=0)
+        assert factorial(6) < 2000 < factorial(6) * len(c)
+        with pytest.raises(LimitExceeded, match="^automorphism factoring: step"):
+            semidirect_decomposition(c, budget=2000)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "2000")
+        with pytest.raises(LimitExceeded, match="^automorphism factoring: step"):
+            factor_automorphism(c, {lab: lab for lab in map(c.label, range(len(c)))})
 
     def test_identity_factors_trivially(self):
         c = symmetric_sample(2, 2, seed=0)
@@ -854,15 +867,21 @@ class TestSemidirectDecomposition:
             assert is_realizer(st.poset, logic_action(g, st.realizers))
 
     def test_one_meter_counts_search_and_factoring(self):
-        # the search tries 3 + 6 + 6 = 15 candidate images on a 3-antichain,
-        # and factoring ticks once for each of its 6 maps
+        # on a 3-antichain the axis-map walk costs 1 + 3 steps for the
+        # identity and 1 for the swap, which maps no point; the search
+        # tries 3 + 6 + 6 = 15 candidate images, and factoring ticks once
+        # for each of its 6 maps: 5 + 15 + 6 = 26
         c = three_antichain()
         assert len(cloud_automorphisms(c, budget=15)) == 6
         with pytest.raises(LimitExceeded, match="^automorphism search"):
             cloud_automorphisms(c, budget=14)
+        with pytest.raises(LimitExceeded, match="^automorphism factoring: step"):
+            semidirect_decomposition(c, budget=4)
+        with pytest.raises(LimitExceeded, match="^automorphism search"):
+            semidirect_decomposition(c, budget=19)
         with pytest.raises(LimitExceeded, match="^automorphism factoring"):
-            semidirect_decomposition(c, budget=20)
-        assert semidirect_decomposition(c, budget=21).group_size == 6
+            semidirect_decomposition(c, budget=25)
+        assert semidirect_decomposition(c, budget=26).group_size == 6
 
     def test_report_json_shape(self):
         rep = semidirect_decomposition(symmetric_sample(2, 2, seed=0))

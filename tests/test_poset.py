@@ -29,6 +29,7 @@ from orderdim.poset import (
     hiraguchi_bound,
     is_realizer,
     _intersection_rows,
+    _meet_permutations,
     _meet_rows,
     lex_order,
     product_order,
@@ -243,8 +244,9 @@ class TestIntersectionRows:
         st.sampled_from(["same", "repeated", "short", "long", "out of range"]),
     )
     def test_index_core_matches_the_rank_sort_oracle(self, seed, m, n, fault):
-        # _meet_rows on index sequences: the rows of the labelled orders
-        # when each sequence is a permutation of range(m), None otherwise.
+        # _meet_rows on index sequences: the rows of the labelled orders,
+        # from the unchecked core, when each sequence is a permutation of
+        # range(m), None otherwise.
         rng = random.Random(seed)
         seqs = [rng.sample(range(m), m) for _ in range(n)]
         k = rng.randrange(n)
@@ -262,6 +264,7 @@ class TestIntersectionRows:
             elements = [f"e{i}" for i in range(m)]
             orders = [LinearOrder([elements[i] for i in seq]) for seq in seqs]
             assert got == oracle_intersection_rows(orders, elements)
+            assert got == _meet_permutations(seqs, m)
         else:
             assert got is None
 
