@@ -18,10 +18,6 @@ from .errors import LimitExceeded
 
 DEFAULT_EXTENSION_BUDGET = 1_000_000
 
-# Hard cap on poset size for the orders that enumerate all linear
-# extensions.  |P| = 10 already admits up to 10! = 3.6M extensions.
-DEFAULT_MAX_ELEMENTS = 10
-
 ENV_VAR = "ORDERDIM_BUDGET"
 
 

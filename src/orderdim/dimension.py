@@ -12,11 +12,11 @@ no critical pairs: one extension reversing them all would realize the
 poset alone, so it would be a chain.  Two hold exactly when the graph on
 the critical pairs whose edges are the alternating 2-cycles has no odd
 cycle (Felsner & Trotter, "Dimension, graph and hypergraph coloring",
-Order 17, 2000).  From t = 3 on it backtracks over class assignments:
-classes open in order of first use, and each keeps its own reachability
-bitsets, grown as pairs join it.  The greedy pair order this colouring
-follows is built only when a colouring runs.  Deciding dim(P) <= t is
-NP-complete for t >= 3 (Yannakakis 1982), so the search ticks a budget.
+Order 17, 2000).  From t = 3 on `_colour_classes`, the kernel that
+`ramsey` shares, backtracks over class assignments: classes open in
+order of first use, and each keeps its own reachability bitsets, grown
+as pairs join it, in the greedy pair order built when a colouring first
+runs.  Deciding dim(P) <= t is NP-complete for t >= 3 (Yannakakis 1982).
 
 The witness is the lexicographically first non-decreasing tuple of
 indices into the extension stream of `all_linear_extensions` whose
@@ -27,17 +27,17 @@ first extension in stream order whose leftover pairs do.  That extension
 is found depth-first, smallest element index first, pruning every prefix
 whose pairs already placed unreversed no longer split into n - k classes;
 the candidates at each depth are the unplaced elements, taken by lowest
-set bit.  On these subsets the shortcuts above do not apply: one class
-reverses the pairs one by one until a cycle closes, and two are refused
-at once by an odd conflict cycle but otherwise coloured, since the
-odd-cycle equivalence is proved for the whole pair set only.  With one
-class to go, each frame of the walk carries that class's reachability
-rows, so a candidate adds only the pairs it leaves unreversed.  The last
-slot reverses every pair left, so it is no search: it is the
-lexicographically least topological order of the poset with y below x
-added for each such pair (x, y), one step per element placed.  The
-enumerate-and-cover search that defines this witness directly lives in
-the test suite as the oracle, next to a naive realizer checker.
+set bit.  On these subsets the shortcuts above do not apply, so the
+kernel colours them, one class too, and two are refused at once only by
+an odd conflict cycle, since the odd-cycle equivalence is proved for the
+whole pair set only.  With one class to go, each frame of the walk
+carries that class's reachability rows, so a candidate adds only the
+pairs it leaves unreversed.  The last slot reverses every pair left, so
+it is no search: it is the lexicographically least topological order of
+the poset with y below x added for each such pair (x, y), one step per
+element placed.  The enumerate-and-cover search that defines this
+witness directly lives in the test suite as the oracle, next to a naive
+realizer checker.
 
 The witness is checked before any label is looked up: each index
 sequence must be a permutation of the elements, and the pairs that all
@@ -53,10 +53,10 @@ which part of the search ran out.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
-from .budget import DEFAULT_MAX_ELEMENTS, BudgetMeter, effective_budget
-from .errors import LimitExceeded, NotARealizer, SelfCheckFailed
+from .budget import BudgetMeter, effective_budget
+from .errors import NotARealizer, SelfCheckFailed
 from .poset import (
     FinitePoset,
     LinearOrder,
@@ -79,6 +79,8 @@ __all__ = [
 COLOURING = "critical-pair colouring"
 WITNESS = "witness search"
 EXTENSIONS = "linear extension enumeration"
+
+_State = TypeVar("_State")
 
 
 class DimensionResult(_Frozen):
@@ -110,10 +112,6 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
     first dead end, which for an acyclic relation never occurs.
     """
     m = len(down)
-    if m > DEFAULT_MAX_ELEMENTS:
-        raise LimitExceeded(
-            f"extension enumeration capped at {DEFAULT_MAX_ELEMENTS} elements, got {m}"
-        )
 
     def walk() -> Iterator[tuple[int, ...]]:
         order = [0] * m
@@ -173,6 +171,40 @@ def _reverse(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
     out = [row | gain if row & bit else row for row in above]
     out[lo] |= gain
     return out
+
+
+def _colour_classes(
+    count: int, t: int, empty: _State,
+    fits: Callable[[_State, int], _State | None], tick: Callable[[], None],
+) -> list[int] | None:
+    """Items 0..count-1 put into at most t classes: each item's class, or None.
+
+    A class is an opaque state that starts as empty; fits(state, d) is the
+    state grown by item d, or None when d cannot join it.  Item d tries the
+    open classes in order, then a new one (they are interchangeable), one
+    tick each.  A dead end moves the latest item on to its next class.
+    """
+    # states[d]: the open classes' states before item d joins one.
+    states: list[tuple] = [()]
+    placed: list[int] = []
+    c = 0
+    while len(placed) < count:
+        classes = states[-1]
+        while c <= len(classes) and c < t:
+            tick()
+            grown = fits(classes[c] if c < len(classes) else empty, len(placed))
+            if grown is not None:
+                placed.append(c)
+                states.append(classes[:c] + (grown,) + classes[c + 1 :])
+                c = 0
+                break
+            c += 1
+        else:
+            if not placed:
+                return None
+            states.pop()
+            c = placed.pop() + 1
+    return placed
 
 
 class _RealizerSearch:
@@ -246,21 +278,8 @@ class _RealizerSearch:
             return True
         key = (mask, t)
         if key not in self.memo:
-            if t == 1:
-                self.memo[key] = self._join(self.up, self._in_order(mask)) is not None
-            else:
-                self.memo[key] = (t > 2 or self._bipartite(mask)) and self._colour(mask, t)
+            self.memo[key] = (t != 2 or self._bipartite(mask)) and self._colour(mask, t)
         return self.memo[key]
-
-    def _join(self, rows: Sequence[int] | None, seq: Iterable[int]) -> Sequence[int] | None:
-        """rows with the pairs in seq reversed, one tick each; None on a cycle."""
-        for c in seq:
-            self.meter.tick()
-            x, y = self.pairs[c]
-            rows = _reverse(rows, y, x)
-            if rows is None:
-                break
-        return rows
 
     def _bipartite(self, mask: int) -> bool:
         """Whether the 2-cycle conflicts among the pairs in mask close no
@@ -283,41 +302,12 @@ class _RealizerSearch:
         return True
 
     def _colour(self, mask: int, t: int) -> bool:
-        seq = self._in_order(mask)
-        tick = self.meter.tick
-        classes: list[list[int]] = []
-        tried = [-1] * len(seq)
-        saved: list[list[int] | None] = [None] * len(seq)
-        d = 0
-        while 0 <= d < len(seq):
-            x, y = self.pairs[seq[d]]
-            c = tried[d] + 1
-            if tried[d] >= 0:
-                if saved[d] is None:
-                    # It opened the newest class, the last option here.
-                    classes.pop()
-                    c = t
-                else:
-                    classes[tried[d]] = saved[d]
-            while c < len(classes):
-                tick()
-                grown = _reverse(classes[c], y, x)
-                if grown is not None:
-                    break
-                c += 1
-            if c < len(classes):
-                saved[d], classes[c] = classes[c], grown
-            elif c == len(classes) < t:
-                tick()
-                saved[d] = None
-                classes.append(_reverse(self.up, y, x))
-            else:
-                tried[d] = -1
-                d -= 1
-                continue
-            tried[d] = c
-            d += 1
-        return d == len(seq)
+        """Whether the pairs in mask, in colouring order, split into t
+        classes, each kept as reachability rows with its pairs reversed."""
+        flips = [self.pairs[c][::-1] for c in self._in_order(mask)]
+        return _colour_classes(
+            len(flips), t, self.up, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
+        ) is not None
 
     def least_classes(self, limit: int) -> int | None:
         """Least t <= limit splitting every critical pair, or None.

@@ -392,14 +392,16 @@ def symmetric_sample(n: int, count: int, seed: int = 0) -> PointCloud:
     images sharing that coordinate, so those clouds are built relaxed
     while n <= 2 stays strict.
     """
-    from .geometry import PointCloud
+    from .geometry import PointCloud, _check_sample_size
 
     if n < 1:
         raise TooSmall("symmetric samples need n >= 1")
     if count < 1:
         raise TooSmall("symmetric samples need count >= 1")
+    _check_sample_size(n, count)  # before n! is computed
     orbit = factorial(n)
     orbits = -(-count // orbit)
+    _check_sample_size(n, orbits * orbit)
     rng = random.Random(f"{seed}:sym:{n}")
     values = rng.sample(range(1, 100 * n * orbits + 100), n * orbits)
     pts: list[tuple[int, ...]] = []

@@ -53,8 +53,11 @@ Point = tuple[Fraction, ...]
 # Clouds with more axes are refused.  Every search over a cloud walks its
 # axes, and flow's coordinate-permutation searches refuse dimension 10
 # already at the default budget (10! steps); a cap keeps a bare "dim" in
-# the input from sizing the per-axis structures downstream.
+# the input from sizing the per-axis structures downstream.  Samples
+# (`sample_dn`, `flow.symmetric_sample`) of more coordinates in all are
+# refused before any point is drawn; one at the cap takes some 200 MB.
 MAX_CLOUD_DIM = 1000
+MAX_SAMPLE_COORDINATES = 500_000
 
 Endpoint = Fraction | None  # None stands for the missing (infinite) bound
 
@@ -260,12 +263,21 @@ def _clear_value(
         i += 1
 
 
+def _check_sample_size(n: int, count: int) -> None:
+    if n > MAX_CLOUD_DIM or n * count > MAX_SAMPLE_COORDINATES:
+        raise LimitExceeded(
+            f"{count} points of dimension {n} are past the caps of {MAX_CLOUD_DIM} "
+            f"dimensions and {MAX_SAMPLE_COORDINATES} coordinates"
+        )
+
+
 def sample_dn(n: int, count: int, seed: int) -> PointCloud:
     """Deterministic strict cloud; the k-th point lies in the k-th ball."""
     if n < 2:
         raise TooSmall("sample_dn needs dimension >= 2")
     if count < 0:
         raise TooSmall("count must be non-negative")
+    _check_sample_size(n, count)
     balls = iter_balls(n)
     used: list[set[Fraction]] = [set() for _ in range(n)]
     pts: list[Point] = []

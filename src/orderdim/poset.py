@@ -25,6 +25,7 @@ from .errors import (
     CycleIntroduced,
     DuplicateLabel,
     ElementMismatch,
+    LimitExceeded,
     NotARealizer,
     NotLinear,
     OrderError,
@@ -50,6 +51,10 @@ __all__ = [
     "hiraguchi_bound",
     "tuple_label",
 ]
+
+# Crowns and `ramsey` grids past this size are refused before anything is
+# built: their JSON grows with the square of the size, 13 MB at the cap.
+MAX_GENERATED_ELEMENTS = 1024
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -612,6 +617,8 @@ def crown(n: int) -> FinitePoset:
     """The 2n-element crown: a_i < b_j iff i != j, nothing else related."""
     if n < 2:
         raise TooSmall("crown(n) needs n >= 2")
+    if 2 * n > MAX_GENERATED_ELEMENTS:
+        raise LimitExceeded(f"crown({n}) is past the cap of {MAX_GENERATED_ELEMENTS} elements")
     labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
     tops = ((1 << n) - 1) << n
     up = [tops & ~(1 << (n + i)) for i in range(n)] + [0] * n

@@ -28,8 +28,10 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .budget import BudgetMeter, effective_budget
-from .errors import ElementMismatch, TooSmall
+from .dimension import _colour_classes
+from .errors import ElementMismatch, LimitExceeded, TooSmall
 from .poset import (
+    MAX_GENERATED_ELEMENTS,
     FinitePoset,
     LinearOrder,
     OrderedStructure,
@@ -77,6 +79,9 @@ class GridStruct:
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
             raise TooSmall("grids need m >= 1 and n >= 1")
+        cap = MAX_GENERATED_ELEMENTS
+        if max(m, n) > cap or m**n > cap:
+            raise LimitExceeded(f"the grid {m}^{n} is past the cap of {cap} points and axes")
         self.m = m
         self.n = n
         self.points: tuple[GridPoint, ...] = tuple(
@@ -344,39 +349,30 @@ def _search_free_coloring(
 ) -> list[int] | None:
     """A coloring of the cells leaving every group non-monochromatic.
 
-    Exhaustive depth-first search in canonical cell order, run on an
-    explicit stack so that no recursion grows with the cell count.  A
-    branch dies once some fully colored group is monochromatic, since
-    later cells cannot undo that.  Color names are normalized to
-    first-use order, which is sound because renaming colors preserves
+    Exhaustive depth-first search in canonical cell order by the kernel
+    that the realizer search shares, `dimension._colour_classes`.  A
+    color is the bitmask of its cells, and each group, as a bitmask,
+    waits under its largest cell: a cell joins a color unless that
+    completes one of its groups there, which later cells cannot undo.
+    Colors open in first-use order, as renaming them preserves
     (non-)monochromaticity.  Every color tried ticks the meter.  Returns
     None when no such coloring exists.
     """
     if any(not g for g in groups):
         raise ElementMismatch("groups must be nonempty")
-    closers: list[list[Sequence[int]]] = [[] for _ in range(num_cells)]
+    closers: list[list[int]] = [[] for _ in range(num_cells)]
     for members in groups:
-        closers[max(members)].append(members)
-    tick = meter.tick
-    colors = [0] * num_cells
-    # used[t]: how many colors the cells before t have opened.
-    used = [0] * (num_cells + 1)
-    t = 0
-    while 0 <= t < num_cells:
-        col = colors[t] + 1
-        if col > k or col > used[t] + 1:
-            colors[t] = 0
-            t -= 1
-            continue
-        tick()
-        colors[t] = col
-        for members in closers[t]:
-            if all(colors[c] == col for c in members):
-                break  # a monochromatic group closes here: try the next color
-        else:
-            used[t + 1] = max(used[t], col)
-            t += 1
-    return colors if t == num_cells else None
+        closers[max(members)].append(sum(1 << c for c in set(members)))
+
+    def fits(cells: int, t: int) -> int | None:
+        grown = cells | 1 << t
+        for group in closers[t]:
+            if group & grown == group:
+                return None
+        return grown
+
+    found = _colour_classes(num_cells, k, 0, fits, meter.tick)
+    return None if found is None else [c + 1 for c in found]
 
 
 def _grid_groups(
@@ -465,14 +461,6 @@ def _copy_groups(
     return copies_a, copies_b, groups
 
 
-def _mono_copy_exists(
-    values: Sequence[int], groups: Sequence[Sequence[int]]
-) -> bool:
-    return any(
-        len({values[t] for t in members}) == 1 for members in groups
-    )
-
-
 def ramsey_witness_check(
     a: OrderedStructure,
     b: OrderedStructure,
@@ -524,6 +512,6 @@ def ramsey_witness_check(
                 coloring.color(tuple(psi[x] for x in acopy)) for acopy in inner
             }
             settled = len(shades) == 1
-        if not settled and not _mono_copy_exists(assignment, groups):
+        if not settled and all(len({assignment[t] for t in g}) > 1 for g in groups):
             return False
     return True

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from orderdim.dimension import _RealizerSearch, _checked, all_linear_extensions
+from orderdim.dimension import _RealizerSearch, _checked, _reverse, all_linear_extensions
 from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
@@ -327,22 +327,74 @@ def naturally_labelled_posets(m: int) -> Iterator[FinitePoset]:
     return grow([], [])
 
 
+def oracle_colour(search, mask: int, t: int) -> bool:
+    """Whether the pairs in mask split into t reversible classes, by the
+    chronological backtracking loop that `_RealizerSearch._colour` ran
+    before it shared `dimension._colour_classes` with the Ramsey search:
+    pairs in colouring order, each trying the open classes and then a new
+    one, one tick of the search's meter per class tried.  The oracle for
+    the kernel's verdicts and step counts."""
+    seq = search._in_order(mask)
+    tick = search.meter.tick
+    classes: list[list[int]] = []
+    tried = [-1] * len(seq)
+    saved: list[list[int] | None] = [None] * len(seq)
+    d = 0
+    while 0 <= d < len(seq):
+        x, y = search.pairs[seq[d]]
+        c = tried[d] + 1
+        if tried[d] >= 0:
+            if saved[d] is None:
+                # It opened the newest class, the last option here.
+                classes.pop()
+                c = t
+            else:
+                classes[tried[d]] = saved[d]
+        while c < len(classes):
+            tick()
+            grown = _reverse(classes[c], y, x)
+            if grown is not None:
+                break
+            c += 1
+        if c < len(classes):
+            saved[d], classes[c] = classes[c], grown
+        elif c == len(classes) < t:
+            tick()
+            saved[d] = None
+            classes.append(_reverse(search.up, y, x))
+        else:
+            tried[d] = -1
+            d -= 1
+            continue
+        tried[d] = c
+        d += 1
+    return d == len(seq)
+
+
 def oracle_least_classes(search, limit: int) -> int | None:
     """least_classes as it was before it decided t <= 2 without
     colouring: t = 1 by reversing the pairs in colouring order until a
     cycle closes, t = 2 by the odd-cycle prune and then a 2-colouring,
-    each t as a split of the whole pair set.  The oracle for
+    each t as a split of the whole pair set, with `oracle_colour` in
+    place of the shared kernel.  The oracle for
     `_RealizerSearch.least_classes`."""
     full = search.full
     for t in range(1, limit + 1):
         if full.bit_count() <= t:
             fits = True
         elif t == 1:
-            fits = search._join(search.up, search._in_order(full)) is not None
+            rows = search.up
+            for c in search._in_order(full):
+                search.meter.tick()
+                x, y = search.pairs[c]
+                rows = _reverse(rows, y, x)
+                if rows is None:
+                    break
+            fits = rows is not None
         elif t == 2:
-            fits = search._bipartite(full) and search._colour(full, 2)
+            fits = search._bipartite(full) and oracle_colour(search, full, 2)
         else:
-            fits = search._colour(full, t)
+            fits = oracle_colour(search, full, t)
         if fits:
             search.dim = t
             return t

@@ -18,8 +18,10 @@ import orderdim
 from orderdim.cli import main
 from orderdim.errors import LimitExceeded
 from orderdim.homogeneity import Certificate
-from orderdim.geometry import MAX_CLOUD_DIM, PointCloud
-from orderdim.poset import FinitePoset, OrderedStructure
+from orderdim.flow import symmetric_sample
+from orderdim.geometry import MAX_CLOUD_DIM, MAX_SAMPLE_COORDINATES, PointCloud, sample_dn
+from orderdim.poset import MAX_GENERATED_ELEMENTS, FinitePoset, OrderedStructure, crown
+from orderdim.ramsey import GridStruct
 
 RAMSEY_SINGLETON_VALUE = 3  # least r with every 2-coloring of points of
 # the r-chain containing a monochromatic 2-chain: pigeonhole at r=3
@@ -508,6 +510,24 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def assert_capped_cli_refuses(args, stdin=""):
+    """The CLI under CAPPED_CLI exits 1 with one LimitExceeded JSON line
+    and nothing on stderr, so no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.count("\n") == 1
+    assert json.loads(out.stdout)["error"] == "LimitExceeded"
+    assert out.stderr == ""
+
+
 class TestCloudInputGuard:
     """A cloud's dim is refused before anything is allocated per axis."""
 
@@ -520,24 +540,46 @@ class TestCloudInputGuard:
         args = command.split()
         if command == "iso bnf":
             args += ["--a", str(cloud), "--b", str(cloud)]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", CAPPED_CLI, *args],
-            input=json.dumps(self.HUGE),
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert out.returncode == 1, out.stderr
-        assert out.stdout.count("\n") == 1
-        assert json.loads(out.stdout)["error"] == "LimitExceeded"
-        assert out.stderr == ""
+        assert_capped_cli_refuses(args, json.dumps(self.HUGE))
 
     def test_cap_is_checked_in_the_constructor(self):
         with pytest.raises(LimitExceeded, match="capped at 1000 dimensions"):
             PointCloud(MAX_CLOUD_DIM + 1, [])
         assert PointCloud(MAX_CLOUD_DIM, []).axis_values(MAX_CLOUD_DIM - 1) == frozenset()
+
+
+class TestGenSizeGuard:
+    """gen refuses a size it cannot build before allocating anything."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "gen crown --n 100000000",
+            "gen sample --n 100000000 --count 1",
+            "gen sample --n 2 --count 100000000",
+            "gen grid --m 100000 --n 100000",
+            "gen grid --m 1 --n 100000000",
+            "gen sample --symmetric --n 12 --count 1",
+            "gen sample --symmetric --n 100000000 --count 1",
+        ],
+    )
+    def test_oversized_gen_is_one_json_line(self, command):
+        assert_capped_cli_refuses(command.split())
+
+    def test_caps_are_checked_in_the_builders(self):
+        with pytest.raises(LimitExceeded, match=r"^crown\(513\) is past the cap of 1024 elements"):
+            crown(MAX_GENERATED_ELEMENTS // 2 + 1)
+        assert len(GridStruct(32, 2)) == MAX_GENERATED_ELEMENTS
+        for m, n in ((33, 2), (2, 11), (1, MAX_GENERATED_ELEMENTS + 1)):
+            with pytest.raises(LimitExceeded, match="past the cap of 1024 points and axes"):
+                GridStruct(m, n)
+        with pytest.raises(LimitExceeded, match="and 500000 coordinates"):
+            sample_dn(2, MAX_SAMPLE_COORDINATES // 2 + 1, seed=0)
+        with pytest.raises(LimitExceeded, match="caps of 1000 dimensions"):
+            sample_dn(MAX_CLOUD_DIM + 1, 0, seed=0)
+        # 9 axes: one orbit of 9! points is 3,265,920 coordinates.
+        with pytest.raises(LimitExceeded, match="^362880 points of dimension 9"):
+            symmetric_sample(9, 1)
 
 
 class TestClosedStdout:

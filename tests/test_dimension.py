@@ -49,6 +49,7 @@ from conftest import (
     naive_is_realizer,
     naive_two_colourable,
     naturally_labelled_posets,
+    oracle_colour,
     oracle_conflict_order,
     oracle_dimension,
     oracle_first_extension,
@@ -138,8 +139,12 @@ class TestExtensionStream:
         assert list(_extensions(down, BudgetMeter(10**6, "test"))) == want
 
     def test_element_cap(self):
-        with pytest.raises(LimitExceeded):
-            all_linear_extensions(antichain(11))
+        # No size cap: the budget bounds the walk, one tick per extension,
+        # so a chain of any length has its one extension, and the 11! of
+        # an 11-antichain run out of an explicit budget.
+        assert [o.order for o in all_linear_extensions(chain(11))] == [chain(11).elements]
+        with pytest.raises(LimitExceeded, match="^linear extension enumeration: "):
+            list(all_linear_extensions(antichain(11), budget=10_000))
 
     def test_budget_cap(self):
         with pytest.raises(LimitExceeded):
@@ -339,10 +344,39 @@ def assert_walks_match_the_splits_walk(p, rng):
             )
 
 
+def assert_colours_like_the_loop(p, rng):
+    """_colour, on the shared kernel, against conftest.oracle_colour: the
+    same verdict and the same steps for t = 1..4, on the whole pair set
+    and on random subsets of it."""
+    fast = _RealizerSearch(p, 10**9)
+    slow = _RealizerSearch(p, 10**9)
+    for mask in (fast.full, rng.getrandbits(len(fast.pairs)), rng.getrandbits(len(fast.pairs))):
+        for t in range(1, 5):
+            assert fast._colour(mask, t) == oracle_colour(slow, mask, t)
+            assert fast.meter.remaining == slow.meter.remaining
+
+
 class TestFastPathsAgainstOracles:
     """The straight last slot, the bit-jumping one-class walk, the packed
-    conflict order, the odd-cycle prune and the bit-loop critical pairs
-    against the code they replace."""
+    conflict order, the odd-cycle prune, the bit-loop critical pairs and
+    the shared colouring kernel against the code they replace."""
+
+    @given(st.integers(0, 2**32), st.integers(2, 10), st.booleans())
+    def test_colouring_kernel_matches_the_chronological_loop(self, seed, m, shuffled):
+        rng = random.Random(seed)
+        p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
+        assert_colours_like_the_loop(p, rng)
+
+    @pytest.mark.parametrize("m", range(8, 15))
+    def test_colouring_kernel_on_structures_of_three_and_four_orders(self, m):
+        # Posets of dimension 3 and 4 make t = 2 and 3 backtrack.
+        rng = random.Random(m)
+        for n in (3, 4, 3, 4):
+            assert_colours_like_the_loop(random_structure(rng, m, n).poset, rng)
+
+    @pytest.mark.parametrize("p", [crown(3), crown(4), crown(5), antichain(6)], ids=repr)
+    def test_colouring_kernel_on_fixed_posets(self, p):
+        assert_colours_like_the_loop(p, random.Random(len(p)))
 
     @given(st.integers(0, 2**32), st.integers(1, 10), st.booleans())
     def test_greedy_and_carried_walks_match_the_splits_walk(self, seed, m, shuffled):

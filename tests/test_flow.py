@@ -496,8 +496,9 @@ class TestGridRealizers:
                 assert {o.order for o in t.orders} == refs
 
     def test_three_cube_exceeds_extension_cap(self):
-        with pytest.raises(LimitExceeded):
-            enumerate_realizers(GridStruct(3, 3).structure)
+        # The 27-element cube has far more extensions than this budget.
+        with pytest.raises(LimitExceeded, match="^linear extension enumeration: "):
+            enumerate_realizers(GridStruct(3, 3).structure, budget=20_000)
 
 
 class TestPermutationWitness:

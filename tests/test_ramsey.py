@@ -422,6 +422,32 @@ class TestColoringSearch:
             )
 
 
+class TestGridSearchPins:
+    # (k, l, m, n, r): steps of _grid_counterexample, and its coloring's
+    # values as a digit string (None when every coloring has a
+    # monochromatic m^n-subgrid), frozen from the search as it ran
+    # before it shared the class-colouring kernel with dimension.
+    PINS = {
+        (2, 1, 2, 2, 2): (5, "1112"),
+        (2, 1, 2, 2, 3): (17, "111122212"),
+        (2, 1, 2, 2, 4): (119, "1112122121212211"),
+        (2, 1, 2, 2, 5): (17367, None),
+        (2, 1, 2, 1, 2): (3, "12"),
+        (2, 1, 2, 1, 3): (5, None),
+        (3, 1, 2, 1, 3): (6, "123"),
+        (3, 1, 2, 1, 4): (9, None),
+        (2, 1, 2, 3, 3): (39, "111111111111122122111122212"),
+        (2, 2, 3, 2, 4): (50, "111111111111111111111222111222112211"),
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINS), ids=str)
+    def test_steps_and_coloring_are_pinned(self, args):
+        meter = BudgetMeter(10**9, "test")
+        found = _grid_counterexample(*args, meter=meter)
+        values = None if found is None else "".join(map(str, found.values))
+        assert (10**9 - meter.remaining, values) == self.PINS[args]
+
+
 class TestProductRamseyNumber:
     def test_pigeonhole_line(self):
         assert product_ramsey_number(2, 1, 2, 1) == 3
