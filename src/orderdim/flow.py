@@ -29,9 +29,10 @@ point pairs (two axis permutations agreeing at a position send any
 base point to images sharing that coordinate).  Tests treat those gaps
 as measured facts, not failures.
 
-Only the functions that take or make a point cloud import geometry, and
-FlipPattern is fetched from homogeneity on first use, so enumerating
-the realizers of an abstract structure loads neither module.
+Only symmetric_sample, classify_realizer and permutation_witness import
+geometry; the automorphism search reads a cloud's order from poset's
+product builder.  FlipPattern is fetched from homogeneity on first use,
+so enumerating the realizers of an abstract structure loads neither.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .poset import (
     _first_loop,
     _Frozen,
     _intersection_rows,
+    _product_structure,
     _sequence_rows,
     is_realizer,
 )
@@ -309,9 +311,7 @@ def _automorphisms(c: PointCloud, meter: BudgetMeter) -> list[dict[str, str]]:
     up- and down-degree (one tick each) that relate to earlier images as
     the point relates to earlier points.
     """
-    from .geometry import _product_poset
-
-    p = _product_poset(c)
+    p = _product_structure([c.label(i) for i in range(len(c))], c.points).poset
     up, down, labels = p.up, p.down, p.elements
     m = len(p)
     degree = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]

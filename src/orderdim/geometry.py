@@ -25,11 +25,9 @@ from .errors import (
     TooSmall,
 )
 from .poset import (
-    FinitePoset,
-    LinearOrder,
     OrderedStructure,
-    RealizerTuple,
     _Frozen,
+    _product_structure,
     product_less,
 )
 
@@ -194,31 +192,12 @@ def lex_less(a: Point, b: Point, priority: Sequence[int]) -> bool:
     return False
 
 
-def _product_poset(c: PointCloud) -> FinitePoset:
-    """The product order on the points, labelled as the cloud labels them."""
-    k = len(c)
-    if k < 1:
-        raise TooSmall("the product order needs at least one point")
-    labels = tuple(c.label(i) for i in range(k))
-    pts = c.points
-    up = [
-        sum(1 << j for j in range(k) if product_less(pts[i], pts[j]))
-        for i in range(k)
-    ]
-    return FinitePoset.from_rows(labels, up)
-
-
 def induced_structure(c: PointCloud) -> OrderedStructure:
-    """Product order on the points, realized by the n lexicographic orders."""
-    poset = _product_poset(c)
-    labels = poset.elements
-    k = len(labels)
-    orders = []
-    for i in range(c.dim):
-        pri = cyclic_priority(i, c.dim)
-        idx = sorted(range(k), key=lambda t: tuple(c.points[t][a] for a in pri))
-        orders.append(LinearOrder([labels[t] for t in idx]))
-    return OrderedStructure(poset, RealizerTuple(orders))
+    """Product order on the points, realized by the n lexicographic orders.
+
+    Built by poset's one product builder over each axis's dense ranks.
+    """
+    return _product_structure([c.label(i) for i in range(len(c))], c.points)
 
 
 def iter_balls(n: int) -> Iterator[tuple[Point, Fraction]]:
@@ -419,6 +398,7 @@ class PartialEmbedding(_Frozen):
             raise InvalidEmbedding("two elements map to the same point")
         orders = self.source.realizers.orders
         poset = self.source.poset
+        pris = [cyclic_priority(i, n) for i in range(n)]
         for x, xi in self.images:
             for y, yi in self.images:
                 if x == y:
@@ -426,7 +406,7 @@ class PartialEmbedding(_Frozen):
                 px, py = self.cloud.points[xi], self.cloud.points[yi]
                 for i in range(n):
                     want = orders[i].before(x, y)
-                    got = lex_less(px, py, cyclic_priority(i, n))
+                    got = lex_less(px, py, pris[i])
                     if want != got:
                         raise InvalidEmbedding(
                             f"order {i + 1} not preserved on ({x}, {y})"

@@ -641,49 +641,72 @@ def antichain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
     return FinitePoset.from_rows(elems, [0] * len(elems))
 
 
+def _product_rows(coords: Sequence[Sequence[int]], axes: Sequence[Sequence[int]]) -> list[int]:
+    """Up rows of the product order on distinct points, for every product
+    in the package.  coords[a][b] is point b's value on axis a, an index
+    into axes[a], the bit rows of that axis's order; point b is below
+    point c when c's value is b's or above it on every axis."""
+    m = len(coords[0])
+    up = [((1 << m) - 1) ^ 1 << b for b in range(m)]
+    for coord, rows in zip(coords, axes):
+        at = [0] * len(rows)
+        for b, v in enumerate(coord):
+            at[v] |= 1 << b
+        # Points whose value on this axis is v or above it.
+        at_least = [at[v] | _beyond(at, row) for v, row in enumerate(rows)]
+        for b, v in enumerate(coord):
+            up[b] &= at_least[v]
+    return up
+
+
+def _product_structure(labels: Sequence[str], points: Sequence[Sequence]) -> OrderedStructure:
+    """Distinct points, labels[b] naming points[b], under the product
+    order and its n cyclic lexicographic orders: order i compares axes i,
+    i+1, ..., n-1, 0, ..., i-1 in turn.  Each axis's values need only
+    compare; they enter as dense ranks, which sort alike."""
+    if not points:
+        raise TooSmall("the product order needs at least one point")
+    coords = []
+    for values in zip(*points):
+        rank = {v: r for r, v in enumerate(sorted(set(values)))}
+        coords.append([rank[v] for v in values])
+    up = _product_rows(coords, [_chain_rows(max(c) + 1) for c in coords])
+    orders = []
+    for i in range(len(coords)):
+        key = list(zip(*coords[i:], *coords[:i]))
+        seq = sorted(range(len(up)), key=key.__getitem__)
+        orders.append(LinearOrder([labels[b] for b in seq]))
+    return OrderedStructure(FinitePoset.from_rows(labels, up), RealizerTuple(orders))
+
+
 def product_order(ps: Sequence[FinitePoset]) -> FinitePoset:
-    """Cartesian product with the componentwise order (<= everywhere, not equal)."""
+    """Cartesian product with the componentwise order (<= everywhere, not
+    equal), built by _product_rows over the factors' rows."""
     if not ps:
         raise TooSmall("product_order needs at least one factor")
     tuples = list(iter_product(*[p.elements for p in ps]))
-    labels = [tuple_label(t) for t in tuples]
-    m = len(tuples)
-    up = [((1 << m) - 1) & ~(1 << a) for a in range(m)]
-    for axis, p in enumerate(ps):
-        coord = [p.index(t[axis]) for t in tuples]
-        at = [0] * len(p)
-        for b, v in enumerate(coord):
-            at[v] |= 1 << b
-        # Tuples whose coordinate on this axis is >= v in p.
-        at_least = [0] * len(p)
-        for v, row in enumerate(p.up):
-            for w in _bits(row | 1 << v):
-                at_least[v] |= at[w]
-        for a, v in enumerate(coord):
-            up[a] &= at_least[v]
-    return FinitePoset.from_rows(labels, up)
+    coords = [[p.index(t[a]) for t in tuples] for a, p in enumerate(ps)]
+    up = _product_rows(coords, [p.up for p in ps])
+    return FinitePoset.from_rows([tuple_label(t) for t in tuples], up)
 
 
 def lex_order(ps: Sequence[FinitePoset], i: int) -> LinearOrder:
     """The i-th lexicographic order on the product of the given chains.
 
     Coordinates are compared with cyclic priority i, i+1, ..., n, 1, ..., i-1
-    (1-based i as in the written convention).
+    (1-based i as in the written convention): the i-th order of the
+    product structure that _product_structure builds over chain ranks.
     """
     if not ps:
         raise TooSmall("lex_order needs at least one factor")
     n = len(ps)
     if not 1 <= i <= n:
         raise ElementMismatch(f"priority index {i} out of range 1..{n}")
-    chains = []
-    for p in ps:
-        if not p.is_chain():
-            raise NotLinear("lex_order factors must be chains")
-        chains.append(LinearOrder.from_poset(p))
-    priority = [(i - 1 + j) % n for j in range(n)]
+    if not all(p.is_chain() for p in ps):
+        raise NotLinear("lex_order factors must be chains")
     tuples = list(iter_product(*[p.elements for p in ps]))
-    tuples.sort(key=lambda t: tuple(chains[a].rank[t[a]] for a in priority))
-    return LinearOrder([tuple_label(t) for t in tuples])
+    ranks = [tuple(p.down[p.index(x)].bit_count() for p, x in zip(ps, t)) for t in tuples]
+    return _product_structure([tuple_label(t) for t in tuples], ranks).realizers.orders[i - 1]
 
 
 def hiraguchi_bound(p: FinitePoset) -> int:

@@ -32,13 +32,10 @@ from .dimension import _colour_classes
 from .errors import ElementMismatch, LimitExceeded, TooSmall
 from .poset import (
     MAX_GENERATED_ELEMENTS,
-    FinitePoset,
-    LinearOrder,
     OrderedStructure,
-    RealizerTuple,
     _bits,
     _Frozen,
-    product_less,
+    _product_structure,
 )
 
 __all__ = [
@@ -70,8 +67,8 @@ class GridStruct:
     """The m^n grid: product order plus its n cyclic lexicographic orders.
 
     Order i compares coordinates i, i+1, ..., wrapping around; their
-    intersection is the product order, which the lazily built structure
-    re-checks on construction.
+    intersection is the product order.  The structure is built lazily by
+    poset's one product builder, which re-checks the pair on construction.
     """
 
     __slots__ = ("m", "n", "points", "__dict__")
@@ -99,18 +96,7 @@ class GridStruct:
 
     @cached_property
     def structure(self) -> OrderedStructure:
-        labels = [self.label(p) for p in self.points]
-        up = [
-            sum(1 << j for j, q in enumerate(self.points) if product_less(p, q))
-            for p in self.points
-        ]
-        poset = FinitePoset.from_rows(labels, up)
-        orders = []
-        for i in range(self.n):
-            pri = [(i + j) % self.n for j in range(self.n)]
-            ranked = sorted(self.points, key=lambda p: tuple(p[a] for a in pri))
-            orders.append(LinearOrder([self.label(p) for p in ranked]))
-        return OrderedStructure(poset, RealizerTuple(orders))
+        return _product_structure([self.label(p) for p in self.points], self.points)
 
 
 class Subgrid(_Frozen):

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterator
+from itertools import product as iter_product
+from typing import Iterator, Sequence
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -30,6 +31,7 @@ from orderdim.poset import (
     OrderedStructure,
     RealizerTuple,
     _bits,
+    product_less,
     validate_poset,
 )
 
@@ -429,6 +431,35 @@ def oracle_intersection_rows(orders, elements) -> list[int]:
                 rows[i] |= 1 << j
         out = [a & b for a, b in zip(out, rows)]
     return out
+
+
+def oracle_point_structure(points: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
+    """The product order's up rows on distinct points, by `product_less`
+    on every ordered pair, and the point indices of each cyclic
+    lexicographic order, by a sort on coordinate tuples (Fractions for a
+    cloud) taken in cyclic priority: the oracle for `poset`'s product
+    builder, as clouds and grids were built before it."""
+    k, n = len(points), len(points[0])
+    up = [sum(1 << j for j in range(k) if product_less(points[i], points[j])) for i in range(k)]
+    orders = []
+    for i in range(n):
+        pri = [(i + j) % n for j in range(n)]
+        orders.append(sorted(range(k), key=lambda t: tuple(points[t][a] for a in pri)))
+    return up, orders
+
+
+def oracle_product_rows(ps: Sequence[FinitePoset]) -> list[int]:
+    """`product_order`'s up rows, by comparing every ordered pair of
+    tuples factor by factor with `leq`."""
+    tuples = list(iter_product(*[p.elements for p in ps]))
+    return [
+        sum(
+            1 << j
+            for j, u in enumerate(tuples)
+            if t != u and all(p.leq(x, y) for p, x, y in zip(ps, t, u))
+        )
+        for t in tuples
+    ]
 
 
 def naive_free_coloring(

@@ -18,6 +18,8 @@ from orderdim.errors import (
     TooSmall,
     TransitivityViolation,
 )
+from orderdim.flow import symmetric_sample
+from orderdim.geometry import PointCloud, induced_structure, sample_dn
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -37,8 +39,16 @@ from orderdim.poset import (
     tuple_label,
     validate_poset,
 )
+from orderdim.ramsey import GridStruct
 
-from conftest import all_posets_on, naive_is_realizer, oracle_intersection_rows, random_poset
+from conftest import (
+    all_posets_on,
+    naive_is_realizer,
+    oracle_intersection_rows,
+    oracle_point_structure,
+    oracle_product_rows,
+    random_poset,
+)
 
 
 def rel(labels, pairs):
@@ -370,6 +380,85 @@ class TestLexOrder:
                 for b in o.order:
                     if o.before(a, b):
                         assert tuples[a][i - 1] <= tuples[b][i - 1]
+
+
+def _built(s: OrderedStructure) -> tuple:
+    return list(s.elements), list(s.poset.up), [list(o.order) for o in s.realizers.orders]
+
+
+def _expected(labels: list[str], points: list[tuple]) -> tuple:
+    up, seqs = oracle_point_structure(points)
+    return labels, up, [[labels[t] for t in seq] for seq in seqs]
+
+
+def _cloud_case(c: PointCloud) -> tuple[tuple, tuple]:
+    return _built(induced_structure(c)), _expected([c.label(i) for i in range(len(c))], c.points)
+
+
+def _relaxed_cloud(n: int, k: int, seed: int) -> PointCloud:
+    """k distinct points on the grid {0..3}^n, so that they share coordinates."""
+    points = random.Random(seed).sample(list(iter_product(range(4), repeat=n)), k)
+    return PointCloud(n, points, strict=False)
+
+
+def _grid_case(m: int, n: int) -> tuple[tuple, tuple]:
+    g = GridStruct(m, n)
+    return _built(g.structure), _expected([g.label(p) for p in g.points], list(g.points))
+
+
+def _factors_case(seed: int) -> tuple[tuple, tuple]:
+    """product_order over random posets that are not chains."""
+    rng = random.Random(seed)
+    count = rng.randint(2, 3)
+    ps = []
+    while len(ps) < count:
+        p = random_poset(rng, rng.randint(2, 4))
+        if not p.is_chain():
+            ps.append(p)
+    p = product_order(ps)
+    labels = [tuple_label(t) for t in iter_product(*[q.elements for q in ps])]
+    return (list(p.elements), list(p.up), []), (labels, oracle_product_rows(ps), [])
+
+
+def _chains_case(seed: int) -> tuple[tuple, tuple]:
+    """product_order and every lex_order over chains whose elements are
+    not listed bottom to top."""
+    rng = random.Random(seed)
+    labels = [f"y{v}" for v in range(5)]
+    seqs = [rng.sample(labels, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    chains = [LinearOrder(seq).to_poset() for seq in seqs]
+    tuples = list(iter_product(*[c.elements for c in chains]))
+    ranks = [tuple(seq.index(x) for seq, x in zip(seqs, t)) for t in tuples]
+    p = product_order(chains)
+    orders = [list(lex_order(chains, i).order) for i in range(1, len(chains) + 1)]
+    expected = _expected([tuple_label(t) for t in tuples], ranks)
+    return (list(p.elements), list(p.up), orders), expected
+
+
+PRODUCT_CASES = {
+    "sample_dn-2d": lambda: _cloud_case(sample_dn(2, 200, seed=1)),
+    "sample_dn-3d": lambda: _cloud_case(sample_dn(3, 100, seed=2)),
+    "sample_dn-4d": lambda: _cloud_case(sample_dn(4, 60, seed=3)),
+    "symmetric-2d": lambda: _cloud_case(symmetric_sample(2, 40, seed=4)),
+    "symmetric-3d-relaxed": lambda: _cloud_case(symmetric_sample(3, 24, seed=5)),
+    "relaxed-2d": lambda: _cloud_case(_relaxed_cloud(2, 12, seed=6)),
+    "relaxed-3d": lambda: _cloud_case(_relaxed_cloud(3, 40, seed=7)),
+    "grid-7^1": lambda: _grid_case(7, 1),
+    "grid-6^2": lambda: _grid_case(6, 2),
+    "grid-4^3": lambda: _grid_case(4, 3),
+    **{f"factors-{seed}": lambda seed=seed: _factors_case(seed) for seed in range(4)},
+    **{f"chains-{seed}": lambda seed=seed: _chains_case(seed) for seed in range(4)},
+}
+
+
+class TestProductBuilderAgainstOracle:
+    """Labels, rows and every order of the one product builder's callers
+    against pairwise product comparison and tuple sorts."""
+
+    @pytest.mark.parametrize("case", list(PRODUCT_CASES))
+    def test_matches_pairwise_oracle(self, case):
+        built, expected = PRODUCT_CASES[case]()
+        assert built == expected
 
 
 class TestHiraguchi:

@@ -11,7 +11,7 @@ from conftest import naive_free_coloring, naive_is_copy, random_structure
 from orderdim.budget import BudgetMeter, effective_budget
 from orderdim.errors import ElementMismatch, LimitExceeded, TooSmall
 from orderdim.geometry import cyclic_priority, lex_less, product_less
-from orderdim.poset import LinearOrder, OrderedStructure
+from orderdim.poset import LinearOrder, OrderedStructure, chain, product_order
 from orderdim.ramsey import (
     Coloring,
     GridStruct,
@@ -80,6 +80,14 @@ class TestGridStruct:
         for m in range(1, 6):
             for n in range(1, 4):
                 GridStruct(m, n).structure  # construction re-checks
+
+    def test_structure_at_the_cap_is_the_product_of_chains(self):
+        # The 1024 points of `gen grid --m 32 --n 2`; construction re-checks
+        # that the lexicographic orders realize the rows.
+        s = GridStruct(32, 2).structure
+        p = product_order([chain(32, [str(v) for v in range(1, 33)])] * 2)
+        assert [f"({lab})" for lab in s.elements] == list(p.elements)
+        assert s.poset.up == p.up
 
     def test_line_grid(self):
         g = GridStruct(3, 1)
