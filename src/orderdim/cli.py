@@ -118,7 +118,7 @@ def _cmd_iso(args) -> None:
     fwd, bwd = back_and_forth_iso(a, b, args.steps)
     fwd.verify()
     bwd.verify()
-    table = [[e, f"p{y}"] for e, y in fwd.images]
+    table = [[e, fwd.cloud.label(y)] for e, y in fwd.images]
     _emit_json(
         {
             "table": table,

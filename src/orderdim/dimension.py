@@ -64,6 +64,7 @@ from .poset import (
     _beyond,
     _Frozen,
     _meet_rows,
+    hiraguchi_bound,
     is_realizer,
 )
 
@@ -87,10 +88,8 @@ class DimensionResult(_Frozen):
     """The dimension of a poset and a realizer of that many orders."""
 
     __slots__ = ("dim", "witness")
-
-    def __init__(self, dim: int, witness: RealizerTuple):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "witness", witness)
+    dim: int
+    witness: RealizerTuple
 
 
 def all_linear_extensions(
@@ -459,11 +458,11 @@ def dimension(p: FinitePoset, budget: int | None = None) -> DimensionResult:
     n = search.least_classes(len(p))
     if n is None:
         raise SelfCheckFailed("every finite poset has a realizer")
-    if len(p) >= 4 and n > len(p) // 2:
+    if len(p) >= 4 and n > hiraguchi_bound(p):
         raise SelfCheckFailed(
             f"dimension {n} breaks the Hiraguchi bound for {len(p)} elements"
         )
-    return DimensionResult(dim=n, witness=_checked(p, search.witness(n)))
+    return DimensionResult(n, _checked(p, search.witness(n)))
 
 
 def ore_embedding(
@@ -472,7 +471,7 @@ def ore_embedding(
     """The diagonal map into the product of the witness chains, in rank coordinates."""
     if not is_realizer(p, t):
         raise NotARealizer("ore_embedding needs a realizer of p")
-    image = {e: tuple(o.rank[e] for o in t.orders) for e in p.elements}
+    image = dict(zip(p.elements, t.rank_points(p.elements)))
     for a in p.elements:
         for b in p.elements:
             if a == b:

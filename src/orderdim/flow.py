@@ -129,8 +129,7 @@ class RealizerSet(_Frozen):
                 acc = list(map(and_, acc, rows[id(o)]))
             if tuple(acc) != p.up:
                 raise NotARealizer("a stored tuple does not realize the base order")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "tuples", tuples)
+        super().__init__(base, tuples)
 
     @property
     def census(self) -> int:
@@ -489,24 +488,12 @@ class DecompositionReport(_Frozen):
         "factorizations",
         "failures",
     )
-
-    def __init__(
-        self,
-        group_size: int,
-        stabilizer_size: int,
-        axis_permutations: int,
-        exact: bool,
-        factorizations: tuple[
-            tuple[dict[str, str], tuple[int, ...], dict[str, str]], ...
-        ],
-        failures: tuple[tuple[dict[str, str], str], ...],
-    ):
-        object.__setattr__(self, "group_size", group_size)
-        object.__setattr__(self, "stabilizer_size", stabilizer_size)
-        object.__setattr__(self, "axis_permutations", axis_permutations)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "factorizations", factorizations)
-        object.__setattr__(self, "failures", failures)
+    group_size: int
+    stabilizer_size: int
+    axis_permutations: int
+    exact: bool
+    factorizations: tuple[tuple[dict[str, str], tuple[int, ...], dict[str, str]], ...]
+    failures: tuple[tuple[dict[str, str], str], ...]
 
     def to_json(self) -> dict:
         return {

@@ -281,7 +281,7 @@ class Region(_Frozen):
         for lo, hi in intervals:
             if lo is not None and hi is not None and not lo < hi:
                 raise TooSmall(f"empty interval ({lo}, {hi})")
-        object.__setattr__(self, "intervals", intervals)
+        super().__init__(intervals)
 
     @property
     def dim(self) -> int:
@@ -366,16 +366,9 @@ class PartialEmbedding(_Frozen):
     """
 
     __slots__ = ("source", "cloud", "images")
-
-    def __init__(
-        self,
-        source: OrderedStructure,
-        cloud: PointCloud,
-        images: tuple[tuple[str, int], ...],
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "cloud", cloud)
-        object.__setattr__(self, "images", images)
+    source: OrderedStructure
+    cloud: PointCloud
+    images: tuple[tuple[str, int], ...]
 
     @property
     def mapping(self) -> dict[str, int]:
@@ -418,9 +411,12 @@ class PartialEmbedding(_Frozen):
 def forth_extend(f: PartialEmbedding, q: str) -> PartialEmbedding:
     """Extend f to one more source element, placing its image by region pick.
 
-    For each coordinate i the new image is pinned strictly between the
-    images of q's neighbors in the i-th source order (unbounded on a side
-    where q is extreme), so every order relation involving q is preserved.
+    The source sits at its realizer ranks (`RealizerTuple.rank_points`),
+    so its i-th order is the order of coordinate i there.  The new image
+    goes into the gap region `_region_from_matches` reads off those
+    points: on each axis strictly between the images of q's neighbors in
+    that order (unbounded on a side where q is extreme), so every order
+    relation involving q is preserved.
     """
     if not f.cloud.strict:
         raise InvalidEmbedding("forth extension targets strict clouds only")
@@ -429,52 +425,31 @@ def forth_extend(f: PartialEmbedding, q: str) -> PartialEmbedding:
     if q in f.mapping:
         raise ElementMismatch(f"{q!r} is already embedded")
     f.verify()
-    n = f.source.n
-    intervals: list[tuple[Endpoint, Endpoint]] = []
-    for i in range(n):
-        order = f.source.realizers.orders[i]
-        lo: Endpoint = None
-        hi: Endpoint = None
-        for x, xi in f.images:
-            v = f.cloud.points[xi][i]
-            if order.before(x, q):
-                if lo is None or v > lo:
-                    lo = v
-            else:
-                if hi is None or v < hi:
-                    hi = v
-        intervals.append((lo, hi))
-    target = pick_in_region(f.cloud, Region(tuple(intervals)))
+    *src, at = f.source.realizers.rank_points([*f.domain(), q])
+    dst = [f.cloud.points[i] for _, i in f.images]
+    target = pick_in_region(f.cloud, _region_from_matches(src, dst, at))
     new_cloud = f.cloud.with_point(target)
-    return PartialEmbedding(
-        source=f.source,
-        cloud=new_cloud,
-        images=f.images + ((q, len(new_cloud) - 1),),
-    )
+    return PartialEmbedding(f.source, new_cloud, f.images + ((q, len(new_cloud) - 1),))
 
 
 def _region_from_matches(
-    src_cloud: PointCloud,
-    dst_cloud: PointCloud,
-    matched: list[tuple[int, int]],
-    src_idx: int,
+    src: Sequence[Sequence], dst: Sequence[Point], at: Sequence
 ) -> Region:
-    """Target region for src_idx: per axis, between its matched neighbors."""
-    n = src_cloud.dim
+    """The gap region for a new point at `at`, given points src[k] already
+    matched to dst[k].  On each axis it runs from the largest dst value
+    whose src value lies below at's to the least one whose src value does
+    not; a side with no such value is unbounded.  src values need only
+    compare: rank points and cloud points both serve."""
     intervals: list[tuple[Endpoint, Endpoint]] = []
-    sp = src_cloud.points[src_idx]
-    for i in range(n):
+    for i, v in enumerate(at):
         lo: Endpoint = None
         hi: Endpoint = None
-        for a_idx, b_idx in matched:
-            sv = src_cloud.points[a_idx][i]
-            dv = dst_cloud.points[b_idx][i]
-            if sv < sp[i]:
-                if lo is None or dv > lo:
-                    lo = dv
-            else:
-                if hi is None or dv < hi:
-                    hi = dv
+        for sp, dp in zip(src, dst):
+            if sp[i] < v:
+                if lo is None or dp[i] > lo:
+                    lo = dp[i]
+            elif hi is None or dp[i] < hi:
+                hi = dp[i]
         intervals.append((lo, hi))
     return Region(tuple(intervals))
 
@@ -483,11 +458,33 @@ def _whole_space(n: int) -> Region:
     return Region(tuple((None, None) for _ in range(n)))
 
 
-def _first_unmatched(cloud_size: int, taken: set[int]) -> int | None:
-    for i in range(cloud_size):
-        if i not in taken:
-            return i
-    return None
+def _pull(
+    src: PointCloud, dst: PointCloud, matched: Sequence[tuple[int, int]]
+) -> tuple[PointCloud, PointCloud, int, int]:
+    """One back-and-forth round from src to dst, matched holding (src
+    index, dst index) pairs.  The first unmatched point of src, or a fresh
+    one when all are matched, is paired with the first unmatched point of
+    dst inside its gap region, or with a fresh point picked there.
+    Returns both clouds, grown as needed, and the new pair."""
+    taken = {x for x, _ in matched}
+    x = next((i for i in range(len(src)) if i not in taken), None)
+    if x is None:
+        src = src.with_point(pick_in_region(src, _whole_space(src.dim)))
+        x = len(src) - 1
+    region = _region_from_matches(
+        [src.points[i] for i, _ in matched],
+        [dst.points[j] for _, j in matched],
+        src.points[x],
+    )
+    taken = {y for _, y in matched}
+    y = next(
+        (j for j in range(len(dst)) if j not in taken and region.contains(dst.points[j])),
+        None,
+    )
+    if y is None:
+        dst = dst.with_point(pick_in_region(dst, region))
+        y = len(dst) - 1
+    return src, dst, x, y
 
 
 def _check_seed_matches(
@@ -534,51 +531,18 @@ def back_and_forth_iso(
         raise InvalidEmbedding("back-and-forth targets strict clouds only")
     _check_seed_matches(a, b, seed_matches)
     matched: list[tuple[int, int]] = list(seed_matches)
-    taken_a: set[int] = {x for x, _ in matched}
-    taken_b: set[int] = {y for _, y in matched}
     for step in range(steps):
         if step % 2 == 0:
-            src = _first_unmatched(len(a), taken_a)
-            if src is None:
-                a = a.with_point(pick_in_region(a, _whole_space(a.dim)))
-                src = len(a) - 1
-            region = _region_from_matches(a, b, matched, src)
-            dst = None
-            for i in range(len(b)):
-                if i not in taken_b and region.contains(b.points[i]):
-                    dst = i
-                    break
-            if dst is None:
-                b = b.with_point(pick_in_region(b, region))
-                dst = len(b) - 1
-            matched.append((src, dst))
+            a, b, x, y = _pull(a, b, matched)
         else:
-            src = _first_unmatched(len(b), taken_b)
-            if src is None:
-                b = b.with_point(pick_in_region(b, _whole_space(b.dim)))
-                src = len(b) - 1
-            region = _region_from_matches(b, a, [(y, x) for x, y in matched], src)
-            dst = None
-            for i in range(len(a)):
-                if i not in taken_a and region.contains(a.points[i]):
-                    dst = i
-                    break
-            if dst is None:
-                a = a.with_point(pick_in_region(a, region))
-                dst = len(a) - 1
-            matched.append((dst, src))
-        taken_a.add(matched[-1][0])
-        taken_b.add(matched[-1][1])
+            b, a, y, x = _pull(b, a, [(y, x) for x, y in matched])
+        matched.append((x, y))
     if not len(a) or not len(b):
         raise TooSmall("back_and_forth_iso needs a non-empty cloud or steps > 0")
     fwd = PartialEmbedding(
-        source=induced_structure(a),
-        cloud=b,
-        images=tuple((a.label(x), y) for x, y in matched),
+        induced_structure(a), b, tuple((a.label(x), y) for x, y in matched)
     )
     bwd = PartialEmbedding(
-        source=induced_structure(b),
-        cloud=a,
-        images=tuple((b.label(y), x) for x, y in matched),
+        induced_structure(b), a, tuple((b.label(y), x) for x, y in matched)
     )
     return fwd, bwd

@@ -86,9 +86,7 @@ class FlipPattern(_Frozen):
     """
 
     __slots__ = ("signs",)
-
-    def __init__(self, signs: tuple[bool, ...]):
-        object.__setattr__(self, "signs", signs)
+    signs: tuple[bool, ...]
 
     @staticmethod
     def of_pair(u: Point, v: Point) -> "FlipPattern":
@@ -138,34 +136,19 @@ class DensityDefect(_Frozen):
     (lower neighbor, upper neighbor) in each realizer order."""
 
     __slots__ = ("region", "witnesses", "gaps")
-
-    def __init__(
-        self,
-        region: Region | None,
-        witnesses: tuple[str, ...],
-        gaps: tuple[tuple[str | None, str | None], ...],
-    ):
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "gaps", gaps)
+    region: Region | None
+    witnesses: tuple[str, ...]
+    gaps: tuple[tuple[str | None, str | None], ...]
 
 
 class AxiomReport(_Frozen):
     """The universal axioms' verdicts on a structure, and its empty cells."""
 
     __slots__ = ("poset_ok", "linears_ok", "realization_ok", "density_defects")
-
-    def __init__(
-        self,
-        poset_ok: bool,
-        linears_ok: bool,
-        realization_ok: bool,
-        density_defects: tuple[DensityDefect, ...],
-    ):
-        object.__setattr__(self, "poset_ok", poset_ok)
-        object.__setattr__(self, "linears_ok", linears_ok)
-        object.__setattr__(self, "realization_ok", realization_ok)
-        object.__setattr__(self, "density_defects", density_defects)
+    poset_ok: bool
+    linears_ok: bool
+    realization_ok: bool
+    density_defects: tuple[DensityDefect, ...]
 
     @property
     def universal_ok(self) -> bool:
@@ -176,10 +159,8 @@ class Certificate(_Frozen):
     """A certificate's kind and the data its replay re-checks."""
 
     __slots__ = ("kind", "data")
-
-    def __init__(self, kind: CertificateKind, data: dict):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "data", data)
+    kind: CertificateKind
+    data: dict
 
     def replay(self) -> bool:
         return _REPLAYERS[self.kind](self.data)
@@ -205,10 +186,9 @@ def _structure_parts(
 ) -> tuple[tuple[str, ...], list[Point], OrderedStructure | None]:
     """Labels, occupancy coordinates, and the structure (None when empty).
 
-    An abstract structure is placed at its rank coordinates: element e
-    sits at (rank_1(e), ..., rank_n(e)).  Each rank vector is distinct
-    per axis, so the placement is a strict cloud realizing the same
-    orders, and gap intervals can be read off it.
+    An abstract structure is placed at its rank points
+    (`RealizerTuple.rank_points`), as Fractions: a strict cloud
+    realizing the same orders, so gap intervals can be read off it.
     """
     if isinstance(s, PointCloud):
         if len(s) == 0:
@@ -216,10 +196,7 @@ def _structure_parts(
         struct = induced_structure(s)
         return struct.elements, list(s.points), struct
     labels = s.elements
-    points = [
-        tuple(Fraction(s.realizers.orders[i].rank[e]) for i in range(s.n))
-        for e in labels
-    ]
+    points = [tuple(map(Fraction, r)) for r in s.realizers.rank_points(labels)]
     return labels, points, s
 
 
@@ -625,6 +602,17 @@ def two_homogeneity_extend(
     ascend; that imbalance is invariant under every realizer-respecting
     map, so the construction refuses it rather than guess.
     """
+    return _aligned_extension(c, pair1, pair2, steps)[0]
+
+
+def _aligned_extension(
+    c: PointCloud,
+    pair1: tuple[Point, Point],
+    pair2: tuple[Point, Point],
+    steps: int,
+) -> tuple[PartialEmbedding, list[int], list[int]]:
+    """two_homogeneity_extend, with the alignment it found: the cloud
+    indices of the four pair points and the axis permutation."""
     if not c.strict:
         raise ElementMismatch("two-homogeneity extension needs a strict cloud")
     index = {p: i for i, p in enumerate(c.points)}
@@ -653,13 +641,10 @@ def two_homogeneity_extend(
     permuted = PointCloud(
         c.dim, [tuple(p[j] for j in perm) for p in c.points], strict=True
     )
-    seeds = [
-        (index[u], index[u2]),
-        (index[v], index[v2]),
-    ]
-    fwd, _ = back_and_forth_iso(permuted, c, steps, seed_matches=seeds)
+    iu, iv, iu2, iv2 = (index[p] for p in pts)
+    fwd, _ = back_and_forth_iso(permuted, c, steps, seed_matches=[(iu, iu2), (iv, iv2)])
     fwd.verify()
-    return fwd
+    return fwd, [iu, iv, iu2, iv2], perm
 
 
 def two_homogeneity_certificate(
@@ -668,15 +653,11 @@ def two_homogeneity_certificate(
     pair2: tuple[Point, Point],
     steps: int,
 ) -> Certificate:
-    emb = two_homogeneity_extend(c, pair1, pair2, steps)
-    index = {p: i for i, p in enumerate(c.points)}
-    pat1 = FlipPattern.of_pair(*[tuple(as_fraction(v) for v in p) for p in pair1])
-    pat2 = FlipPattern.of_pair(*[tuple(as_fraction(v) for v in p) for p in pair2])
-    perm = pat1.matching_permutation(pat2)
+    emb, points, perm = _aligned_extension(c, pair1, pair2, steps)
     data = {
         "cloud": c.to_json(),
-        "pair1": [index[tuple(as_fraction(v) for v in p)] for p in pair1],
-        "pair2": [index[tuple(as_fraction(v) for v in p)] for p in pair2],
+        "pair1": points[:2],
+        "pair2": points[2:],
         "axis_permutation": perm,
         "steps": steps,
         "grown_cloud": emb.cloud.to_json(),
@@ -711,7 +692,7 @@ def _replay_two_hom(data: dict) -> bool:
     if emb.cloud.to_json() != data["grown_cloud"]:
         return False
     mapping = dict(emb.images)
-    if mapping[f"p{i1}"] != i2 or mapping[f"p{j1}"] != j2:
+    if mapping[c.label(i1)] != i2 or mapping[c.label(j1)] != j2:
         return False
     emb.verify()
     return True

@@ -68,8 +68,11 @@ def _bits(mask: int) -> Iterator[int]:
 def _transpose(rows: Sequence[int], m: int) -> list[int]:
     cols = [0] * m
     for i, row in enumerate(rows):
-        for j in _bits(row):
-            cols[j] |= 1 << i
+        bit = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            cols[low.bit_length() - 1] |= bit
     return cols
 
 
@@ -162,22 +165,43 @@ def tuple_label(parts: Sequence[str]) -> str:
 
 
 class _Frozen:
-    """Immutable value over the fields a subclass lists in ``__slots__``.
+    """Immutable value over the fields listed in ``__slots__``.
 
-    A subclass's ``__init__`` checks its arguments and stores each field
-    with ``object.__setattr__``.  Equality holds only within one class
-    and compares the field tuples; ``hash`` is the field tuple's hash,
-    so it raises TypeError when a field is unhashable; the repr is
-    ``Name(field=value, ...)``.  Assigning or deleting any attribute
-    raises AttributeError.  A ``"__dict__"`` slot, for a cached_property,
-    is not a field.
+    The fields are every ``__slots__`` name of the class and its bases,
+    base fields first; a ``"__dict__"`` slot, for a cached_property, is
+    not a field.  The constructor takes the fields by position or
+    keyword and raises TypeError when one is missing, unknown or given
+    twice.  A subclass that checks its arguments does so in its own
+    ``__init__`` and then calls ``super().__init__``.  Equality holds
+    only within one class and compares the field tuples; ``hash`` is the
+    field tuple's hash, so it raises TypeError when a field is
+    unhashable; the repr is ``Name(field=value, ...)``.  Assigning or
+    deleting any attribute raises AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls.__match_args__ = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls.__match_args__ = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+            if name != "__dict__"
+        )
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs:
+            # A keyword left over is unknown or repeats a positional field.
+            args += tuple(kwargs.pop(n) for n in names[len(args) :] if n in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes the fields "
+                f"({', '.join(names)}) once each, by position or keyword"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -483,6 +507,14 @@ class RealizerTuple:
 
     def __repr__(self) -> str:
         return f"RealizerTuple(n={self.n}, m={len(self.orders[0])})"
+
+    def rank_points(self, elements: Iterable[str]) -> list[tuple[int, ...]]:
+        """Each element's 1-based rank in every order, in order: the
+        structure placed at its realizer ranks.  Ranks are distinct within
+        an order, so no two points share a coordinate, and order i becomes
+        the order of coordinate i."""
+        ranks = [o.rank for o in self.orders]
+        return [tuple(rank[e] for rank in ranks) for e in elements]
 
     def intersection(self, elements: Sequence[str] | None = None) -> FinitePoset:
         elems = tuple(elements) if elements is not None else self.orders[0].order

@@ -112,7 +112,7 @@ class Subgrid(_Frozen):
                 raise ElementMismatch(
                     "each axis must be a nonempty strictly increasing tuple"
                 )
-        object.__setattr__(self, "axes", axes)
+        super().__init__(axes)
 
     @property
     def side(self) -> int | None:
@@ -151,10 +151,7 @@ class Coloring(_Frozen):
             raise ElementMismatch("target keys must be distinct")
         if any(not 1 <= v <= k for v in values):
             raise ElementMismatch("colors must lie in 1..k")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "values", values)
+        super().__init__(kind, k, keys, values)
 
     @cached_property
     def _lookup(self) -> dict:
@@ -177,16 +174,10 @@ class Coloring(_Frozen):
 
 
 def rigid_embed(s: OrderedStructure) -> list[GridPoint]:
-    """Each element at its tuple of realizer ranks, aligned with s.elements.
-
-    Ranks are distinct within every order, so no two image points share
-    a coordinate, and each order of s becomes the corresponding
-    coordinate order on the image.
-    """
-    return [
-        tuple(s.realizers.orders[i].rank[e] for i in range(s.n))
-        for e in s.elements
-    ]
+    """Each element at its tuple of realizer ranks, aligned with s.elements:
+    `RealizerTuple.rank_points`, which puts no two points on one
+    coordinate and makes each order of s the matching coordinate order."""
+    return s.realizers.rank_points(s.elements)
 
 
 def _is_copy(
@@ -265,12 +256,13 @@ def rigid_copy_in_subgrid(
     """
     if any(len(axis) != len(a.elements) for axis in axes):
         raise ElementMismatch("subgrid sides must equal the structure size")
-    return [
-        tuple(
-            axes[i][a.realizers.orders[i].rank[e] - 1] for i in range(a.n)
-        )
-        for e in a.elements
-    ]
+    return _at_ranks(a.realizers.rank_points(a.elements), axes)
+
+
+def _at_ranks(ranks: Sequence[GridPoint], axes: Sequence[Sequence[int]]) -> list[GridPoint]:
+    """Each rank point r sent into the subgrid: coordinate i becomes the
+    r[i]-th smallest value of axes[i]."""
+    return [tuple([axis[r - 1] for axis, r in zip(axes, p)]) for p in ranks]
 
 
 def induced_coloring(
@@ -284,10 +276,10 @@ def induced_coloring(
     if c.kind != "copies":
         raise ElementMismatch("induced colorings start from copy colorings")
     keys = all_subgrids(grid.m, grid.n, len(a.elements))
-    values = []
-    for axes in keys:
-        points = rigid_copy_in_subgrid(a, axes)
-        values.append(c.color(tuple(_point_label(p) for p in points)))
+    ranks = a.realizers.rank_points(a.elements)
+    values = [
+        c.color(tuple(_point_label(p) for p in _at_ranks(ranks, axes))) for axes in keys
+    ]
     return Coloring("subgrids", c.k, tuple(keys), tuple(values))
 
 
@@ -432,8 +424,8 @@ def product_ramsey_number(
 def _copy_groups(
     grid: GridStruct, a: OrderedStructure, b: OrderedStructure
 ) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]], list[list[int]]]:
-    """Copies of a in the grid, copies of b, and for each b-copy the
-    indices of the a-copies lying inside it."""
+    """Copies of a in the grid, copies of a in b, and for each copy of b
+    in the grid the indices of the grid's a-copies lying inside it."""
     copies_a = enumerate_copies(grid, a)
     copies_b = enumerate_copies(grid, b)
     index = {key: t for t, key in enumerate(copies_a)}
@@ -444,7 +436,7 @@ def _copy_groups(
     for bcopy in copies_b:
         psi = dict(zip(b.elements, bcopy))
         groups.append([index[tuple(psi[x] for x in acopy)] for acopy in inner])
-    return copies_a, copies_b, groups
+    return copies_a, inner, groups
 
 
 def ramsey_witness_check(
@@ -474,8 +466,8 @@ def ramsey_witness_check(
     if len(a.elements) > len(b.elements):
         raise TooSmall("the pattern must fit inside the target")
     grid = GridStruct(r, a.n)
-    copies_a, copies_b, groups = _copy_groups(grid, a, b)
-    if not copies_b:
+    copies_a, inner, groups = _copy_groups(grid, a, b)
+    if not groups:
         return False
     if method == "exhaustive":
         return _search_free_coloring(len(copies_a), k, groups, meter) is None
@@ -483,7 +475,6 @@ def ramsey_witness_check(
         raise ElementMismatch(f"unknown method {method!r}")
     meter.require(k ** len(copies_a), "colorings to scan")
     m = len(b.elements)
-    inner = enumerate_copies(b, a)
     for assignment in iter_product(range(1, k + 1), repeat=len(copies_a)):
         coloring = Coloring("copies", k, tuple(copies_a), assignment)
         pulled = induced_coloring(coloring, a, grid)

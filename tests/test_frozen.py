@@ -4,8 +4,10 @@ Each result class was a ``@dataclass(frozen=True)`` and is now a
 ``__slots__`` subclass of ``poset._Frozen``.  The oracle is a frozen
 dataclass with the same name and fields, built here: on sample values
 the two must agree on repr, ==, hash (or the TypeError of an unhashable
-field) and the refusal of attribute assignment, and each class's
-constructor must still refuse what its ``__post_init__`` refused.
+field), construction and the refusal of attribute assignment, and each
+class's constructor must still refuse what its ``__post_init__``
+refused.  ``Narrower``, a subclass that adds no slot, must keep the
+fields of its base.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ from orderdim.homogeneity import (
 from orderdim.poset import LinearOrder, OrderedStructure, RealizerTuple, antichain, crown
 from orderdim.ramsey import Coloring, Subgrid
 
+
+class Narrower(Region):
+    """A subclass that adds no field; its twin is a dataclass of Region's."""
+
+    __slots__ = ()
+
+
 # The dataclass fields of each former class, in order.
 FIELDS = {
     DimensionResult: ("dim", "witness"),
@@ -52,6 +61,7 @@ FIELDS = {
     Subgrid: ("axes",),
     Coloring: ("kind", "k", "keys", "values"),
     RealizerSet: ("base", "tuples"),
+    Narrower: ("intervals",),
     DecompositionReport: (
         "group_size",
         "stabilizer_size",
@@ -110,6 +120,11 @@ def samples() -> dict[type, list]:
             semidirect_decomposition(symmetric_sample(2, 2)),
             DecompositionReport(1, 1, 1, False, (), ()),
         ],
+        Narrower: [
+            Narrower(((Fraction(0), Fraction(1)),)),
+            Narrower(((None, Fraction(2)), (Fraction(1), None))),
+            Narrower(((Fraction(0), Fraction(1)),)),
+        ],
     }
 
 
@@ -160,6 +175,22 @@ class TestAgainstTheDataclassTwin:
             assert cls(*values) == x
             assert cls(**dict(zip(FIELDS[cls], values))) == x
 
+    def test_missing_unknown_and_repeated_fields_raise_type_error(self, cls):
+        x = samples()[cls][0]
+        values = [getattr(x, f) for f in FIELDS[cls]]
+        first = FIELDS[cls][0]
+        for make in (cls, twin(cls)):
+            with pytest.raises(TypeError):
+                make(*values[:-1])
+            with pytest.raises(TypeError):
+                make(*values, None)
+            with pytest.raises(TypeError):
+                make(*values, extra=None)
+            with pytest.raises(TypeError):
+                make(*values, **{first: values[0]})
+            with pytest.raises(TypeError):
+                make(**dict(zip(FIELDS[cls][1:], values[1:])))
+
     def test_assignment_and_deletion_raise(self, cls):
         for x in samples()[cls]:
             for f in (*FIELDS[cls], "extra"):
@@ -183,9 +214,6 @@ def test_equal_fields_of_another_class_are_unequal():
     intervals = ((1, 2),)
     assert Region(intervals) != Subgrid(intervals)
     assert Subgrid(intervals) != Region(intervals)
-
-    class Narrower(Region):
-        __slots__ = ()
 
     twin_narrower = dataclasses.make_dataclass(
         "Narrower", [], bases=(twin(Region),), frozen=True

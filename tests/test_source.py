@@ -38,3 +38,23 @@ def test_no_dataclasses_import_in_the_library():
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_field_stores_only_in_poset():
+    # result classes take their fields through poset._Frozen's one
+    # constructor; a hand-written object.__setattr__ store elsewhere would
+    # bring back the per-class constructors it replaced
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "poset.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert found == []
