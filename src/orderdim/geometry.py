@@ -24,12 +24,7 @@ from .errors import (
     LimitExceeded,
     TooSmall,
 )
-from .poset import (
-    OrderedStructure,
-    _Frozen,
-    _product_structure,
-    product_less,
-)
+from .poset import OrderedStructure, _Frozen, _product_structure
 
 __all__ = [
     "Point",
@@ -361,8 +356,8 @@ class PartialEmbedding(_Frozen):
     """Partial map from a structure's elements to points of a cloud.
 
     images lists (element, point index) pairs in insertion order; the map
-    must preserve the product order and every coordinate order on its
-    domain, which verify() checks pairwise.
+    must preserve the product order and every lexicographic order on its
+    domain, which verify() checks through poset's one product builder.
     """
 
     __slots__ = ("source", "cloud", "images")
@@ -381,31 +376,36 @@ class PartialEmbedding(_Frozen):
         return self.cloud.points[self.mapping[element]]
 
     def verify(self) -> None:
+        """Raise unless images map distinct source elements one to one
+        onto cloud points so that every order of the source is kept.  The
+        image points go through poset's one product builder, and its n
+        lexicographic orders must be the source's orders restricted to the
+        domain; both posets are the intersections of their orders, so the
+        product order is kept too."""
         n = self.source.n
         if n != self.cloud.dim:
             raise InvalidEmbedding(
                 f"structure has {n} orders but cloud dimension is {self.cloud.dim}"
             )
+        domain = self.domain()
+        if len(set(domain)) != len(domain):
+            raise InvalidEmbedding("an element is mapped twice")
+        for e, idx in self.images:
+            if e not in self.source.poset:
+                raise ElementMismatch(f"unknown source element {e!r}")
+            if not 0 <= idx < len(self.cloud):
+                raise ElementMismatch(f"point index {idx} is not in the cloud")
         seen = [idx for _, idx in self.images]
         if len(set(seen)) != len(seen):
             raise InvalidEmbedding("two elements map to the same point")
-        orders = self.source.realizers.orders
-        poset = self.source.poset
-        pris = [cyclic_priority(i, n) for i in range(n)]
-        for x, xi in self.images:
-            for y, yi in self.images:
-                if x == y:
-                    continue
-                px, py = self.cloud.points[xi], self.cloud.points[yi]
-                for i in range(n):
-                    want = orders[i].before(x, y)
-                    got = lex_less(px, py, pris[i])
-                    if want != got:
-                        raise InvalidEmbedding(
-                            f"order {i + 1} not preserved on ({x}, {y})"
-                        )
-                if poset.less(x, y) != product_less(px, py):
-                    raise InvalidEmbedding(f"product order not preserved on ({x}, {y})")
+        if not domain:
+            return
+        got = _product_structure(domain, [self.cloud.points[i] for i in seen])
+        want = self.source.restrict(domain)
+        for i, (w, g) in enumerate(zip(want.realizers.orders, got.realizers.orders)):
+            if w != g:
+                x, y = next((x, y) for x, y in zip(w.order, g.order) if x != y)
+                raise InvalidEmbedding(f"order {i + 1} not preserved on ({x}, {y})")
 
 
 def forth_extend(f: PartialEmbedding, q: str) -> PartialEmbedding:
@@ -490,24 +490,16 @@ def _pull(
 def _check_seed_matches(
     a: PointCloud, b: PointCloud, matched: Sequence[tuple[int, int]]
 ) -> None:
+    """Raise unless matched, (a-index, b-index) pairs, is a partial
+    embedding: verify over the structure of the seeded points of a."""
     for x, y in matched:
         if not (0 <= x < len(a) and 0 <= y < len(b)):
             raise ElementMismatch(f"seed match ({x}, {y}) is out of range")
-    if len({x for x, _ in matched}) != len(matched) or len(
-        {y for _, y in matched}
-    ) != len(matched):
-        raise InvalidEmbedding("seed matches must be injective on both sides")
-    for x, y in matched:
-        for x2, y2 in matched:
-            if x == x2:
-                continue
-            for i in range(a.dim):
-                if (a.points[x][i] < a.points[x2][i]) != (
-                    b.points[y][i] < b.points[y2][i]
-                ):
-                    raise InvalidEmbedding(
-                        f"seed matches break order {i + 1} on points {x} and {x2}"
-                    )
+    if not matched:
+        return
+    xs = sorted({x for x, _ in matched})
+    seeded = _product_structure([a.label(x) for x in xs], [a.points[x] for x in xs])
+    PartialEmbedding(seeded, b, tuple((a.label(x), y) for x, y in matched)).verify()
 
 
 def back_and_forth_iso(

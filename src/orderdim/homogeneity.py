@@ -45,7 +45,6 @@ from .geometry import (
     induced_structure,
     lex_less,
     pick_in_region,
-    product_less,
 )
 from .poset import (
     FinitePoset,
@@ -57,6 +56,7 @@ from .poset import (
     _Frozen,
     crown,
     is_realizer,
+    product_less,
 )
 from .dimension import dimension
 

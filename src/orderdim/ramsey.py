@@ -3,7 +3,10 @@
 The pipeline mirrors the induced-coloring argument: structures embed
 rigidly into grids at their rank coordinates, colorings of copies pull
 back to colorings of subgrids, and a monochromatic subgrid found there
-pushes forward to a monochromatic copy.  Every search here is an
+pushes forward to a monochromatic copy.  `_grid_groups` is the one
+enumeration of the l^n-subgrids inside each m^n-subgrid: the grid
+coloring search, the monochromatic-subgrid scan and the reduction of
+`ramsey_witness_check` all read its index lists.  Every search here is an
 exhaustive sweep over a finite space.  The coloring search cuts only
 branches that provably contain nothing (completed monochromatic groups,
 color permutations), so it returns the first coloring an uncut
@@ -25,11 +28,11 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .budget import BudgetMeter, effective_budget
 from .dimension import _colour_classes
-from .errors import ElementMismatch, LimitExceeded, TooSmall
+from .errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
 from .poset import (
     MAX_GENERATED_ELEMENTS,
     OrderedStructure,
@@ -276,24 +279,24 @@ def induced_coloring(
     if c.kind != "copies":
         raise ElementMismatch("induced colorings start from copy colorings")
     keys = all_subgrids(grid.m, grid.n, len(a.elements))
-    ranks = a.realizers.rank_points(a.elements)
-    values = [
-        c.color(tuple(_point_label(p) for p in _at_ranks(ranks, axes))) for axes in keys
-    ]
+    values = [c.color(copy) for copy in _rigid_copies(a, keys)]
     return Coloring("subgrids", c.k, tuple(keys), tuple(values))
+
+
+def _rigid_copies(
+    s: OrderedStructure, keys: Sequence[Sequence[Sequence[int]]]
+) -> list[tuple[str, ...]]:
+    """The label tuple of s's rigid copy in each subgrid of keys, aligned
+    with s.elements."""
+    ranks = s.realizers.rank_points(s.elements)
+    return [tuple(_point_label(p) for p in _at_ranks(ranks, axes)) for axes in keys]
 
 
 def find_mono_subgrid(
     col: Coloring, m: int, budget: int | None = None
 ) -> Subgrid | None:
     """First m^n-subgrid whose l^n-subgrids share one color, if any."""
-    return _mono_subgrid_scan(col, m, BudgetMeter(effective_budget(budget), SCAN))
-
-
-def _mono_subgrid_scan(
-    col: Coloring, m: int, meter: BudgetMeter
-) -> Subgrid | None:
-    """find_mono_subgrid on a meter that the caller may share."""
+    meter = BudgetMeter(effective_budget(budget), SCAN)
     if col.kind != "subgrids":
         raise ElementMismatch("expected a coloring of subgrids")
     if not col.keys:
@@ -304,18 +307,25 @@ def _mono_subgrid_scan(
     r = max(v for axes in col.keys for axis in axes for v in axis)
     if not l <= m <= r:
         raise TooSmall(f"need l <= m <= r, got l={l}, m={m}, r={r}")
-    tick = meter.tick
-    for big in iter_product(combinations(range(1, r + 1), m), repeat=n):
-        seen: set[int] = set()
-        for small in iter_product(
-            *[list(combinations(axis, l)) for axis in big]
-        ):
+    cells, groups = _grid_groups(l, m, n, r)
+    found = _first_mono_group([col.color(key) for key in cells], groups, meter.tick)
+    return None if found is None else Subgrid(all_subgrids(r, n, m)[found])
+
+
+def _first_mono_group(
+    colors: Sequence[int], groups: Sequence[Sequence[int]], tick: Callable[[], None]
+) -> int | None:
+    """Index of the first group whose cells all have one color, or None.
+    Reads each group's cells in order up to the first color that differs,
+    ticking once per cell read."""
+    for g, cells in enumerate(groups):
+        first = colors[cells[0]]
+        for t in cells:
             tick()
-            seen.add(col.color(small))
-            if len(seen) > 1:
+            if colors[t] != first:
                 break
-        if len(seen) == 1:
-            return Subgrid(big)
+        else:
+            return g
     return None
 
 
@@ -360,16 +370,10 @@ def _grid_groups(
     the l^n-subgrids inside it."""
     cells = all_subgrids(r, n, l)
     index = {key: t for t, key in enumerate(cells)}
-    groups = []
-    for big in iter_product(combinations(range(1, r + 1), m), repeat=n):
-        groups.append(
-            [
-                index[small]
-                for small in iter_product(
-                    *[list(combinations(axis, l)) for axis in big]
-                )
-            ]
-        )
+    groups = [
+        [index[small] for small in iter_product(*[combinations(axis, l) for axis in big])]
+        for big in all_subgrids(r, n, m)
+    ]
     return cells, groups
 
 
@@ -424,8 +428,8 @@ def product_ramsey_number(
 def _copy_groups(
     grid: GridStruct, a: OrderedStructure, b: OrderedStructure
 ) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]], list[list[int]]]:
-    """Copies of a in the grid, copies of a in b, and for each copy of b
-    in the grid the indices of the grid's a-copies lying inside it."""
+    """Copies of a in the grid, copies of b in the grid, and for each
+    copy of b the indices of the grid's a-copies lying inside it."""
     copies_a = enumerate_copies(grid, a)
     copies_b = enumerate_copies(grid, b)
     index = {key: t for t, key in enumerate(copies_a)}
@@ -436,7 +440,7 @@ def _copy_groups(
     for bcopy in copies_b:
         psi = dict(zip(b.elements, bcopy))
         groups.append([index[tuple(psi[x] for x in acopy)] for acopy in inner])
-    return copies_a, inner, groups
+    return copies_a, copies_b, groups
 
 
 def ramsey_witness_check(
@@ -453,9 +457,13 @@ def ramsey_witness_check(
     of whose a-copies share one color.  method "exhaustive" sweeps the
     coloring space by counterexample search; method "reduction" walks
     every coloring and replays the two-step argument (pull back to
-    subgrids, locate a monochromatic one, read off the rigid copy of b),
-    falling back to a direct scan when the located subgrid does not
-    settle the coloring.  Both methods decide the same predicate.  One
+    subgrids, locate a monochromatic one, read off the rigid copy of b).
+    The pullback (each cell's rigid copy of a) and each m^n-subgrid's
+    rigid copy of b are built once per call; per coloring the scan reads
+    index lists.  When r^n holds no monochromatic m^n-subgrid, as when
+    m > r, the copies of b are scanned directly.  A located subgrid whose
+    rigid copy of b is not monochromatic contradicts the argument and
+    raises SelfCheckFailed.  Both methods decide the same predicate.  One
     budget covers the whole call, every subgrid scan included.
     """
     meter = BudgetMeter(
@@ -466,7 +474,7 @@ def ramsey_witness_check(
     if len(a.elements) > len(b.elements):
         raise TooSmall("the pattern must fit inside the target")
     grid = GridStruct(r, a.n)
-    copies_a, inner, groups = _copy_groups(grid, a, b)
+    copies_a, copies_b, groups = _copy_groups(grid, a, b)
     if not groups:
         return False
     if method == "exhaustive":
@@ -474,21 +482,23 @@ def ramsey_witness_check(
     if method != "reduction":
         raise ElementMismatch(f"unknown method {method!r}")
     meter.require(k ** len(copies_a), "colorings to scan")
+    # Built once: the copy of a that colors each l^n-subgrid (cell), the
+    # cells inside each m^n-subgrid, and the a-copies inside its rigid
+    # copy of b, which is one of the groups.
     m = len(b.elements)
+    index_a = {key: t for t, key in enumerate(copies_a)}
+    index_b = {key: j for j, key in enumerate(copies_b)}
+    cells, subgrids = _grid_groups(len(a.elements), m, a.n, r)
+    cell_copy = [index_a[key] for key in _rigid_copies(a, cells)]
+    rigid_b = [groups[index_b[key]] for key in _rigid_copies(b, all_subgrids(r, a.n, m))]
     for assignment in iter_product(range(1, k + 1), repeat=len(copies_a)):
-        coloring = Coloring("copies", k, tuple(copies_a), assignment)
-        pulled = induced_coloring(coloring, a, grid)
-        settled = False
-        mono = _mono_subgrid_scan(pulled, m, meter)
-        if mono is not None:
-            rigid_b = rigid_copy_in_subgrid(b, mono.axes)
-            psi = dict(
-                zip(b.elements, (_point_label(p) for p in rigid_b))
+        pulled = [assignment[t] for t in cell_copy]
+        mono = _first_mono_group(pulled, subgrids, meter.tick)
+        if mono is None:
+            if all(len({assignment[t] for t in g}) > 1 for g in groups):
+                return False
+        elif len({assignment[t] for t in rigid_b[mono]}) != 1:
+            raise SelfCheckFailed(
+                "a monochromatic subgrid's rigid copy of the target is not monochromatic"
             )
-            shades = {
-                coloring.color(tuple(psi[x] for x in acopy)) for acopy in inner
-            }
-            settled = len(shades) == 1
-        if not settled and all(len({assignment[t] for t in g}) > 1 for g in groups):
-            return False
     return True

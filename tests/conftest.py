@@ -20,11 +20,13 @@ from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
     ElementMismatch,
+    InvalidEmbedding,
     ReflexiveViolation,
     SelfCheckFailed,
     TooSmall,
     TransitivityViolation,
 )
+from orderdim.geometry import PartialEmbedding, cyclic_priority, lex_less
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -446,6 +448,32 @@ def oracle_point_structure(points: Sequence[tuple]) -> tuple[list[int], list[lis
         pri = [(i + j) % n for j in range(n)]
         orders.append(sorted(range(k), key=lambda t: tuple(points[t][a] for a in pri)))
     return up, orders
+
+
+def oracle_verify(emb: PartialEmbedding) -> None:
+    """`PartialEmbedding.verify` as it was written pairwise: the dimension
+    and injectivity guards, then every ordered pair of the domain on every
+    cyclic lexicographic order (`lex_less`) and on the product order
+    (`product_less`).  It assumes what the library now checks: distinct
+    domain elements of the source and point indices inside the cloud."""
+    n = emb.source.n
+    if n != emb.cloud.dim:
+        raise InvalidEmbedding(f"structure has {n} orders but cloud dimension is {emb.cloud.dim}")
+    seen = [idx for _, idx in emb.images]
+    if len(set(seen)) != len(seen):
+        raise InvalidEmbedding("two elements map to the same point")
+    orders = emb.source.realizers.orders
+    pris = [cyclic_priority(i, n) for i in range(n)]
+    for x, xi in emb.images:
+        for y, yi in emb.images:
+            if x == y:
+                continue
+            px, py = emb.cloud.points[xi], emb.cloud.points[yi]
+            for i in range(n):
+                if orders[i].before(x, y) != lex_less(px, py, pris[i]):
+                    raise InvalidEmbedding(f"order {i + 1} not preserved on ({x}, {y})")
+            if emb.source.poset.less(x, y) != product_less(px, py):
+                raise InvalidEmbedding(f"product order not preserved on ({x}, {y})")
 
 
 def oracle_product_rows(ps: Sequence[FinitePoset]) -> list[int]:

@@ -35,7 +35,6 @@ from orderdim.geometry import (
     forth_extend,
     induced_structure,
     lex_less,
-    product_less,
     regions_of,
     sample_dn,
 )
@@ -51,6 +50,7 @@ from orderdim.poset import (
     RealizerTuple,
     crown,
     is_realizer,
+    product_less,
     szpilrajn_extend,
 )
 from orderdim.ramsey import (

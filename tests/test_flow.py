@@ -47,7 +47,6 @@ from orderdim.flow import (
 from orderdim.geometry import (
     PointCloud,
     induced_structure,
-    product_less,
     sample_dn,
 )
 from orderdim.homogeneity import FlipPattern as HomogeneityFlipPattern
@@ -58,6 +57,7 @@ from orderdim.poset import (
     RealizerTuple,
     antichain,
     is_realizer,
+    product_less,
     szpilrajn_extend,
 )
 from orderdim.ramsey import GridStruct

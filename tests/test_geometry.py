@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,13 +22,12 @@ from orderdim.geometry import (
     iter_balls,
     lex_less,
     pick_in_region,
-    product_less,
     regions_of,
     sample_dn,
 )
-from orderdim.poset import LinearOrder, OrderedStructure
+from orderdim.poset import LinearOrder, OrderedStructure, product_less
 
-from conftest import random_structure
+from conftest import oracle_verify, random_structure
 
 # Figure with six marked points; the hyperplanes through them cut the
 # plane into 49 cells.
@@ -394,6 +394,83 @@ class TestForthExtend:
             forth_extend(broken, "c")
 
 
+def random_cloud(rng: random.Random, n: int, count: int, strict: bool) -> PointCloud:
+    """count points of dimension n: a strict cloud draws distinct values
+    per axis, a relaxed one draws from {0..3}^n, so its points share
+    coordinates heavily."""
+    if strict:
+        axes = [rng.sample(range(-20, 20), count) for _ in range(n)]
+        return PointCloud(n, list(zip(*axes)))
+    return PointCloud(n, rng.sample(list(iter_product(range(4), repeat=n)), count), strict=False)
+
+
+def verdict(emb: PartialEmbedding, check) -> str | None:
+    try:
+        check(emb)
+    except InvalidEmbedding:
+        return "invalid"
+    return None
+
+
+class TestVerifyAgainstPairwiseOracle:
+    def test_verdicts_match_on_random_maps(self):
+        # Maps of 0-6 elements into strict and relaxed clouds of dimension
+        # 2 and 3: a cloud's own points (always embeddings), the same with
+        # one image moved, and random structures under random maps.
+        rng = random.Random(14)
+        tally = {"invalid": 0, None: 0}
+        for trial in range(3000):
+            n = rng.choice((2, 3))
+            cloud = random_cloud(rng, n, rng.randint(6, 9), strict=trial % 2 == 0)
+            kind = trial % 3
+            if kind == 2:
+                source = random_structure(rng, rng.randint(6, 8), n)
+            else:
+                source = induced_structure(cloud)
+            domain = rng.sample(range(len(source)), rng.randint(0, 6))
+            if kind == 2:
+                targets = rng.sample(range(len(cloud)), len(domain))
+            else:
+                targets = list(domain)
+                unused = [i for i in range(len(cloud)) if i not in targets]
+                if kind == 1 and targets and unused:
+                    targets[rng.randrange(len(targets))] = rng.choice(unused)
+            images = tuple((source.elements[d], t) for d, t in zip(domain, targets))
+            emb = PartialEmbedding(source, cloud, images)
+            want = verdict(emb, oracle_verify)
+            assert verdict(emb, PartialEmbedding.verify) == want, images
+            tally[want] += 1
+        assert min(tally.values()) > 500
+
+    def test_wrong_order_is_named(self):
+        s = OrderedStructure.from_orders([LinearOrder(["a", "b"]), LinearOrder(["b", "a"])])
+        emb = PartialEmbedding(s, PointCloud(2, [(0, 0), (1, 2)]), (("a", 0), ("b", 1)))
+        with pytest.raises(InvalidEmbedding, match=r"order 2 not preserved on \(b, a\)"):
+            emb.verify()
+
+
+class TestVerifyRefusesNonMaps:
+    SOURCE = OrderedStructure.from_orders([LinearOrder(["a", "b"]), LinearOrder(["a", "b"])])
+    CLOUD = PointCloud(2, [(0, 0), (1, 1)])
+
+    def embedding(self, *images) -> PartialEmbedding:
+        return PartialEmbedding(self.SOURCE, self.CLOUD, images)
+
+    def test_element_mapped_twice(self):
+        with pytest.raises(InvalidEmbedding, match="mapped twice"):
+            self.embedding(("a", 0), ("a", 1)).verify()
+
+    def test_unknown_element_alone_or_with_others(self):
+        for images in ((("zz", 0),), (("a", 0), ("zz", 1))):
+            with pytest.raises(ElementMismatch, match="unknown source element"):
+                self.embedding(*images).verify()
+
+    def test_index_outside_the_cloud(self):
+        for images in ((("a", 2),), (("a", 0), ("b", 5)), (("a", 0), ("b", -1))):
+            with pytest.raises(ElementMismatch, match="not in the cloud"):
+                self.embedding(*images).verify()
+
+
 class TestBackAndForth:
     def test_zero_steps_empty_map(self):
         f, g = back_and_forth_iso(sample_dn(2, 3, 1), sample_dn(2, 3, 2), 0)
@@ -441,6 +518,25 @@ class TestBackAndForth:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ElementMismatch):
             back_and_forth_iso(sample_dn(2, 2, 1), sample_dn(3, 2, 1), 2)
+
+    def test_seed_matches_are_kept(self):
+        f, f_inv = back_and_forth_iso(sample_dn(2, 3, 10), sample_dn(2, 3, 20), 8)
+        a, b = f_inv.cloud, f.cloud  # as the first run grew them
+        seeds = [(int(x[1:]), y) for x, y in f.images]
+        g, h = back_and_forth_iso(a, b, 2, seed_matches=seeds[:4])
+        assert g.images[:4] == f.images[:4]
+        g.verify()
+        h.verify()
+
+    def test_bad_seed_matches_rejected(self):
+        a = PointCloud(2, [(0, 0), (1, 1), (2, 3)])
+        b = PointCloud(2, [(5, 5), (6, 6), (7, 4)])
+        back_and_forth_iso(a, b, 0, seed_matches=[(0, 0), (1, 1)])
+        for seeds in ([(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 2)]):
+            with pytest.raises(InvalidEmbedding):
+                back_and_forth_iso(a, b, 0, seed_matches=seeds)
+        with pytest.raises(ElementMismatch, match="out of range"):
+            back_and_forth_iso(a, b, 0, seed_matches=[(0, 3)])
 
 
 class TestLexHelpers:

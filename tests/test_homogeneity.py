@@ -25,7 +25,6 @@ from orderdim.geometry import (
     cyclic_priority,
     lex_less,
     pick_in_region,
-    product_less,
     regions_of,
     sample_dn,
 )
@@ -41,7 +40,7 @@ from orderdim.homogeneity import (
     two_homogeneity_demo,
     two_homogeneity_extend,
 )
-from orderdim.poset import OrderedStructure, crown, validate_poset
+from orderdim.poset import OrderedStructure, crown, product_less, validate_poset
 
 SIX_POINTS = [
     (F(3), F(2)),

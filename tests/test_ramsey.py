@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
 from conftest import naive_free_coloring, naive_is_copy, random_structure
 from orderdim.budget import BudgetMeter, effective_budget
-from orderdim.errors import ElementMismatch, LimitExceeded, TooSmall
-from orderdim.geometry import cyclic_priority, lex_less, product_less
-from orderdim.poset import LinearOrder, OrderedStructure, chain, product_order
+from orderdim.errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
+from orderdim.geometry import cyclic_priority, lex_less
+from orderdim.poset import LinearOrder, OrderedStructure, chain, product_less, product_order
 from orderdim.ramsey import (
     Coloring,
     GridStruct,
@@ -55,6 +56,10 @@ def crossed_antichain():
 
 def one_point(n=2):
     return OrderedStructure.from_orders([LinearOrder(["p"])] * n)
+
+
+def aligned_chain_of_three():
+    return OrderedStructure.from_orders([LinearOrder(["u", "v", "w"])] * 2)
 
 
 def figure_structure():
@@ -543,13 +548,32 @@ class TestRamseyWitnessCheck:
         )
 
     def test_reduction_and_exhaustive_agree(self):
-        for r in (2, 3):
-            for b in (aligned_chain(), crossed_antichain()):
-                fast = ramsey_witness_check(one_point(), b, 2, r)
-                full = ramsey_witness_check(
-                    one_point(), b, 2, r, method="exhaustive"
-                )
-                assert fast == full
+        cases = [(b, r) for r in (2, 3) for b in (aligned_chain(), crossed_antichain())]
+        # 2^2 holds copies of the 3-chain but no 3^2-subgrid
+        cases.append((aligned_chain_of_three(), 2))
+        for b, r in cases:
+            fast = ramsey_witness_check(one_point(), b, 2, r)
+            full = ramsey_witness_check(
+                one_point(), b, 2, r, method="exhaustive"
+            )
+            assert fast == full
+
+    def test_reduction_steps_are_pinned(self):
+        # Frozen from the scan that re-listed the subgrids per coloring:
+        # 8,014 cell reads over the 2^9 colorings of r = 3.
+        for b in (aligned_chain(), crossed_antichain()):
+            assert ramsey_witness_check(one_point(), b, 2, 3, budget=8014)
+            with pytest.raises(LimitExceeded):
+                ramsey_witness_check(one_point(), b, 2, 3, budget=8013)
+
+    def test_unsettled_monochromatic_subgrid_is_a_failed_self_check(self, monkeypatch):
+        # The argument makes the rigid copy of b in a monochromatic subgrid
+        # monochromatic; a scan that reports the first subgrid whatever
+        # its colors breaks that on some coloring.
+        ramsey_mod = sys.modules["orderdim.ramsey"]
+        monkeypatch.setattr(ramsey_mod, "_first_mono_group", lambda colors, groups, tick: 0)
+        with pytest.raises(SelfCheckFailed):
+            ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
 
     def test_pruning_does_not_change_verdicts(self):
         # the library's search against the uncut oracle on the same groups

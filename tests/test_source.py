@@ -58,3 +58,26 @@ def test_field_stores_only_in_poset():
             and node.value.id == "object"
         ]
     assert found == []
+
+
+def test_lex_less_is_called_only_by_homogeneity():
+    # Orders on points come from poset's one product builder.  The qn-lex
+    # certificate replay in homogeneity keeps its own comparisons, because
+    # its points tie on coordinates.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "homogeneity.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name)
+                and node.func.id == "lex_less"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "lex_less"
+            )
+        ]
+    assert found == []
