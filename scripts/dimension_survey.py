@@ -4,9 +4,11 @@ For each size the script samples posets (random edge density along a
 random permutation, transitively closed), computes exact dimension with
 witness realizers, and prints the distribution plus the worst observed
 margin against the floor(m/2) bound.  With --profile it also prints, per
-size, the median wall time of one dimension() call next to the median
-steps of its two phases, critical-pair colouring and witness search, so
-a change in speed can be told apart from a change in work:
+size, the median wall time of one dimension() call, the median time of
+each of its phases (building the search, critical-pair colouring,
+witness search and the witness self-check, timed on a second run), and
+the median steps of the colouring and of the witness search, so a change
+in speed can be told apart from a change in work, and placed:
 
     python scripts/dimension_survey.py --min-size 6 --max-size 10 --profile
 """
@@ -21,7 +23,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orderdim.dimension import _RealizerSearch, dimension
+from orderdim.dimension import _RealizerSearch, _checked, dimension
 from orderdim.poset import FinitePoset, _closure, crown
 
 
@@ -38,14 +40,24 @@ def random_poset(rng: random.Random, m: int) -> FinitePoset:
     return FinitePoset.from_rows([f"x{i}" for i in range(m)], _closure(rows))
 
 
-def phase_steps(p: FinitePoset, n: int) -> tuple[int, int]:
-    """Steps of the colouring and the witness search of dimension(p) = n."""
+def phase_profile(p: FinitePoset) -> tuple[float, float, float, float, int, int]:
+    """Microseconds of the phases of dimension(p), building the search,
+    colouring, witness search and self-check, then the steps of the
+    colouring and of the witness search."""
+    t0 = perf_counter()
     search = _RealizerSearch(p, None)
-    search.least_classes(len(p))
-    meter = search.meter
-    colouring = meter.budget - meter.remaining
-    search.witness(n)
-    return colouring, meter.budget - meter.remaining - colouring
+    t1 = perf_counter()
+    n = search.least_classes(len(p))
+    t2 = perf_counter()
+    colouring = search.meter.budget - search.meter.remaining
+    t3 = perf_counter()
+    orders = search.witness(n)
+    t4 = perf_counter()
+    _checked(p, orders)
+    t5 = perf_counter()
+    witness = search.meter.budget - search.meter.remaining - colouring
+    us = 1e6
+    return (t1 - t0) * us, (t2 - t1) * us, (t4 - t3) * us, (t5 - t4) * us, colouring, witness
 
 
 def main() -> None:
@@ -57,7 +69,7 @@ def main() -> None:
     ap.add_argument(
         "--profile",
         action="store_true",
-        help="also print median us per dimension() call and steps per phase",
+        help="also print median us per dimension() call and per phase, and steps per phase",
     )
     args = ap.parse_args()
 
@@ -66,7 +78,7 @@ def main() -> None:
     print(f"{'m':>3} {'samples':>8} {'dim counts':<24} {'max':>4} {'bound':>6}")
     for m in range(args.min_size, args.max_size + 1):
         counts: Counter[int] = Counter()
-        micros, steps = [], []
+        micros, phases = [], []
         for _ in range(args.samples):
             p = random_poset(rng, m)
             start = perf_counter()
@@ -74,13 +86,12 @@ def main() -> None:
             micros.append((perf_counter() - start) * 1e6)
             counts[res.dim] += 1
             if args.profile:
-                steps.append(phase_steps(p, res.dim))
+                phases.append(phase_profile(p))
         dist = " ".join(f"{d}:{counts[d]}" for d in sorted(counts))
         bound = m // 2 if m >= 4 else "-"
         print(f"{m:>3} {args.samples:>8} {dist:<24} {max(counts):>4} {bound:>6}")
         if args.profile:
-            colouring, witness = zip(*steps)
-            profile.append((m, median(micros), median(colouring), median(witness)))
+            profile.append((m, median(micros), *map(median, zip(*phases))))
 
     print("\ncrowns:")
     for n in (2, 3, 4):
@@ -89,9 +100,15 @@ def main() -> None:
 
     if profile:
         print("\nmedian per dimension() call:")
-        print(f"{'m':>3} {'us':>9} {'colouring':>10} {'witness':>8}")
-        for m, us, colouring, witness in profile:
-            print(f"{m:>3} {us:>9.1f} {colouring:>10g} {witness:>8g}")
+        print(
+            f"{'m':>3} {'us':>9} {'build_us':>9} {'colour_us':>9} {'witness_us':>10}"
+            f" {'check_us':>9} {'colouring':>10} {'witness':>8}"
+        )
+        for m, us, build, colour, witness_us, check, colouring, witness in profile:
+            print(
+                f"{m:>3} {us:>9.1f} {build:>9.1f} {colour:>9.1f} {witness_us:>10.1f}"
+                f" {check:>9.1f} {colouring:>10g} {witness:>8g}"
+            )
 
 
 if __name__ == "__main__":

@@ -31,10 +31,11 @@ set bit.  On these subsets the shortcuts above do not apply, so the
 kernel colours them, one class too, and two are refused at once only by
 an odd conflict cycle, since the odd-cycle equivalence is proved for the
 whole pair set only.  With one class to go, each frame of the walk
-carries that class's reachability rows, so a candidate adds only the
-pairs it leaves unreversed.  The last slot reverses every pair left, so
-it is no search: it is the lexicographically least topological order of
-the poset with y below x added for each such pair (x, y), one step per
+carries that class's reachability rows, and a candidate joins the pairs
+it leaves unreversed to the class in one pass, since all of them end at
+the candidate.  The last slot reverses every pair left, so it is no
+search: it is the lexicographically least topological order of the
+poset with y below x added for each such pair (x, y), one step per
 element placed.  The enumerate-and-cover search that defines this
 witness directly lives in the test suite as the oracle, next to a naive
 realizer checker.
@@ -42,13 +43,21 @@ realizer checker.
 The witness is checked before any label is looked up: each index
 sequence must be a permutation of the elements, and the pairs that all
 of them order the same way must be exactly the poset's relation
-(`poset._meet_rows`: that test, then `_meet_permutations`, the core that
-`is_realizer` runs on labels).  Only then are its linear orders built.
+(`poset._meet_rows`, one pass per sequence, the predicate that
+`is_realizer` runs on labels too).  Only then are its linear orders
+built, without the order and tuple constructors' duplicate and support
+checks, which that test has just proven.
 
 The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter
 serves a whole `dimension` or `find_realizers` call; its phase name says
-which part of the search ran out.
+which part of the search ran out.  Colouring charges the meter at every
+step.  The witness walk counts its steps and charges them once per scan
+of candidates: at each placement, at each dead end and before each
+split it asks about; the last slot charges its steps once, when its
+order is complete.  Every step is charged before the walk returns, so
+the totals of each phase, and with them every `LimitExceeded` verdict
+and the phase it names, are those of charging step by step.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ from .poset import (
     _Frozen,
     _meet_rows,
     _product_structure,
+    _realizer_of_indices,
     hiraguchi_bound,
     is_realizer,
 )
@@ -142,35 +152,53 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
     return walk()
 
 
-def _critical_indices(up: Sequence[int], down: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
+def _critical_indices(
+    up: Sequence[int], down: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]]:
+    """The critical pairs (x, y) as element indices, x ascending, then y,
+    with by_x[i] and by_y[i], the pairs whose x, or y, is i, as masks over
+    the pairs' own indices, and ys_of[i], the y of each pair whose x is i,
+    as an element mask.  One pass fills all four."""
+    pairs: list[tuple[int, int]] = []
+    by_x = []
+    by_y = [0] * len(up)
+    ys_of = []
+    bit = 1
     everything = (1 << len(up)) - 1
     for x, (above, below) in enumerate(zip(up, down)):
         rest = everything & ~(above | below | 1 << x)
+        outside = ~above
+        mine = found = 0
         while rest:
             low = rest & -rest
             rest ^= low
             y = low.bit_length() - 1
-            if not (below & ~down[y] or up[y] & ~above):
-                out.append((x, y))
-    return out
+            if not (below & ~down[y] or up[y] & outside):
+                pairs.append((x, y))
+                mine |= bit
+                by_y[y] |= bit
+                bit <<= 1
+                found |= low
+        by_x.append(mine)
+        ys_of.append(found)
+    return pairs, by_x, by_y, ys_of
 
 
 def critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
     """Ordered pairs (x, y): incomparable, down(x) <= down(y), up(y) <= up(x)."""
     e = p.elements
-    return [(e[x], e[y]) for x, y in _critical_indices(p.up, p.down)]
+    return [(e[x], e[y]) for x, y in _critical_indices(p.up, p.down)[0]]
 
 
-def _reverse(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
-    """Reachability rows with lo < hi added, or None if that closes a cycle."""
-    if above[hi] >> lo & 1:
+def _reverse(leq: Sequence[int], lows: int, hi: int) -> list[int] | None:
+    """Reflexive reachability rows with lo < hi added for every lo in the
+    mask lows, or None if that closes a cycle, when hi is at or below one
+    of them already.  Every new edge ends at hi, so one pass adds them
+    all: each row that reaches some lo gains everything hi reaches."""
+    gain = leq[hi]
+    if gain & lows:
         return None
-    gain = above[hi] | 1 << hi
-    bit = 1 << lo
-    out = [row | gain if row & bit else row for row in above]
-    out[lo] |= gain
-    return out
+    return [row | gain if row & lows else row for row in leq]
 
 
 def _colour_classes(
@@ -211,35 +239,39 @@ class _RealizerSearch:
     """Colouring and witness search over one poset's critical pairs.
 
     A set of critical pairs is a bitmask over their indices.  Every step
-    of either phase ticks the one meter.
+    of either phase is charged to the one meter.
     """
 
     def __init__(self, p: FinitePoset, budget: int | None):
-        self.up, self.down = p.up, p.down
-        self.pairs = _critical_indices(self.up, self.down)
-        self.full = (1 << len(self.pairs)) - 1
+        self.up, self.down = up, down = p.up, p.down
+        # leq[i]: the elements at or above i, the rows a class of reversed
+        # pairs starts from.
+        self.leq = [row | 1 << i for i, row in enumerate(up)]
+        # by_x[i] and by_y[i]: the pairs whose x, or y, is i; ys_of[i]: the
+        # y of each pair whose x is i, as elements.
+        pairs, by_x, by_y, self.ys_of = _critical_indices(up, down)
+        self.pairs, self.by_x, self.by_y = pairs, by_x, by_y
+        self.full = (1 << len(pairs)) - 1
         self.meter = BudgetMeter(effective_budget(budget), COLOURING)
         self.dim: int | None = None
         self.memo: dict[tuple[int, int], bool] = {}
         # The colouring order, built by _in_order when a colouring first runs.
         self.order: list[int] | None = None
         # As pair masks, conflicts[c]: the pairs that pair c cannot share a
-        # class with, each (u, v) with a <= v and u <= b for pair c = (a, b);
-        # by_x[i] and by_y[i]: the pairs whose x, or y, is i.
-        m = len(self.up)
-        self.by_x = by_x = [0] * m
-        self.by_y = by_y = [0] * m
-        xs = ys = 0
-        for c, (x, y) in enumerate(self.pairs):
-            by_x[x] |= 1 << c
-            by_y[y] |= 1 << c
-            xs |= 1 << x
-            ys |= 1 << y
-        # y_from[a]: pairs whose y is a or above a; x_to[b]: whose x is b or below.
-        up, down = self.up, self.down
-        y_from = [_beyond(by_y, (up[a] | 1 << a) & ys) if by_x[a] else 0 for a in range(m)]
-        x_to = [_beyond(by_x, (down[b] | 1 << b) & xs) if by_y[b] else 0 for b in range(m)]
-        self.conflicts = [y_from[a] & x_to[b] for a, b in self.pairs]
+        # class with, each (u, v) with a <= v and u <= b for pair c = (a, b):
+        # those whose y is a or above a (y_from, the same for a run of pairs
+        # with one x) and whose x is b or below b (x_to[b]).
+        self.conflicts: list[int] = []
+        conflicts = self.conflicts
+        x_to: dict[int, int] = {}
+        last = -1
+        for a, b in pairs:
+            if a != last:
+                last = a
+                y_from = _beyond(by_y, up[a]) | by_y[a]
+            if b not in x_to:
+                x_to[b] = _beyond(by_x, down[b]) | by_x[b]
+            conflicts.append(y_from & x_to[b])
 
     def _in_order(self, mask: int) -> list[int]:
         """The pairs in mask in colouring order: each next pair shares the
@@ -284,6 +316,7 @@ class _RealizerSearch:
     def _bipartite(self, mask: int) -> bool:
         """Whether the 2-cycle conflicts among the pairs in mask close no
         odd cycle; one that does rules out two classes."""
+        conflicts = self.conflicts
         while mask:
             # Breadth first from the lowest pair left; layers alternate sides.
             frontier, side, other = mask & -mask, 0, 0
@@ -295,7 +328,7 @@ class _RealizerSearch:
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    reach |= self.conflicts[low.bit_length() - 1]
+                    reach |= conflicts[low.bit_length() - 1]
                 if reach & side:
                     return False
                 frontier, side, other = reach & mask, other, side
@@ -304,9 +337,9 @@ class _RealizerSearch:
     def _colour(self, mask: int, t: int) -> bool:
         """Whether the pairs in mask, in colouring order, split into t
         classes, each kept as reachability rows with its pairs reversed."""
-        flips = [self.pairs[c][::-1] for c in self._in_order(mask)]
+        flips = [(1 << y, x) for x, y in map(self.pairs.__getitem__, self._in_order(mask))]
         return _colour_classes(
-            len(flips), t, self.up, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
+            len(flips), t, self.leq, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
         ) is not None
 
     def least_classes(self, limit: int) -> int | None:
@@ -344,14 +377,31 @@ class _RealizerSearch:
             unreversed &= ~reversed_
         return orders
 
+    def _with_ys(self, rows: list[int], mask: int) -> list[int]:
+        """rows with bit y set in rows[x] for each pair (x, y) in mask."""
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            x, y = self.pairs[low.bit_length() - 1]
+            rows[x] |= 1 << y
+        return rows
+
     def _first_extension(self, unreversed: int, r: int) -> tuple[list[int], int]:
-        """First extension in stream order whose leftover pairs split into r."""
+        """First extension in stream order whose leftover pairs split into r.
+
+        Steps are counted locally and charged to the meter once per
+        placement, once per dead end and before each splits() call, so at
+        most one scan of candidates runs between two charges."""
         if r == 0:
             return self._last_extension(unreversed)
         m = len(self.up)
-        pairs, down = self.pairs, self.down
-        x_of = [row & unreversed for row in self.by_x]
-        y_of = [row & unreversed for row in self.by_y]
+        down = self.down
+        if unreversed == self.full:
+            x_of, y_of, ys_of = self.by_x, self.by_y, self.ys_of
+        else:
+            x_of = [row & unreversed for row in self.by_x]
+            y_of = [row & unreversed for row in self.by_y]
+            ys_of = self._with_ys([0] * m, unreversed)
         everything = (1 << m) - 1
         tick = self.meter.tick
         order: list[int] = []
@@ -359,61 +409,65 @@ class _RealizerSearch:
         # State, saved on the stack at each placement: placed elements, pairs left
         # unreversed, pairs whose y is placed, class rows (r = 1), candidates left.
         stack = []
-        taken = kept = y_placed = 0
-        rows = self.up
+        taken = kept = y_placed = steps = 0
+        rows = self.leq
         free = everything
         while taken != everything:
+            untaken = ~taken
             # Candidates are the elements not placed, lowest index first.
+            # The pairs a candidate leaves unreversed, x_of[i] & ~y_placed,
+            # are worked out only where they are used.
             while free:
                 low = free & -free
                 free ^= low
                 i = low.bit_length() - 1
-                if down[i] & ~taken:
+                if down[i] & untaken:
                     continue
-                tick()
-                new = x_of[i] & ~y_placed
-                if dead and (taken | low, kept | new) in dead:
+                steps += 1
+                if dead and (taken | low, kept | x_of[i] & ~y_placed) in dead:
                     continue
                 grown = rows
                 if r == 1:
-                    rest = new
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        tick()
-                        x, y = pairs[bit.bit_length() - 1]
-                        grown = _reverse(grown, y, x)
+                    # Those pairs join the class together, one step each,
+                    # in index order, which is y order; a cycle stops them
+                    # at the first y that i is already below.
+                    ys = ys_of[i] & untaken
+                    if ys:
+                        grown = _reverse(rows, ys, i)
                         if grown is None:
-                            break
-                    if grown is not None:
-                        break
-                elif self.splits(kept | new, r):
+                            first = rows[i] & ys
+                            steps += (ys & (first & -first) * 2 - 1).bit_count()
+                            continue
+                        steps += ys.bit_count()
+                    break
+                tick(steps)
+                steps = 0
+                if self.splits(kept | x_of[i] & ~y_placed, r):
                     break
             else:
+                tick(steps)
+                steps = 0
                 if not stack:
                     raise SelfCheckFailed("no linear extension completes the realizer")
                 dead.add((taken, kept))
                 taken, kept, y_placed, rows, free = stack.pop()
                 order.pop()
                 continue
+            tick(steps)
+            steps = 0
             stack.append((taken, kept, y_placed, rows, free))
             order.append(i)
-            taken, kept, y_placed, rows = taken | low, kept | new, y_placed | y_of[i], grown
+            kept |= x_of[i] & ~y_placed
+            taken, y_placed, rows = taken | low, y_placed | y_of[i], grown
             free = everything & ~taken
         return order, unreversed & ~kept
 
     def _last_extension(self, unreversed: int) -> tuple[list[int], int]:
         """The extension reversing every pair in unreversed: each element
         waits for its predecessors and for the y of each pair it is the x
-        of, and the least element ready goes next, one tick each."""
-        need = list(self.down)
-        rest = unreversed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            x, y = self.pairs[low.bit_length() - 1]
-            need[x] |= 1 << y
-        tick = self.meter.tick
+        of, and the least element ready goes next, one step each, charged
+        together once the order is complete."""
+        need = self._with_ys(list(self.down), unreversed)
         order: list[int] = []
         free = (1 << len(need)) - 1
         while free:
@@ -426,19 +480,19 @@ class _RealizerSearch:
                 rest ^= low
             else:
                 raise SelfCheckFailed("no linear extension completes the realizer")
-            tick()
             order.append(i)
             free ^= low
+        self.meter.tick(len(order))
         return order, unreversed
 
 
 def _checked(p: FinitePoset, orders: list[list[int]]) -> RealizerTuple:
-    """The orders as labels, once their index sequences realize p."""
+    """The orders as labels, once their index sequences realize p; that
+    check proves what the order and tuple constructors would check again."""
     rows = _meet_rows(orders, len(p))
     if rows is None or tuple(rows) != p.up:
         raise NotARealizer("the realizer search returned orders that fail its self-check")
-    e = p.elements
-    return RealizerTuple([LinearOrder([e[i] for i in o]) for o in orders])
+    return _realizer_of_indices(p.elements, orders)
 
 
 def find_realizers(

@@ -438,27 +438,29 @@ def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _meet_permutations(seqs: Iterable[Sequence[int]], m: int) -> list[int]:
-    """Bit rows of the pairs that every sequence, each a permutation of
-    range(m), lists in the same direction: the AND of their _sequence_rows.
-    The one realizer predicate: is_realizer reaches it through
-    _intersection_rows, the dimension search through _meet_rows."""
-    out = [(1 << m) - 1] * m
-    for seq in seqs:
-        above = 0
-        for i in reversed(seq):
-            out[i] &= above
-            above |= 1 << i
-    return out
-
-
-def _meet_rows(seqs: Sequence[Sequence[int]], m: int) -> list[int] | None:
-    """_meet_permutations, or None when some sequence is not a
-    permutation of range(m)."""
-    identity = list(range(m))
-    if any(sorted(seq) != identity for seq in seqs):
+def _meet_rows(seqs: Iterable[Sequence[int]], m: int) -> list[int] | None:
+    """Bit rows of the pairs that every sequence lists in the same
+    direction, the AND of their _sequence_rows, or None when some
+    sequence is not a permutation of range(m).  The one realizer
+    predicate: is_realizer reaches it through _intersection_rows, the
+    dimension search directly.  The same pass checks each sequence: m
+    entries, all in range(m), that cover every element are a permutation."""
+    everything = (1 << m) - 1
+    out = [everything] * m
+    try:
+        for seq in seqs:
+            if len(seq) != m:
+                return None
+            above = 0
+            for i in reversed(seq):
+                out[i] &= above
+                above |= 1 << i
+            if above != everything:
+                return None
+    except (IndexError, ValueError):
+        # An index past m fails the row lookup, a negative one the shift.
         return None
-    return _meet_permutations(seqs, m)
+    return out
 
 
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
@@ -476,7 +478,9 @@ def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -
         except KeyError:
             missing = next(e for e in elements if e not in o.rank)
             raise ElementMismatch(f"order is missing element {missing!r}") from None
-    return _meet_permutations(seqs, m)
+    # Each sequence lists m distinct labels of elements, so it is a
+    # permutation and _meet_rows returns rows.
+    return _meet_rows(seqs, m)
 
 
 class RealizerTuple:
@@ -529,6 +533,21 @@ class RealizerTuple:
         if not isinstance(data, list):
             raise TypeError("orders must be a list of label lists")
         return RealizerTuple([LinearOrder(_json_labels(o, "each order")) for o in data])
+
+
+def _realizer_of_indices(labels: Sequence[str], seqs: Iterable[Sequence[int]]) -> RealizerTuple:
+    """The realizer tuple listing labels[i] for each index i of each
+    sequence, built without the constructors' duplicate and support
+    checks: only for sequences that _meet_rows has just accepted, which
+    are permutations of range(len(labels)) over distinct labels."""
+    orders = []
+    for seq in seqs:
+        o = LinearOrder.__new__(LinearOrder)
+        o.order = tuple([labels[i] for i in seq])
+        orders.append(o)
+    t = RealizerTuple.__new__(RealizerTuple)
+    t.orders = tuple(orders)
+    return t
 
 
 def is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
@@ -684,8 +703,18 @@ def _product_rows(coords: Sequence[Sequence[int]], axes: Sequence[Sequence[int]]
         at = [0] * len(rows)
         for b, v in enumerate(coord):
             at[v] |= 1 << b
-        # Points whose value on this axis is v or above it.
-        at_least = [at[v] | _beyond(at, row) for v, row in enumerate(rows)]
+        # Points whose value on this axis is v or above it, built from the
+        # top down (fewer values above first): with w the lowest-indexed
+        # value above v, those are at[v], at_least[w] and at[u] for each u
+        # above v but not w or above it.  On a chain listed bottom to top,
+        # as the axes of clouds and grids are, w covers v and nothing is
+        # left over, so the axis costs one OR per value.
+        at_least = at[:]
+        for v in sorted(range(len(rows)), key=lambda v: rows[v].bit_count()):
+            row = rows[v]
+            if row:
+                w = (row & -row).bit_length() - 1
+                at_least[v] |= at_least[w] | _beyond(at, row & ~(rows[w] | 1 << w))
         for b, v in enumerate(coord):
             up[b] &= at_least[v]
     return up

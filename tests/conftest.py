@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from orderdim.dimension import _RealizerSearch, _checked, _reverse, all_linear_extensions
+from orderdim.dimension import _RealizerSearch, _checked, all_linear_extensions
 from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
@@ -331,6 +331,19 @@ def naturally_labelled_posets(m: int) -> Iterator[FinitePoset]:
     return grow([], [])
 
 
+def reverse_pair(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
+    """Strict reachability rows with lo < hi added, or None if that closes
+    a cycle: one pair at a time, the oracle for `dimension._reverse`,
+    which adds every pair ending at hi in one pass on reflexive rows."""
+    if above[hi] >> lo & 1:
+        return None
+    gain = above[hi] | 1 << hi
+    bit = 1 << lo
+    out = [row | gain if row & bit else row for row in above]
+    out[lo] |= gain
+    return out
+
+
 def oracle_colour(search, mask: int, t: int) -> bool:
     """Whether the pairs in mask split into t reversible classes, by the
     chronological backtracking loop that `_RealizerSearch._colour` ran
@@ -356,7 +369,7 @@ def oracle_colour(search, mask: int, t: int) -> bool:
                 classes[tried[d]] = saved[d]
         while c < len(classes):
             tick()
-            grown = _reverse(classes[c], y, x)
+            grown = reverse_pair(classes[c], y, x)
             if grown is not None:
                 break
             c += 1
@@ -365,7 +378,7 @@ def oracle_colour(search, mask: int, t: int) -> bool:
         elif c == len(classes) < t:
             tick()
             saved[d] = None
-            classes.append(_reverse(search.up, y, x))
+            classes.append(reverse_pair(search.up, y, x))
         else:
             tried[d] = -1
             d -= 1
@@ -391,7 +404,7 @@ def oracle_least_classes(search, limit: int) -> int | None:
             for c in search._in_order(full):
                 search.meter.tick()
                 x, y = search.pairs[c]
-                rows = _reverse(rows, y, x)
+                rows = reverse_pair(rows, y, x)
                 if rows is None:
                     break
             fits = rows is not None

@@ -23,6 +23,7 @@ from orderdim.poset import (
     FinitePoset,
     LinearOrder,
     RealizerTuple,
+    _bits,
     antichain,
     chain,
     crown,
@@ -35,6 +36,7 @@ from orderdim.dimension import (
     _checked,
     _critical_indices,
     _extensions,
+    _reverse,
     all_linear_extensions,
     critical_pairs,
     dimension,
@@ -58,6 +60,7 @@ from conftest import (
     random_poset_shuffled,
     random_relation,
     random_structure,
+    reverse_pair,
 )
 
 # frozen from a brute-force permutation filter over all |P|! orders
@@ -66,6 +69,10 @@ CROWN_EXTENSION_COUNTS = {2: 6, 3: 48, 4: 720}
 # TestTwentyEightElements, frozen from the search as it stood before the
 # greedy last slot, the carried one-class closure and the odd-cycle prune
 WITNESS_DIGEST_28 = "17bda5d72c82313a"
+# sha256 prefix of [[dim, colouring steps, witness steps], ...] for the 280
+# posets of test_step_counts_on_seeded_posets, frozen from the search as it
+# stood when it charged the meter one step at a time
+STEP_DIGEST_280 = "7d34ffbbfa2292c9"
 
 
 def naive_dimension(p, max_n=4):
@@ -356,6 +363,36 @@ def assert_colours_like_the_loop(p, rng):
             assert fast.meter.remaining == slow.meter.remaining
 
 
+# (poset, (dim, colouring steps, witness steps)), from the search before
+# the walks jumped by bits and the last slot ran straight.
+PINNED_STEPS = [
+    (crown(3), (3, 3, 26)),
+    (crown(4), (4, 13, 44)),
+    (crown(5), (5, 28, 76)),
+    (antichain(8), (2, 56, 44)),
+    (antichain(16), (2, 240, 152)),
+    (chain(10), (1, 0, 10)),
+    (
+        FinitePoset.from_rows(
+            [f"x{i}" for i in range(10)], [16, 0, 0, 530, 0, 16, 534, 2, 539, 18]
+        ),
+        (3, 41, 125),
+    ),
+]
+PINNED_IDS = ["crown3", "crown4", "crown5", "antichain8", "antichain16", "chain10", "dim3-10"]
+
+
+class RecordingMeter(BudgetMeter):
+    """A meter that keeps each charge and never runs out."""
+
+    def __init__(self):
+        super().__init__(10**9, "recorder")
+        self.charges: list[int] = []
+
+    def tick(self, cost: int = 1) -> None:
+        self.charges.append(cost)
+
+
 class TestFastPathsAgainstOracles:
     """The straight last slot, the bit-jumping one-class walk, the packed
     conflict order, the odd-cycle prune, the bit-loop critical pairs and
@@ -393,31 +430,44 @@ class TestFastPathsAgainstOracles:
 
     @given(st.integers(0, 2**32), st.integers(1, 10))
     def test_critical_indices_match_the_definition(self, seed, m):
+        # The pairs, the masks of pairs by x and by y, the y of each x as
+        # elements, and each pair (a, b)'s conflicts, the pairs (u, v) with
+        # a <= v and u <= b.
         p = random_poset_shuffled(random.Random(seed), m)
         e = p.elements
-        got = [(e[x], e[y]) for x, y in _critical_indices(p.up, p.down)]
-        assert got == naive_critical_pairs(p)
+        want = naive_critical_pairs(p)
+        pairs, by_x, by_y, ys_of = _critical_indices(p.up, p.down)
+        assert [(e[x], e[y]) for x, y in pairs] == want
+        assert by_x == [sum(1 << c for c, (x, _) in enumerate(want) if x == i) for i in e]
+        assert by_y == [sum(1 << c for c, (_, y) in enumerate(want) if y == i) for i in e]
+        assert ys_of == [sum(1 << p.index(y) for x, y in want if x == i) for i in e]
+        conflicts = [
+            sum(1 << d for d, (u, v) in enumerate(want) if p.leq(a, v) and p.leq(u, b))
+            for a, b in want
+        ]
+        assert _RealizerSearch(p, None).conflicts == conflicts
 
-    # (dim, colouring steps, witness steps), from the search before the
-    # walks jumped by bits and the last slot ran straight.
-    @pytest.mark.parametrize(
-        "p, steps",
-        [
-            (crown(3), (3, 3, 26)),
-            (crown(4), (4, 13, 44)),
-            (crown(5), (5, 28, 76)),
-            (antichain(8), (2, 56, 44)),
-            (antichain(16), (2, 240, 152)),
-            (chain(10), (1, 0, 10)),
-            (
-                FinitePoset.from_rows(
-                    [f"x{i}" for i in range(10)], [16, 0, 0, 530, 0, 16, 534, 2, 539, 18]
-                ),
-                (3, 41, 125),
-            ),
-        ],
-        ids=["crown3", "crown4", "crown5", "antichain8", "antichain16", "chain10", "dim3-10"],
-    )
+    @given(st.integers(0, 2**32), st.integers(2, 10))
+    def test_batched_reversal_matches_pair_by_pair(self, seed, m):
+        # _reverse adds every lo < hi of a mask in one pass on reflexive
+        # rows; reverse_pair adds them one at a time on strict rows.  The
+        # class starts from the poset with some critical pairs reversed.
+        rng = random.Random(seed)
+        search = _RealizerSearch(random_poset_shuffled(rng, m), None)
+        strict = list(search.up)
+        for x, y in search.pairs:
+            if rng.random() < 0.5:
+                strict = reverse_pair(strict, y, x) or strict
+        hi = rng.randrange(m)
+        lows = rng.getrandbits(m) & ~(1 << hi)
+        want = strict
+        for lo in _bits(lows):
+            want = want and reverse_pair(want, lo, hi)
+        leq = [row | 1 << i for i, row in enumerate(strict)]
+        got = _reverse(leq, lows, hi)
+        assert got == (want and [row | 1 << i for i, row in enumerate(want)])
+
+    @pytest.mark.parametrize("p, steps", PINNED_STEPS, ids=PINNED_IDS)
     def test_step_counts_are_pinned(self, p, steps):
         search = _RealizerSearch(p, 10**9)
         n = search.least_classes(len(p))
@@ -425,6 +475,57 @@ class TestFastPathsAgainstOracles:
         search.witness(n)
         witness = 10**9 - colouring - search.meter.remaining
         assert (n, colouring, witness) == steps
+
+    def test_step_counts_on_seeded_posets(self):
+        # Random posets of 2-10 elements, in index order and shuffled, and
+        # structures of three and four orders: candidates whose pairs close
+        # a cycle part way count the steps taken up to the cycle.
+        rng = random.Random(15)
+        posets = [
+            make(rng, m) for m in range(2, 11) for _ in range(15)
+            for make in (random_poset, random_poset_shuffled)
+        ]
+        posets += [random_structure(rng, m, n).poset for m in range(8, 13) for n in (3, 4)]
+        out = []
+        for p in posets:
+            search = _RealizerSearch(p, 10**9)
+            n = search.least_classes(len(p))
+            colouring = 10**9 - search.meter.remaining
+            search.witness(n)
+            out.append([n, colouring, 10**9 - colouring - search.meter.remaining])
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16] == STEP_DIGEST_280
+
+    @pytest.mark.parametrize("p, steps", PINNED_STEPS, ids=PINNED_IDS)
+    def test_budget_thresholds_of_the_pinned_posets(self, p, steps):
+        # The witness search charges its steps in batches; every budget
+        # verdict, and the phase it names, is the one step-by-step
+        # charging gave.
+        _, colouring, witness = steps
+        assert dimension(p, budget=colouring + witness).dim == steps[0]
+        with pytest.raises(LimitExceeded, match="^witness search"):
+            dimension(p, budget=colouring + witness - 1)
+        if colouring:
+            with pytest.raises(LimitExceeded, match="^witness search"):
+                dimension(p, budget=colouring)
+        if colouring > 1:
+            with pytest.raises(LimitExceeded, match="^critical-pair colouring"):
+                dimension(p, budget=colouring - 1)
+
+    @pytest.mark.parametrize("p, steps", PINNED_STEPS, ids=PINNED_IDS)
+    def test_witness_charges_cover_one_scan_each(self, p, steps):
+        # Each charge covers at most one scan of the candidates, with the
+        # pairs they join to the class; the first slot of two or more is a
+        # walk, charged at each of its placements; and the charges add up
+        # to the pinned count.
+        search = _RealizerSearch(p, 10**9)
+        n = search.least_classes(len(p))
+        search.meter = RecordingMeter()
+        search.witness(n)
+        charges = search.meter.charges
+        assert sum(charges) == steps[2]
+        assert max(charges) <= len(p) + len(search.pairs)
+        if n >= 2:
+            assert len(charges) > len(p)
 
     @pytest.mark.parametrize("p", [antichain(6), crown(3), crown(4), chain(4)], ids=repr)
     def test_walks_on_every_witness_slot(self, p):

@@ -31,7 +31,6 @@ from orderdim.poset import (
     hiraguchi_bound,
     is_realizer,
     _intersection_rows,
-    _meet_permutations,
     _meet_rows,
     lex_order,
     product_order,
@@ -254,9 +253,8 @@ class TestIntersectionRows:
         st.sampled_from(["same", "repeated", "short", "long", "out of range"]),
     )
     def test_index_core_matches_the_rank_sort_oracle(self, seed, m, n, fault):
-        # _meet_rows on index sequences: the rows of the labelled orders,
-        # from the unchecked core, when each sequence is a permutation of
-        # range(m), None otherwise.
+        # _meet_rows on index sequences: the rows of the labelled orders
+        # when each sequence is a permutation of range(m), None otherwise.
         rng = random.Random(seed)
         seqs = [rng.sample(range(m), m) for _ in range(n)]
         k = rng.randrange(n)
@@ -274,7 +272,6 @@ class TestIntersectionRows:
             elements = [f"e{i}" for i in range(m)]
             orders = [LinearOrder([elements[i] for i in seq]) for seq in seqs]
             assert got == oracle_intersection_rows(orders, elements)
-            assert got == _meet_permutations(seqs, m)
         else:
             assert got is None
 
@@ -333,6 +330,25 @@ class TestProductOrder:
     def test_empty_factor_list_rejected(self):
         with pytest.raises(TooSmall):
             product_order([])
+
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_random_factors_match_the_pairwise_oracle(self, seed, count):
+        # General posets, and chains whose order does not follow element
+        # index, where the lowest-indexed value above v need not cover v.
+        rng = random.Random(seed)
+        factors = []
+        for _ in range(count):
+            k = rng.randint(1, 5)
+            if rng.random() < 0.5:
+                factors.append(random_poset(rng, k))
+            else:
+                perm = rng.sample(range(k), k)
+                rows = [0] * k
+                for a in range(k):
+                    for b in range(a + 1, k):
+                        rows[perm[a]] |= 1 << perm[b]
+                factors.append(FinitePoset.from_rows([f"y{v}" for v in range(k)], rows))
+        assert list(product_order(factors).up) == oracle_product_rows(factors)
 
 
 class TestLexOrder:

@@ -106,8 +106,11 @@ def test_dimension_survey_profile_under_optimize():
     # The same draws as without --profile, so the survey table is unchanged.
     assert sep and head == SURVEY_20_7
     lines = table.splitlines()
-    assert lines[0].split() == ["m", "us", "colouring", "witness"]
+    assert lines[0].split() == [
+        "m", "us", "build_us", "colour_us", "witness_us", "check_us", "colouring", "witness"
+    ]
     assert [int(line.split()[0]) for line in lines[1:]] == list(range(2, 8))
     for line in lines[1:]:
-        us, colouring, witness = map(float, line.split()[1:])
+        us, *phase_us, colouring, witness = map(float, line.split()[1:])
         assert us > 0 and colouring >= 0 and witness >= 1
+        assert len(phase_us) == 4 and all(t >= 0 for t in phase_us)
