@@ -5,8 +5,10 @@ pairs alone: two classes suffice exactly when its alternating 2-cycles
 close no odd cycle.  This script runs that decision on every naturally
 labelled poset (i below j implies i < j as indices) up to --max-size
 elements, which covers every isomorphism type, and compares it with the
-2-colouring search over the whole pair set.  It prints one line per size
-and exits 1 on any disagreement.
+2-colouring search over the whole pair set.  Where the decision accepts,
+it also checks the split that shows it: the extension of each class must
+realize the poset, and a split that does not counts as a disagreement.
+It prints one line per size and exits 1 on any disagreement.
 
     python scripts/check_dim_two.py --max-size 6
 """
@@ -17,7 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from orderdim.dimension import _RealizerSearch
+from orderdim.dimension import _RealizerSearch, _checked
+from orderdim.errors import NotARealizer, SelfCheckFailed
 from orderdim.poset import FinitePoset, _bits
 
 BUDGET = 10**12
@@ -40,6 +43,16 @@ def natural_posets(m: int):
                 stack.append((lifted + [0], down + [below]))
 
 
+def split_realizes(p: FinitePoset, search: _RealizerSearch) -> bool:
+    """Whether the extensions of the classes least_classes kept pass the
+    witness self-check."""
+    try:
+        _checked(p, [search._last_extension(c) for c in search.classes])
+    except (NotARealizer, SelfCheckFailed):
+        return False
+    return True
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--max-size", type=int, default=6)
@@ -52,14 +65,17 @@ def main() -> int:
         posets = wide = wrong = 0
         for up in natural_posets(m):
             p = FinitePoset.from_rows(labels, up)
-            fast = _RealizerSearch(p, BUDGET).least_classes(2) is not None
-            slow_search = _RealizerSearch(p, BUDGET)
-            slow = slow_search._colour(slow_search.full, 2)
+            search = _RealizerSearch(p, BUDGET)
+            fast = search.least_classes(2) is not None
+            slow = _RealizerSearch(p, BUDGET)._colour(2) is not None
             posets += 1
             wide += not slow
             if fast != slow:
                 wrong += 1
                 print(f"disagree: {p.to_json()} decision {fast}, colouring {slow}")
+            elif fast and not split_realizes(p, search):
+                wrong += 1
+                print(f"disagree: {p.to_json()} split {search.classes} is no realizer")
         print(f"{m:>3} {posets:>8} {wide:>8} {wrong:>9}")
         bad += wrong
     return 1 if bad else 0

@@ -8,7 +8,9 @@ size, the median wall time of one dimension() call, the median time of
 each of its phases (building the search, critical-pair colouring,
 witness search and the witness self-check, timed on a second run), and
 the median steps of the colouring and of the witness search, so a change
-in speed can be told apart from a change in work, and placed:
+in speed can be told apart from a change in work, and placed.  The
+witness search builds one linear extension per colour class, one step
+per element each:
 
     python scripts/dimension_survey.py --min-size 6 --max-size 10 --profile
 """

@@ -11,34 +11,31 @@ without colouring up to t = 2.  One class holds exactly when there are
 no critical pairs: one extension reversing them all would realize the
 poset alone, so it would be a chain.  Two hold exactly when the graph on
 the critical pairs whose edges are the alternating 2-cycles has no odd
-cycle (Felsner & Trotter, "Dimension, graph and hypergraph coloring",
-Order 17, 2000).  From t = 3 on `_colour_classes`, the kernel that
-`ramsey` shares, backtracks over class assignments: classes open in
-order of first use, and each keeps its own reachability bitsets, grown
-as pairs join it, in the greedy pair order built when a colouring first
-runs.  Deciding dim(P) <= t is NP-complete for t >= 3 (Yannakakis 1982).
+cycle, and then each side of any proper 2-colouring of that graph is a
+reversible class: no strict alternating cycle lies inside one side
+(Felsner & Trotter, "Dimension, graph and hypergraph coloring", Order
+17, 2000; `scripts/check_dim_two.py` checks the split on every naturally
+labelled poset up to a given size).  The colouring has to cover the
+whole pair set: a subset can close no odd 2-cycle and still need three
+classes.  From t = 3 on
+`_colour_classes`, the kernel that `ramsey` shares, backtracks over class
+assignments: classes open in order of first use, and each keeps its own
+reachability bitsets, grown as pairs join it, in the greedy pair order
+built when a colouring first runs.  Deciding dim(P) <= t is NP-complete
+for t >= 3 (Yannakakis 1982).
 
-The witness is the lexicographically first non-decreasing tuple of
-indices into the extension stream of `all_linear_extensions` whose
-members reverse every critical pair.  It is rebuilt greedily without
-listing the stream: slot k of n repeats the previous order while the
-pairs still unreversed split into n - k classes, and otherwise takes the
-first extension in stream order whose leftover pairs do.  That extension
-is found depth-first, smallest element index first, pruning every prefix
-whose pairs already placed unreversed no longer split into n - k classes;
-the candidates at each depth are the unplaced elements, taken by lowest
-set bit.  On these subsets the shortcuts above do not apply, so the
-kernel colours them, one class too, and two are refused at once only by
-an odd conflict cycle, since the odd-cycle equivalence is proved for the
-whole pair set only.  With one class to go, each frame of the walk
-carries that class's reachability rows, and a candidate joins the pairs
-it leaves unreversed to the class in one pass, since all of them end at
-the candidate.  The last slot reverses every pair left, so it is no
-search: it is the lexicographically least topological order of the
-poset with y below x added for each such pair (x, y), one step per
-element placed.  The enumerate-and-cover search that defines this
-witness directly lives in the test suite as the oracle, next to a naive
-realizer checker.
+The witness is read off the split that decided the dimension, one
+linear extension per class: the least-ready-element order of the poset
+with y put below x for each pair (x, y) of the class.  The classes are
+one empty class for t = 1; for t = 2 the pairs on the side of the
+breadth-first 2-colouring that holds each component's lowest pair, and
+the rest; for t >= 3 the classes the colouring search found.  The orders
+are sorted as index sequences, which is the order of the extension
+stream of `all_linear_extensions`, and the last is repeated up to the
+number of orders asked for.  That is not in general the
+lexicographically first witness in the stream; the enumerate-and-cover
+search that defines that one lives in the test suite as an oracle, next
+to a naive realizer checker.
 
 The witness is checked before any label is looked up: each index
 sequence must be a permutation of the elements, and the pairs that all
@@ -52,12 +49,8 @@ The searches read the poset's own bit rows: bit j of up[i], and bit i of
 down[j], say that element i is below element j.  One budget meter
 serves a whole `dimension` or `find_realizers` call; its phase name says
 which part of the search ran out.  Colouring charges the meter at every
-step.  The witness walk counts its steps and charges them once per scan
-of candidates: at each placement, at each dead end and before each
-split it asks about; the last slot charges its steps once, when its
-order is complete.  Every step is charged before the walk returns, so
-the totals of each phase, and with them every `LimitExceeded` verdict
-and the phase it names, are those of charging step by step.
+step.  Each class's extension takes one step per element placed,
+charged together once its order is complete.
 """
 
 from __future__ import annotations
@@ -154,21 +147,19 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
 
 def _critical_indices(
     up: Sequence[int], down: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """The critical pairs (x, y) as element indices, x ascending, then y,
     with by_x[i] and by_y[i], the pairs whose x, or y, is i, as masks over
-    the pairs' own indices, and ys_of[i], the y of each pair whose x is i,
-    as an element mask.  One pass fills all four."""
+    the pairs' own indices.  One pass fills all three."""
     pairs: list[tuple[int, int]] = []
     by_x = []
     by_y = [0] * len(up)
-    ys_of = []
     bit = 1
     everything = (1 << len(up)) - 1
     for x, (above, below) in enumerate(zip(up, down)):
         rest = everything & ~(above | below | 1 << x)
         outside = ~above
-        mine = found = 0
+        mine = 0
         while rest:
             low = rest & -rest
             rest ^= low
@@ -178,10 +169,8 @@ def _critical_indices(
                 mine |= bit
                 by_y[y] |= bit
                 bit <<= 1
-                found |= low
         by_x.append(mine)
-        ys_of.append(found)
-    return pairs, by_x, by_y, ys_of
+    return pairs, by_x, by_y
 
 
 def critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
@@ -247,15 +236,14 @@ class _RealizerSearch:
         # leq[i]: the elements at or above i, the rows a class of reversed
         # pairs starts from.
         self.leq = [row | 1 << i for i, row in enumerate(up)]
-        # by_x[i] and by_y[i]: the pairs whose x, or y, is i; ys_of[i]: the
-        # y of each pair whose x is i, as elements.
-        pairs, by_x, by_y, self.ys_of = _critical_indices(up, down)
-        self.pairs, self.by_x, self.by_y = pairs, by_x, by_y
+        # by_x[i] and by_y[i]: the pairs whose x, or y, is i.
+        pairs, by_x, by_y = _critical_indices(up, down)
+        self.pairs = pairs
         self.full = (1 << len(pairs)) - 1
         self.meter = BudgetMeter(effective_budget(budget), COLOURING)
-        self.dim: int | None = None
-        self.memo: dict[tuple[int, int], bool] = {}
-        # The colouring order, built by _in_order when a colouring first runs.
+        # The split least_classes proved, one pair mask per class.
+        self.classes: list[int] = []
+        # The colouring order, built by _colour when it first runs.
         self.order: list[int] | None = None
         # As pair masks, conflicts[c]: the pairs that pair c cannot share a
         # class with, each (u, v) with a <= v and u <= b for pair c = (a, b):
@@ -273,15 +261,10 @@ class _RealizerSearch:
                 x_to[b] = _beyond(by_x, down[b]) | by_x[b]
             conflicts.append(y_from & x_to[b])
 
-    def _in_order(self, mask: int) -> list[int]:
-        """The pairs in mask in colouring order: each next pair shares the
-        most 2-cycles with those before it, so a class assignment that
-        cannot work fails early.  The order is built on first use."""
-        if self.order is None:
-            self.order = self._conflict_order()
-        return [c for c in self.order if mask >> c & 1]
-
     def _conflict_order(self) -> list[int]:
+        """The colouring order: each next pair shares the most 2-cycles
+        with those before it, so a class assignment that cannot work
+        fails early."""
         count = len(self.pairs)
         # One int per pair packs (conflicts with pairs taken, degree, -index).
         width = count.bit_length()
@@ -300,26 +283,16 @@ class _RealizerSearch:
                 keys[low.bit_length() - 1] += taken_one
         return out
 
-    def splits(self, mask: int, t: int) -> bool:
-        """Whether the pairs in mask split into at most t reversible classes."""
-        if mask == 0:
-            return True
-        if t <= 0:
-            return False
-        if (self.dim is not None and t >= self.dim) or mask.bit_count() <= t:
-            return True
-        key = (mask, t)
-        if key not in self.memo:
-            self.memo[key] = (t != 2 or self._bipartite(mask)) and self._colour(mask, t)
-        return self.memo[key]
-
-    def _bipartite(self, mask: int) -> bool:
-        """Whether the 2-cycle conflicts among the pairs in mask close no
-        odd cycle; one that does rules out two classes."""
+    def _bipartite(self, mask: int) -> int | None:
+        """A proper 2-colouring of the 2-cycle conflicts among the pairs in
+        mask, as the side holding the lowest pair of each component, or
+        None when they close an odd cycle, which rules out two classes."""
         conflicts = self.conflicts
+        first_sides = 0
         while mask:
             # Breadth first from the lowest pair left; layers alternate sides.
-            frontier, side, other = mask & -mask, 0, 0
+            start = mask & -mask
+            frontier, side, other = start, 0, 0
             while frontier:
                 side |= frontier
                 mask &= ~frontier
@@ -330,144 +303,74 @@ class _RealizerSearch:
                     rest ^= low
                     reach |= conflicts[low.bit_length() - 1]
                 if reach & side:
-                    return False
+                    return None
                 frontier, side, other = reach & mask, other, side
-        return True
+            first_sides |= side if side & start else other
+        return first_sides
 
-    def _colour(self, mask: int, t: int) -> bool:
-        """Whether the pairs in mask, in colouring order, split into t
-        classes, each kept as reachability rows with its pairs reversed."""
-        flips = [(1 << y, x) for x, y in map(self.pairs.__getitem__, self._in_order(mask))]
-        return _colour_classes(
+    def _colour(self, t: int) -> list[int] | None:
+        """Every pair, in colouring order, put into one of t classes, each
+        kept as reachability rows with its pairs reversed: the classes as
+        pair masks, or None."""
+        if self.order is None:
+            self.order = self._conflict_order()
+        flips = [(1 << y, x) for x, y in map(self.pairs.__getitem__, self.order)]
+        placed = _colour_classes(
             len(flips), t, self.leq, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
-        ) is not None
+        )
+        if placed is None:
+            return None
+        classes = [0] * t
+        for c, k in zip(self.order, placed):
+            classes[k] |= 1 << c
+        return classes
 
     def least_classes(self, limit: int) -> int | None:
-        """Least t <= limit splitting every critical pair, or None.
+        """Least t <= limit splitting every critical pair, or None; the
+        split is kept in self.classes.
 
         One class holds exactly when there are no pairs: one extension
         reversing every critical pair would realize P alone, so P would be
         a chain.  Two hold exactly when the conflicts close no odd cycle,
-        one step per pair; only t >= 3 colours.
+        one step per pair, and the 2-colouring that shows it is the
+        split; only t >= 3 colours, and t pairs take one class each.
         """
         self.meter.what = COLOURING
-        if not self.pairs:
-            self.dim = 1
+        count = len(self.pairs)
+        if not count:
+            self.classes = [0]
             return 1
         if limit >= 2:
-            self.meter.tick(len(self.pairs))
-            self.memo[self.full, 2] = self._bipartite(self.full)
-        for t in range(2, limit + 1):
-            if self.splits(self.full, t):
-                self.dim = t
+            self.meter.tick(count)
+            side = self._bipartite(self.full)
+            if side is not None:
+                self.classes = [side, self.full & ~side]
+                return 2
+        for t in range(3, limit + 1):
+            classes = [1 << c for c in range(count)] if count <= t else self._colour(t)
+            if classes is not None:
+                self.classes = classes
                 return t
         return None
 
     def witness(self, n: int) -> list[list[int]]:
-        """The lexicographically first n-slot witness, as index sequences."""
+        """One extension per class, as index sequences in stream order,
+        the last repeated up to n orders."""
         self.meter.what = WITNESS
-        orders: list[list[int]] = []
-        unreversed = self.full
-        for k in range(1, n + 1):
-            if orders and self.splits(unreversed, n - k):
-                orders.append(orders[-1])
-                continue
-            order, reversed_ = self._first_extension(unreversed, n - k)
-            orders.append(order)
-            unreversed &= ~reversed_
-        return orders
+        orders = sorted(map(self._last_extension, self.classes))
+        return orders + orders[-1:] * (n - len(orders))
 
-    def _with_ys(self, rows: list[int], mask: int) -> list[int]:
-        """rows with bit y set in rows[x] for each pair (x, y) in mask."""
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            x, y = self.pairs[low.bit_length() - 1]
-            rows[x] |= 1 << y
-        return rows
-
-    def _first_extension(self, unreversed: int, r: int) -> tuple[list[int], int]:
-        """First extension in stream order whose leftover pairs split into r.
-
-        Steps are counted locally and charged to the meter once per
-        placement, once per dead end and before each splits() call, so at
-        most one scan of candidates runs between two charges."""
-        if r == 0:
-            return self._last_extension(unreversed)
-        m = len(self.up)
-        down = self.down
-        if unreversed == self.full:
-            x_of, y_of, ys_of = self.by_x, self.by_y, self.ys_of
-        else:
-            x_of = [row & unreversed for row in self.by_x]
-            y_of = [row & unreversed for row in self.by_y]
-            ys_of = self._with_ys([0] * m, unreversed)
-        everything = (1 << m) - 1
-        tick = self.meter.tick
-        order: list[int] = []
-        dead: set[tuple[int, int]] = set()
-        # State, saved on the stack at each placement: placed elements, pairs left
-        # unreversed, pairs whose y is placed, class rows (r = 1), candidates left.
-        stack = []
-        taken = kept = y_placed = steps = 0
-        rows = self.leq
-        free = everything
-        while taken != everything:
-            untaken = ~taken
-            # Candidates are the elements not placed, lowest index first.
-            # The pairs a candidate leaves unreversed, x_of[i] & ~y_placed,
-            # are worked out only where they are used.
-            while free:
-                low = free & -free
-                free ^= low
-                i = low.bit_length() - 1
-                if down[i] & untaken:
-                    continue
-                steps += 1
-                if dead and (taken | low, kept | x_of[i] & ~y_placed) in dead:
-                    continue
-                grown = rows
-                if r == 1:
-                    # Those pairs join the class together, one step each,
-                    # in index order, which is y order; a cycle stops them
-                    # at the first y that i is already below.
-                    ys = ys_of[i] & untaken
-                    if ys:
-                        grown = _reverse(rows, ys, i)
-                        if grown is None:
-                            first = rows[i] & ys
-                            steps += (ys & (first & -first) * 2 - 1).bit_count()
-                            continue
-                        steps += ys.bit_count()
-                    break
-                tick(steps)
-                steps = 0
-                if self.splits(kept | x_of[i] & ~y_placed, r):
-                    break
-            else:
-                tick(steps)
-                steps = 0
-                if not stack:
-                    raise SelfCheckFailed("no linear extension completes the realizer")
-                dead.add((taken, kept))
-                taken, kept, y_placed, rows, free = stack.pop()
-                order.pop()
-                continue
-            tick(steps)
-            steps = 0
-            stack.append((taken, kept, y_placed, rows, free))
-            order.append(i)
-            kept |= x_of[i] & ~y_placed
-            taken, y_placed, rows = taken | low, y_placed | y_of[i], grown
-            free = everything & ~taken
-        return order, unreversed & ~kept
-
-    def _last_extension(self, unreversed: int) -> tuple[list[int], int]:
-        """The extension reversing every pair in unreversed: each element
+    def _last_extension(self, reversed_: int) -> list[int]:
+        """The extension reversing every pair in reversed_: each element
         waits for its predecessors and for the y of each pair it is the x
         of, and the least element ready goes next, one step each, charged
         together once the order is complete."""
-        need = self._with_ys(list(self.down), unreversed)
+        need = list(self.down)
+        while reversed_:
+            low = reversed_ & -reversed_
+            reversed_ ^= low
+            x, y = self.pairs[low.bit_length() - 1]
+            need[x] |= 1 << y
         order: list[int] = []
         free = (1 << len(need)) - 1
         while free:
@@ -483,7 +386,7 @@ class _RealizerSearch:
             order.append(i)
             free ^= low
         self.meter.tick(len(order))
-        return order, unreversed
+        return order
 
 
 def _checked(p: FinitePoset, orders: list[list[int]]) -> RealizerTuple:
@@ -498,7 +401,8 @@ def _checked(p: FinitePoset, orders: list[list[int]]) -> RealizerTuple:
 def find_realizers(
     p: FinitePoset, n: int, budget: int | None = None
 ) -> RealizerTuple | None:
-    """A tuple of n linear extensions whose intersection is lt, or None."""
+    """A tuple of n linear extensions whose intersection is lt, or None.
+    When n exceeds the dimension, the last order is repeated."""
     if n < 1:
         raise ValueError("n must be at least 1")
     search = _RealizerSearch(p, budget)
@@ -508,7 +412,7 @@ def find_realizers(
 
 
 def dimension(p: FinitePoset, budget: int | None = None) -> DimensionResult:
-    """Smallest n admitting a realizer tuple, with the first witness."""
+    """Smallest n admitting a realizer tuple, with a realizer of n orders."""
     search = _RealizerSearch(p, budget)
     n = search.least_classes(len(p))
     if n is None:

@@ -243,10 +243,24 @@ def oracle_conflict_order(search) -> tuple[list[int], list[int]]:
     return conflicts, out
 
 
+def splits(search, mask: int, t: int) -> bool:
+    """Whether the pairs in mask split into at most t reversible classes:
+    by the pair count, for t = 2 by the odd-cycle test, which refuses but
+    cannot accept a subset, and then by `oracle_colour`."""
+    if mask == 0:
+        return True
+    if t <= 0:
+        return False
+    if mask.bit_count() <= t:
+        return True
+    return (t != 2 or search._bipartite(mask) is not None) and oracle_colour(search, mask, t)
+
+
 def oracle_first_extension(search, unreversed: int, r: int) -> tuple[list[int], int]:
-    """The witness walk that asks `search.splits` at every candidate, for
-    every r: the oracle for the greedy (r = 0) and carried-class (r = 1)
-    walks of `_RealizerSearch._first_extension`."""
+    """The first extension in stream order whose leftover pairs, of those
+    in unreversed, split into r classes, and the pairs it reverses: a
+    depth-first walk, smallest element index first, that asks `splits` at
+    every candidate."""
     m = len(search.up)
     x_of = [0] * m
     y_of = [0] * m
@@ -267,7 +281,7 @@ def oracle_first_extension(search, unreversed: int, r: int) -> tuple[list[int], 
             if not taken >> i & 1 and not search.down[i] & ~taken:
                 grown = kept | x_of[i] & ~y_placed
                 state = (taken | 1 << i, grown)
-                if state not in dead and search.splits(grown, r):
+                if state not in dead and splits(search, grown, r):
                     frame[3] = i + 1
                     order.append(i)
                     stack.append([taken | 1 << i, grown, y_placed | y_of[i], 0])
@@ -279,6 +293,42 @@ def oracle_first_extension(search, unreversed: int, r: int) -> tuple[list[int], 
             if order:
                 order.pop()
     raise SelfCheckFailed("no linear extension completes the realizer")
+
+
+def oracle_first_witness(p: FinitePoset, n: int) -> RealizerTuple:
+    """The lexicographically first n-order witness in the extension
+    stream, rebuilt greedily without listing the stream: slot k of n
+    repeats the previous order while the pairs still unreversed split into
+    n - k classes, and otherwise takes their `oracle_first_extension`.
+    `CoverSearch.realizers` defines the same tuple by enumeration, which
+    costs too much memory past about ten elements."""
+    search = _RealizerSearch(p, 10**9)
+    orders: list[list[int]] = []
+    unreversed = search.full
+    for k in range(1, n + 1):
+        if orders and splits(search, unreversed, n - k):
+            orders.append(orders[-1])
+            continue
+        order, reversed_ = oracle_first_extension(search, unreversed, n - k)
+        orders.append(order)
+        unreversed &= ~reversed_
+    return _checked(p, orders)
+
+
+def oracle_class_extension(search, mask: int) -> list[int]:
+    """The lexicographically least topological order of the poset with y
+    put below x for each pair (x, y) in mask, by picking the least element
+    whose predecessors are all placed: the oracle for the extension
+    `_RealizerSearch.witness` builds for each class."""
+    m = len(search.up)
+    before = [{i for i in range(m) if search.down[j] >> i & 1} for j in range(m)]
+    for c, (x, y) in enumerate(search.pairs):
+        if mask >> c & 1:
+            before[x].add(y)
+    order: list[int] = []
+    while len(order) < m:
+        order.append(min(j for j in range(m) if j not in order and before[j] <= set(order)))
+    return order
 
 
 def naive_two_colourable(search, mask: int) -> bool:
@@ -351,7 +401,7 @@ def oracle_colour(search, mask: int, t: int) -> bool:
     pairs in colouring order, each trying the open classes and then a new
     one, one tick of the search's meter per class tried.  The oracle for
     the kernel's verdicts and step counts."""
-    seq = search._in_order(mask)
+    seq = [c for c in search._conflict_order() if mask >> c & 1]
     tick = search.meter.tick
     classes: list[list[int]] = []
     tried = [-1] * len(seq)
@@ -401,7 +451,7 @@ def oracle_least_classes(search, limit: int) -> int | None:
             fits = True
         elif t == 1:
             rows = search.up
-            for c in search._in_order(full):
+            for c in search._conflict_order():
                 search.meter.tick()
                 x, y = search.pairs[c]
                 rows = reverse_pair(rows, y, x)
@@ -409,21 +459,12 @@ def oracle_least_classes(search, limit: int) -> int | None:
                     break
             fits = rows is not None
         elif t == 2:
-            fits = search._bipartite(full) and oracle_colour(search, full, 2)
+            fits = search._bipartite(full) is not None and oracle_colour(search, full, 2)
         else:
             fits = oracle_colour(search, full, t)
         if fits:
-            search.dim = t
             return t
     return None
-
-
-def oracle_dimension(p: FinitePoset) -> tuple[int, RealizerTuple]:
-    """dimension()'s dim and checked witness, with `oracle_least_classes`
-    in place of `least_classes`."""
-    search = _RealizerSearch(p, 10**9)
-    n = oracle_least_classes(search, len(p))
-    return n, _checked(p, search.witness(n))
 
 
 def oracle_intersection_rows(orders, elements) -> list[int]:

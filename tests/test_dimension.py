@@ -7,8 +7,10 @@ in some member, checked over all index multisets of the extension stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -34,6 +36,7 @@ from orderdim.budget import BudgetMeter
 from orderdim.dimension import (
     _RealizerSearch,
     _checked,
+    _colour_classes,
     _critical_indices,
     _extensions,
     _reverse,
@@ -51,10 +54,10 @@ from conftest import (
     naive_is_realizer,
     naive_two_colourable,
     naturally_labelled_posets,
+    oracle_class_extension,
     oracle_colour,
     oracle_conflict_order,
-    oracle_dimension,
-    oracle_first_extension,
+    oracle_first_witness,
     oracle_least_classes,
     random_poset,
     random_poset_shuffled,
@@ -66,13 +69,15 @@ from conftest import (
 # frozen from a brute-force permutation filter over all |P|! orders
 CROWN_EXTENSION_COUNTS = {2: 6, 3: 48, 4: 720}
 # sha256 prefix of [[dim, witness], ...] for the 20 posets of
-# TestTwentyEightElements, frozen from the search as it stood before the
-# greedy last slot, the carried one-class closure and the odd-cycle prune
-WITNESS_DIGEST_28 = "17bda5d72c82313a"
+# TestTwentyEightElements, frozen when the witness came to be one extension
+# per colour class; the dims are those of the lexicographically first
+# witness search before it
+WITNESS_DIGEST_28 = "7f8c671ec55187d5"
 # sha256 prefix of [[dim, colouring steps, witness steps], ...] for the 280
-# posets of test_step_counts_on_seeded_posets, frozen from the search as it
-# stood when it charged the meter one step at a time
-STEP_DIGEST_280 = "7d34ffbbfa2292c9"
+# posets of test_step_counts_on_seeded_posets, frozen when the witness came
+# to be one extension per colour class; the dims and colouring steps are
+# those of the search when it charged the meter one step at a time
+STEP_DIGEST_280 = "04d5a2ea430b33ba"
 
 
 def naive_dimension(p, max_n=4):
@@ -194,9 +199,17 @@ class TestFindRealizers:
         assert is_realizer(crown(3), t)
         assert naive_is_realizer(crown(3), t)
 
-    def test_lexicographically_first_witness(self):
+    def test_witness_orders_come_in_stream_order(self):
         t = find_realizers(antichain(2, ("a", "b")), 2)
         assert [o.order for o in t.orders] == [("a", "b"), ("b", "a")]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_padding_repeats_the_last_order(self, n):
+        # crown(3) has three classes; past three orders the last class's
+        # extension repeats.
+        t = find_realizers(crown(3), n)
+        assert t.orders[:3] == dimension(crown(3)).witness.orders
+        assert t.orders[2:] == (t.orders[2],) * (n - 2)
 
     @given(st.integers(0, 5_000), st.integers(2, 6))
     def test_padding_monotonicity(self, seed, m):
@@ -283,24 +296,28 @@ class TestOreEmbedding:
             ore_embedding(p, t)
 
 
-def assert_matches_cover_search(p):
-    """dimension() and find_realizers(p, n), n = d .. d + 2, return the
-    witnesses of the enumerate-and-cover oracle."""
+def assert_agrees_with_cover_search(p):
+    """dimension() finds the enumerate-and-cover oracle's dimension with a
+    realizer, find_realizers(p, n) a realizer of n orders for n = d ..
+    d + 2 and none for d - 1; the greedy walk rebuilds the oracle's
+    lexicographically first witness."""
     oracle = CoverSearch(p)
     d, first = oracle.dimension()
     res = dimension(p)
     assert res.dim == d
-    assert res.witness == first
+    assert naive_is_realizer(p, res.witness)
+    assert oracle_first_witness(p, d) == first
     for n in (d, d + 1, d + 2):
         got = find_realizers(p, n)
-        assert got == oracle.realizers(n)
+        assert got.n == n
         assert naive_is_realizer(p, got)
     if d > 1:
         assert find_realizers(p, d - 1) is None
 
 
 class TestAgainstCoverSearch:
-    """The colouring search rebuilds the cover search's witness exactly."""
+    """The colouring search finds the cover search's dimension, with a
+    realizer of its own."""
 
     # Labels out of index order: a tie broken by label instead of by
     # element index picks a different extension.
@@ -316,13 +333,25 @@ class TestAgainstCoverSearch:
 
     def test_every_poset_on_four_labels(self):
         for p in all_posets_on(self.LABELS):
-            assert_matches_cover_search(p)
+            assert_agrees_with_cover_search(p)
 
     def test_shuffled_random_posets(self):
         rng = random.Random(2024)
         for _ in range(300):
             p = random_poset_shuffled(rng, rng.randint(2, 8))
-            assert_matches_cover_search(p)
+            assert_agrees_with_cover_search(p)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_crown_witness_is_the_first_realizer(self, n):
+        # Each pair of a crown conflicts with every other, so each gets a
+        # class of its own, and their extensions in stream order are the
+        # lexicographically first realizer: the bytes `gen crown | dim`
+        # prints.  Past crown(5) the cover search lists too many
+        # extensions; the greedy walk stands in for it.
+        witness = dimension(crown(n)).witness
+        assert witness == oracle_first_witness(crown(n), n)
+        if n <= 5:
+            assert witness == CoverSearch(crown(n)).realizers(n)
 
     def test_shuffled_labels_change_the_witness(self):
         """The stream breaks ties by element index, not by label."""
@@ -331,55 +360,68 @@ class TestAgainstCoverSearch:
         assert [o.order for o in t.orders] == [("b", "a"), ("a", "b")]
 
 
-def _walk_outcome(walk, *args):
-    try:
-        return walk(*args)
-    except SelfCheckFailed:
-        return "no extension"
-
-
-def assert_walks_match_the_splits_walk(p, rng):
-    """r = 0 and r = 1 of _first_extension against the walk that asks
-    splits() at every candidate, for the whole pair set and random
-    subsets of it (some of which no extension reverses)."""
-    fast = _RealizerSearch(p, 10**9)
-    slow = _RealizerSearch(p, 10**9)
-    for unreversed in (fast.full, rng.getrandbits(len(fast.pairs)), rng.getrandbits(len(fast.pairs))):
-        for r in (0, 1):
-            assert _walk_outcome(fast._first_extension, unreversed, r) == _walk_outcome(
-                oracle_first_extension, slow, unreversed, r
-            )
+def kernel_colour(search, mask: int, t: int) -> list[int] | None:
+    """The pairs in mask, in colouring order, put into t classes by the
+    shared kernel, `_colour_classes`, on the search's meter: each pair's
+    class, or None.  `_RealizerSearch._colour` runs it on every pair."""
+    seq = [c for c in search._conflict_order() if mask >> c & 1]
+    flips = [(1 << y, x) for x, y in map(search.pairs.__getitem__, seq)]
+    return _colour_classes(
+        len(flips), t, search.leq, lambda rows, d: _reverse(rows, *flips[d]), search.meter.tick
+    )
 
 
 def assert_colours_like_the_loop(p, rng):
-    """_colour, on the shared kernel, against conftest.oracle_colour: the
-    same verdict and the same steps for t = 1..4, on the whole pair set
-    and on random subsets of it."""
+    """The shared kernel against conftest.oracle_colour: the same verdict
+    and the same steps for t = 1..4, through _colour on the whole pair set
+    and directly on random subsets of it."""
     fast = _RealizerSearch(p, 10**9)
     slow = _RealizerSearch(p, 10**9)
-    for mask in (fast.full, rng.getrandbits(len(fast.pairs)), rng.getrandbits(len(fast.pairs))):
+    for t in range(1, 5):
+        assert (fast._colour(t) is not None) == oracle_colour(slow, slow.full, t)
+        assert fast.meter.remaining == slow.meter.remaining
+    for mask in (rng.getrandbits(len(fast.pairs)), rng.getrandbits(len(fast.pairs))):
         for t in range(1, 5):
-            assert fast._colour(mask, t) == oracle_colour(slow, mask, t)
+            assert (kernel_colour(fast, mask, t) is not None) == oracle_colour(slow, mask, t)
             assert fast.meter.remaining == slow.meter.remaining
 
 
-# (poset, (dim, colouring steps, witness steps)), from the search before
-# the walks jumped by bits and the last slot ran straight.
+def assert_split_is_proper(search, t):
+    """least_classes kept t classes that partition the pairs, none holding
+    two pairs of a 2-cycle."""
+    classes = search.classes
+    assert len(classes) == t
+    assert sum(classes) == search.full == functools.reduce(operator.or_, classes)
+    for c, pairs in enumerate(search.conflicts):
+        assert all(not (k >> c & 1 and k & pairs) for k in classes)
+
+
+# Sixteen elements of dimension 3 from random_structure(Random(1_000_000),
+# 16, 3); before the witness came from the colouring's classes it took
+# 3,988,072 witness steps, about four times the default budget.
+SIXTEEN = random_structure(random.Random(1_000_000), 16, 3).poset
+
+# (poset, (dim, colouring steps, witness steps)).  The dims and colouring
+# steps are those of the lexicographically first witness search before;
+# the witness takes one step per element for each class's extension.
 PINNED_STEPS = [
-    (crown(3), (3, 3, 26)),
-    (crown(4), (4, 13, 44)),
-    (crown(5), (5, 28, 76)),
-    (antichain(8), (2, 56, 44)),
-    (antichain(16), (2, 240, 152)),
+    (crown(3), (3, 3, 18)),
+    (crown(4), (4, 13, 32)),
+    (crown(5), (5, 28, 50)),
+    (antichain(8), (2, 56, 16)),
+    (antichain(16), (2, 240, 32)),
     (chain(10), (1, 0, 10)),
     (
         FinitePoset.from_rows(
             [f"x{i}" for i in range(10)], [16, 0, 0, 530, 0, 16, 534, 2, 539, 18]
         ),
-        (3, 41, 125),
+        (3, 41, 30),
     ),
+    (SIXTEEN, (3, 180, 48)),
 ]
-PINNED_IDS = ["crown3", "crown4", "crown5", "antichain8", "antichain16", "chain10", "dim3-10"]
+PINNED_IDS = [
+    "crown3", "crown4", "crown5", "antichain8", "antichain16", "chain10", "dim3-10", "dim3-16"
+]
 
 
 class RecordingMeter(BudgetMeter):
@@ -394,9 +436,9 @@ class RecordingMeter(BudgetMeter):
 
 
 class TestFastPathsAgainstOracles:
-    """The straight last slot, the bit-jumping one-class walk, the packed
-    conflict order, the odd-cycle prune, the bit-loop critical pairs and
-    the shared colouring kernel against the code they replace."""
+    """The class extensions, the packed conflict order, the odd-cycle
+    prune, the bit-loop critical pairs and the shared colouring kernel
+    against the code they replace."""
 
     @given(st.integers(0, 2**32), st.integers(2, 10), st.booleans())
     def test_colouring_kernel_matches_the_chronological_loop(self, seed, m, shuffled):
@@ -415,32 +457,17 @@ class TestFastPathsAgainstOracles:
     def test_colouring_kernel_on_fixed_posets(self, p):
         assert_colours_like_the_loop(p, random.Random(len(p)))
 
-    @given(st.integers(0, 2**32), st.integers(1, 10), st.booleans())
-    def test_greedy_and_carried_walks_match_the_splits_walk(self, seed, m, shuffled):
-        rng = random.Random(seed)
-        p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
-        assert_walks_match_the_splits_walk(p, rng)
-
-    @pytest.mark.parametrize("m", range(2, 11))
-    def test_walks_on_seeded_posets_up_to_ten_elements(self, m):
-        rng = random.Random(m)
-        for _ in range(20):
-            assert_walks_match_the_splits_walk(random_poset(rng, m), rng)
-            assert_walks_match_the_splits_walk(random_poset_shuffled(rng, m), rng)
-
     @given(st.integers(0, 2**32), st.integers(1, 10))
     def test_critical_indices_match_the_definition(self, seed, m):
-        # The pairs, the masks of pairs by x and by y, the y of each x as
-        # elements, and each pair (a, b)'s conflicts, the pairs (u, v) with
-        # a <= v and u <= b.
+        # The pairs, the masks of pairs by x and by y, and each pair
+        # (a, b)'s conflicts, the pairs (u, v) with a <= v and u <= b.
         p = random_poset_shuffled(random.Random(seed), m)
         e = p.elements
         want = naive_critical_pairs(p)
-        pairs, by_x, by_y, ys_of = _critical_indices(p.up, p.down)
+        pairs, by_x, by_y = _critical_indices(p.up, p.down)
         assert [(e[x], e[y]) for x, y in pairs] == want
         assert by_x == [sum(1 << c for c, (x, _) in enumerate(want) if x == i) for i in e]
         assert by_y == [sum(1 << c for c, (_, y) in enumerate(want) if y == i) for i in e]
-        assert ys_of == [sum(1 << p.index(y) for x, y in want if x == i) for i in e]
         conflicts = [
             sum(1 << d for d, (u, v) in enumerate(want) if p.leq(a, v) and p.leq(u, b))
             for a, b in want
@@ -478,8 +505,8 @@ class TestFastPathsAgainstOracles:
 
     def test_step_counts_on_seeded_posets(self):
         # Random posets of 2-10 elements, in index order and shuffled, and
-        # structures of three and four orders: candidates whose pairs close
-        # a cycle part way count the steps taken up to the cycle.
+        # structures of three and four orders.  Every witness is one
+        # extension per class of a proper split, in stream order.
         rng = random.Random(15)
         posets = [
             make(rng, m) for m in range(2, 11) for _ in range(15)
@@ -491,15 +518,18 @@ class TestFastPathsAgainstOracles:
             search = _RealizerSearch(p, 10**9)
             n = search.least_classes(len(p))
             colouring = 10**9 - search.meter.remaining
-            search.witness(n)
+            orders = search.witness(n)
             out.append([n, colouring, 10**9 - colouring - search.meter.remaining])
+            assert_split_is_proper(search, n)
+            assert orders == sorted(oracle_class_extension(search, c) for c in search.classes)
+            assert naive_is_realizer(p, _checked(p, orders))
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16] == STEP_DIGEST_280
 
     @pytest.mark.parametrize("p, steps", PINNED_STEPS, ids=PINNED_IDS)
     def test_budget_thresholds_of_the_pinned_posets(self, p, steps):
-        # The witness search charges its steps in batches; every budget
-        # verdict, and the phase it names, is the one step-by-step
-        # charging gave.
+        # The witness search charges each class's extension in one batch;
+        # every budget verdict, and the phase it names, is the one
+        # step-by-step charging would give.
         _, colouring, witness = steps
         assert dimension(p, budget=colouring + witness).dim == steps[0]
         with pytest.raises(LimitExceeded, match="^witness search"):
@@ -512,86 +542,96 @@ class TestFastPathsAgainstOracles:
                 dimension(p, budget=colouring - 1)
 
     @pytest.mark.parametrize("p, steps", PINNED_STEPS, ids=PINNED_IDS)
-    def test_witness_charges_cover_one_scan_each(self, p, steps):
-        # Each charge covers at most one scan of the candidates, with the
-        # pairs they join to the class; the first slot of two or more is a
-        # walk, charged at each of its placements; and the charges add up
-        # to the pinned count.
+    def test_witness_charges_once_per_class(self, p, steps):
+        # Each class's extension charges one step per element, once its
+        # order is complete; a witness padded past the classes charges no
+        # more.
         search = _RealizerSearch(p, 10**9)
         n = search.least_classes(len(p))
         search.meter = RecordingMeter()
-        search.witness(n)
-        charges = search.meter.charges
-        assert sum(charges) == steps[2]
-        assert max(charges) <= len(p) + len(search.pairs)
-        if n >= 2:
-            assert len(charges) > len(p)
-
-    @pytest.mark.parametrize("p", [antichain(6), crown(3), crown(4), chain(4)], ids=repr)
-    def test_walks_on_every_witness_slot(self, p):
-        fast = _RealizerSearch(p, 10**9)
-        slow = _RealizerSearch(p, 10**9)
-        n = slow.least_classes(len(p))
-        unreversed = slow.full
-        for r in range(n - 1, -1, -1):
-            order, reversed_ = oracle_first_extension(slow, unreversed, r)
-            if r <= 1:
-                assert fast._first_extension(unreversed, r) == (order, reversed_)
-            unreversed &= ~reversed_
-        assert unreversed == 0
+        search.witness(n + 2)
+        assert search.meter.charges == [len(p)] * n
+        assert sum(search.meter.charges) == steps[2]
 
     @given(st.integers(0, 2**32), st.integers(1, 9), st.booleans())
     def test_conflict_order_matches_the_tuple_key(self, seed, m, shuffled):
         rng = random.Random(seed)
         p = (random_poset_shuffled if shuffled else random_poset)(rng, m)
         search = _RealizerSearch(p, None)
-        assert (search.conflicts, search._in_order(search.full)) == oracle_conflict_order(search)
+        assert (search.conflicts, search._conflict_order()) == oracle_conflict_order(search)
 
     @pytest.mark.parametrize("p", [antichain(8), crown(3), crown(5)], ids=repr)
     def test_conflict_order_on_fixed_posets(self, p):
         search = _RealizerSearch(p, None)
-        assert (search.conflicts, search._in_order(search.full)) == oracle_conflict_order(search)
+        assert (search.conflicts, search._conflict_order()) == oracle_conflict_order(search)
 
     @given(st.integers(0, 2**32), st.integers(2, 8))
     def test_odd_cycle_prune_agrees_with_colouring(self, seed, m):
         rng = random.Random(seed)
         search = _RealizerSearch(random_poset_shuffled(rng, m), 10**9)
         for mask in (search.full, rng.getrandbits(len(search.pairs))):
-            bipartite = search._bipartite(mask)
+            bipartite = search._bipartite(mask) is not None
             assert bipartite == naive_two_colourable(search, mask)
             if not bipartite:
-                assert not search._colour(mask, 2)
+                assert not oracle_colour(search, mask, 2)
+
+    @given(st.integers(0, 2**32), st.integers(2, 10), st.booleans())
+    def test_two_colouring_is_proper_and_holds_each_lowest_pair(self, seed, m, shuffled):
+        # The side _bipartite returns holds the lowest pair of every
+        # component of the conflict graph among the mask, and no conflict
+        # joins two pairs on one side.
+        rng = random.Random(seed)
+        search = _RealizerSearch((random_poset_shuffled if shuffled else random_poset)(rng, m), None)
+        for mask in (search.full, rng.getrandbits(len(search.pairs))):
+            side = search._bipartite(mask)
+            if side is None:
+                continue
+            assert side & ~mask == 0
+            for c in _bits(mask):
+                same = side if side >> c & 1 else mask & ~side
+                assert not search.conflicts[c] & same
+                component = 1 << c
+                while True:
+                    grown = component | functools.reduce(
+                        operator.or_, (search.conflicts[d] & mask for d in _bits(component))
+                    )
+                    if grown == component:
+                        break
+                    component = grown
+                low = component & -component
+                assert side & low
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_odd_cycle_prune_on_crowns(self, n):
         # Crowns of dimension 3 and more carry odd conflict cycles that
         # random posets this small almost never do.
         search = _RealizerSearch(crown(n), 10**9)
-        assert not search._bipartite(search.full)
-        assert search.splits(search.full, 2) is False
+        assert search._bipartite(search.full) is None
+        assert search.least_classes(2) is None
         rng = random.Random(n)
         for _ in range(30):
             mask = rng.getrandbits(len(search.pairs))
-            bipartite = search._bipartite(mask)
+            bipartite = search._bipartite(mask) is not None
             assert bipartite == naive_two_colourable(search, mask)
             if not bipartite:
-                assert not search._colour(mask, 2)
+                assert not oracle_colour(search, mask, 2)
 
 
 def assert_decides_like_the_colouring(p):
     """least_classes and dimension() agree with the path that coloured
-    t = 1 and t = 2; a call of dimension <= 2 never builds the order.
-    dimension() gets the oracle's budget: this checks the decision, and
-    some posets of dimension 3 need more witness steps than the default."""
+    t = 1 and t = 2, the split they keep is proper, and the witness, at
+    the default budget, realizes p; the order is built only for a
+    colouring, so never for dimension <= 2."""
     search = _RealizerSearch(p, 10**9)
     n = search.least_classes(len(p))
     assert n == oracle_least_classes(_RealizerSearch(p, 10**9), len(p))
-    res = dimension(p, budget=10**9)
-    assert (res.dim, res.witness) == oracle_dimension(p)
-    search.witness(n)
+    assert_split_is_proper(search, n)
+    res = dimension(p)
+    assert res.dim == n
+    assert naive_is_realizer(p, res.witness)
     if n <= 2:
         assert search.order is None
-    else:
+    elif search.order is not None:
         assert search.order == oracle_conflict_order(search)[1]
     return n
 
@@ -621,27 +661,25 @@ class TestTwoClassDecision:
     def test_fixed_posets(self, p):
         assert_decides_like_the_colouring(p)
 
-    @pytest.mark.xfail(strict=True, raises=LimitExceeded)
     def test_sixteen_elements_of_dimension_three_at_the_default_budget(self):
-        # random_structure(Random(1_000_000), 16, 3): 180 colouring steps,
-        # then 3,988,072 witness steps, about four times the default
-        # budget, nearly all in the slot with two classes to go, which
-        # colours each candidate's pairs anew (ROADMAP item 4).
-        p = random_structure(random.Random(1_000_000), 16, 3).poset
-        assert dimension(p).dim == 3
+        # 180 colouring steps, then 48 witness steps, one per element for
+        # each of the three classes (PINNED_STEPS).
+        res = dimension(SIXTEEN)
+        assert res.dim == 3
+        assert naive_is_realizer(SIXTEEN, res.witness)
 
     def test_odd_cycle_test_alone_does_not_decide_subsets(self):
         # Seven critical pairs of a 12-element poset of dimension 3 whose
         # conflicts close no odd cycle, yet no two reversible classes
-        # hold them: the witness phase must keep colouring its subsets.
+        # hold them: the odd-cycle test decides two classes, and gives a
+        # split, for the whole pair set only.
         up = (3202, 128, 2688, 0, 2568, 3787, 136, 0, 128, 2048, 2048, 0)
         p = FinitePoset.from_rows([f"x{i}" for i in range(12)], up)
         search = _RealizerSearch(p, 10**9)
         subset = [(0, 9), (1, 11), (2, 1), (2, 3), (4, 10), (5, 2), (10, 7)]
         mask = sum(1 << search.pairs.index(pair) for pair in subset)
-        assert search._bipartite(mask)
-        assert not search._colour(mask, 2)
-        assert not search.splits(mask, 2)
+        assert naive_two_colourable(search, mask)
+        assert not oracle_colour(search, mask, 2)
         assert dimension(p).dim == 3
 
     def test_find_realizers_below_two(self):
@@ -654,13 +692,14 @@ class TestTwoClassDecision:
 
 class TestTwentyEightElements:
     def test_seeded_set_finishes_with_frozen_witnesses(self):
-        # 20 posets from random_poset with random.Random(28); the digest
-        # was taken from the search before the carried class, the greedy
-        # last slot and the odd-cycle prune, under the default budget.
+        # 20 posets from random_poset with random.Random(28), under the
+        # default budget.
         rng = random.Random(28)
         out = []
         for _ in range(20):
-            res = dimension(random_poset(rng, 28))
+            p = random_poset(rng, 28)
+            res = dimension(p)
+            assert naive_is_realizer(p, res.witness)
             out.append([res.dim, res.witness.to_json()])
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
         assert digest == WITNESS_DIGEST_28
@@ -700,17 +739,16 @@ class TestSearchBudget:
 
     def test_one_meter_spans_both_phases(self):
         # antichain(16) takes 240 colouring steps, one per critical pair,
-        # and 152 witness steps: 16 candidates and 120 carried pairs in the
-        # first slot, 16 picks in the greedy last one.  300 covers either
-        # phase alone, not both.
-        search = _RealizerSearch(antichain(16), 300)
+        # and 32 witness steps, 16 picks for each class's extension.  250
+        # covers either phase alone, not both.
+        search = _RealizerSearch(antichain(16), 250)
         assert search.least_classes(16) == 2
-        assert search.meter.remaining == 300 - 240
-        search.meter = BudgetMeter(300, "fresh meter")
+        assert search.meter.remaining == 250 - 240
+        search.meter = BudgetMeter(250, "fresh meter")
         assert len(search.witness(2)) == 2
-        assert search.meter.remaining == 300 - 152
+        assert search.meter.remaining == 250 - 32
         with pytest.raises(LimitExceeded, match="witness search"):
-            dimension(antichain(16), budget=300)
+            dimension(antichain(16), budget=250)
 
     def test_env_budget_honoured(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "5")
@@ -741,6 +779,29 @@ class TestSelfChecks:
         for bad in (repeated, [o[:-1] for o in orders], [o + [6] for o in orders]):
             with pytest.raises(NotARealizer):
                 _checked(p, bad)
+
+    # The split comes from the 2-colouring for antichain(4), one pair per
+    # class for crown(3) and the colouring search for SIXTEEN.  With the
+    # last class replaced by the first, the witness has fewer distinct
+    # orders than the dimension, so it cannot realize p.
+    @pytest.mark.parametrize("p", [antichain(4), crown(3), SIXTEEN], ids=repr)
+    def test_split_with_a_class_twice_fails_the_self_check(self, p, monkeypatch):
+        least_classes = _RealizerSearch.least_classes
+
+        def repeating(search, limit):
+            t = least_classes(search, limit)
+            search.classes[-1] = search.classes[0]
+            return t
+
+        monkeypatch.setattr(_RealizerSearch, "least_classes", repeating)
+        with pytest.raises(NotARealizer):
+            dimension(p)
+
+    def test_split_that_is_no_reversible_class_fails_the_self_check(self, monkeypatch):
+        # Every pair of antichain(2) on one side closes a cycle.
+        monkeypatch.setattr(_RealizerSearch, "_bipartite", lambda search, mask: mask)
+        with pytest.raises(SelfCheckFailed, match="no linear extension"):
+            dimension(antichain(2))
 
     # The cross-check compares the product order on the rank points with
     # p; rank points placed the wrong way up fail it.
