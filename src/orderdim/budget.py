@@ -2,12 +2,13 @@
 
 Exhaustive enumerations (linear extensions, realizers, critical-pair
 colourings, grid and copy colorings, amalgams) are exponential in the
-worst case.  Rather than hang, every search resolves one step budget per
-public call through `effective_budget`: an explicit `budget=` argument,
-else the ORDERDIM_BUDGET environment variable, else 1,000,000.  Its
-steps are counted on one `BudgetMeter`, whose phase name starts the
-LimitExceeded message.  Searches whose size is known up front also
-refuse, before any work, a space larger than the whole budget.
+worst case.  Rather than hang, every public search call counts its steps
+on one `BudgetMeter`, whose phase name starts the LimitExceeded message.
+The meter resolves its own budget through `effective_budget`, the one
+reader of it: an explicit `budget=` argument, else the ORDERDIM_BUDGET
+environment variable, read when the meter is made, else 1,000,000.
+Searches whose size is known up front also refuse, before any work, a
+space larger than the whole budget.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ DEFAULT_EXTENSION_BUDGET = 1_000_000
 ENV_VAR = "ORDERDIM_BUDGET"
 
 
-def effective_budget(explicit: int | None = None) -> int:
+def effective_budget(explicit: int | None) -> int:
     """Budget to use: explicit argument, else env override, else default."""
     if explicit is not None:
         if explicit <= 0:
@@ -44,13 +45,13 @@ class BudgetMeter:
 
     Cheap enough to tick once per node in a backtracking search.  `what`
     names the phase running now; a search may rename it between phases.
+    A budget of None takes the environment's or the default.
     """
 
     __slots__ = ("budget", "remaining", "what")
 
-    def __init__(self, budget: int, what: str):
-        self.budget = budget
-        self.remaining = budget
+    def __init__(self, budget: int | None, what: str):
+        self.budget = self.remaining = effective_budget(budget)
         self.what = what
 
     def tick(self, cost: int = 1) -> None:

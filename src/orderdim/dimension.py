@@ -24,18 +24,24 @@ reachability bitsets, grown as pairs join it, in the greedy pair order
 built when a colouring first runs.  Deciding dim(P) <= t is NP-complete
 for t >= 3 (Yannakakis 1982).
 
-The witness is read off the split that decided the dimension, one
-linear extension per class: the least-ready-element order of the poset
-with y put below x for each pair (x, y) of the class.  The classes are
-one empty class for t = 1; for t = 2 the pairs on the side of the
-breadth-first 2-colouring that holds each component's lowest pair, and
-the rest; for t >= 3 the classes the colouring search found.  The orders
-are sorted as index sequences, which is the order of the extension
-stream of `all_linear_extensions`, and the last is repeated up to the
-number of orders asked for.  That is not in general the
+Linear extensions come from one greedy completion, `_complete`: from a
+prefix, place the least element whose predecessors are all placed, again
+and again.  The extension stream of `all_linear_extensions` is the
+completion of the empty prefix and then, after each extension, the
+completion that puts a larger element in place of the deepest one that
+has a larger element ready.  The witness is read off the split that
+decided the dimension, one linear extension per class: the completion,
+from the empty prefix, of the poset with y put below x for each pair
+(x, y) of the class.  The classes are one empty class for t = 1; for
+t = 2 the pairs on the side of the breadth-first 2-colouring that holds
+each component's lowest pair, and the rest; for t >= 3 the classes the
+colouring search found.  The orders are sorted as index sequences, which
+is the order of the extension stream, and the last is repeated up to
+the number of orders asked for.  That is not in general the
 lexicographically first witness in the stream; the enumerate-and-cover
 search that defines that one lives in the test suite as an oracle, next
-to a naive realizer checker.
+to a naive realizer checker and the index-by-index extension walk that
+the stream must match.
 
 The witness is checked before any label is looked up: each index
 sequence must be a permutation of the elements, and the pairs that all
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .budget import BudgetMeter, effective_budget
+from .budget import BudgetMeter
 from .errors import NotARealizer, SelfCheckFailed
 from .poset import (
     FinitePoset,
@@ -101,7 +107,7 @@ def all_linear_extensions(
 ) -> Iterator[LinearOrder]:
     """Every linear extension exactly once, smallest-available-index first."""
     e = p.elements
-    meter = BudgetMeter(effective_budget(budget), EXTENSIONS)
+    meter = BudgetMeter(budget, EXTENSIONS)
     return (LinearOrder([e[i] for i in seq]) for seq in _extensions(p.down, meter))
 
 
@@ -111,38 +117,47 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
 
     down[i] holds elements that must come before element i; it need not
     be transitively closed.  Sequences come in lexicographic order, one
-    tick each.  A cyclic relation yields nothing: the walk stops at its
-    first dead end, which for an acyclic relation never occurs.
+    tick each: the first is the greedy completion of the empty prefix,
+    and each next one pops the deepest element i and completes with a
+    larger element than i in its place, popping further while none is
+    ready.  A cyclic relation yields nothing: its first completion dead
+    ends, which for an acyclic relation never happens.
     """
-    m = len(down)
+    order: list[int] = []
+    free = (1 << len(down)) - 1
+    if not _complete(down, order, free, free):
+        return
+    while True:
+        meter.tick()
+        yield tuple(order)
+        free = 0
+        while order:
+            i = order.pop()
+            free |= 1 << i
+            if _complete(down, order, free, free & -(2 << i)):
+                break
+        else:
+            return
 
-    def walk() -> Iterator[tuple[int, ...]]:
-        order = [0] * m
-        taken = d = i = 0
-        while True:
-            if d == m:
-                meter.tick()
-                yield tuple(order)
-            else:
-                fresh = i == 0
-                while i < m and (taken >> i & 1 or down[i] & ~taken):
-                    i += 1
-                if i < m:
-                    order[d] = i
-                    taken |= 1 << i
-                    d += 1
-                    i = 0
-                    continue
-                if fresh:
-                    return
-            if d == 0:
-                return
-            d -= 1
-            i = order[d]
-            taken ^= 1 << i
-            i += 1
 
-    return walk()
+def _complete(need: Sequence[int], order: list[int], free: int, rest: int) -> bool:
+    """Append to order the least element of rest that is ready, one whose
+    need row misses free, the elements not yet placed; then the least
+    ready element of what is left of free, each time.  True once free is
+    empty, False at a dead end."""
+    while free:
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if not need[i] & free:
+                break
+            rest ^= low
+        else:
+            return False
+        order.append(i)
+        free ^= low
+        rest = free
+    return True
 
 
 def _critical_indices(
@@ -233,14 +248,11 @@ class _RealizerSearch:
 
     def __init__(self, p: FinitePoset, budget: int | None):
         self.up, self.down = up, down = p.up, p.down
-        # leq[i]: the elements at or above i, the rows a class of reversed
-        # pairs starts from.
-        self.leq = [row | 1 << i for i, row in enumerate(up)]
         # by_x[i] and by_y[i]: the pairs whose x, or y, is i.
         pairs, by_x, by_y = _critical_indices(up, down)
         self.pairs = pairs
         self.full = (1 << len(pairs)) - 1
-        self.meter = BudgetMeter(effective_budget(budget), COLOURING)
+        self.meter = BudgetMeter(budget, COLOURING)
         # The split least_classes proved, one pair mask per class.
         self.classes: list[int] = []
         # The colouring order, built by _colour when it first runs.
@@ -315,8 +327,10 @@ class _RealizerSearch:
         if self.order is None:
             self.order = self._conflict_order()
         flips = [(1 << y, x) for x, y in map(self.pairs.__getitem__, self.order)]
+        # leq[i]: the elements at or above i, the rows a class starts from.
+        leq = [row | 1 << i for i, row in enumerate(self.up)]
         placed = _colour_classes(
-            len(flips), t, self.leq, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
+            len(flips), t, leq, lambda rows, d: _reverse(rows, *flips[d]), self.meter.tick
         )
         if placed is None:
             return None
@@ -363,8 +377,8 @@ class _RealizerSearch:
     def _last_extension(self, reversed_: int) -> list[int]:
         """The extension reversing every pair in reversed_: each element
         waits for its predecessors and for the y of each pair it is the x
-        of, and the least element ready goes next, one step each, charged
-        together once the order is complete."""
+        of, and `_complete` places the least element ready next, one step
+        each, charged together once the order is complete."""
         need = list(self.down)
         while reversed_:
             low = reversed_ & -reversed_
@@ -373,18 +387,8 @@ class _RealizerSearch:
             need[x] |= 1 << y
         order: list[int] = []
         free = (1 << len(need)) - 1
-        while free:
-            rest = free
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                if not need[i] & free:
-                    break
-                rest ^= low
-            else:
-                raise SelfCheckFailed("no linear extension completes the realizer")
-            order.append(i)
-            free ^= low
+        if not _complete(need, order, free, free):
+            raise SelfCheckFailed("no linear extension completes the realizer")
         self.meter.tick(len(order))
         return order
 

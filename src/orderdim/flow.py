@@ -19,7 +19,10 @@ Everything here lists every answer at small scale, without brute force:
   semidirect_decomposition cover the group side: the action on
   realizer tuples and the factorization of sample automorphisms into a
   coordinate permutation composed with a coordinate-order-preserving
-  part.  Automorphisms are found by backtracking over bit rows.
+  part.  That part is always the identity, so an automorphism factors
+  exactly when it is the label map of some coordinate permutation, and
+  factoring compares it with each.  Automorphisms are found by
+  backtracking over bit rows.
 
 Finite-scale caveat: the census equals n! and every tuple classifies
 only for special base structures; small samples routinely admit
@@ -44,7 +47,7 @@ from math import factorial
 from operator import and_, or_, xor
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .budget import BudgetMeter, effective_budget
+from .budget import BudgetMeter
 from .dimension import EXTENSIONS, _extensions
 from .errors import (
     CycleFound,
@@ -59,9 +62,7 @@ from .poset import (
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
-    _closure,
-    _find_cycle,
-    _first_loop,
+    _closed_or_cycle,
     _Frozen,
     _intersection_rows,
     _product_structure,
@@ -177,7 +178,7 @@ def enumerate_realizers(
     """
     p = s.poset
     m, n = len(p), s.n
-    meter = BudgetMeter(effective_budget(budget), EXTENSIONS)
+    meter = BudgetMeter(budget, EXTENSIONS)
     seqs = list(_extensions(p.down, meter))
     meter.what = REALIZERS
     position = {seq: k for k, seq in enumerate(seqs)}
@@ -287,10 +288,7 @@ def extend_realizer_closure(
     """
     seq = [base_order.index(lab) for lab in partial.order]
     edges = list(map(or_, base_order.up, _sequence_rows(seq, len(base_order))))
-    closed = _closure(edges)
-    loop = _first_loop(closed)
-    if loop is not None:
-        raise CycleFound(_find_cycle(edges, loop, base_order.elements))
+    closed = _closed_or_cycle(edges, base_order.elements, CycleFound)
     return FinitePoset.from_rows(base_order.elements, closed)
 
 
@@ -300,7 +298,7 @@ def cloud_automorphisms(c: PointCloud, budget: int | None = None) -> list[dict[s
     The identity always appears; output is sorted by image sequence,
     whose labels compare as strings ("p10" < "p2").
     """
-    return _automorphisms(c, BudgetMeter(effective_budget(budget), AUTOMORPHISMS))
+    return _automorphisms(c, BudgetMeter(budget, AUTOMORPHISMS))
 
 
 def _automorphisms(c: PointCloud, meter: BudgetMeter) -> list[dict[str, str]]:
@@ -415,31 +413,24 @@ def symmetric_sample(n: int, count: int, seed: int = 0) -> PointCloud:
 def _axis_maps(
     c: PointCloud, meter: BudgetMeter
 ) -> list[tuple[tuple[int, ...], dict[str, str]]]:
-    """Each coordinate permutation that maps c onto itself, with the
-    inverse of its label map.  All dim! permutations are tried, so a
-    budget smaller than that refuses the cloud before any is; each costs
-    one step plus one per point it maps."""
+    """Each coordinate permutation that maps c onto itself, with its label
+    map.  All dim! permutations are tried, so a budget smaller than that
+    refuses the cloud before any is; each costs one step plus one per
+    point it maps."""
     meter.require(factorial(c.dim), f"{c.dim}! coordinate permutations")
     index = {p: i for i, p in enumerate(c.points)}
     out = []
     for sigma in permutations(range(c.dim)):
-        inv = {}
+        moves = {}
         for i, p in enumerate(c.points):
             j = index.get(tuple(p[k] for k in sigma))
             if j is None:
                 break
-            inv[c.label(j)] = c.label(i)
+            moves[c.label(i)] = c.label(j)
         else:
-            out.append((sigma, inv))
-        meter.tick(1 + len(inv))
+            out.append((sigma, moves))
+        meter.tick(1 + len(moves))
     return out
-
-
-def _preserves_each_axis(c: PointCloud, h: Mapping[str, str]) -> bool:
-    """Whether h, a map on c's labels, keeps every coordinate order both
-    ways.  Such an h is one-to-one, so it keeps each point's dense rank
-    on every axis; the ranks pin the point down, so h fixes every label."""
-    return all(h[lab] == lab for lab in map(c.label, range(len(c))))
 
 
 def factor_automorphism(
@@ -449,27 +440,30 @@ def factor_automorphism(
 
     Finds the sigma whose coordinate permutation T composes with some h
     preserving every coordinate order to give g = T o h, and returns
-    (sigma, h).  Zero or several candidate factorizations raise; both
-    are finite-sample defects worth reporting rather than hiding.  The
-    walk over the dim! coordinate permutations runs on the default budget.
+    (sigma, h).  Such an h is one-to-one, so it keeps each point's dense
+    rank on every axis; the ranks pin the point down, so h is the
+    identity, and g factors through sigma exactly when g is T's label
+    map.  A g that is not a self-bijection of c's labels is refused.
+    Zero or several candidate factorizations raise; both are
+    finite-sample defects worth reporting rather than hiding.  The walk
+    over the dim! coordinate permutations runs on the default budget.
     """
-    return _factor(c, g, _axis_maps(c, BudgetMeter(effective_budget(), FACTORING)))
+    labels = set(map(c.label, range(len(c))))
+    if set(g) != labels or set(g.values()) != labels:
+        raise ElementMismatch("the map is not a self-bijection of the cloud's labels")
+    return _factor(dict(g), _axis_maps(c, BudgetMeter(None, FACTORING)))
 
 
 def _factor(
-    c: PointCloud, g: Mapping[str, str], maps: list[tuple[tuple[int, ...], dict[str, str]]]
+    g: dict[str, str], maps: list[tuple[tuple[int, ...], dict[str, str]]]
 ) -> tuple[tuple[int, ...], dict[str, str]]:
     """factor_automorphism against axis maps built once per cloud."""
-    hits = []
-    for sigma, inv in maps:
-        h = {lab: inv[g[lab]] for lab in g}
-        if _preserves_each_axis(c, h):
-            hits.append((sigma, h))
+    hits = [sigma for sigma, moves in maps if moves == g]
     if not hits:
         raise DecompositionFailed("no coordinate permutation factors the map")
     if len(hits) > 1:
         raise DecompositionFailed(f"{len(hits)} factorizations; the split is not unique")
-    return hits[0]
+    return hits[0], {lab: lab for lab in g}
 
 
 class DecompositionReport(_Frozen):
@@ -477,7 +471,9 @@ class DecompositionReport(_Frozen):
 
     exact means: all n! coordinate permutations act on the sample, every
     automorphism factored uniquely, and the group size is exactly
-    (stabilizer size) * n!.
+    (stabilizer size) * n!.  The stabilizer size is always 1: only the
+    identity keeps every coordinate order (see factor_automorphism), so
+    each factorization's stabilizer part is the identity too.
     """
 
     __slots__ = (
@@ -521,7 +517,7 @@ def semidirect_decomposition(
     meter counts the coordinate permutations tried, the search and each
     map factored; a budget below dim! refuses the cloud up front.
     """
-    meter = BudgetMeter(effective_budget(budget), FACTORING)
+    meter = BudgetMeter(budget, FACTORING)
     maps = _axis_maps(c, meter)
     meter.what = AUTOMORPHISMS
     autos = _automorphisms(c, meter)
@@ -532,11 +528,11 @@ def semidirect_decomposition(
     for g in autos:
         meter.tick()
         try:
-            sigma, h = _factor(c, g, maps)
+            sigma, h = _factor(g, maps)
             factorizations.append((dict(g), sigma, h))
         except DecompositionFailed as exc:
             failures.append((dict(g), str(exc)))
-    # Only the identity keeps every coordinate order (_preserves_each_axis),
+    # Only the identity keeps every coordinate order (factor_automorphism),
     # so the stabilizer is trivial: exact means the group is just the n!
     # axis permutations.
     exact = present == factorial(c.dim) and not failures and len(autos) == present

@@ -638,6 +638,18 @@ def _find_cycle(edges: Sequence[int], start: int, labels: Sequence[str]) -> list
     raise SelfCheckFailed("no cycle reachable from start")
 
 
+def _closed_or_cycle(
+    edges: Sequence[int], labels: Sequence[str], error: type[OrderError]
+) -> list[int]:
+    """The transitive closure of edges, or error naming the shortest cycle
+    through the least element that lies on one."""
+    closed = _closure(edges)
+    loop = _first_loop(closed)
+    if loop is not None:
+        raise error(_find_cycle(edges, loop, labels))
+    return closed
+
+
 def szpilrajn_extend(
     p: FinitePoset, forced: Iterable[tuple[str, str]] = ()
 ) -> LinearOrder:
@@ -649,10 +661,7 @@ def szpilrajn_extend(
     edges = list(p.up)
     for a, b in forced:
         edges[p.index(a)] |= 1 << p.index(b)
-    closed = _closure(edges)
-    loop = _first_loop(closed)
-    if loop is not None:
-        raise CycleIntroduced(_find_cycle(edges, loop, p.elements))
+    closed = _closed_or_cycle(edges, p.elements, CycleIntroduced)
     below = _transpose(closed, len(p))
     remaining = (1 << len(p)) - 1
     out: list[str] = []

@@ -30,13 +30,12 @@ from itertools import combinations, product as iter_product
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .budget import BudgetMeter, effective_budget
+from .budget import BudgetMeter
 from .dimension import _colour_classes
 from .errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
 from .poset import (
     MAX_GENERATED_ELEMENTS,
     OrderedStructure,
-    _bits,
     _Frozen,
     _product_structure,
 )
@@ -186,35 +185,15 @@ def rigid_embed(s: OrderedStructure) -> list[GridPoint]:
 def _is_copy(
     a: OrderedStructure, b: OrderedStructure, phi: dict[str, str]
 ) -> bool:
-    """Does phi embed a into b, orders and poset both?
-
-    The poset part compares bit rows: the row of each element of a,
-    carried along phi, must equal the row of its image in b restricted
-    to the image set.
-    """
+    """Does phi embed a into b?  Both carry the same number of orders, so
+    keeping every order is enough: each poset is the intersection of its
+    orders, and phi keeps every order, so it keeps the poset too."""
     for i in range(a.n):
         seq = a.realizers.orders[i].order
         rank = b.realizers.orders[i].rank
         if any(
             rank[phi[x]] >= rank[phi[y]] for x, y in zip(seq, seq[1:])
         ):
-            return False
-    if a.n == b.n:
-        # Each poset is the intersection of its orders, and phi keeps
-        # every order, so it keeps the poset too.  Only a host with more
-        # orders than the pattern needs the row test below.
-        return True
-    index = b.poset.index
-    img = [index(phi[x]) for x in a.elements]
-    image = 0
-    for j in img:
-        image |= 1 << j
-    b_up = b.poset.up
-    for i, row in enumerate(a.poset.up):
-        carried = 0
-        for j in _bits(row):
-            carried |= 1 << img[j]
-        if carried != b_up[img[i]] & image:
             return False
     return True
 
@@ -296,7 +275,7 @@ def find_mono_subgrid(
     col: Coloring, m: int, budget: int | None = None
 ) -> Subgrid | None:
     """First m^n-subgrid whose l^n-subgrids share one color, if any."""
-    meter = BudgetMeter(effective_budget(budget), SCAN)
+    meter = BudgetMeter(budget, SCAN)
     if col.kind != "subgrids":
         raise ElementMismatch("expected a coloring of subgrids")
     if not col.keys:
@@ -389,7 +368,7 @@ def _grid_counterexample(
     m^n-subgrid, or None when every coloring has one.  Spends the given
     meter, else one of its own."""
     if meter is None:
-        meter = BudgetMeter(effective_budget(), f"{GRID_SEARCH} at r={r}")
+        meter = BudgetMeter(None, f"{GRID_SEARCH} at r={r}")
     cells, groups = _grid_groups(l, m, n, r)
     found = _search_free_coloring(len(cells), k, groups, meter)
     if found is None:
@@ -416,7 +395,7 @@ def product_ramsey_number(
         raise TooSmall("all parameters must be positive")
     if l > m:
         raise TooSmall("the subgrids being colored must fit in the target")
-    meter = BudgetMeter(effective_budget(budget), GRID_SEARCH)
+    meter = BudgetMeter(budget, GRID_SEARCH)
     for r in range(m, r_max + 1):
         meter.what = f"{GRID_SEARCH} at r={r}"
         meter.require(comb(r, l) ** n * k, "cells times colors")
@@ -466,9 +445,7 @@ def ramsey_witness_check(
     raises SelfCheckFailed.  Both methods decide the same predicate.  One
     budget covers the whole call, every subgrid scan included.
     """
-    meter = BudgetMeter(
-        effective_budget(budget), COPY_SEARCH if method == "exhaustive" else SCAN
-    )
+    meter = BudgetMeter(budget, COPY_SEARCH if method == "exhaustive" else SCAN)
     if a.n != b.n:
         raise ElementMismatch("pattern and target carry different realizer counts")
     if len(a.elements) > len(b.elements):

@@ -331,6 +331,41 @@ def oracle_class_extension(search, mask: int) -> list[int]:
     return order
 
 
+def oracle_extensions(down: Sequence[int], meter) -> Iterator[tuple[int, ...]]:
+    """The extension stream by an index-by-index walk: at each depth try
+    the elements in index order, the first one not taken whose down row
+    is all taken goes next, and a dead end moves the deepest element on
+    to the next index.  One tick of the meter per sequence, before it is
+    yielded; a cyclic relation yields nothing, since the walk stops at
+    its first dead end.  The walk `dimension._extensions` ran before it
+    took its sequences from `dimension._complete`, and its oracle."""
+    m = len(down)
+    order = [0] * m
+    taken = d = i = 0
+    while True:
+        if d == m:
+            meter.tick()
+            yield tuple(order)
+        else:
+            fresh = i == 0
+            while i < m and (taken >> i & 1 or down[i] & ~taken):
+                i += 1
+            if i < m:
+                order[d] = i
+                taken |= 1 << i
+                d += 1
+                i = 0
+                continue
+            if fresh:
+                return
+        if d == 0:
+            return
+        d -= 1
+        i = order[d]
+        taken ^= 1 << i
+        i += 1
+
+
 def naive_two_colourable(search, mask: int) -> bool:
     """Whether the pairs in mask 2-colour so that no two pairs forming a
     2-cycle (a <= d and c <= b for (a, b), (c, d)) share a colour; by

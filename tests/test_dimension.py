@@ -31,6 +31,7 @@ from orderdim.poset import (
     crown,
     hiraguchi_bound,
     is_realizer,
+    product_order,
 )
 from orderdim.budget import BudgetMeter
 from orderdim.dimension import (
@@ -57,6 +58,7 @@ from conftest import (
     oracle_class_extension,
     oracle_colour,
     oracle_conflict_order,
+    oracle_extensions,
     oracle_first_witness,
     oracle_least_classes,
     random_poset,
@@ -78,6 +80,18 @@ WITNESS_DIGEST_28 = "7f8c671ec55187d5"
 # to be one extension per colour class; the dims and colouring steps are
 # those of the search when it charged the meter one step at a time
 STEP_DIGEST_280 = "04d5a2ea430b33ba"
+
+
+def drain(walk, down, budget):
+    """The sequences an extension walk yields on a fresh meter of the given
+    budget, and whether it ran out before the stream ended."""
+    out = []
+    try:
+        for seq in walk(down, BudgetMeter(budget, "test")):
+            out.append(seq)
+    except LimitExceeded:
+        return out, True
+    return out, False
 
 
 def naive_dimension(p, max_n=4):
@@ -149,6 +163,31 @@ class TestExtensionStream:
             if all(pos[i] < pos[j] for i in range(m) for j in range(m) if mat[i][j]):
                 want.append(seq)
         assert list(_extensions(down, BudgetMeter(10**6, "test"))) == want
+
+    def test_stream_matches_the_index_walk_on_random_relations(self):
+        # 5,000 relations of 1-9 elements, closed or not, cyclic or not,
+        # each under a budget of 1-60 steps: the same sequences in the same
+        # order, and LimitExceeded at the same one, as conftest's walk.
+        rng = random.Random(17)
+        outcomes = {"empty": 0, "ran out": 0, "finished": 0}
+        for _ in range(5_000):
+            m = rng.randint(1, 9)
+            _labels, mat = random_relation(rng, m)
+            down = [sum(1 << i for i in range(m) if mat[i][j]) for j in range(m)]
+            budget = rng.randint(1, 60)
+            got = drain(_extensions, down, budget)
+            assert got == drain(oracle_extensions, down, budget)
+            outcomes["ran out" if got[1] else "finished" if got[0] else "empty"] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_stream_matches_the_index_walk_on_grids(self, m):
+        # The first 2,000 extensions of the m x m grid, where the index
+        # walk rescans every placed element at each step.
+        down = product_order([chain(m), chain(m)]).down
+        got = drain(_extensions, down, 2_000)
+        assert got[1] and len(got[0]) == 2_000
+        assert got == drain(oracle_extensions, down, 2_000)
 
     def test_element_cap(self):
         # No size cap: the budget bounds the walk, one tick per extension,
@@ -362,12 +401,14 @@ class TestAgainstCoverSearch:
 
 def kernel_colour(search, mask: int, t: int) -> list[int] | None:
     """The pairs in mask, in colouring order, put into t classes by the
-    shared kernel, `_colour_classes`, on the search's meter: each pair's
-    class, or None.  `_RealizerSearch._colour` runs it on every pair."""
+    shared kernel, `_colour_classes`, on the search's meter, each class
+    starting from the reflexive rows of the poset: each pair's class, or
+    None.  `_RealizerSearch._colour` runs it on every pair."""
     seq = [c for c in search._conflict_order() if mask >> c & 1]
     flips = [(1 << y, x) for x, y in map(search.pairs.__getitem__, seq)]
+    leq = [row | 1 << i for i, row in enumerate(search.up)]
     return _colour_classes(
-        len(flips), t, search.leq, lambda rows, d: _reverse(rows, *flips[d]), search.meter.tick
+        len(flips), t, leq, lambda rows, d: _reverse(rows, *flips[d]), search.meter.tick
     )
 
 

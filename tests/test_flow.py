@@ -32,7 +32,6 @@ from orderdim.errors import (
 )
 from orderdim.flow import (
     FlipPattern,
-    _preserves_each_axis,
     RealizerSet,
     classify_realizer,
     cloud_automorphisms,
@@ -176,8 +175,7 @@ def brute_automorphisms(c: PointCloud) -> list[dict[str, str]]:
 
 
 def naive_preserves_each_axis(c: PointCloud, h) -> bool:
-    """Pairwise check that h keeps every coordinate order both ways: the
-    oracle for flow._preserves_each_axis."""
+    """Pairwise check that h keeps every coordinate order both ways."""
     pts = {c.label(i): p for i, p in enumerate(c.points)}
     labels = list(pts)
     return all(
@@ -816,6 +814,18 @@ class TestSemidirectDecomposition:
         assert sigma == (0, 1)
         assert h == ident
 
+    @pytest.mark.parametrize(
+        "g",
+        [{"p0": "p1"}, {"p0": "p0", "p1": "p1", "p9": "p0"}],
+        ids=["partial", "foreign-label"],
+    )
+    def test_maps_off_the_labels_are_refused(self, g):
+        # Each must be a self-bijection of exactly the cloud's labels, as
+        # logic_action requires.
+        c = symmetric_sample(2, 2, seed=0)
+        with pytest.raises(ElementMismatch, match="self-bijection"):
+            factor_automorphism(c, g)
+
     def test_swap_factors_through_axis_swap(self):
         c = symmetric_sample(2, 2, seed=0)
         swap = {"p0": "p1", "p1": "p0"}
@@ -906,29 +916,38 @@ class TestFactoringAgainstPairwiseOracle:
     ]
 
     @pytest.mark.parametrize("make, n, k, seed", CLOUDS)
-    def test_axis_check_matches_on_automorphisms_and_random_maps(self, make, n, k, seed):
+    def test_factorizations_match(self, make, n, k, seed):
+        # Automorphisms and random bijections of the labels alike: the
+        # stabilizer part of each factorization is checked pairwise by the
+        # oracle, not assumed to be the identity.
         c = make(n, k, seed=seed)
         labels = [c.label(i) for i in range(len(c))]
         rng = Random(seed)
-        maps = cloud_automorphisms(c)[:40]
+        maps = cloud_automorphisms(c)[:60]
         for _ in range(40):
             shuffled = labels[:]
             rng.shuffle(shuffled)
             maps.append(dict(zip(labels, shuffled)))
-            maps.append({lab: rng.choice(labels) for lab in labels})
-        for h in maps:
-            assert _preserves_each_axis(c, h) == naive_preserves_each_axis(c, h)
-
-    @pytest.mark.parametrize("make, n, k, seed", CLOUDS)
-    def test_factorizations_match(self, make, n, k, seed):
-        c = make(n, k, seed=seed)
-        for g in cloud_automorphisms(c)[:60]:
+        for g in maps:
             hits = naive_factorizations(c, g)
             if len(hits) == 1:
                 assert factor_automorphism(c, g) == hits[0]
             else:
                 with pytest.raises(DecompositionFailed):
                     factor_automorphism(c, g)
+
+    @pytest.mark.parametrize("make, n, k, seed", CLOUDS)
+    def test_maps_that_are_no_self_bijection_are_refused(self, make, n, k, seed):
+        c = make(n, k, seed=seed)
+        labels = [c.label(i) for i in range(len(c))]
+        rng = Random(seed)
+        for _ in range(40):
+            shuffled = labels[:]
+            rng.shuffle(shuffled)
+            g = dict(zip(labels, shuffled))
+            g[labels[0]] = g[labels[-1]]
+            with pytest.raises(ElementMismatch):
+                factor_automorphism(c, g)
 
 
 class TestOrbitTransport:

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product as iter_product
 import pytest
 
 from conftest import naive_free_coloring, naive_is_copy, random_structure
-from orderdim.budget import BudgetMeter, effective_budget
+from orderdim.budget import BudgetMeter
 from orderdim.errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
 from orderdim.geometry import cyclic_priority, lex_less
 from orderdim.poset import LinearOrder, OrderedStructure, chain, product_less, product_order
@@ -255,14 +255,14 @@ class TestEnumerateCopies:
             enumerate_copies(GridStruct(2, 2), one_point(n=3))
 
     def test_bit_row_copy_test_matches_pairwise_oracle(self):
-        # Hosts may carry more orders than the pattern; then the poset
-        # test is not implied by the order test and decides on its own.
+        # Pattern and host carry the same number of orders, as every
+        # caller requires; then keeping the orders keeps the poset.
         rng = random.Random(23)
-        decided_by_poset = verdicts = 0
+        verdicts = 0
         for _ in range(600):
-            n_b = rng.randint(1, 3)
-            b = random_structure(rng, rng.randint(1, 6), n_b)
-            a = random_structure(rng, rng.randint(1, len(b)), rng.randint(1, n_b))
+            n = rng.randint(1, 3)
+            b = random_structure(rng, rng.randint(1, 6), n)
+            a = random_structure(rng, rng.randint(1, len(b)), n)
             if rng.random() < 0.5:
                 image = rng.sample(b.elements, len(a))
             else:  # the map enumerate_copies tries: matched first-order ranks
@@ -275,13 +275,7 @@ class TestEnumerateCopies:
             expect = naive_is_copy(a, b, phi)
             assert _is_copy(a, b, phi) == expect
             verdicts += expect
-            keeps_orders = all(
-                b.realizers.orders[i].rank[phi[x]] < b.realizers.orders[i].rank[phi[y]]
-                for i, o in enumerate(a.realizers.orders)
-                for x, y in zip(o.order, o.order[1:])
-            )
-            decided_by_poset += keeps_orders and not expect
-        assert verdicts and decided_by_poset
+        assert verdicts
 
 
 def parity_coloring(grid, a):
@@ -416,7 +410,7 @@ class TestFindMonoSubgrid:
 
 class TestColoringSearch:
     def test_deep_search_does_not_recurse(self):
-        meter = BudgetMeter(effective_budget(), "test")
+        meter = BudgetMeter(None, "test")
         found = _search_free_coloring(1100, 2, [[0, 1]], meter)
         assert found == [1, 2] + [1] * 1098
 
@@ -429,7 +423,7 @@ class TestColoringSearch:
                 rng.sample(range(cells), rng.randrange(1, min(cells, 4) + 1))
                 for _ in range(rng.randrange(0, 12))
             ]
-            meter = BudgetMeter(effective_budget(), "test")
+            meter = BudgetMeter(None, "test")
             assert _search_free_coloring(cells, k, groups, meter) == (
                 naive_free_coloring(cells, k, groups)
             )
@@ -581,7 +575,7 @@ class TestRamseyWitnessCheck:
             copies_a, _, groups = _copy_groups(
                 GridStruct(r, 2), one_point(), crossed_antichain()
             )
-            meter = BudgetMeter(effective_budget(), "test")
+            meter = BudgetMeter(None, "test")
             pruned = _search_free_coloring(len(copies_a), 2, groups, meter)
             plain = naive_free_coloring(len(copies_a), 2, groups)
             assert pruned == plain

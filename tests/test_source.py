@@ -81,3 +81,25 @@ def test_lex_less_is_called_only_by_homogeneity():
             )
         ]
     assert found == []
+
+
+def test_budgets_are_resolved_only_by_the_meter():
+    # BudgetMeter resolves its own budget, so a search passes its budget=
+    # argument, or None, straight to the meter; a second resolver would let
+    # two searches read ORDERDIM_BUDGET differently
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "budget.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "effective_budget" in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+            )
+        ]
+    assert found == []
