@@ -1,8 +1,12 @@
 """Density-axiom reports and machine-checked homogeneity certificates.
 
-Four certificate kinds are produced here, each carrying its finite
-configuration in exact rationals plus a replay() that re-runs the whole
-check from the stored data:
+Four certificate kinds are produced here.  Each kind has one
+derivation, a function of a few parameters (the width n, or a cloud,
+two pairs and a step count), that builds the finite configuration in
+exact rationals and runs every check of the proof, building nothing when
+one fails.  A certificate is the data of one derivation; replay() runs
+the derivation again from the parameters the data records and compares
+all of the data:
 
 - ap-failure: every partial order amalgamating the two crown fragments
   over the common antichain is forced back to the full crown, whose
@@ -22,13 +26,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 from typing import Sequence
 
 from .budget import BudgetMeter
 from .errors import (
     ElementMismatch,
     FlipNotRealizable,
+    LimitExceeded,
     NotOrderPreserving,
     SelfCheckFailed,
     TooSmall,
@@ -47,6 +52,7 @@ from .geometry import (
     pick_in_region,
 )
 from .poset import (
+    MAX_GENERATED_ELEMENTS,
     FinitePoset,
     OrderedStructure,
     _axiom_violation,
@@ -58,7 +64,7 @@ from .poset import (
     is_realizer,
     product_less,
 )
-from .dimension import dimension
+from .dimension import _reverse, dimension
 
 __all__ = [
     "AxiomReport",
@@ -156,14 +162,22 @@ class AxiomReport(_Frozen):
 
 
 class Certificate(_Frozen):
-    """A certificate's kind and the data its replay re-checks."""
+    """A certificate's kind and the data its derivation built."""
 
     __slots__ = ("kind", "data")
     kind: CertificateKind
     data: dict
 
     def replay(self) -> bool:
-        return _REPLAYERS[self.kind](self.data)
+        """Whether the parameters the data records derive all of it again.
+
+        Data whose parameters cannot be read replays False; typed errors
+        of the derivation, such as LimitExceeded, propagate."""
+        try:
+            params = _recorded(self.kind, self.data)
+        except (KeyError, IndexError, TypeError, ValueError):
+            return False
+        return _DERIVE[self.kind](*params) == self.data
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "data": self.data}
@@ -173,12 +187,11 @@ class Certificate(_Frozen):
         return Certificate(CertificateKind(payload["kind"]), payload["data"])
 
 
-def _replayed(kind: CertificateKind, data: dict, what: str) -> Certificate:
-    """The certificate, once its own replay has accepted it."""
-    cert = Certificate(kind, data)
-    if not cert.replay():
-        raise SelfCheckFailed(f"{what} certificate failed its own replay")
-    return cert
+def _certified(kind: CertificateKind, data: dict | None) -> Certificate:
+    """The certificate of data whose derivation passed every check."""
+    if data is None:
+        raise SelfCheckFailed(f"{kind.value} certificate failed its own proof check")
+    return Certificate(kind, data)
 
 
 def _structure_parts(
@@ -258,44 +271,27 @@ def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
 AP_OPTIONS = ("lt", "gt", "inc")
 
 
-def _ap_diagram(n: int) -> tuple[list[str], set[tuple[str, str]], list[tuple[str, str]]]:
-    """Labels, seeded strict relations, and free pairs of the AP diagram.
+def _ap_rows(n: int) -> tuple[list[str], list[int], list[tuple[int, int]], list[int]]:
+    """The AP diagram as bit rows: labels, seeded rows, free pairs as
+    index pairs, and the element masks of the two fragments.
 
     The two fragments share the antichain a1..a{n+1}; one brings
     b2..b{n+1}, the other brings b1 alone.  Their union seeds every
-    crown relation, leaving only b1-versus-bj undetermined.
+    relation of crown(n + 1), leaving only b1-versus-bj undetermined.
     """
     m = n + 1
-    a = [f"a{i}" for i in range(1, m + 1)]
-    b = [f"b{i}" for i in range(1, m + 1)]
-    seeded = {
-        (a[i], b[j]) for i in range(m) for j in range(m) if i != j
-    }
-    free = [(b[0], b[j]) for j in range(1, m)]
-    return a + b, seeded, free
+    seeded = crown(m)
+    b1 = 1 << m
+    # every element but b1; the antichain and b1
+    fragments = [(1 << 2 * m) - 1 & ~b1, (1 << m) - 1 | b1]
+    free = [(m, m + j) for j in range(1, m)]
+    return list(seeded.elements), list(seeded.up), free, fragments
 
 
-def _ap_rows(n: int) -> tuple[list[str], list[int], list[tuple[int, int]], list[int]]:
-    """The AP diagram as bit rows: labels, seeded rows, free pairs as
-    index pairs, and the element masks of the two fragments."""
-    labels, seeded, free = _ap_diagram(n)
-    idx = {lab: k for k, lab in enumerate(labels)}
-    base = [0] * len(labels)
-    for x, y in seeded:
-        base[idx[x]] |= 1 << idx[y]
-    mask_b = sum(1 << k for k, lab in enumerate(labels) if lab != "b1")
-    mask_c = sum(
-        1 << k for k, lab in enumerate(labels) if lab.startswith("a") or lab == "b1"
-    )
-    return labels, base, [(idx[x], idx[y]) for x, y in free], [mask_b, mask_c]
-
-
-def _respects(closed: list[int], base: list[int], fragments: list[int]) -> bool:
-    """Whether closed is acyclic and agrees with base inside each fragment."""
-    if _first_loop(closed) is not None:
-        return False
+def _agrees(rows: list[int], base: list[int], fragments: list[int]) -> bool:
+    """Whether rows and base relate the same pairs inside each fragment."""
     return not any(
-        (closed[r] ^ base[r]) & mask for mask in fragments for r in _bits(mask)
+        (rows[r] ^ base[r]) & mask for mask in fragments for r in _bits(mask)
     )
 
 
@@ -313,13 +309,13 @@ def _enumerate_amalgams(n: int):
             elif opt == "gt":
                 rows[y] |= 1 << x
         closed = _closure(rows)
-        if _respects(closed, base, fragments):
+        if _first_loop(closed) is None and _agrees(closed, base, fragments):
             yield choice, FinitePoset.from_rows(labels, closed)
 
 
 def _forced_conclusions(n: int) -> dict:
-    """Replay the proof's chase: relating b1 to any bj in either
-    direction contradicts a relation both fragments pin down."""
+    """The proof's chase: relating b1 to any bj in either direction
+    contradicts a relation both fragments pin down."""
     m = n + 1
     chase = []
     for j in range(2, m + 1):
@@ -346,15 +342,62 @@ def _forced_conclusions(n: int) -> dict:
     }
 
 
-def _verify_chase(n: int) -> bool:
-    _labels, base, free, fragments = _ap_rows(n)
+def _verify_chase(
+    base: list[int], free: list[tuple[int, int]], fragments: list[int]
+) -> bool:
+    """Whether relating either way the two ends of any free pair
+    closes a cycle or changes a fragment.
+
+    base is closed, so each relation closes in one pass of _reverse on
+    the reflexive rows."""
+    leq = [row | 1 << i for i, row in enumerate(base)]
     for x, y in free:
         for lo, hi in ((x, y), (y, x)):
-            rows = list(base)
-            rows[lo] |= 1 << hi
-            if _respects(_closure(rows), base, fragments):
+            rows = _reverse(leq, 1 << lo, hi)
+            if rows is not None and _agrees(rows, leq, fragments):
                 return False
     return True
+
+
+def _ap_data(n: int) -> dict | None:
+    """The amalgamation certificate's data at width n, or None when
+    the chase or a completion fails its check."""
+    if n < 2:
+        raise TooSmall("amalgamation diagrams need n >= 2")
+    if 2 * (n + 1) > MAX_GENERATED_ELEMENTS:
+        raise LimitExceeded(
+            f"the amalgamation diagram at n={n} is past the cap of "
+            f"{MAX_GENERATED_ELEMENTS} elements"
+        )
+    labels, base, free, fragments = _ap_rows(n)
+    if not _verify_chase(base, free, fragments):
+        return None
+    data: dict = {
+        "n": n,
+        "elements": labels,
+        "seeded": sorted(
+            [labels[i], labels[j]] for i, row in enumerate(base) for j in _bits(row)
+        ),
+        "free_pairs": [[labels[x], labels[y]] for x, y in free],
+        "forced": _forced_conclusions(n),
+        "chase_ok": True,
+    }
+    if n != 2:
+        data["mode"] = "chase"
+        return data
+    target = crown(n + 1)
+    completions = []
+    for choice, poset in _enumerate_amalgams(n):
+        if poset != target or dimension(poset).dim != n + 1:
+            return None
+        completions.append(
+            {"choice": list(choice), "is_crown": True, "dimension": n + 1}
+        )
+    data["mode"] = "enumerate"
+    data["assignments_tried"] = 3 ** len(free)
+    data["completion_count"] = len(completions)
+    data["completions"] = completions
+    return data
 
 
 def ap_failure_certificate(n: int = 2) -> Certificate:
@@ -362,73 +405,79 @@ def ap_failure_certificate(n: int = 2) -> Certificate:
 
     At n = 2 every completion of the diagram is enumerated; each
     surviving order is the full crown and has dimension n + 1.  Larger n
-    replay only the forced-inequality chase, since the dimension
+    check only the forced-inequality chase, since the dimension
     computation on the 2(n+1)-element survivors is what grows.
     """
-    if n < 2:
-        raise TooSmall("amalgamation diagrams need n >= 2")
-    labels, seeded, free = _ap_diagram(n)
-    data: dict = {
-        "n": n,
-        "elements": labels,
-        "seeded": sorted([x, y] for x, y in seeded),
-        "free_pairs": [[x, y] for x, y in free],
-        "forced": _forced_conclusions(n),
-        "chase_ok": _verify_chase(n),
-    }
-    if n == 2:
-        completions = []
-        target = crown(n + 1)
-        for choice, poset in _enumerate_amalgams(n):
-            completions.append(
-                {
-                    "choice": list(choice),
-                    "is_crown": poset == target,
-                    "dimension": dimension(poset).dim,
-                }
-            )
-        data["mode"] = "enumerate"
-        data["assignments_tried"] = 3 ** len(free)
-        data["completion_count"] = len(completions)
-        data["completions"] = completions
-    else:
-        data["mode"] = "chase"
-    return _replayed(CertificateKind.APFailure, data, "amalgamation")
-
-
-def _replay_ap(data: dict) -> bool:
-    n = int(data["n"])
-    labels, seeded, free = _ap_diagram(n)
-    if data["elements"] != labels:
-        return False
-    if sorted([x, y] for x, y in seeded) != [list(p) for p in data["seeded"]]:
-        return False
-    if not _verify_chase(n):
-        return False
-    if data["mode"] == "chase":
-        return True
-    target = crown(n + 1)
-    found = []
-    for choice, poset in _enumerate_amalgams(n):
-        if poset != target or dimension(poset).dim != n + 1:
-            return False
-        found.append(list(choice))
-    if len(found) != data["completion_count"]:
-        return False
-    return found == [c["choice"] for c in data["completions"]]
+    return _certified(CertificateKind.APFailure, _ap_data(n))
 
 
 # --- product-order non-homogeneity ---------------------------------------
 
 
-def _nonhom_points(n: int) -> dict[str, Point]:
-    """First coordinates ascend a, b, c while the others descend, so the
-    triple is an antichain; x dominates b and c but not a."""
+def _grid_candidates(points: Sequence[Point], step: Fraction):
+    """Exact grid over a box one unit beyond the configuration; a grid
+    larger than the budget is refused before any point is made."""
+    n = len(points[0])
+    lo = min(v for p in points for v in p) - 1
+    hi = max(v for p in points for v in p) + 1
+    ticks = []
+    t = lo
+    while t <= hi:
+        ticks.append(t)
+        t += step
+    BudgetMeter(None, "certificate grid search").require(
+        len(ticks) ** n, "grid points"
+    )
+    return iter_product(ticks, repeat=n)
+
+
+def _nonhom_data(n: int) -> dict | None:
+    """The antichain-swap certificate's data in n coordinates, or None
+    when a check fails.
+
+    First coordinates ascend a, b, c while the others descend, so the
+    triple is an antichain; x dominates b and c but not a.
+    """
+    if n < 2:
+        raise TooSmall("the antichain swap needs n >= 2")
     a = (Fraction(1),) + (Fraction(4),) * (n - 1)
     b = (Fraction(2),) * n
     c = (Fraction(3),) + (Fraction(1),) * (n - 1)
     x = (Fraction(4),) + (Fraction(3),) * (n - 1)
-    return {"a": a, "b": b, "c": c, "x": x}
+    step = Fraction(1, 2)
+    grid = _grid_candidates([a, b, c, x], step)
+    cloud = PointCloud(n, [a, b, c, x])
+    s = induced_structure(cloud)
+    bound = [max(a[i], c[i]) for i in range(n)]
+    if not (
+        s.poset.incomparable("p0", "p1")
+        and s.poset.incomparable("p1", "p2")
+        and s.poset.incomparable("p0", "p2")
+        and product_less(b, x)
+        and product_less(c, x)
+        and not product_less(a, x)
+        # propagation: above-both forces above-b on every axis
+        and all(b[i] < bound[i] for i in range(n))
+        # exhaustive search over the exact grid
+        and not any(
+            product_less(a, y) and product_less(c, y) and not product_less(b, y)
+            for y in grid
+        )
+    ):
+        return None
+    # control: dropping the negated constraint is satisfiable
+    y = pick_in_region(
+        cloud, Region(tuple((max(a[i], b[i], c[i]), None) for i in range(n)))
+    )
+    if not (product_less(a, y) and product_less(c, y) and product_less(b, y)):
+        return None
+    return {
+        "n": n,
+        "points": {k: [frac_str(v) for v in p] for k, p in zip("abcx", (a, b, c, x))},
+        "swap": {"a": "b", "b": "a", "c": "c"},
+        "per_axis_bound": [frac_str(v) for v in bound],
+        "grid_step": frac_str(step),
+    }
 
 
 def nonhom_witness(n: int) -> Certificate:
@@ -438,97 +487,10 @@ def nonhom_witness(n: int) -> Certificate:
     upper bound of {a, c} already exceeds b, so b < y is forced against
     the requirement that it fail.
     """
-    if n < 2:
-        raise TooSmall("the antichain swap needs n >= 2")
-    pts = _nonhom_points(n)
-    data = {
-        "n": n,
-        "points": {k: [frac_str(v) for v in p] for k, p in pts.items()},
-        "swap": {"a": "b", "b": "a", "c": "c"},
-        "per_axis_bound": [
-            frac_str(max(pts["a"][i], pts["c"][i])) for i in range(n)
-        ],
-        "grid_step": "1/2",
-    }
-    return _replayed(CertificateKind.NotUltrahomogeneous, data, "antichain-swap")
-
-
-def _grid_candidates(points: Sequence[Point], step: Fraction):
-    """Exact grid over a box one unit beyond the configuration."""
-    n = len(points[0])
-    lo = min(v for p in points for v in p) - 1
-    hi = max(v for p in points for v in p) + 1
-    ticks = []
-    t = lo
-    while t <= hi:
-        ticks.append(t)
-        t += step
-    return iter_product(ticks, repeat=n)
-
-
-def _replay_nonhom(data: dict) -> bool:
-    n = int(data["n"])
-    pts = {k: tuple(as_fraction(s) for s in v) for k, v in data["points"].items()}
-    a, b, c, x = pts["a"], pts["b"], pts["c"], pts["x"]
-    cloud = PointCloud(n, [a, b, c, x])
-    s = induced_structure(cloud)
-    if not (
-        s.poset.incomparable("p0", "p1")
-        and s.poset.incomparable("p1", "p2")
-        and s.poset.incomparable("p0", "p2")
-    ):
-        return False
-    if not (product_less(b, x) and product_less(c, x)) or product_less(a, x):
-        return False
-    # propagation: above-both forces above-b on every axis
-    if not all(b[i] < max(a[i], c[i]) for i in range(n)):
-        return False
-    # independent exhaustive search over an exact grid
-    step = as_fraction(data["grid_step"])
-    for y in _grid_candidates([a, b, c, x], step):
-        if product_less(a, y) and product_less(c, y) and not product_less(b, y):
-            return False
-    # control: dropping the negated constraint is satisfiable
-    above_all = Region(
-        tuple((max(a[i], b[i], c[i]), None) for i in range(n))
-    )
-    y = pick_in_region(cloud, above_all)
-    return product_less(a, y) and product_less(c, y) and product_less(b, y)
+    return _certified(CertificateKind.NotUltrahomogeneous, _nonhom_data(n))
 
 
 # --- lexicographic non-homogeneity ----------------------------------------
-
-
-def _qn_lex_points(n: int) -> dict[str, Point]:
-    one, x_val, two, four = Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)
-    return {
-        "a": (one,) * n,
-        "x": (x_val,) * n,
-        "b": (two,) + (four,) * (n - 1),
-        "c": (four,) + (two,) * (n - 1),
-        "a2": (one,) * n,
-        "b2": (one,) + (four,) * (n - 1),
-        "c2": (four,) + (one,) * (n - 1),
-    }
-
-
-def qn_lex_nonhom_witness(n: int) -> Certificate:
-    """Certify the lexicographic collapse: the image of x is pinched
-    between points that tie on every deciding axis, forcing it to equal
-    an existing point."""
-    if n < 2:
-        raise TooSmall("the lexicographic collapse needs n >= 2")
-    pts = _qn_lex_points(n)
-    data = {
-        "n": n,
-        "points": {k: [frac_str(v) for v in p] for k, p in pts.items()},
-        "map": {"a": "a2", "b": "b2", "c": "c2"},
-        "forced_equalities": (
-            [["1", "a2", "b2"]] + [[str(i + 1), "a2", "c2"] for i in range(1, n)]
-        ),
-        "grid_step": "1/2",
-    }
-    return _replayed(CertificateKind.QnLexNotUltrahomogeneous, data, "lexicographic")
 
 
 def _lex_rel(n: int):
@@ -540,48 +502,83 @@ def _lex_rel(n: int):
     return rel
 
 
-def _replay_qn_lex(data: dict) -> bool:
-    n = int(data["n"])
-    pts = {k: tuple(as_fraction(s) for s in v) for k, v in data["points"].items()}
-    a, x, b, c = pts["a"], pts["x"], pts["b"], pts["c"]
-    a2, b2, c2 = pts["a2"], pts["b2"], pts["c2"]
+def _qn_lex_data(n: int) -> dict | None:
+    """The lexicographic-collapse certificate's data in n coordinates,
+    or None when a check fails.
+
+    In order i, x lies between a and its upper neighbour tops[i]; the
+    triple map sends those bounds to points that tie on axis i, the
+    axis that decides order i first.
+    """
+    if n < 2:
+        raise TooSmall("the lexicographic collapse needs n >= 2")
+    one, two, four = Fraction(1), Fraction(2), Fraction(4)
+    pts = {
+        "a": (one,) * n,
+        "x": (Fraction(3, 2),) * n,
+        "b": (two,) + (four,) * (n - 1),
+        "c": (four,) + (two,) * (n - 1),
+        "a2": (one,) * n,
+        "b2": (one,) + (four,) * (n - 1),
+        "c2": (four,) + (one,) * (n - 1),
+    }
+    triple = {"a": "a2", "b": "b2", "c": "c2"}
+    tops = ["b"] + ["c"] * (n - 1)
+    a, x, b, c, a2, b2, c2 = pts.values()
+    src = [pts[t] for t in tops]
+    dst = [pts[triple[t]] for t in tops]
+    step = Fraction(1, 2)
+    grid = _grid_candidates([a2, b2, c2], step)
     lex = _lex_rel(n)
-    # source configuration
-    if not all(lex(0, p, q) for p, q in ((a, x), (x, b), (b, c))):
-        return False
-    for i in range(1, n):
-        if not all(lex(i, p, q) for p, q in ((a, x), (x, c), (c, b))):
-            return False
-    # the triple map preserves every lexicographic order and the product order
-    for i in range(n):
-        for (p, q), (p2, q2) in (
-            ((a, b), (a2, b2)),
-            ((a, c), (a2, c2)),
-            ((b, c), (b2, c2)),
-        ):
-            if lex(i, p, q) != lex(i, p2, q2) or lex(i, q, p) != lex(i, q2, p2):
+
+    def pinched(lo: Point, y: Point, his: list[Point]) -> bool:
+        """Whether y lies above lo and below his[i] in each order i."""
+        for i, hi in enumerate(his):
+            if not (lex(i, lo, y) and lex(i, y, hi)):
                 return False
-            if product_less(p, q) != product_less(p2, q2):
-                return False
-    # forced equalities: axis 1 between a2 and b2, later axes between a2 and c2
-    if not (a2[0] == b2[0] and all(a2[i] == c2[i] for i in range(1, n))):
-        return False
-    # independent exhaustive search: no image for x exists
-    step = as_fraction(data["grid_step"])
-    for y in _grid_candidates([a2, b2, c2], step):
-        if lex(0, a2, y) and lex(0, y, b2) and all(
-            lex(i, a2, y) and lex(i, y, c2) for i in range(1, n)
-        ):
-            return False
+        return True
+
+    pairs = list(permutations(triple, 2))
+    if not (
+        # source configuration
+        pinched(a, x, src)
+        and lex(0, b, c)
+        and all(lex(i, c, b) for i in range(1, n))
+        # the triple map preserves every lexicographic order and the product order
+        and all(
+            lex(i, pts[p], pts[q]) == lex(i, pts[triple[p]], pts[triple[q]])
+            for i in range(n)
+            for p, q in pairs
+        )
+        and all(
+            product_less(pts[p], pts[q]) == product_less(pts[triple[p]], pts[triple[q]])
+            for p, q in pairs
+        )
+        # forced equalities: a2 ties with its upper bound on the deciding axis
+        and all(a2[i] == dst[i][i] for i in range(n))
+        # exhaustive search over the exact grid: no image for x exists
+        and not any(pinched(a2, y, dst) for y in grid)
+    ):
+        return None
     # control: a non-colinear target triple admits an image via one pick
     cloud = PointCloud(n, [a, b, c])
-    region = Region(
-        ((a[0], b[0]),) + tuple((a[i], c[i]) for i in range(1, n))
-    )
-    y = pick_in_region(cloud, region)
-    return lex(0, a, y) and lex(0, y, b) and all(
-        lex(i, a, y) and lex(i, y, c) for i in range(1, n)
-    )
+    y = pick_in_region(cloud, Region(tuple((a[i], src[i][i]) for i in range(n))))
+    if not pinched(a, y, src):
+        return None
+    return {
+        "n": n,
+        "points": {k: [frac_str(v) for v in p] for k, p in pts.items()},
+        "map": triple,
+        "forced_equalities": [[str(i + 1), "a2", triple[t]] for i, t in enumerate(tops)],
+        "grid_step": frac_str(step),
+    }
+
+
+def qn_lex_nonhom_witness(n: int) -> Certificate:
+    """Certify the lexicographic collapse: the image of x is pinched
+    between points that tie on every deciding axis, forcing it to equal
+    an existing point."""
+    return _certified(CertificateKind.QnLexNotUltrahomogeneous, _qn_lex_data(n))
 
 
 # --- two-homogeneity -------------------------------------------------------
@@ -647,14 +644,19 @@ def _aligned_extension(
     return fwd, [iu, iv, iu2, iv2], perm
 
 
-def two_homogeneity_certificate(
+def _two_hom_data(
     c: PointCloud,
     pair1: tuple[Point, Point],
     pair2: tuple[Point, Point],
     steps: int,
-) -> Certificate:
+) -> dict | None:
+    """The two-homogeneity certificate's data, or None when the grown
+    map does not send the first pair onto the second."""
     emb, points, perm = _aligned_extension(c, pair1, pair2, steps)
-    data = {
+    images = dict(emb.images)
+    if [images.get(c.label(i)) for i in points[:2]] != points[2:]:
+        return None
+    return {
         "cloud": c.to_json(),
         "pair1": points[:2],
         "pair2": points[2:],
@@ -663,7 +665,17 @@ def two_homogeneity_certificate(
         "grown_cloud": emb.cloud.to_json(),
         "mapping": [[lab, i] for lab, i in emb.images],
     }
-    return _replayed(CertificateKind.TwoHomogeneityExtension, data, "two-homogeneity")
+
+
+def two_homogeneity_certificate(
+    c: PointCloud,
+    pair1: tuple[Point, Point],
+    pair2: tuple[Point, Point],
+    steps: int,
+) -> Certificate:
+    return _certified(
+        CertificateKind.TwoHomogeneityExtension, _two_hom_data(c, pair1, pair2, steps)
+    )
 
 
 def two_homogeneity_demo(n: int) -> Certificate:
@@ -677,30 +689,29 @@ def two_homogeneity_demo(n: int) -> Certificate:
     )
 
 
-def _replay_two_hom(data: dict) -> bool:
+# --- replay ----------------------------------------------------------------
+
+
+def _count(value) -> int:
+    """A recorded integer; JSON booleans and floats are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _recorded(kind: CertificateKind, data: dict) -> tuple:
+    """The parameters that data records for its kind's derivation: n, or
+    for two-homogeneity the cloud, the two pairs and the step count."""
+    if kind is not CertificateKind.TwoHomogeneityExtension:
+        return (_count(data["n"]),)
     c = PointCloud.from_json(data["cloud"])
-    i1, j1 = data["pair1"]
-    i2, j2 = data["pair2"]
-    emb = two_homogeneity_extend(
-        c,
-        (c.points[i1], c.points[j1]),
-        (c.points[i2], c.points[j2]),
-        int(data["steps"]),
-    )
-    if [[lab, i] for lab, i in emb.images] != data["mapping"]:
-        return False
-    if emb.cloud.to_json() != data["grown_cloud"]:
-        return False
-    mapping = dict(emb.images)
-    if mapping[c.label(i1)] != i2 or mapping[c.label(j1)] != j2:
-        return False
-    emb.verify()
-    return True
+    u, v, u2, v2 = (c.points[_count(i)] for i in (*data["pair1"], *data["pair2"]))
+    return c, (u, v), (u2, v2), _count(data["steps"])
 
 
-_REPLAYERS = {
-    CertificateKind.APFailure: _replay_ap,
-    CertificateKind.NotUltrahomogeneous: _replay_nonhom,
-    CertificateKind.QnLexNotUltrahomogeneous: _replay_qn_lex,
-    CertificateKind.TwoHomogeneityExtension: _replay_two_hom,
+_DERIVE = {
+    CertificateKind.APFailure: _ap_data,
+    CertificateKind.NotUltrahomogeneous: _nonhom_data,
+    CertificateKind.QnLexNotUltrahomogeneous: _qn_lex_data,
+    CertificateKind.TwoHomogeneityExtension: _two_hom_data,
 }

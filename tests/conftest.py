@@ -33,6 +33,8 @@ from orderdim.poset import (
     OrderedStructure,
     RealizerTuple,
     _bits,
+    _closure,
+    _first_loop,
     product_less,
     validate_poset,
 )
@@ -427,6 +429,39 @@ def reverse_pair(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
     out = [row | gain if row & bit else row for row in above]
     out[lo] |= gain
     return out
+
+
+def oracle_verify_chase(
+    base: Sequence[int], free: Sequence[tuple[int, int]], fragments: Sequence[int]
+) -> bool:
+    """The AP chase by a Warshall closure per added relation: the oracle
+    for `homogeneity._verify_chase`, which closes each one in one pass.
+    Relating either end of a free pair below the other must close a cycle
+    or change a relation inside a fragment."""
+    for x, y in free:
+        for lo, hi in ((x, y), (y, x)):
+            rows = list(base)
+            rows[lo] |= 1 << hi
+            closed = _closure(rows)
+            if _first_loop(closed) is None and not any(
+                (closed[r] ^ base[r]) & mask for mask in fragments for r in _bits(mask)
+            ):
+                return False
+    return True
+
+
+def identity_seeded_back_and_forth(monkeypatch):
+    """Back-and-forth whose seeds fix the first pair's points, so the
+    grown map keeps that pair where it is instead of sending it onto the
+    second."""
+    from orderdim import homogeneity
+
+    real = homogeneity.back_and_forth_iso
+
+    def seeded(a, b, steps, seed_matches):
+        return real(a, b, steps, seed_matches=[(i, i) for i, _ in seed_matches])
+
+    monkeypatch.setattr(homogeneity, "back_and_forth_iso", seeded)
 
 
 def oracle_colour(search, mask: int, t: int) -> bool:

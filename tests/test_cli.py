@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import parse_dot
+from conftest import identity_seeded_back_and_forth, parse_dot
 
 import orderdim
 from orderdim.cli import main
@@ -274,6 +274,24 @@ class TestCertify:
         assert code == 0
         assert Certificate.from_json(json.loads(out)).replay()
 
+    @pytest.mark.parametrize(
+        "kind, n, phase",
+        [
+            ("nonhom", 8, "certificate grid search"),
+            ("qnlex", 8, "certificate grid search"),
+            ("ap", 512, "the amalgamation diagram"),
+        ],
+    )
+    def test_sizes_past_the_limits_are_single_line_json(
+        self, capsys, monkeypatch, kind, n, phase
+    ):
+        code, out = run(capsys, monkeypatch, ["certify", kind, "--n", str(n)])
+        assert code == 1
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "LimitExceeded"
+        assert payload["detail"].startswith(phase)
+
 
 class TestRamsey:
     def test_singleton_number(self, capsys, monkeypatch):
@@ -475,7 +493,7 @@ class TestDeterminismAndErrors:
         assert json.loads(out)["error"] == "TypeError"
 
     def test_failed_certificate_replay_is_single_line_json(self, capsys, monkeypatch):
-        monkeypatch.setattr(Certificate, "replay", lambda self: False)
+        identity_seeded_back_and_forth(monkeypatch)
         code, out = run(capsys, monkeypatch, ["certify", "twohom"])
         assert code == 1
         assert out.count("\n") == 1

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 from fractions import Fraction as F
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_posets_on, naive_is_realizer, random_structure
+from conftest import (
+    all_posets_on,
+    identity_seeded_back_and_forth,
+    naive_is_realizer,
+    oracle_verify_chase,
+    random_poset,
+    random_structure,
+)
+from orderdim import homogeneity
 from orderdim.dimension import dimension
 from orderdim.errors import (
     ElementMismatch,
@@ -40,7 +51,13 @@ from orderdim.homogeneity import (
     two_homogeneity_demo,
     two_homogeneity_extend,
 )
-from orderdim.poset import OrderedStructure, crown, product_less, validate_poset
+from orderdim.poset import (
+    MAX_GENERATED_ELEMENTS,
+    OrderedStructure,
+    crown,
+    product_less,
+    validate_poset,
+)
 
 SIX_POINTS = [
     (F(3), F(2)),
@@ -459,18 +476,174 @@ class TestTwoHomogeneity:
                 pairwise_order_preserved(emb)
 
 
+def _refuse_dimension(monkeypatch):
+    monkeypatch.setattr(homogeneity, "dimension", lambda poset: SimpleNamespace(dim=2))
+
+
+def _refuse_chase(monkeypatch):
+    monkeypatch.setattr(homogeneity, "_verify_chase", lambda *rows: False)
+
+
+def _misplace_control(monkeypatch):
+    # the control point lands below every configuration point
+    monkeypatch.setattr(
+        homogeneity, "pick_in_region", lambda cloud, region: (F(0),) * cloud.dim
+    )
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, break_check",
     [
-        lambda: ap_failure_certificate(2),
-        lambda: ap_failure_certificate(3),
-        lambda: nonhom_witness(2),
-        lambda: qn_lex_nonhom_witness(2),
-        lambda: two_homogeneity_demo(2),
+        (lambda: ap_failure_certificate(2), _refuse_dimension),
+        (lambda: ap_failure_certificate(3), _refuse_chase),
+        (lambda: nonhom_witness(2), _misplace_control),
+        (lambda: qn_lex_nonhom_witness(2), _misplace_control),
+        (lambda: two_homogeneity_demo(2), identity_seeded_back_and_forth),
     ],
     ids=["ap-enumerate", "ap-chase", "nonhom", "qnlex", "twohom"],
 )
-def test_failed_self_replay_is_typed(build, monkeypatch):
-    monkeypatch.setattr(Certificate, "replay", lambda self: False)
-    with pytest.raises(SelfCheckFailed):
+def test_failed_self_replay_is_typed(build, break_check, monkeypatch):
+    # a builder runs its kind's derivation once, the same one replay runs;
+    # a check failing inside it refuses the certificate
+    break_check(monkeypatch)
+    with pytest.raises(SelfCheckFailed, match="failed its own proof check"):
         build()
+
+
+def sampled_two_homogeneity():
+    cloud = sample_dn(2, 8, seed=0)
+    return two_homogeneity_certificate(
+        cloud, (cloud.points[0], cloud.points[1]), (cloud.points[2], cloud.points[3]), 6
+    )
+
+
+CERTIFICATES = {
+    **{
+        f"{name}-{n}": (lambda b=build, n=n: b(n))
+        for name, build in (
+            ("ap", ap_failure_certificate),
+            ("nonhom", nonhom_witness),
+            ("qnlex", qn_lex_nonhom_witness),
+            ("twohom", two_homogeneity_demo),
+        )
+        for n in (2, 3)
+    },
+    "twohom-sampled": sampled_two_homogeneity,
+}
+
+
+def altered(value):
+    """A value of the same JSON type as value that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "0"
+    if isinstance(value, list):
+        return value[:-1] if value else [0]
+    if isinstance(value, dict):
+        return dict(list(value.items())[1:]) if value else {"x": 0}
+    raise AssertionError(f"not a JSON value: {value!r}")
+
+
+def replays(kind, data) -> bool:
+    return Certificate(kind, data).replay()
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+class TestReplayChecksEveryField:
+    def test_json_round_trip_replays(self, name):
+        cert = CERTIFICATES[name]()
+        assert Certificate.from_json(json.loads(json.dumps(cert.to_json()))).replay()
+
+    def test_altering_any_field_fails(self, name):
+        cert = CERTIFICATES[name]()
+        for field, value in cert.data.items():
+            assert not replays(cert.kind, {**cert.data, field: altered(value)}), field
+
+    def test_dropping_any_field_fails(self, name):
+        cert = CERTIFICATES[name]()
+        for field in cert.data:
+            bad = {k: v for k, v in cert.data.items() if k != field}
+            assert not replays(cert.kind, bad), field
+
+    def test_an_extra_field_fails(self, name):
+        cert = CERTIFICATES[name]()
+        assert not replays(cert.kind, {**cert.data, "note": "unchecked"})
+
+
+def test_altered_completion_dimension_fails():
+    cert = ap_failure_certificate(2)
+    bad = copy.deepcopy(cert.data)
+    bad["completions"][0]["dimension"] = 2
+    assert not replays(cert.kind, bad)
+
+
+def test_every_kind_has_a_derivation():
+    assert set(homogeneity._DERIVE) == set(CertificateKind)
+
+
+class TestMalformedData:
+    def test_empty_data(self):
+        assert not Certificate.from_json({"kind": "ap-failure", "data": {}}).replay()
+
+    @pytest.mark.parametrize("n", ["x", "2", 2.0, True, None])
+    def test_width_that_is_no_integer(self, n):
+        assert not Certificate(CertificateKind.APFailure, {"n": n}).replay()
+
+    def test_pair_index_past_the_cloud(self):
+        data = dict(two_homogeneity_demo(2).data, pair2=[2, 4])
+        assert not Certificate(CertificateKind.TwoHomogeneityExtension, data).replay()
+
+    def test_data_that_is_a_list(self):
+        assert not Certificate.from_json({"kind": "ap-failure", "data": []}).replay()
+
+    def test_typed_errors_of_the_derivation_propagate(self):
+        with pytest.raises(LimitExceeded, match="certificate grid search"):
+            Certificate(CertificateKind.NotUltrahomogeneous, {"n": 8}).replay()
+        with pytest.raises(TooSmall):
+            Certificate(CertificateKind.QnLexNotUltrahomogeneous, {"n": 1}).replay()
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize("build", [nonhom_witness, qn_lex_nonhom_witness])
+    def test_grid_past_the_budget_is_refused(self, build, monkeypatch):
+        # the box one unit beyond the points has 11 ticks per axis
+        monkeypatch.setenv("ORDERDIM_BUDGET", str(11**3 - 1))
+        with pytest.raises(
+            LimitExceeded, match="certificate grid search: grid points: 1331 cases"
+        ):
+            build(3)
+        monkeypatch.setenv("ORDERDIM_BUDGET", str(11**3))
+        assert build(3).replay()
+
+
+class TestApChase:
+    def test_matches_the_warshall_chase_on_the_diagram(self):
+        for n in range(2, 31):
+            base, free, fragments = homogeneity._ap_rows(n)[1:]
+            assert homogeneity._verify_chase(base, free, fragments)
+            assert oracle_verify_chase(base, free, fragments)
+
+    def test_matches_the_warshall_chase_on_random_relations(self):
+        rng = random.Random(18)
+        verdicts = []
+        for _ in range(400):
+            m = rng.randint(2, 9)
+            base = list(random_poset(rng, m).up)
+            free = [tuple(rng.sample(range(m), 2)) for _ in range(rng.randint(1, 3))]
+            fragments = [rng.getrandbits(m) for _ in range(rng.randint(1, 3))]
+            verdict = homogeneity._verify_chase(base, free, fragments)
+            assert verdict == oracle_verify_chase(base, free, fragments)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_largest_diagram_builds_and_replays(self):
+        cert = ap_failure_certificate(511)
+        assert len(cert.data["elements"]) == MAX_GENERATED_ELEMENTS
+        assert cert.data["mode"] == "chase" and cert.replay()
+
+    def test_diagram_past_the_cap_is_refused(self):
+        with pytest.raises(LimitExceeded, match="past the cap of 1024 elements"):
+            ap_failure_certificate(512)

@@ -62,7 +62,7 @@ def test_field_stores_only_in_poset():
 
 def test_lex_less_is_called_only_by_homogeneity():
     # Orders on points come from poset's one product builder.  The qn-lex
-    # certificate replay in homogeneity keeps its own comparisons, because
+    # certificate derivation in homogeneity keeps its own comparisons, because
     # its points tie on coordinates.
     found = []
     for path in sorted(SRC.rglob("*.py")):
