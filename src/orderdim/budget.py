@@ -14,6 +14,7 @@ space larger than the whole budget.
 from __future__ import annotations
 
 import os
+from math import log10
 
 from .errors import LimitExceeded
 
@@ -65,7 +66,12 @@ class BudgetMeter:
     def require(self, cases: int, detail: str) -> None:
         """Refuse up front a space of `cases` that the budget cannot cover."""
         if cases > self.budget:
+            try:
+                count = str(cases)
+            except ValueError:
+                # Past the interpreter's cap on digits an int may print with.
+                count = f"at least 10^{int((cases.bit_length() - 1) * log10(2))}"
             raise LimitExceeded(
-                f"{self.what}: {detail}: {cases} cases, "
+                f"{self.what}: {detail}: {count} cases, "
                 f"over the budget of {self.budget}"
             )

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
+from math import prod
 from typing import Iterator, Sequence
 
+from .budget import BudgetMeter
 from .errors import (
     ColinearPoints,
     ElementMismatch,
@@ -54,6 +57,10 @@ MAX_SAMPLE_COORDINATES = 500_000
 
 Endpoint = Fraction | None  # None stands for the missing (infinite) bound
 
+# The budget phase of the enumerations of minimal cells, here and in
+# homogeneity.check_dpo_fragment.
+CELLS = "cell enumeration"
+
 
 def as_fraction(v: object) -> Fraction:
     if isinstance(v, float):
@@ -79,14 +86,17 @@ def cyclic_priority(i: int, n: int) -> list[int]:
     return [(i + j) % n for j in range(n)]
 
 
-class PointCloud:
+class PointCloud(_Frozen):
     """Finite list of n-dimensional exact-rational points.
 
     strict=True (the default) additionally forbids any two points from
     sharing a coordinate on any single axis.
     """
 
-    __slots__ = ("dim", "points", "strict", "_axis_values")
+    __slots__ = ("dim", "points", "strict", "__dict__")
+    dim: int
+    points: tuple[Point, ...]
+    strict: bool
 
     def __init__(self, dim: int, points: Sequence[Sequence[object]], strict: bool = True):
         if dim < 2:
@@ -95,8 +105,6 @@ class PointCloud:
             raise LimitExceeded(
                 f"point clouds are capped at {MAX_CLOUD_DIM} dimensions, got {dim}"
             )
-        self.dim = dim
-        self.strict = strict
         pts: list[Point] = []
         seen: dict[Point, int] = {}
         axis_values: list[dict[Fraction, int]] = [{} for _ in range(dim)]
@@ -109,27 +117,20 @@ class PointCloud:
             if p in seen:
                 raise ColinearPoints(seen[p], idx, None)
             if strict:
-                for j in range(dim):
-                    if p[j] in axis_values[j]:
-                        raise ColinearPoints(axis_values[j][p[j]], idx, j)
+                for j, v in enumerate(p):
+                    if v in axis_values[j]:
+                        raise ColinearPoints(axis_values[j][v], idx, j)
+                    axis_values[j][v] = idx
             seen[p] = idx
-            for j in range(dim):
-                axis_values[j].setdefault(p[j], idx)
             pts.append(p)
-        self.points: tuple[Point, ...] = tuple(pts)
-        self._axis_values = tuple(frozenset(d) for d in axis_values)
+        super().__init__(dim, tuple(pts), strict)
+
+    @cached_property
+    def _axis_values(self) -> tuple[frozenset[Fraction], ...]:
+        return tuple(frozenset(p[j] for p in self.points) for j in range(self.dim))
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.points == other.points
-            and self.strict == other.strict
-        )
 
     def __repr__(self) -> str:
         kind = "strict" if self.strict else "relaxed"
@@ -310,12 +311,16 @@ class Region(_Frozen):
 
 
 def regions_of(c: PointCloud) -> list[Region]:
-    """Every minimal cell cut out by the coordinate hyperplanes of the cloud."""
+    """Every minimal cell cut out by the coordinate hyperplanes of the cloud.
+
+    Each cell holds one interval per axis; more intervals in all than the
+    budget are refused before any cell is built."""
     per_axis: list[list[tuple[Endpoint, Endpoint]]] = []
     for j in range(c.dim):
-        vals = sorted({p[j] for p in c.points})
-        bounds: list[Endpoint] = [None] + list(vals) + [None]
+        vals = sorted(c.axis_values(j))
+        bounds: list[Endpoint] = [None] + vals + [None]
         per_axis.append(list(zip(bounds, bounds[1:])))
+    BudgetMeter(None, CELLS).require(prod(map(len, per_axis)) * c.dim, "cells times axes")
     return [Region(tuple(cell)) for cell in iter_product(*per_axis)]
 
 
@@ -401,10 +406,11 @@ class PartialEmbedding(_Frozen):
         if not domain:
             return
         got = _product_structure(domain, [self.cloud.points[i] for i in seen])
-        want = self.source.restrict(domain)
-        for i, (w, g) in enumerate(zip(want.realizers.orders, got.realizers.orders)):
-            if w != g:
-                x, y = next((x, y) for x, y in zip(w.order, g.order) if x != y)
+        keep = set(domain)
+        for i, (o, g) in enumerate(zip(self.source.realizers.orders, got.realizers.orders)):
+            want = tuple(x for x in o.order if x in keep)
+            if want != g.order:
+                x, y = next((x, y) for x, y in zip(want, g.order) if x != y)
                 raise InvalidEmbedding(f"order {i + 1} not preserved on ({x}, {y})")
 
 

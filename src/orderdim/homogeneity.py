@@ -39,6 +39,7 @@ from .errors import (
     TooSmall,
 )
 from .geometry import (
+    CELLS,
     PartialEmbedding,
     Point,
     PointCloud,
@@ -169,7 +170,9 @@ class Certificate(_Frozen):
     data: dict
 
     def replay(self) -> bool:
-        """Whether the parameters the data records derive all of it again.
+        """Whether the parameters the data records derive all of it again,
+        JSON types included: a 9.0 or a 1 where the derivation gives 9 or
+        true does not replay.
 
         Data whose parameters cannot be read replays False; typed errors
         of the derivation, such as LimitExceeded, propagate."""
@@ -177,7 +180,7 @@ class Certificate(_Frozen):
             params = _recorded(self.kind, self.data)
         except (KeyError, IndexError, TypeError, ValueError):
             return False
-        return _DERIVE[self.kind](*params) == self.data
+        return _same_json(_DERIVE[self.kind](*params), self.data)
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "data": self.data}
@@ -185,6 +188,17 @@ class Certificate(_Frozen):
     @staticmethod
     def from_json(payload: dict) -> "Certificate":
         return Certificate(CertificateKind(payload["kind"]), payload["data"])
+
+
+def _same_json(a: object, b: object) -> bool:
+    """a == b, with the type of every value compared too."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 
 def _certified(kind: CertificateKind, data: dict | None) -> Certificate:
@@ -218,7 +232,9 @@ def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
 
     Finite fragments always report density defects: each open cell cut
     out by the element hyperplanes misses every element, so the defect
-    list doubles as a fill worklist for pick_in_region.
+    list doubles as a fill worklist for pick_in_region.  The (m + 1)^n
+    cells of m elements in n orders carry n intervals each; more
+    intervals in all than the budget are refused before any cell is built.
     """
     labels, points, struct = _structure_parts(s)
     if struct is None:
@@ -230,6 +246,7 @@ def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
             density_defects=(DensityDefect(whole, (), ((None, None),) * s.dim),),
         )
     n = struct.n
+    BudgetMeter(None, CELLS).require((len(labels) + 1) ** n * n, "cells times axes")
     poset_ok = _axiom_violation(struct.poset.elements, struct.poset.up) is None
     linears_ok = all(
         sorted(o.order) == sorted(labels) and len(o) == len(labels)

@@ -231,34 +231,41 @@ class _Frozen:
         return self.__class__, self._values()
 
 
-class FinitePoset:
+class FinitePoset(_Frozen):
     """Strict partial order on an ordered tuple of distinct labels.
 
     Construct through validate_poset or the module constructors; the
     class itself only checks shape, not the order axioms.  ``lt`` may be
     a numpy bool array or nested lists of bools; ``from_rows`` takes the
-    bit rows directly.
+    bit rows directly.  ``down`` is ``up`` transposed.
     """
 
     __slots__ = ("elements", "up", "down", "__dict__")
+    elements: tuple[str, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
     def __init__(self, elements: Sequence[str], lt):
-        self.elements: tuple[str, ...] = tuple(elements)
-        m = len(self.elements)
-        self.up: tuple[int, ...] = tuple(_matrix_rows(lt, m))
-        self.down: tuple[int, ...] = tuple(_transpose(self.up, m))
+        elements = tuple(elements)
+        m = len(elements)
+        up = tuple(_matrix_rows(lt, m))
+        super().__init__(elements, up, tuple(_transpose(up, m)))
 
     @classmethod
     def from_rows(cls, elements: Sequence[str], up: Sequence[int]) -> "FinitePoset":
         """Poset whose bit j of up[i] says elements[i] < elements[j]."""
-        p = cls.__new__(cls)
-        p.elements = tuple(elements)
-        m = len(p.elements)
-        p.up = tuple(up)
-        if len(p.up) != m or any(row >> m for row in p.up):
+        elements = tuple(elements)
+        m = len(elements)
+        up = tuple(up)
+        if len(up) != m or any(row >> m for row in up):
             raise ElementMismatch(f"relation rows do not match {m} elements")
-        p.down = tuple(_transpose(p.up, m))
+        p = cls.__new__(cls)
+        _Frozen.__init__(p, elements, up, tuple(_transpose(up, m)))
         return p
+
+    def __reduce__(self):
+        # The constructor takes a matrix, not the fields.
+        return self.from_rows, (self.elements, self.up)
 
     @cached_property
     def lt(self):
@@ -281,14 +288,6 @@ class FinitePoset:
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinitePoset):
-            return NotImplemented
-        return self.elements == other.elements and self.up == other.up
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.up))
 
     def __repr__(self) -> str:
         count = sum(row.bit_count() for row in self.up)
@@ -382,17 +381,17 @@ def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
     return FinitePoset.from_rows(labels, up)
 
 
-class LinearOrder:
+class LinearOrder(_Frozen):
     """Total order given as the label sequence from bottom to top."""
 
     __slots__ = ("order", "__dict__")
+    order: tuple[str, ...]
 
     def __init__(self, order: Sequence[str]):
-        self.order: tuple[str, ...] = tuple(order)
-        if len(set(self.order)) != len(self.order):
-            raise DuplicateLabel(
-                next(x for i, x in enumerate(self.order) if x in self.order[:i])
-            )
+        order = tuple(order)
+        if len(set(order)) != len(order):
+            raise DuplicateLabel(next(x for i, x in enumerate(order) if x in order[:i]))
+        super().__init__(order)
 
     @cached_property
     def rank(self) -> dict[str, int]:
@@ -402,14 +401,6 @@ class LinearOrder:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearOrder):
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
-
     def __repr__(self) -> str:
         return "LinearOrder(" + " < ".join(self.order) + ")"
 
@@ -418,13 +409,6 @@ class LinearOrder:
 
     def to_poset(self) -> FinitePoset:
         return FinitePoset.from_rows(self.order, _chain_rows(len(self.order)))
-
-    @staticmethod
-    def from_poset(p: FinitePoset) -> "LinearOrder":
-        if not p.is_chain():
-            raise NotLinear(f"{p!r} is not a chain")
-        order = sorted(range(len(p)), key=lambda i: p.down[i].bit_count())
-        return LinearOrder([p.elements[i] for i in order])
 
 
 def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
@@ -483,31 +467,25 @@ def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -
     return _meet_rows(seqs, m)
 
 
-class RealizerTuple:
+class RealizerTuple(_Frozen):
     """Tuple of linear orders over one element set."""
 
     __slots__ = ("orders",)
+    orders: tuple[LinearOrder, ...]
 
     def __init__(self, orders: Sequence[LinearOrder]):
-        self.orders: tuple[LinearOrder, ...] = tuple(orders)
-        if not self.orders:
+        orders = tuple(orders)
+        if not orders:
             raise TooSmall("a realizer tuple needs at least one order")
-        support = set(self.orders[0].order)
-        for o in self.orders[1:]:
+        support = set(orders[0].order)
+        for o in orders[1:]:
             if set(o.order) != support:
                 raise ElementMismatch("orders range over different element sets")
+        super().__init__(orders)
 
     @property
     def n(self) -> int:
         return len(self.orders)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RealizerTuple):
-            return NotImplemented
-        return self.orders == other.orders
-
-    def __hash__(self) -> int:
-        return hash(self.orders)
 
     def __repr__(self) -> str:
         return f"RealizerTuple(n={self.n}, m={len(self.orders[0])})"
@@ -543,10 +521,10 @@ def _realizer_of_indices(labels: Sequence[str], seqs: Iterable[Sequence[int]]) -
     orders = []
     for seq in seqs:
         o = LinearOrder.__new__(LinearOrder)
-        o.order = tuple([labels[i] for i in seq])
+        _Frozen.__init__(o, tuple([labels[i] for i in seq]))
         orders.append(o)
     t = RealizerTuple.__new__(RealizerTuple)
-    t.orders = tuple(orders)
+    _Frozen.__init__(t, tuple(orders))
     return t
 
 
@@ -557,16 +535,17 @@ def is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
     return tuple(_intersection_rows(t.orders, p.elements)) == p.up
 
 
-class OrderedStructure:
+class OrderedStructure(_Frozen):
     """A poset bundled with a realizer tuple; construction checks the pair."""
 
     __slots__ = ("poset", "realizers")
+    poset: FinitePoset
+    realizers: RealizerTuple
 
     def __init__(self, poset: FinitePoset, realizers: RealizerTuple):
         if not is_realizer(poset, realizers):
             raise NotARealizer("orders do not realize the poset")
-        self.poset = poset
-        self.realizers = realizers
+        super().__init__(poset, realizers)
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -579,22 +558,8 @@ class OrderedStructure:
     def __len__(self) -> int:
         return len(self.poset)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderedStructure):
-            return NotImplemented
-        return self.poset == other.poset and self.realizers == other.realizers
-
     def __repr__(self) -> str:
         return f"OrderedStructure(m={len(self)}, n={self.n})"
-
-    def restrict(self, labels: Sequence[str]) -> "OrderedStructure":
-        keep = set(labels)
-        sub = self.poset.restrict(tuple(labels))
-        orders = [
-            LinearOrder([x for x in o.order if x in keep])
-            for o in self.realizers.orders
-        ]
-        return OrderedStructure(sub, RealizerTuple(orders))
 
     @staticmethod
     def from_orders(orders: Sequence[LinearOrder]) -> "OrderedStructure":

@@ -15,7 +15,10 @@ depth-first search would; that uncut search is the test oracle.
 Each public call resolves one budget and spends it on one meter, across
 every r of `product_ramsey_number` and every scan of a reduction.  The
 meter's phase, "grid coloring search at r=...", "copy coloring search"
-or "monochromatic-subgrid scan", opens the LimitExceeded message.
+or "monochromatic-subgrid scan" ("copy enumeration" for a bare
+`enumerate_copies`), opens the LimitExceeded message.  Copy enumeration
+tries every subset of the host, so more subsets than the budget are
+refused before any is tried.
 
 Canonical orderings, used for coloring serialization: grid points are
 row-major; copies are indexed by their element subsets in lexicographic
@@ -56,6 +59,7 @@ __all__ = [
 
 GRID_SEARCH = "grid coloring search"
 COPY_SEARCH = "copy coloring search"
+COPIES = "copy enumeration"
 SCAN = "monochromatic-subgrid scan"
 
 GridPoint = tuple[int, ...]
@@ -65,15 +69,18 @@ def _point_label(p: GridPoint) -> str:
     return ",".join(str(v) for v in p)
 
 
-class GridStruct:
+class GridStruct(_Frozen):
     """The m^n grid: product order plus its n cyclic lexicographic orders.
 
     Order i compares coordinates i, i+1, ..., wrapping around; their
-    intersection is the product order.  The structure is built lazily by
-    poset's one product builder, which re-checks the pair on construction.
+    intersection is the product order.  The points and the structure are
+    built lazily, the structure by poset's one product builder, which
+    re-checks the pair on construction.
     """
 
-    __slots__ = ("m", "n", "points", "__dict__")
+    __slots__ = ("m", "n", "__dict__")
+    m: int
+    n: int
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -81,17 +88,14 @@ class GridStruct:
         cap = MAX_GENERATED_ELEMENTS
         if max(m, n) > cap or m**n > cap:
             raise LimitExceeded(f"the grid {m}^{n} is past the cap of {cap} points and axes")
-        self.m = m
-        self.n = n
-        self.points: tuple[GridPoint, ...] = tuple(
-            iter_product(range(1, m + 1), repeat=n)
-        )
+        super().__init__(m, n)
+
+    @cached_property
+    def points(self) -> tuple[GridPoint, ...]:
+        return tuple(iter_product(range(1, self.m + 1), repeat=self.n))
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __repr__(self) -> str:
-        return f"GridStruct({self.m}^{self.n})"
 
     def label(self, p: GridPoint) -> str:
         return _point_label(p)
@@ -206,11 +210,20 @@ def enumerate_copies(
     Returns label tuples aligned with a.elements.  A candidate subset
     admits at most one isomorphism: linear realizers force the match of
     first-order ranks, so each subset is tested against that single map.
+    More subsets than the budget are refused before any is tried.
     """
+    return _copies(b, a, BudgetMeter(None, COPIES))
+
+
+def _copies(
+    b: OrderedStructure | GridStruct, a: OrderedStructure, meter: BudgetMeter
+) -> list[tuple[str, ...]]:
+    """enumerate_copies, refusing through a meter that the caller may share."""
     bs = b.structure if isinstance(b, GridStruct) else b
     if a.n != bs.n:
         raise ElementMismatch("pattern and host carry different realizer counts")
     l = len(a.elements)
+    meter.require(comb(len(bs.elements), l), "subsets of the host to test as copies")
     a_by_first = a.realizers.orders[0].order
     first_rank = bs.realizers.orders[0].rank
     copies = []
@@ -405,14 +418,21 @@ def product_ramsey_number(
 
 
 def _copy_groups(
-    grid: GridStruct, a: OrderedStructure, b: OrderedStructure
+    grid: GridStruct,
+    a: OrderedStructure,
+    b: OrderedStructure,
+    meter: BudgetMeter | None = None,
 ) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]], list[list[int]]]:
     """Copies of a in the grid, copies of b in the grid, and for each
-    copy of b the indices of the grid's a-copies lying inside it."""
-    copies_a = enumerate_copies(grid, a)
-    copies_b = enumerate_copies(grid, b)
+    copy of b the indices of the grid's a-copies lying inside it.  The
+    given meter, else one of its own, refuses too many subsets; b, the
+    larger pattern, is enumerated first."""
+    if meter is None:
+        meter = BudgetMeter(None, COPIES)
+    copies_b = _copies(grid, b, meter)
+    copies_a = _copies(grid, a, meter)
     index = {key: t for t, key in enumerate(copies_a)}
-    inner = enumerate_copies(b, a)
+    inner = _copies(b, a, meter)
     if copies_b and not inner:
         raise ElementMismatch("the pattern does not embed in the target")
     groups = []
@@ -443,7 +463,8 @@ def ramsey_witness_check(
     m > r, the copies of b are scanned directly.  A located subgrid whose
     rigid copy of b is not monochromatic contradicts the argument and
     raises SelfCheckFailed.  Both methods decide the same predicate.  One
-    budget covers the whole call, every subgrid scan included.
+    budget covers the whole call, every subgrid scan and the up-front
+    refusal of too many copy candidates included.
     """
     meter = BudgetMeter(budget, COPY_SEARCH if method == "exhaustive" else SCAN)
     if a.n != b.n:
@@ -451,7 +472,7 @@ def ramsey_witness_check(
     if len(a.elements) > len(b.elements):
         raise TooSmall("the pattern must fit inside the target")
     grid = GridStruct(r, a.n)
-    copies_a, copies_b, groups = _copy_groups(grid, a, b)
+    copies_a, copies_b, groups = _copy_groups(grid, a, b, meter)
     if not groups:
         return False
     if method == "exhaustive":

@@ -280,6 +280,8 @@ class TestCertify:
             ("nonhom", 8, "certificate grid search"),
             ("qnlex", 8, "certificate grid search"),
             ("ap", 512, "the amalgamation diagram"),
+            # 11^5000 grid points: past the digits an int prints with
+            ("nonhom", 5000, "certificate grid search"),
         ],
     )
     def test_sizes_past_the_limits_are_single_line_json(
@@ -349,6 +351,46 @@ class TestRamsey:
         )
         assert code == 0
         assert json.loads(out) == {"holds": True}
+
+
+class TestEnumerationsPastTheBudget:
+    """Enumerations whose size is known up front are refused before any
+    work, as one LimitExceeded JSON line."""
+
+    def assert_refused(self, code, out, phase):
+        assert code == 1
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"] == "LimitExceeded"
+        assert payload["detail"].startswith(phase)
+
+    @pytest.mark.parametrize("n, count", [(16, 1), (40, 2)])
+    def test_check_dpo_cells(self, capsys, monkeypatch, n, count):
+        _, cloud = run(
+            capsys, monkeypatch, ["gen", "sample", "--n", str(n), "--count", str(count)]
+        )
+        code, out = run(capsys, monkeypatch, ["check", "dpo"], stdin_text=cloud)
+        self.assert_refused(code, out, "cell enumeration: cells times axes: ")
+
+    @pytest.mark.parametrize("method, phase", [
+        ("reduction", "monochromatic-subgrid scan"),
+        ("exhaustive", "copy coloring search"),
+    ])
+    def test_ramsey_witness_copy_candidates(
+        self, capsys, monkeypatch, tmp_path, method, phase
+    ):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "2", "--n", "1", "--out", str(a)])
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "3", "--n", "1", "--out", str(b)])
+        # one order each: the 3-chain's C(1000, 3) subsets of the 1000^1 grid
+        code, out = run(
+            capsys,
+            monkeypatch,
+            ["ramsey", "witness", "--a", str(a), "--b", str(b),
+             "--k", "2", "--r", "1000", "--method", method],
+        )
+        self.assert_refused(code, out, f"{phase}: subsets of the host to test as copies: ")
 
 
 class TestExport:

@@ -705,9 +705,11 @@ class TestLogicAction:
         monkeypatch.setattr(
             sys.modules["orderdim.flow"], "is_realizer", lambda p, t: False
         )
+        # the one realizer check also decides whether g preserves the
+        # order, so its failure is typed as a moved pair
         st = induced_structure(three_antichain())
         ident = {f"p{i}": f"p{i}" for i in range(3)}
-        with pytest.raises(NotARealizer):
+        with pytest.raises(NotOrderPreserving):
             logic_action(ident, st.realizers)
 
     def test_finite_scale_orbit_covers_antichain_census(self):

@@ -7,7 +7,10 @@ the two must agree on repr, ==, hash (or the TypeError of an unhashable
 field), construction and the refusal of attribute assignment, and each
 class's constructor must still refuse what its ``__post_init__``
 refused.  ``Narrower``, a subclass that adds no slot, must keep the
-fields of its base.
+fields of its base.  The value classes that joined the same base
+(posets, orders, realizer tuples, structures, clouds and grids) have no
+dataclass past; they are held to the base's immutability, copy, pickle
+and hashing.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from orderdim.flow import (
     semidirect_decomposition,
     symmetric_sample,
 )
-from orderdim.geometry import PartialEmbedding, Region, back_and_forth_iso, sample_dn
+from orderdim.geometry import (
+    PartialEmbedding,
+    PointCloud,
+    Region,
+    back_and_forth_iso,
+    sample_dn,
+)
 from orderdim.homogeneity import (
     AxiomReport,
     Certificate,
@@ -39,8 +48,18 @@ from orderdim.homogeneity import (
     ap_failure_certificate,
     check_dpo_fragment,
 )
-from orderdim.poset import LinearOrder, OrderedStructure, RealizerTuple, antichain, crown
-from orderdim.ramsey import Coloring, Subgrid
+from orderdim.poset import (
+    FinitePoset,
+    LinearOrder,
+    OrderedStructure,
+    RealizerTuple,
+    antichain,
+    chain,
+    crown,
+    is_realizer,
+    validate_poset,
+)
+from orderdim.ramsey import Coloring, GridStruct, Subgrid
 
 
 class Narrower(Region):
@@ -278,3 +297,93 @@ class TestFormerPostInitChecks:
         assert "_lookup" in c.__dict__
         with pytest.raises(ElementMismatch):
             c.color(("z",))
+
+
+# The value classes that sit on the same base, each with its fields.
+VALUE_FIELDS = {
+    FinitePoset: ("elements", "up", "down"),
+    LinearOrder: ("order",),
+    RealizerTuple: ("orders",),
+    OrderedStructure: ("poset", "realizers"),
+    PointCloud: ("dim", "points", "strict"),
+    GridStruct: ("m", "n"),
+}
+
+
+def value_samples(cls: type) -> list:
+    """Two or more instances of a value class, some with their cached
+    properties filled, which are no fields."""
+    read = crown(3)
+    read.lt  # fills the cached matrix
+    order = LinearOrder(("b", "a", "c"))
+    order.rank  # fills the cached ranks
+    relaxed = PointCloud(3, [(0, 0, 0), (0, 1, 2)], strict=False)
+    relaxed.axis_values(1)
+    grid = GridStruct(2, 2)
+    grid.structure  # fills the cached points and structure
+    return {
+        FinitePoset: [read, antichain(2), chain(3)],
+        LinearOrder: [order, LinearOrder(("x",))],
+        RealizerTuple: [STRUCTURE.realizers, RealizerTuple([order, order])],
+        OrderedStructure: [STRUCTURE, grid.structure],
+        PointCloud: [sample_dn(2, 3, seed=0), relaxed, PointCloud(2, [])],
+        GridStruct: [grid, GridStruct(3, 1)],
+    }[cls]
+
+
+VALUE_CLASSES = sorted(VALUE_FIELDS, key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=[c.__name__ for c in VALUE_CLASSES])
+class TestValueClasses:
+    def test_fields(self, cls):
+        assert cls.__match_args__ == VALUE_FIELDS[cls]
+
+    def test_assignment_and_deletion_raise(self, cls):
+        for x in value_samples(cls):
+            before = tuple(getattr(x, f) for f in VALUE_FIELDS[cls])
+            for f in (*VALUE_FIELDS[cls], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, f, None)
+            for f in VALUE_FIELDS[cls]:
+                with pytest.raises(AttributeError):
+                    delattr(x, f)
+            assert tuple(getattr(x, f) for f in VALUE_FIELDS[cls]) == before
+
+    def test_pickle_and_deepcopy_give_an_equal_value_and_hash(self, cls):
+        for x in value_samples(cls):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert type(y) is cls
+                assert y == x
+                assert hash(y) == hash(x)
+                assert repr(y) == repr(x)
+
+    def test_equal_values_hash_alike_and_differ_from_others(self, cls):
+        xs = value_samples(cls)
+        assert len(set(xs)) == len(xs)
+        for a in xs:
+            assert {a: 1}[pickle.loads(pickle.dumps(a))] == 1
+            for b in xs:
+                assert (a == b) == (a is b)
+
+
+def test_a_structure_keeps_the_realizer_it_was_checked_with():
+    other = OrderedStructure.from_orders([LinearOrder(("a", "b", "c"))] * 2)
+    with pytest.raises(AttributeError):
+        STRUCTURE.realizers = other.realizers  # type: ignore[misc]
+    assert is_realizer(STRUCTURE.poset, STRUCTURE.realizers)
+
+
+def test_a_poset_keeps_its_rows_in_step():
+    p = crown(3)
+    with pytest.raises(AttributeError):
+        p.up = chain(6).up  # type: ignore[misc]
+    assert p == validate_poset(p.elements, [list(r) for r in p.lt])
+    assert p.down == crown(3).down
+
+
+def test_a_poset_pickles_through_its_rows():
+    # the constructor takes a matrix, not the fields; the rows come back
+    p = crown(4)
+    again = pickle.loads(pickle.dumps(p))
+    assert (again.elements, again.up, again.down) == (p.elements, p.up, p.down)

@@ -9,6 +9,7 @@ from orderdim.errors import (
     ColinearPoints,
     ElementMismatch,
     InvalidEmbedding,
+    LimitExceeded,
     TooSmall,
 )
 from orderdim.geometry import (
@@ -262,6 +263,26 @@ class TestRegionsOf:
             for k in range(7):
                 c = sample_dn(n, k, seed=11)
                 assert len(regions_of(c)) == (k + 1) ** n
+
+    def test_cells_past_the_budget_are_refused(self, monkeypatch):
+        # 2^2 cells of 2 intervals each
+        cloud = PointCloud(2, [(0, 0)])
+        monkeypatch.setenv("ORDERDIM_BUDGET", "7")
+        with pytest.raises(
+            LimitExceeded, match="^cell enumeration: cells times axes: 8 cases"
+        ):
+            regions_of(cloud)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "8")
+        assert len(regions_of(cloud)) == 4
+
+    def test_a_relaxed_cloud_counts_its_distinct_values(self, monkeypatch):
+        # 2 values on axis 0, 1 on axis 1: 3 * 2 cells of 2 intervals
+        cloud = PointCloud(2, [(0, 5), (1, 5)], strict=False)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "12")
+        assert len(regions_of(cloud)) == 6
+        monkeypatch.setenv("ORDERDIM_BUDGET", "11")
+        with pytest.raises(LimitExceeded, match="12 cases"):
+            regions_of(cloud)
 
     def test_cells_partition_off_hyperplane_space(self):
         c = sample_dn(2, 3, seed=2)

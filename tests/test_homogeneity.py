@@ -34,6 +34,7 @@ from orderdim.geometry import (
     PointCloud,
     Region,
     cyclic_priority,
+    induced_structure,
     lex_less,
     pick_in_region,
     regions_of,
@@ -86,6 +87,18 @@ def grid_points(points, step, n):
 
 
 class TestCheckDpoFragment:
+    def test_cells_past_the_budget_are_refused(self, monkeypatch):
+        # (1 + 1)^2 cells of 2 intervals each, for a cloud and a structure
+        point = PointCloud(2, [(F(0), F(0))])
+        for s in (point, induced_structure(point)):
+            monkeypatch.setenv("ORDERDIM_BUDGET", "7")
+            with pytest.raises(
+                LimitExceeded, match="^cell enumeration: cells times axes: 8 cases"
+            ):
+                check_dpo_fragment(s)
+            monkeypatch.setenv("ORDERDIM_BUDGET", "8")
+            assert len(check_dpo_fragment(s).density_defects) == 4
+
     def test_single_point_has_four_defects(self):
         report = check_dpo_fragment(PointCloud(2, [(F(0), F(0))]))
         assert report.universal_ok
@@ -547,6 +560,28 @@ def altered(value):
     raise AssertionError(f"not a JSON value: {value!r}")
 
 
+def retyped(value):
+    """value with its first number or boolean, in document order, turned
+    into a float or an int that == still finds equal; None if it has none."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return None
+    for key, inner in items:
+        other = retyped(inner)
+        if other is not None:
+            out = dict(value) if isinstance(value, dict) else list(value)
+            out[key] = other
+            return out
+    return None
+
+
 def replays(kind, data) -> bool:
     return Certificate(kind, data).replay()
 
@@ -567,6 +602,18 @@ class TestReplayChecksEveryField:
         for field in cert.data:
             bad = {k: v for k, v in cert.data.items() if k != field}
             assert not replays(cert.kind, bad), field
+
+    def test_a_retyped_number_or_boolean_fails(self, name):
+        # 9.0 == 9 and 1 == True, but the derivation records 9 and true
+        cert = CERTIFICATES[name]()
+        checked = 0
+        for field, value in cert.data.items():
+            other = retyped(value)
+            if other is not None:
+                assert other == value
+                assert not replays(cert.kind, {**cert.data, field: other}), field
+                checked += 1
+        assert checked
 
     def test_an_extra_field_fails(self, name):
         cert = CERTIFICATES[name]()
@@ -617,6 +664,13 @@ class TestGridBudget:
             build(3)
         monkeypatch.setenv("ORDERDIM_BUDGET", str(11**3))
         assert build(3).replay()
+
+    def test_a_count_past_the_digit_cap_is_refused(self):
+        # 11^5000 has more digits than an int may print with by default
+        with pytest.raises(
+            LimitExceeded, match=r"^certificate grid search: grid points: at least 10\^5206 cases"
+        ):
+            nonhom_witness(5000)
 
 
 class TestApChase:

@@ -254,6 +254,18 @@ class TestEnumerateCopies:
         with pytest.raises(ElementMismatch):
             enumerate_copies(GridStruct(2, 2), one_point(n=3))
 
+    def test_subsets_past_the_budget_are_refused(self, monkeypatch):
+        # C(9, 2) candidate pairs in the 3^2 grid
+        copies = enumerate_copies(GridStruct(3, 2), aligned_chain())
+        monkeypatch.setenv("ORDERDIM_BUDGET", "35")
+        with pytest.raises(
+            LimitExceeded,
+            match="^copy enumeration: subsets of the host to test as copies: 36 cases",
+        ):
+            enumerate_copies(GridStruct(3, 2), aligned_chain())
+        monkeypatch.setenv("ORDERDIM_BUDGET", "36")
+        assert enumerate_copies(GridStruct(3, 2), aligned_chain()) == copies
+
     def test_bit_row_copy_test_matches_pairwise_oracle(self):
         # Pattern and host carry the same number of orders, as every
         # caller requires; then keeping the orders keeps the poset.
@@ -610,6 +622,22 @@ class TestRamseyWitnessCheck:
     def test_mismatched_widths(self):
         with pytest.raises(ElementMismatch):
             ramsey_witness_check(one_point(n=3), aligned_chain(), 2, 2)
+
+    @pytest.mark.parametrize("method, phase", [
+        ("reduction", "monochromatic-subgrid scan"),
+        ("exhaustive", "copy coloring search"),
+    ])
+    def test_copy_candidates_are_refused_on_the_call_budget(self, method, phase):
+        # C(900, 3) subsets of the 30^2 grid, refused before any is tried
+        with pytest.raises(
+            LimitExceeded, match=f"^{phase}: subsets of the host to test as copies: 121095300"
+        ):
+            ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), 2, 30, method)
+        # C(9, 3) = 84 in the 3^2 grid: the call's own budget= decides
+        with pytest.raises(LimitExceeded, match=": 84 cases, over the budget of 83$"):
+            ramsey_witness_check(
+                aligned_chain(), aligned_chain_of_three(), 2, 3, method, budget=83
+            )
 
     def test_pattern_larger_than_target(self):
         with pytest.raises(TooSmall):

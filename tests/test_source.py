@@ -103,3 +103,29 @@ def test_budgets_are_resolved_only_by_the_meter():
             )
         ]
     assert found == []
+
+
+def test_only_the_value_base_defines_equality():
+    # every library value sits on poset._Frozen, whose one __eq__ and
+    # __hash__ compare the fields; a class of its own comparison could
+    # leave a field out, or equal values with unequal hashes
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "_Frozen":
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [
+                    f"{path.name}:{node.lineno} {cls.name}.{name}"
+                    for name in names
+                    if name in ("__eq__", "__hash__")
+                ]
+    assert found == []
