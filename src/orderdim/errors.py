@@ -49,8 +49,7 @@ class CycleFound(OrderError):
 
 
 class ElementMismatch(OrderError):
-    def __init__(self, detail: str = "element sets differ"):
-        super().__init__(detail)
+    """Inputs range over different elements, or name one that is not there."""
 
 
 class ColinearPoints(OrderError):
@@ -64,51 +63,36 @@ class ColinearPoints(OrderError):
 
 
 class NotLinear(OrderError):
-    def __init__(self, detail: str = "input order is not linear"):
-        super().__init__(detail)
+    """An order that must be linear is not."""
 
 
 class NotARealizer(OrderError):
-    def __init__(self, detail: str = "orders do not realize the relation"):
-        super().__init__(detail)
+    """Orders do not realize the order they come with."""
 
 
 class TooSmall(OrderError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """An input is below the least size a construction accepts."""
 
 
 class LimitExceeded(OrderError):
     """A search budget ran out before the answer was certain."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 class SelfCheckFailed(OrderError):
     """A result failed the library's own cross-check: a bug, not bad input."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 class InvalidEmbedding(OrderError):
-    def __init__(self, detail: str = "mapping does not preserve the structure"):
-        super().__init__(detail)
+    """A mapping does not preserve the structure it embeds."""
 
 
 class NotOrderPreserving(OrderError):
-    def __init__(self, detail: str = "map does not preserve the partial order"):
-        super().__init__(detail)
+    """A map does not preserve the partial order."""
 
 
 class FlipNotRealizable(OrderError):
     """The two pairs disagree in a way no coordinate permutation can repair."""
 
-    def __init__(self, detail: str):
-        super().__init__(detail)
-
 
 class DecompositionFailed(OrderError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """An automorphism does not factor through exactly one axis permutation."""

@@ -57,8 +57,7 @@ MAX_SAMPLE_COORDINATES = 500_000
 
 Endpoint = Fraction | None  # None stands for the missing (infinite) bound
 
-# The budget phase of the enumerations of minimal cells, here and in
-# homogeneity.check_dpo_fragment.
+# The budget phase of _cells, the one enumeration of minimal cells.
 CELLS = "cell enumeration"
 
 
@@ -310,18 +309,22 @@ class Region(_Frozen):
         )
 
 
-def regions_of(c: PointCloud) -> list[Region]:
-    """Every minimal cell cut out by the coordinate hyperplanes of the cloud.
+def _cells(axes: Sequence[Sequence]) -> Iterator[tuple[tuple, ...]]:
+    """Every minimal cell cut by entries listed in order on each axis:
+    one gap (lower neighbour, upper neighbour) per axis, None where the
+    gap is unbounded.  An axis with no entries has the one gap (None,
+    None).  More cells times axes than the budget are refused before any
+    cell is built."""
+    gaps = [list(zip([None, *entries], [*entries, None])) for entries in axes]
+    BudgetMeter(None, CELLS).require(prod(map(len, gaps)) * len(gaps), "cells times axes")
+    return iter_product(*gaps)
 
-    Each cell holds one interval per axis; more intervals in all than the
-    budget are refused before any cell is built."""
-    per_axis: list[list[tuple[Endpoint, Endpoint]]] = []
-    for j in range(c.dim):
-        vals = sorted(c.axis_values(j))
-        bounds: list[Endpoint] = [None] + vals + [None]
-        per_axis.append(list(zip(bounds, bounds[1:])))
-    BudgetMeter(None, CELLS).require(prod(map(len, per_axis)) * c.dim, "cells times axes")
-    return [Region(tuple(cell)) for cell in iter_product(*per_axis)]
+
+def regions_of(c: PointCloud) -> list[Region]:
+    """Every minimal cell cut out by the coordinate hyperplanes of the
+    cloud, through `_cells` on each axis's sorted values."""
+    axes = [sorted(c.axis_values(j)) for j in range(c.dim)]
+    return [Region(cell) for cell in _cells(axes)]
 
 
 def pick_in_region(c: PointCloud, r: Region) -> Point:

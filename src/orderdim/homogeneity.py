@@ -1,5 +1,9 @@
 """Density-axiom reports and machine-checked homogeneity certificates.
 
+A density-axiom report (check_dpo_fragment) lists the empty minimal
+cells of a finite structure, cut by geometry's one cell rule, the rule
+behind regions_of, on the labels of each realizer order.
+
 Four certificate kinds are produced here.  Each kind has one
 derivation, a function of a few parameters (the width n, or a cloud,
 two pairs and a step count), that builds the finite configuration in
@@ -39,11 +43,11 @@ from .errors import (
     TooSmall,
 )
 from .geometry import (
-    CELLS,
     PartialEmbedding,
     Point,
     PointCloud,
     Region,
+    _cells,
     as_fraction,
     back_and_forth_iso,
     cyclic_priority,
@@ -208,78 +212,51 @@ def _certified(kind: CertificateKind, data: dict | None) -> Certificate:
     return Certificate(kind, data)
 
 
-def _structure_parts(
-    s: OrderedStructure | PointCloud,
-) -> tuple[tuple[str, ...], list[Point], OrderedStructure | None]:
-    """Labels, occupancy coordinates, and the structure (None when empty).
-
-    An abstract structure is placed at its rank points
-    (`RealizerTuple.rank_points`), as Fractions: a strict cloud
-    realizing the same orders, so gap intervals can be read off it.
-    """
-    if isinstance(s, PointCloud):
-        if len(s) == 0:
-            return (), [], None
-        struct = induced_structure(s)
-        return struct.elements, list(s.points), struct
-    labels = s.elements
-    points = [tuple(map(Fraction, r)) for r in s.realizers.rank_points(labels)]
-    return labels, points, s
-
-
 def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
     """Decide the universal axioms and list every empty minimal cell.
 
     Finite fragments always report density defects: each open cell cut
     out by the element hyperplanes misses every element, so the defect
-    list doubles as a fill worklist for pick_in_region.  The (m + 1)^n
-    cells of m elements in n orders carry n intervals each; more
-    intervals in all than the budget are refused before any cell is built.
+    list doubles as a fill worklist for pick_in_region.  The cells are
+    cut by geometry's one rule, `_cells`, on the labels of each realizer
+    order; that rule also serves regions_of, and refuses more cells times
+    axes than the budget before any cell is built or any axiom checked.
+    A gap's endpoints are read off the cloud's points, or off an abstract
+    structure's rank points (`RealizerTuple.rank_points`), as Fractions:
+    a strict cloud realizing the same orders.  An empty cloud has no
+    structure: no axis lists an entry, so its one cell is the whole
+    space, and the universal axioms hold vacuously.
     """
-    labels, points, struct = _structure_parts(s)
-    if struct is None:
-        whole = Region(tuple((None, None) for _ in range(s.dim)))
-        return AxiomReport(
-            poset_ok=True,
-            linears_ok=True,
-            realization_ok=True,
-            density_defects=(DensityDefect(whole, (), ((None, None),) * s.dim),),
-        )
-    n = struct.n
-    BudgetMeter(None, CELLS).require((len(labels) + 1) ** n * n, "cells times axes")
-    poset_ok = _axiom_violation(struct.poset.elements, struct.poset.up) is None
-    linears_ok = all(
-        sorted(o.order) == sorted(labels) and len(o) == len(labels)
-        for o in struct.realizers.orders
+    if isinstance(s, PointCloud):
+        point = {s.label(k): p for k, p in enumerate(s.points)}
+        struct = induced_structure(s) if point else None
+    else:
+        ranks = s.realizers.rank_points(s.elements)
+        point = {e: tuple(map(Fraction, r)) for e, r in zip(s.elements, ranks)}
+        struct = s
+    orders = (
+        [o.order for o in struct.realizers.orders] if struct is not None else [()] * s.dim
     )
-    realization_ok = is_realizer(struct.poset, struct.realizers)
-
-    idx = {lab: k for k, lab in enumerate(labels)}
-    per_axis: list[list[tuple[str | None, str | None]]] = []
-    for i in range(n):
-        seq = list(struct.realizers.orders[i].order)
-        bounds: list[str | None] = [None] + seq + [None]
-        per_axis.append(list(zip(bounds, bounds[1:])))
+    cells = _cells(orders)
+    poset_ok = linears_ok = realization_ok = True
+    if struct is not None:
+        labels = sorted(struct.elements)
+        poset_ok = _axiom_violation(struct.poset.elements, struct.poset.up) is None
+        linears_ok = all(sorted(o) == labels for o in orders)
+        realization_ok = is_realizer(struct.poset, struct.realizers)
     defects = []
-    for cell in iter_product(*per_axis):
-        intervals: list[tuple[Fraction | None, Fraction | None] | None] = []
-        witnesses: list[str] = []
-        for i, (lo_lab, hi_lab) in enumerate(cell):
-            lo = None if lo_lab is None else points[idx[lo_lab]][i]
-            hi = None if hi_lab is None else points[idx[hi_lab]][i]
-            if lo is not None and hi is not None and not lo < hi:
-                intervals.append(None)
-            else:
-                intervals.append((lo, hi))
-            for lab in (lo_lab, hi_lab):
-                if lab is not None and lab not in witnesses:
-                    witnesses.append(lab)
-        region = (
-            None
-            if any(iv is None for iv in intervals)
-            else Region(tuple(intervals))  # type: ignore[arg-type]
+    for cell in cells:
+        bounds = tuple(
+            (None if lo is None else point[lo][i], None if hi is None else point[hi][i])
+            for i, (lo, hi) in enumerate(cell)
         )
-        defects.append(DensityDefect(region, tuple(witnesses), cell))
+        collapsed = any(
+            lo is not None and hi is not None and not lo < hi for lo, hi in bounds
+        )
+        witnesses = dict.fromkeys(lab for gap in cell for lab in gap if lab is not None)
+        defects.append(
+            DensityDefect(None if collapsed else Region(bounds), tuple(witnesses), cell)
+        )
     return AxiomReport(poset_ok, linears_ok, realization_ok, tuple(defects))
 
 

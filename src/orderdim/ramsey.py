@@ -249,6 +249,8 @@ def rigid_copy_in_subgrid(
     Coordinate i of element e is the rk_i(e)-th smallest value of
     axis i; aligned with a.elements.
     """
+    if len(axes) != a.n:
+        raise ElementMismatch(f"the subgrid has {len(axes)} axes, the pattern {a.n} orders")
     if any(len(axis) != len(a.elements) for axis in axes):
         raise ElementMismatch("subgrid sides must equal the structure size")
     return _at_ranks(a.realizers.rank_points(a.elements), axes)
@@ -270,6 +272,8 @@ def induced_coloring(
     """
     if c.kind != "copies":
         raise ElementMismatch("induced colorings start from copy colorings")
+    if grid.n != a.n:
+        raise ElementMismatch("pattern and grid carry different realizer counts")
     keys = all_subgrids(grid.m, grid.n, len(a.elements))
     values = [c.color(copy) for copy in _rigid_copies(a, keys)]
     return Coloring("subgrids", c.k, tuple(keys), tuple(values))
@@ -466,6 +470,8 @@ def ramsey_witness_check(
     budget covers the whole call, every subgrid scan and the up-front
     refusal of too many copy candidates included.
     """
+    if method not in ("exhaustive", "reduction"):
+        raise ElementMismatch(f"unknown method {method!r}")
     meter = BudgetMeter(budget, COPY_SEARCH if method == "exhaustive" else SCAN)
     if a.n != b.n:
         raise ElementMismatch("pattern and target carry different realizer counts")
@@ -477,8 +483,6 @@ def ramsey_witness_check(
         return False
     if method == "exhaustive":
         return _search_free_coloring(len(copies_a), k, groups, meter) is None
-    if method != "reduction":
-        raise ElementMismatch(f"unknown method {method!r}")
     meter.require(k ** len(copies_a), "colorings to scan")
     # Built once: the copy of a that colors each l^n-subgrid (cell), the
     # cells inside each m^n-subgrid, and the a-copies inside its rigid

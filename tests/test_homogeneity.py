@@ -30,6 +30,7 @@ from orderdim.errors import (
     SelfCheckFailed,
     TooSmall,
 )
+from orderdim.flow import symmetric_sample
 from orderdim.geometry import (
     PointCloud,
     Region,
@@ -112,7 +113,21 @@ class TestCheckDpoFragment:
         report = check_dpo_fragment(cloud)
         assert report.poset_ok and report.linears_ok and report.realization_ok
         assert len(report.density_defects) == 49
-        assert {d.region for d in report.density_defects} == set(regions_of(cloud))
+        # one cell rule: the defects list regions_of's cells, in its order,
+        # on strict samples and on the empty cloud's one whole-space cell
+        clouds = [cloud, PointCloud(3, [])]
+        clouds += [sample_dn(n, k, seed=0) for n in (2, 3) for k in range(6)]
+        for c in clouds:
+            regions = [d.region for d in check_dpo_fragment(c).density_defects]
+            assert regions == regions_of(c)
+        # a relaxed cloud's lexicographic orders tie on coordinates: of its
+        # 7^3 defects 279 collapse to no region, and the rest are its
+        # 4^3 cells, in order
+        relaxed = symmetric_sample(3, 6, seed=0)
+        regions = [d.region for d in check_dpo_fragment(relaxed).density_defects]
+        assert len(regions) == 343
+        assert regions.count(None) == 279
+        assert [r for r in regions if r is not None] == regions_of(relaxed)
 
     def test_strict_cloud_defect_count_law(self):
         cloud = sample_dn(2, 12, seed=3)

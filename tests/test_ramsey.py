@@ -299,6 +299,15 @@ def parity_coloring(grid, a):
     return Coloring("copies", 2, keys, values)
 
 
+class TestRigidCopyInSubgrid:
+    @pytest.mark.parametrize("axes", [((1, 2),), ((1, 2), (1, 2), (1, 2))])
+    def test_axes_must_match_the_orders(self, axes):
+        # one axis per order of the pattern: fewer or more are refused,
+        # not cut to the shorter of the two
+        with pytest.raises(ElementMismatch, match=f"has {len(axes)} axes, the pattern 2"):
+            rigid_copy_in_subgrid(aligned_chain(), axes)
+
+
 class TestInducedColoring:
     def test_constant_stays_constant(self):
         grid = GridStruct(3, 2)
@@ -332,6 +341,13 @@ class TestInducedColoring:
         col = Coloring("subgrids", 2, keys, (1,) * len(keys))
         with pytest.raises(ElementMismatch):
             induced_coloring(col, one_point(), GridStruct(2, 2))
+
+    def test_grid_of_another_width_is_refused(self):
+        # a 2-order pattern has no rigid copy in the 3-axis subgrids of 3^3
+        keys = tuple(enumerate_copies(GridStruct(3, 2), aligned_chain()))
+        col = Coloring("copies", 2, keys, (1,) * len(keys))
+        with pytest.raises(ElementMismatch, match="different realizer counts"):
+            induced_coloring(col, aligned_chain(), GridStruct(3, 3))
 
 
 class TestColoring:
@@ -638,6 +654,15 @@ class TestRamseyWitnessCheck:
             ramsey_witness_check(
                 aligned_chain(), aligned_chain_of_three(), 2, 3, method, budget=83
             )
+
+    @pytest.mark.parametrize("a, b, r", [
+        (one_point(), aligned_chain_of_three(), 1),
+        # C(900, 3) copy candidates: the method is refused before any count
+        (aligned_chain(), aligned_chain_of_three(), 30),
+    ])
+    def test_unknown_method_is_refused_first(self, a, b, r):
+        with pytest.raises(ElementMismatch, match="^unknown method 'typo'$"):
+            ramsey_witness_check(a, b, 2, r, method="typo")
 
     def test_pattern_larger_than_target(self):
         with pytest.raises(TooSmall):

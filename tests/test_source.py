@@ -129,3 +129,55 @@ def test_only_the_value_base_defines_equality():
                     if name in ("__eq__", "__hash__")
                 ]
     assert found == []
+
+
+def test_cells_are_refused_only_in_geometry():
+    # geometry._cells makes the one "cell enumeration" refusal for every
+    # enumeration of minimal cells; a second refusal elsewhere could count
+    # the same cells differently
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "CELLS" in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+            )
+            or isinstance(node, ast.Constant) and node.value == "cell enumeration"
+        ]
+    assert found == []
+
+
+def test_error_constructors_store_fields():
+    # OrderError subclasses take their message from Exception's own
+    # constructor; an __init__ is there only to keep a field on the error
+    def classes(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+    errors = {cls.name for cls in classes(SRC / "errors.py")}
+    assert "OrderError" in errors and len(errors) > 10
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in classes(path):
+            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+            if cls.name not in errors and not bases & errors:
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                if not any(
+                    isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"
+                    for node in ast.walk(init)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                ):
+                    found.append(f"{path.name}:{init.lineno} {cls.name}.__init__")
+    assert found == []
