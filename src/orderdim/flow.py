@@ -9,10 +9,10 @@ Everything here lists every answer at small scale, without brute force:
   intersection is the base order, tagging each with the coordinate
   permutation that classifies it when one exists.  Once the first n - 1
   orders are fixed, the last one is built, not searched for.
-- classify_realizer matches a tuple's orders against a cloud's
-  coordinate orders as rank sequences; permutation_witness is the same
-  matcher with the one-directional variant needed for clouds and grids
-  with colinear points.
+- classify_realizer tags a tuple by the rule that tags the tuples of
+  enumerate_realizers: the first sigma under which the tuple's orders
+  equal the cloud's lexicographic orders, which are its coordinate
+  orders on axes without ties.
 - extend_realizer_closure replays the closure step of the realizer
   extension argument (checked acyclic rather than trusting the proof).
 - cloud_automorphisms, logic_action, symmetric_sample, and
@@ -21,8 +21,8 @@ Everything here lists every answer at small scale, without brute force:
   coordinate permutation composed with a coordinate-order-preserving
   part.  That part is always the identity, so an automorphism factors
   exactly when it is the label map of some coordinate permutation, and
-  factoring compares it with each.  Automorphisms are found by
-  backtracking over bit rows.
+  factoring compares it with each and returns that permutation alone.
+  Automorphisms are found by backtracking over bit rows.
 
 Finite-scale caveat: the census equals n! and every tuple classifies
 only for special base structures; small samples routinely admit
@@ -32,10 +32,10 @@ point pairs (two axis permutations agreeing at a position send any
 base point to images sharing that coordinate).  Tests treat those gaps
 as measured facts, not failures.
 
-Only symmetric_sample, classify_realizer and permutation_witness import
-geometry; the automorphism search reads a cloud's order from poset's
-product builder.  FlipPattern is fetched from homogeneity on first use,
-so enumerating the realizers of an abstract structure loads neither.
+Only symmetric_sample and classify_realizer import geometry; the
+automorphism search reads a cloud's order from poset's product builder.
+So enumerating the realizers of an abstract structure loads neither
+geometry nor homogeneity.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ from .poset import (
 )
 
 if TYPE_CHECKING:
-    from .geometry import Point, PointCloud
+    from .geometry import PointCloud
 
 __all__ = [
-    "FlipPattern",
     "RealizerSet",
     "DecompositionReport",
     "enumerate_realizers",
     "classify_realizer",
-    "permutation_witness",
     "extend_realizer_closure",
     "cloud_automorphisms",
     "logic_action",
@@ -90,15 +88,6 @@ __all__ = [
 REALIZERS = "realizer enumeration"
 AUTOMORPHISMS = "automorphism search"
 FACTORING = "automorphism factoring"
-
-
-def __getattr__(name: str):
-    """FlipPattern, re-exported from homogeneity, which loads on first use."""
-    if name == "FlipPattern":
-        from .homogeneity import FlipPattern
-
-        return FlipPattern
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RealizerSet(_Frozen):
@@ -127,10 +116,6 @@ class RealizerSet(_Frozen):
     @property
     def census(self) -> int:
         return len(self.tuples)
-
-    @property
-    def classified(self) -> int:
-        return sum(1 for _t, sigma in self.tuples if sigma is not None)
 
     def to_json(self) -> dict:
         return {
@@ -203,70 +188,28 @@ def enumerate_realizers(
     return RealizerSet(s, tuple(entries))
 
 
-def permutation_witness(
-    points: Mapping[str, Point],
-    t: RealizerTuple,
-    biconditional: bool = True,
-) -> tuple[int, ...] | None:
-    """Coordinate permutation explaining a realizer tuple, or None.
-
-    Returns sigma with order sigma[i] accounting for axis i: with
-    biconditional=True the order must sort the points exactly by their
-    i-th coordinates (so the axis must carry no ties); with
-    biconditional=False it only has to respect every strict i-th
-    coordinate comparison, the form that survives colinear points.
-    """
-    from .geometry import as_fraction
-
-    labels = sorted(points)
-    if set(t.orders[0].order) != set(labels):
-        raise ElementMismatch("tuple support differs from the point labels")
-    pts = {lab: tuple(as_fraction(v) for v in points[lab]) for lab in labels}
-    dims = {len(p) for p in pts.values()}
-    if len(dims) != 1:
-        raise ElementMismatch("points have mixed arities")
-    (dim,) = dims
-    if t.n != dim:
-        raise ElementMismatch(
-            f"the tuple has {t.n} orders but the points have {dim} coordinates"
-        )
-    match = [[False] * dim for _ in range(dim)]
-    for i in range(dim):
-        if biconditional:
-            values = [pts[lab][i] for lab in labels]
-            if len(set(values)) != len(values):
-                continue
-            expected = tuple(sorted(labels, key=lambda lab: pts[lab][i]))
-            for j, o in enumerate(t.orders):
-                match[i][j] = o.order == expected
-        else:
-            for j, o in enumerate(t.orders):
-                rank = o.rank
-                match[i][j] = all(
-                    rank[a] < rank[b]
-                    for a in labels
-                    for b in labels
-                    if pts[a][i] < pts[b][i]
-                )
-    return _first_sigma(match)
-
-
 def classify_realizer(
     c: PointCloud, t: RealizerTuple
 ) -> tuple[int, ...] | None:
     """The permutation matching a tuple's orders to the coordinate orders.
 
-    sigma[i] is the position of the order that sorts the cloud by axis
-    i; None when no permutation matches biconditionally.  The tuple
-    must realize the cloud's product order to be classifiable at all.
+    sigma[i] is the position of the tuple's order that equals the
+    cloud's i-th lexicographic order, chosen by the rule that tags the
+    tuples of enumerate_realizers.  On an axis without ties that order
+    sorts the cloud by coordinate i; on an axis with ties no order does,
+    so the answer is None.  The tuple must realize the cloud's product
+    order, and have one order per axis, to be classifiable at all.
     """
     from .geometry import induced_structure
 
     s = induced_structure(c)
     if not is_realizer(s.poset, t):  # ElementMismatch on foreign labels
         raise NotARealizer("the tuple does not realize the cloud's order")
-    points = {c.label(i): p for i, p in enumerate(c.points)}
-    return permutation_witness(points, t, biconditional=True)
+    if t.n != c.dim:
+        raise ElementMismatch(f"the tuple has {t.n} orders but the cloud has {c.dim} axes")
+    if any(len(c.axis_values(i)) < len(c) for i in range(c.dim)):
+        return None
+    return _first_sigma([[o == r for o in t.orders] for r in s.realizers.orders])
 
 
 def extend_realizer_closure(
@@ -421,15 +364,13 @@ def _axis_maps(
     return out
 
 
-def factor_automorphism(
-    c: PointCloud, g: Mapping[str, str]
-) -> tuple[tuple[int, ...], dict[str, str]]:
-    """Split an automorphism as (coordinate permutation, axis stabilizer).
+def factor_automorphism(c: PointCloud, g: Mapping[str, str]) -> tuple[int, ...]:
+    """The coordinate permutation through which an automorphism factors.
 
     Finds the sigma whose coordinate permutation T composes with some h
     preserving every coordinate order to give g = T o h, and returns
-    (sigma, h).  Such an h is one-to-one, so it keeps each point's dense
-    rank on every axis; the ranks pin the point down, so h is the
+    sigma alone.  Such an h is one-to-one, so it keeps each point's
+    dense rank on every axis; the ranks pin the point down, so h is the
     identity, and g factors through sigma exactly when g is T's label
     map.  A g that is not a self-bijection of c's labels is refused.
     Zero or several candidate factorizations raise; both are
@@ -444,14 +385,14 @@ def factor_automorphism(
 
 def _factor(
     g: dict[str, str], maps: list[tuple[tuple[int, ...], dict[str, str]]]
-) -> tuple[tuple[int, ...], dict[str, str]]:
+) -> tuple[int, ...]:
     """factor_automorphism against axis maps built once per cloud."""
     hits = [sigma for sigma, moves in maps if moves == g]
     if not hits:
         raise DecompositionFailed("no coordinate permutation factors the map")
     if len(hits) > 1:
         raise DecompositionFailed(f"{len(hits)} factorizations; the split is not unique")
-    return hits[0], {lab: lab for lab in g}
+    return hits[0]
 
 
 class DecompositionReport(_Frozen):
@@ -459,25 +400,19 @@ class DecompositionReport(_Frozen):
 
     exact means: all n! coordinate permutations act on the sample, every
     automorphism factored uniquely, and the group size is exactly
-    (stabilizer size) * n!.  The stabilizer size is always 1: only the
-    identity keeps every coordinate order (see factor_automorphism), so
-    each factorization's stabilizer part is the identity too.
+    (stabilizer size) * n!.  The stabilizer size is the constant 1: only
+    the identity keeps every coordinate order (see factor_automorphism),
+    so each factorization is a (map, sigma) pair, and its JSON lists the
+    identity as the stabilizer part.
     """
 
-    __slots__ = (
-        "group_size",
-        "stabilizer_size",
-        "axis_permutations",
-        "exact",
-        "factorizations",
-        "failures",
-    )
+    __slots__ = ("group_size", "axis_permutations", "exact", "factorizations", "failures")
     group_size: int
-    stabilizer_size: int
     axis_permutations: int
     exact: bool
-    factorizations: tuple[tuple[dict[str, str], tuple[int, ...], dict[str, str]], ...]
+    factorizations: tuple[tuple[dict[str, str], tuple[int, ...]], ...]
     failures: tuple[tuple[dict[str, str], str], ...]
+    stabilizer_size = 1
 
     def to_json(self) -> dict:
         return {
@@ -486,8 +421,8 @@ class DecompositionReport(_Frozen):
             "axis_permutations": self.axis_permutations,
             "exact": self.exact,
             "factorizations": [
-                {"map": g, "sigma": list(sigma), "stabilizer_part": h}
-                for g, sigma, h in self.factorizations
+                {"map": g, "sigma": list(sigma), "stabilizer_part": {lab: lab for lab in g}}
+                for g, sigma in self.factorizations
             ],
             "failures": [
                 {"map": g, "reason": reason} for g, reason in self.failures
@@ -516,8 +451,7 @@ def semidirect_decomposition(
     for g in autos:
         meter.tick()
         try:
-            sigma, h = _factor(g, maps)
-            factorizations.append((dict(g), sigma, h))
+            factorizations.append((dict(g), _factor(g, maps)))
         except DecompositionFailed as exc:
             failures.append((dict(g), str(exc)))
     # Only the identity keeps every coordinate order (factor_automorphism),
@@ -526,7 +460,6 @@ def semidirect_decomposition(
     exact = present == factorial(c.dim) and not failures and len(autos) == present
     return DecompositionReport(
         group_size=len(autos),
-        stabilizer_size=1,
         axis_permutations=present,
         exact=exact,
         factorizations=tuple(factorizations),

@@ -138,16 +138,6 @@ class PointCloud(_Frozen):
     def label(self, idx: int) -> str:
         return f"p{idx}"
 
-    def index_of(self, label: str) -> int:
-        if not label.startswith("p"):
-            raise ElementMismatch(f"unknown point label {label!r}")
-        try:
-            idx = int(label[1:])
-            self.points[idx]
-        except (ValueError, IndexError):
-            raise ElementMismatch(f"unknown point label {label!r}") from None
-        return idx
-
     def axis_values(self, axis: int) -> frozenset[Fraction]:
         return self._axis_values[axis]
 
@@ -380,9 +370,6 @@ class PartialEmbedding(_Frozen):
     def domain(self) -> tuple[str, ...]:
         return tuple(e for e, _ in self.images)
 
-    def point_of(self, element: str) -> Point:
-        return self.cloud.points[self.mapping[element]]
-
     def verify(self) -> None:
         """Raise unless images map distinct source elements one to one
         onto cloud points so that every order of the source is kept.  The
@@ -526,6 +513,8 @@ def back_and_forth_iso(
     pairs up front; they must already be order-consistent.  Returns the
     two mutually inverse partial embeddings over the possibly grown clouds.
     """
+    if steps < 0:
+        raise TooSmall(f"back-and-forth needs steps >= 0, got {steps}")
     if a.dim != b.dim:
         raise ElementMismatch("clouds must share a dimension")
     if not (a.strict and b.strict):

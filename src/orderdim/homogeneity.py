@@ -60,13 +60,11 @@ from .poset import (
     MAX_GENERATED_ELEMENTS,
     FinitePoset,
     OrderedStructure,
-    _axiom_violation,
     _bits,
     _closure,
     _first_loop,
     _Frozen,
     crown,
-    is_realizer,
     product_less,
 )
 from .dimension import _reverse, dimension
@@ -153,17 +151,17 @@ class DensityDefect(_Frozen):
 
 
 class AxiomReport(_Frozen):
-    """The universal axioms' verdicts on a structure, and its empty cells."""
+    """A structure's empty minimal cells, the density axioms' defects.
 
-    __slots__ = ("poset_ok", "linears_ok", "realization_ok", "density_defects")
-    poset_ok: bool
-    linears_ok: bool
-    realization_ok: bool
+    The universal axioms hold by construction: OrderedStructure's
+    constructor proves that its orders realize its poset, every order of
+    a RealizerTuple lists the same elements, and an intersection of
+    linear orders is a strict order.  So their flags are constants, not
+    fields."""
+
+    __slots__ = ("density_defects",)
     density_defects: tuple[DensityDefect, ...]
-
-    @property
-    def universal_ok(self) -> bool:
-        return self.poset_ok and self.linears_ok and self.realization_ok
+    poset_ok = linears_ok = realization_ok = universal_ok = True
 
 
 class Certificate(_Frozen):
@@ -213,39 +211,31 @@ def _certified(kind: CertificateKind, data: dict | None) -> Certificate:
 
 
 def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
-    """Decide the universal axioms and list every empty minimal cell.
+    """List every empty minimal cell of a structure or cloud.
 
     Finite fragments always report density defects: each open cell cut
     out by the element hyperplanes misses every element, so the defect
     list doubles as a fill worklist for pick_in_region.  The cells are
     cut by geometry's one rule, `_cells`, on the labels of each realizer
     order; that rule also serves regions_of, and refuses more cells times
-    axes than the budget before any cell is built or any axiom checked.
-    A gap's endpoints are read off the cloud's points, or off an abstract
-    structure's rank points (`RealizerTuple.rank_points`), as Fractions:
-    a strict cloud realizing the same orders.  An empty cloud has no
-    structure: no axis lists an entry, so its one cell is the whole
-    space, and the universal axioms hold vacuously.
+    axes than the budget before any cell is built.  A gap's endpoints
+    are read off the cloud's points, or off an abstract structure's rank
+    points (`RealizerTuple.rank_points`), as Fractions: a strict cloud
+    realizing the same orders.  An empty cloud has no structure: no axis
+    lists an entry, so its one cell is the whole space.  The universal
+    axioms need no check here; see AxiomReport.
     """
     if isinstance(s, PointCloud):
         point = {s.label(k): p for k, p in enumerate(s.points)}
-        struct = induced_structure(s) if point else None
+        orders = [()] * s.dim
+        if point:
+            orders = [o.order for o in induced_structure(s).realizers.orders]
     else:
         ranks = s.realizers.rank_points(s.elements)
         point = {e: tuple(map(Fraction, r)) for e, r in zip(s.elements, ranks)}
-        struct = s
-    orders = (
-        [o.order for o in struct.realizers.orders] if struct is not None else [()] * s.dim
-    )
-    cells = _cells(orders)
-    poset_ok = linears_ok = realization_ok = True
-    if struct is not None:
-        labels = sorted(struct.elements)
-        poset_ok = _axiom_violation(struct.poset.elements, struct.poset.up) is None
-        linears_ok = all(sorted(o) == labels for o in orders)
-        realization_ok = is_realizer(struct.poset, struct.realizers)
+        orders = [o.order for o in s.realizers.orders]
     defects = []
-    for cell in cells:
+    for cell in _cells(orders):
         bounds = tuple(
             (None if lo is None else point[lo][i], None if hi is None else point[hi][i])
             for i, (lo, hi) in enumerate(cell)
@@ -257,7 +247,7 @@ def check_dpo_fragment(s: OrderedStructure | PointCloud) -> AxiomReport:
         defects.append(
             DensityDefect(None if collapsed else Region(bounds), tuple(witnesses), cell)
         )
-    return AxiomReport(poset_ok, linears_ok, realization_ok, tuple(defects))
+    return AxiomReport(tuple(defects))
 
 
 # --- amalgamation failure -------------------------------------------------
@@ -695,12 +685,16 @@ def _count(value) -> int:
 
 def _recorded(kind: CertificateKind, data: dict) -> tuple:
     """The parameters that data records for its kind's derivation: n, or
-    for two-homogeneity the cloud, the two pairs and the step count."""
+    for two-homogeneity the cloud, the two pairs and the step count,
+    which may not be negative."""
     if kind is not CertificateKind.TwoHomogeneityExtension:
         return (_count(data["n"]),)
     c = PointCloud.from_json(data["cloud"])
     u, v, u2, v2 = (c.points[_count(i)] for i in (*data["pair1"], *data["pair2"]))
-    return c, (u, v), (u2, v2), _count(data["steps"])
+    steps = _count(data["steps"])
+    if steps < 0:
+        raise ValueError(f"negative step count {steps}")
+    return c, (u, v), (u2, v2), steps
 
 
 _DERIVE = {

@@ -159,6 +159,13 @@ def _json_labels(value: object, what: str) -> list[str]:
     return value
 
 
+def _distinct(labels: Sequence[str]) -> Sequence[str]:
+    """labels, unless one repeats: then DuplicateLabel naming the first repeat."""
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel(next(x for i, x in enumerate(labels) if x in labels[:i]))
+    return labels
+
+
 def tuple_label(parts: Sequence[str]) -> str:
     """Canonical label for an element of a product: "(a,b,c)"."""
     return "(" + ",".join(parts) + ")"
@@ -235,9 +242,10 @@ class FinitePoset(_Frozen):
     """Strict partial order on an ordered tuple of distinct labels.
 
     Construct through validate_poset or the module constructors; the
-    class itself only checks shape, not the order axioms.  ``lt`` may be
-    a numpy bool array or nested lists of bools; ``from_rows`` takes the
-    bit rows directly.  ``down`` is ``up`` transposed.
+    class itself only checks shape and that no label repeats, not the
+    order axioms.  ``lt`` may be a numpy bool array or nested lists of
+    bools; ``from_rows`` takes the bit rows directly.  ``down`` is ``up``
+    transposed.
     """
 
     __slots__ = ("elements", "up", "down", "__dict__")
@@ -246,7 +254,7 @@ class FinitePoset(_Frozen):
     down: tuple[int, ...]
 
     def __init__(self, elements: Sequence[str], lt):
-        elements = tuple(elements)
+        elements = _distinct(tuple(elements))
         m = len(elements)
         up = tuple(_matrix_rows(lt, m))
         super().__init__(elements, up, tuple(_transpose(up, m)))
@@ -254,7 +262,7 @@ class FinitePoset(_Frozen):
     @classmethod
     def from_rows(cls, elements: Sequence[str], up: Sequence[int]) -> "FinitePoset":
         """Poset whose bit j of up[i] says elements[i] < elements[j]."""
-        elements = tuple(elements)
+        elements = _distinct(tuple(elements))
         m = len(elements)
         up = tuple(up)
         if len(up) != m or any(row >> m for row in up):
@@ -308,17 +316,6 @@ class FinitePoset(_Frozen):
     def incomparable(self, a: str, b: str) -> bool:
         return a != b and not self.less(a, b) and not self.less(b, a)
 
-    def lt_pairs(self) -> Iterator[tuple[str, str]]:
-        for i, row in enumerate(self.up):
-            for j in _bits(row):
-                yield self.elements[i], self.elements[j]
-
-    def downset(self, label: str) -> frozenset[str]:
-        return frozenset(self.elements[i] for i in _bits(self.down[self.index(label)]))
-
-    def upset(self, label: str) -> frozenset[str]:
-        return frozenset(self.elements[j] for j in _bits(self.up[self.index(label)]))
-
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
         e = self.elements
@@ -334,14 +331,6 @@ class FinitePoset(_Frozen):
             up | down | 1 << i == full
             for i, (up, down) in enumerate(zip(self.up, self.down))
         )
-
-    def restrict(self, labels: Sequence[str]) -> "FinitePoset":
-        idx = [self.index(x) for x in labels]
-        rows = []
-        for i in idx:
-            row = self.up[i]
-            rows.append(sum(1 << b for b, j in enumerate(idx) if row >> j & 1))
-        return FinitePoset.from_rows(labels, rows)
 
     def to_json(self) -> dict:
         m = len(self)
@@ -369,11 +358,7 @@ def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
     labels = tuple(elements)
     if len(labels) < 1:
         raise TooSmall("a poset needs at least one element")
-    seen: set[str] = set()
-    for x in labels:
-        if x in seen:
-            raise DuplicateLabel(x)
-        seen.add(x)
+    _distinct(labels)
     up = _matrix_rows(lt, len(labels))
     err = _axiom_violation(labels, up)
     if err is not None:
@@ -388,10 +373,7 @@ class LinearOrder(_Frozen):
     order: tuple[str, ...]
 
     def __init__(self, order: Sequence[str]):
-        order = tuple(order)
-        if len(set(order)) != len(order):
-            raise DuplicateLabel(next(x for i, x in enumerate(order) if x in order[:i]))
-        super().__init__(order)
+        super().__init__(_distinct(tuple(order)))
 
     @cached_property
     def rank(self) -> dict[str, int]:
@@ -406,9 +388,6 @@ class LinearOrder(_Frozen):
 
     def before(self, a: str, b: str) -> bool:
         return self.rank[a] < self.rank[b]
-
-    def to_poset(self) -> FinitePoset:
-        return FinitePoset.from_rows(self.order, _chain_rows(len(self.order)))
 
 
 def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:
@@ -450,9 +429,7 @@ def _meet_rows(seqs: Iterable[Sequence[int]], m: int) -> list[int] | None:
 def _intersection_rows(orders: Sequence[LinearOrder], elements: Sequence[str]) -> list[int]:
     """Bit rows of the pairs that every order puts in the same direction."""
     m = len(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != m:
-        raise DuplicateLabel(next(x for i, x in enumerate(elements) if x in elements[:i]))
+    index = {e: i for i, e in enumerate(_distinct(elements))}
     seqs = []
     for o in orders:
         if len(o) != m:
@@ -650,20 +627,24 @@ def crown(n: int) -> FinitePoset:
     return FinitePoset.from_rows(labels, up)
 
 
-def chain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
+def _generated_labels(
+    name: str, m: int, labels: Sequence[str] | None, prefix: str
+) -> tuple[str, ...]:
+    """The m labels of chain or antichain: the given ones, or prefix1..prefixm."""
     if m < 1:
-        raise TooSmall("chain(m) needs m >= 1")
-    elems = tuple(labels) if labels is not None else tuple(f"c{i}" for i in range(1, m + 1))
+        raise TooSmall(f"{name}(m) needs m >= 1")
+    elems = tuple(labels if labels is not None else (f"{prefix}{i}" for i in range(1, m + 1)))
     if len(elems) != m:
         raise ElementMismatch(f"expected {m} labels, got {len(elems)}")
-    return FinitePoset.from_rows(elems, _chain_rows(m))
+    return elems
+
+
+def chain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
+    return FinitePoset.from_rows(_generated_labels("chain", m, labels, "c"), _chain_rows(m))
 
 
 def antichain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
-    if m < 1:
-        raise TooSmall("antichain(m) needs m >= 1")
-    elems = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(1, m + 1))
-    return FinitePoset.from_rows(elems, [0] * len(elems))
+    return FinitePoset.from_rows(_generated_labels("antichain", m, labels, "e"), [0] * m)
 
 
 def _product_rows(coords: Sequence[Sequence[int]], axes: Sequence[Sequence[int]]) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import permutations
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -26,7 +27,7 @@ from orderdim.errors import (
     TooSmall,
     TransitivityViolation,
 )
-from orderdim.geometry import PartialEmbedding, cyclic_priority, lex_less
+from orderdim.geometry import PartialEmbedding, as_fraction, cyclic_priority, lex_less
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -112,6 +113,11 @@ def naive_is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
     return True
 
 
+def less_pairs(p: FinitePoset) -> set[tuple[str, str]]:
+    """Every related pair (a, b), a < b, read off `less`."""
+    return {(a, b) for a in p.elements for b in p.elements if p.less(a, b)}
+
+
 def random_poset_shuffled(rng: random.Random, m: int) -> FinitePoset:
     """random_poset with its labels dealt out of index order, so that
     breaking ties by label and by element index differ."""
@@ -121,14 +127,16 @@ def random_poset_shuffled(rng: random.Random, m: int) -> FinitePoset:
 
 
 def naive_critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
-    """Critical pairs from the down- and up-sets, in element index order."""
+    """Critical pairs, in element index order: incomparable x, y with
+    everything below x below y and everything above y above x."""
+    e = p.elements
     return [
         (x, y)
-        for x in p.elements
-        for y in p.elements
+        for x in e
+        for y in e
         if p.incomparable(x, y)
-        and p.downset(x) <= p.downset(y)
-        and p.upset(y) <= p.upset(x)
+        and all(p.less(z, y) for z in e if p.less(z, x))
+        and all(p.less(x, z) for z in e if p.less(y, z))
     ]
 
 
@@ -810,3 +818,55 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
         else:
             edges.append((_dot_label(edge[1]), _dot_label(edge[2])))
     return nodes, edges
+
+
+def permutation_witness(
+    points: dict[str, tuple],
+    t: RealizerTuple,
+    biconditional: bool = True,
+) -> tuple[int, ...] | None:
+    """Coordinate permutation explaining a realizer tuple, or None: the
+    lexicographically first sigma with order sigma[i] accounting for
+    axis i.  With biconditional=True the order must sort the points
+    exactly by their i-th coordinates, so the axis must carry no ties;
+    with biconditional=False it only has to respect every strict i-th
+    coordinate comparison, the form that survives colinear points.  With
+    biconditional=True, the oracle for `flow.classify_realizer`."""
+    labels = sorted(points)
+    if set(t.orders[0].order) != set(labels):
+        raise ElementMismatch("tuple support differs from the point labels")
+    pts = {lab: tuple(as_fraction(v) for v in points[lab]) for lab in labels}
+    dims = {len(p) for p in pts.values()}
+    if len(dims) != 1:
+        raise ElementMismatch("points have mixed arities")
+    (dim,) = dims
+    if t.n != dim:
+        raise ElementMismatch(
+            f"the tuple has {t.n} orders but the points have {dim} coordinates"
+        )
+    match = [[False] * dim for _ in range(dim)]
+    for i in range(dim):
+        if biconditional:
+            values = [pts[lab][i] for lab in labels]
+            if len(set(values)) != len(values):
+                continue
+            expected = tuple(sorted(labels, key=lambda lab: pts[lab][i]))
+            for j, o in enumerate(t.orders):
+                match[i][j] = o.order == expected
+        else:
+            for j, o in enumerate(t.orders):
+                rank = o.rank
+                match[i][j] = all(
+                    rank[a] < rank[b]
+                    for a in labels
+                    for b in labels
+                    if pts[a][i] < pts[b][i]
+                )
+    return next(
+        (
+            sigma
+            for sigma in permutations(range(dim))
+            if all(match[i][sigma[i]] for i in range(dim))
+        ),
+        None,
+    )

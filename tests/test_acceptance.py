@@ -20,7 +20,6 @@ import pytest
 from conftest import naive_is_realizer, random_poset, random_structure
 from orderdim.dimension import dimension
 from orderdim.flow import (
-    FlipPattern,
     cloud_automorphisms,
     enumerate_realizers,
     extend_realizer_closure,
@@ -39,6 +38,7 @@ from orderdim.geometry import (
     sample_dn,
 )
 from orderdim.homogeneity import (
+    FlipPattern,
     ap_failure_certificate,
     nonhom_witness,
     qn_lex_nonhom_witness,
@@ -109,7 +109,7 @@ def test_04_forth_extension_soundness():
             emb = forth_extend(emb, e)
         emb.verify()
         # plain-loop re-check that the image carries the source structure
-        pts = {e: emb.point_of(e) for e in s.elements}
+        pts = {e: emb.cloud.points[i] for e, i in emb.mapping.items()}
         ok = True
         for x in s.elements:
             for y in s.elements:

@@ -261,6 +261,23 @@ class TestEmbedExtendIso:
         assert {"p0", "p1", "p2"} <= set(rights)
 
 
+    def test_iso_refuses_negative_steps(self, capsys, monkeypatch, tmp_path):
+        a = tmp_path / "a.json"
+        run(
+            capsys,
+            monkeypatch,
+            ["gen", "sample", "--n", "2", "--count", "2", "--out", str(a)],
+        )
+        code, out = run(
+            capsys,
+            monkeypatch,
+            ["iso", "bnf", "--a", str(a), "--b", str(a), "--steps", "-2"],
+        )
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "TooSmall"
+
+
 class TestCertify:
     @pytest.mark.parametrize("kind", ["ap", "nonhom", "qnlex", "twohom"])
     def test_certificates_replay(self, capsys, monkeypatch, kind):

@@ -51,6 +51,7 @@ from orderdim.dimension import (
 from conftest import (
     all_posets_on,
     CoverSearch,
+    less_pairs,
     naive_critical_pairs,
     naive_is_realizer,
     naive_two_colourable,
@@ -147,7 +148,7 @@ class TestExtensionStream:
     def test_every_yield_extends_the_poset(self, seed, m):
         p = random_poset(random.Random(seed), m)
         for ext in all_linear_extensions(p):
-            for a, b in p.lt_pairs():
+            for a, b in less_pairs(p):
                 assert ext.rank[a] < ext.rank[b]
 
     @given(st.integers(0, 5_000), st.integers(1, 6))

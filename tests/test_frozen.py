@@ -75,7 +75,7 @@ FIELDS = {
     PartialEmbedding: ("source", "cloud", "images"),
     FlipPattern: ("signs",),
     DensityDefect: ("region", "witnesses", "gaps"),
-    AxiomReport: ("poset_ok", "linears_ok", "realization_ok", "density_defects"),
+    AxiomReport: ("density_defects",),
     Certificate: ("kind", "data"),
     Subgrid: ("axes",),
     Coloring: ("kind", "k", "keys", "values"),
@@ -83,7 +83,6 @@ FIELDS = {
     Narrower: ("intervals",),
     DecompositionReport: (
         "group_size",
-        "stabilizer_size",
         "axis_permutations",
         "exact",
         "factorizations",
@@ -137,7 +136,7 @@ def samples() -> dict[type, list]:
         RealizerSet: [enumerate_realizers(STRUCTURE), RealizerSet(STRUCTURE, ())],
         DecompositionReport: [
             semidirect_decomposition(symmetric_sample(2, 2)),
-            DecompositionReport(1, 1, 1, False, (), ()),
+            DecompositionReport(1, 1, False, (), ()),
         ],
         Narrower: [
             Narrower(((Fraction(0), Fraction(1)),)),

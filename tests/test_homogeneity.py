@@ -367,7 +367,7 @@ def pairwise_order_preserved(emb):
         for y in labels:
             if x == y:
                 continue
-            px, py = emb.point_of(x), emb.point_of(y)
+            px, py = (emb.cloud.points[emb.mapping[e]] for e in (x, y))
             assert src[x].less(x, y) == product_less(px, py)
 
 
@@ -653,6 +653,17 @@ class TestMalformedData:
     @pytest.mark.parametrize("n", ["x", "2", 2.0, True, None])
     def test_width_that_is_no_integer(self, n):
         assert not Certificate(CertificateKind.APFailure, {"n": n}).replay()
+
+    def test_negative_step_count(self):
+        # at steps=-7 the certificate's data would differ from the steps=0
+        # data in that field alone, as if no step had run
+        pts = [(4 * k, 4 * k + 1) for k in range(4)]
+        cloud, pair1, pair2 = PointCloud(2, pts), (pts[0], pts[1]), (pts[2], pts[3])
+        with pytest.raises(TooSmall):
+            two_homogeneity_certificate(cloud, pair1, pair2, steps=-7)
+        cert = two_homogeneity_certificate(cloud, pair1, pair2, steps=0)
+        assert cert.replay()
+        assert not Certificate(cert.kind, dict(cert.data, steps=-7)).replay()
 
     def test_pair_index_past_the_cloud(self):
         data = dict(two_homogeneity_demo(2).data, pair2=[2, 4])

@@ -181,3 +181,27 @@ def test_error_constructors_store_fields():
                 ):
                     found.append(f"{path.name}:{init.lineno} {cls.name}.__init__")
     assert found == []
+
+
+def test_public_names_are_defined_where_they_are_exported():
+    # one import path per public name: a module lists in __all__ only what
+    # it defines itself, so that no name has a second home; the package
+    # namespace in __init__.py is the one place that gathers them
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = set()
+        exported = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names:
+                    exported = [ast.literal_eval(e) for e in node.value.elts]
+        found += [f"{path.name}: {name}" for name in exported if name not in defined]
+    assert found == []
