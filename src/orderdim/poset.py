@@ -166,9 +166,17 @@ def _distinct(labels: Sequence[str]) -> Sequence[str]:
     return labels
 
 
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "(": "\\(", ")": "\\)"})
+
+
 def tuple_label(parts: Sequence[str]) -> str:
-    """Canonical label for an element of a product: "(a,b,c)"."""
-    return "(" + ",".join(parts) + ")"
+    """Canonical label for an element of a product: "(a,b,c)".
+
+    A backslash, comma or parenthesis inside a part is escaped with a
+    backslash, so that distinct tuples always get distinct labels; a part
+    without those characters keeps its bytes.
+    """
+    return "(" + ",".join(part.translate(_LABEL_ESCAPES) for part in parts) + ")"
 
 
 class _Frozen:

@@ -5,6 +5,7 @@ pipe-style tests so outputs of one subcommand feed the next exactly as
 they would in a shell.  Only a closed stdout needs a real process.
 """
 
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from conftest import identity_seeded_back_and_forth, parse_dot
 
 import orderdim
+from orderdim import cli
 from orderdim.cli import main
 from orderdim.errors import LimitExceeded
 from orderdim.homogeneity import Certificate
@@ -691,3 +693,60 @@ class TestClosedStdout:
             os.close(write_end)
         assert out.returncode == 1
         assert out.stderr == b""
+
+
+class TestProcessEntry:
+    """run() is main(), then a frozen collector, then sys.exit with
+    main()'s code."""
+
+    @pytest.fixture
+    def events(self, monkeypatch, capsys):
+        # freeze records the stdout written before it, exit the code
+        seen = []
+        monkeypatch.setattr(gc, "freeze", lambda: seen.append(("freeze", capsys.readouterr().out)))
+
+        def exit_(code):
+            seen.append(("exit", code))
+            raise SystemExit(code)
+
+        monkeypatch.setattr(sys, "exit", exit_)
+        return seen
+
+    def test_freezes_once_after_main_returns(self, events, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: events.append(("main",)) or 3)
+        with pytest.raises(SystemExit):
+            cli.run()
+        assert events == [("main",), ("freeze", ""), ("exit", 3)]
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        [(["gen", "crown", "--n", "3"], "", 0), (["dim"], "{bad", 1)],
+        ids=["output", "error"],
+    )
+    def test_exits_with_mains_code_after_its_output(self, events, monkeypatch, capsys, argv, stdin, code):
+        expected = run(capsys, monkeypatch, argv, stdin)
+        assert expected[0] == code
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.argv", ["orderdim", *argv])
+        with pytest.raises(SystemExit):
+            cli.run()
+        assert events == [("freeze", expected[1]), ("exit", code)]
+
+    def test_exits_one_on_a_broken_pipe(self, events, monkeypatch, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        # main points the stdout descriptor at devnull: give it one to spare
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            monkeypatch.setattr("sys.argv", ["orderdim", "gen", "crown", "--n", "3"])
+            with pytest.raises(SystemExit):
+                cli.run()
+        finally:
+            os.close(fd)
+        assert events == [("freeze", ""), ("exit", 1)]

@@ -3,7 +3,9 @@
 Each case runs the command in-process on fixed inputs and compares the
 length and sha256 of its stdout with values frozen from an earlier
 commit.  A refactor of rank placement, gap regions or back-and-forth
-must leave every byte of these outputs as it was.
+must leave every byte of these outputs as it was.  The CLI's own JSON
+emitter is held to json.dumps(sort_keys=True, indent=2), byte for byte,
+on these outputs and on drawn JSON values.
 """
 
 import hashlib
@@ -11,8 +13,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from orderdim.cli import main
+from orderdim.cli import _json_text, main
 from orderdim.poset import LinearOrder, OrderedStructure
 from orderdim.ramsey import GridStruct
 
@@ -117,3 +120,30 @@ def run_case(name: str, tmp_path, monkeypatch, capsys) -> bytes:
 def test_stdout_is_pinned(name, tmp_path, monkeypatch, capsys):
     out = run_case(name, tmp_path, monkeypatch, capsys)
     assert (len(out), hashlib.sha256(out).hexdigest()) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_stdout_is_json_dumps_bytes(name, tmp_path, monkeypatch, capsys):
+    out = run_case(name, tmp_path, monkeypatch, capsys).decode()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.text()) | st.lists(st.integers()) | st.lists(st.booleans())
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_bytes(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a"}, [b"x"]], ids=["float", "int-key", "set", "bytes"])
+def test_json_text_refuses_what_to_json_never_builds(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

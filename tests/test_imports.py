@@ -1,8 +1,10 @@
-"""What each CLI process loads, and the package namespace that loads lazily.
+"""What each CLI process loads, how it ends, and the package namespace
+that loads lazily.
 
 The module pins run real interpreters under `-X importtime`, the same
 listing the README points users to, and read the orderdim modules off
-its report.
+its report.  The process-entry tests run `python -m orderdim.cli` as a
+pipeline stage does and compare it with main() in-process.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +244,47 @@ class TestNamespace:
         assert set(EXPORTED) <= set(scope)
         assert set(EXPORTED) == set(orderdim.__all__)
         assert set(EXPORTED) <= set(dir(orderdim))
+
+
+def process(argv: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """`python -m orderdim.cli` with argv, the way a shell pipeline runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "orderdim.cli", *argv],
+        input=stdin,
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestProcessEntry:
+    """A CLI process ends through cli.run(), with main()'s bytes and code."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_process_output_is_mains(self, family, tmp_path, capsys, monkeypatch):
+        argv, stdin = FAMILIES[family]
+        sample = tmp_path / "sample.json"
+        sample.write_text(SAMPLE, encoding="utf-8")
+        argv = [str(sample) if a == "SAMPLE_FILE" else a for a in argv]
+        out = process(argv, stdin)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == cli_output(capsys, monkeypatch, argv, stdin)
+
+    def test_bad_input_exits_one_with_one_json_line(self):
+        out = process(["dim"], "{bad")
+        assert (out.returncode, out.stderr) == (1, "")
+        assert out.stdout.count("\n") == 1
+        assert json.loads(out.stdout)["error"] == "JSONDecodeError"
+
+    def test_out_file_is_complete(self, tmp_path, capsys, monkeypatch):
+        argv = ["gen", "grid", "--m", "6", "--n", "2"]
+        target = tmp_path / "grid.json"
+        out = process([*argv, "--out", str(target)])
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == cli_output(capsys, monkeypatch, argv)
+
+    def test_console_script_is_run(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = pyproject.read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+        assert scripts.split("\n[")[0].split() == ["orderdim", "=", '"orderdim.cli:run"']

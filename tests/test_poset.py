@@ -360,6 +360,25 @@ class TestProductOrder:
         with pytest.raises(TooSmall):
             product_order([])
 
+    def test_labels_with_commas_stay_distinct(self):
+        # joined unescaped, ("a", "b,c") and ("a,b", "c") both read "(a,b,c)"
+        p = product_order([antichain(2, ["a", "a,b"]), antichain(2, ["b,c", "c"])])
+        assert len(set(p.elements)) == len(p) == 4
+        assert p.elements == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
+
+    @given(
+        st.lists(
+            st.lists(st.text("ab,()\\", max_size=4), min_size=1, max_size=3, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_labels_of_distinct_tuples_are_distinct(self, factors):
+        tuples = list(iter_product(*factors))
+        assert len({tuple_label(t) for t in tuples}) == len(tuples)
+        p = product_order([antichain(len(f), f) for f in factors])
+        assert p.elements == tuple(tuple_label(t) for t in tuples)
+
     @given(st.integers(0, 2**32), st.integers(1, 3))
     def test_random_factors_match_the_pairwise_oracle(self, seed, count):
         # General posets, and chains whose order does not follow element

@@ -205,3 +205,32 @@ def test_public_names_are_defined_where_they_are_exported():
                     exported = [ast.literal_eval(e) for e in node.value.elts]
         found += [f"{path.name}: {name}" for name in exported if name not in defined]
     assert found == []
+
+
+def test_only_the_process_entry_skips_the_collector():
+    # cli.run freezes the collector just before the process exits; the
+    # same call, or a disabled collector or os._exit, anywhere else would
+    # reach in-process callers of main() and the library
+    shortcuts = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("os", "_exit")}
+    found = []
+    in_run = 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        entry = set()
+        if path.name == "cli.py":
+            run = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run")
+            entry = set(ast.walk(run))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            hits = sum(name in shortcuts for name in names)
+            if node in entry:
+                in_run += hits
+            elif hits:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert in_run == 1
