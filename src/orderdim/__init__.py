@@ -65,9 +65,7 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "Coloring",
             "GridStruct",
-            "Subgrid",
             "enumerate_copies",
             "product_ramsey_number",
             "ramsey_witness_check",

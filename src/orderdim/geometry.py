@@ -80,11 +80,6 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def cyclic_priority(i: int, n: int) -> list[int]:
-    """0-based axis priority i, i+1, ..., n-1, 0, ..., i-1."""
-    return [(i + j) % n for j in range(n)]
-
-
 class PointCloud(_Frozen):
     """Finite list of n-dimensional exact-rational points.
 
@@ -168,13 +163,6 @@ class PointCloud(_Frozen):
         if not isinstance(strict, bool):
             raise TypeError("strict must be a JSON boolean")
         return PointCloud(dim, points, strict)
-
-
-def lex_less(a: Point, b: Point, priority: Sequence[int]) -> bool:
-    for axis in priority:
-        if a[axis] != b[axis]:
-            return a[axis] < b[axis]
-    return False
 
 
 def induced_structure(c: PointCloud) -> OrderedStructure:
@@ -285,18 +273,6 @@ class Region(_Frozen):
             [None if lo is None else frac_str(lo), None if hi is None else frac_str(hi)]
             for lo, hi in self.intervals
         ]
-
-    @staticmethod
-    def from_json(data: Sequence[Sequence[str | None]]) -> "Region":
-        return Region(
-            tuple(
-                (
-                    None if lo is None else as_fraction(lo),
-                    None if hi is None else as_fraction(hi),
-                )
-                for lo, hi in data
-            )
-        )
 
 
 def _cells(axes: Sequence[Sequence]) -> Iterator[tuple[tuple, ...]]:

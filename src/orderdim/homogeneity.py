@@ -50,10 +50,8 @@ from .geometry import (
     _cells,
     as_fraction,
     back_and_forth_iso,
-    cyclic_priority,
     frac_str,
     induced_structure,
-    lex_less,
     pick_in_region,
 )
 from .poset import (
@@ -122,13 +120,6 @@ class FlipPattern(_Frozen):
             return None
         up_iter, down_iter = iter(ups), iter(downs)
         return [next(up_iter) if b else next(down_iter) for b in other.signs]
-
-    def to_json(self) -> list[str]:
-        return ["+" if b else "-" for b in self.signs]
-
-    @staticmethod
-    def from_json(payload: Sequence[str]) -> "FlipPattern":
-        return FlipPattern(tuple(s == "+" for s in payload))
 
 
 class CertificateKind(str, Enum):
@@ -477,15 +468,6 @@ def nonhom_witness(n: int) -> Certificate:
 # --- lexicographic non-homogeneity ----------------------------------------
 
 
-def _lex_rel(n: int):
-    pris = [cyclic_priority(i, n) for i in range(n)]
-
-    def rel(i: int, u: Point, v: Point) -> bool:
-        return lex_less(u, v, pris[i])
-
-    return rel
-
-
 def _qn_lex_data(n: int) -> dict | None:
     """The lexicographic-collapse certificate's data in n coordinates,
     or None when a check fails.
@@ -513,7 +495,10 @@ def _qn_lex_data(n: int) -> dict | None:
     dst = [pts[triple[t]] for t in tops]
     step = Fraction(1, 2)
     grid = _grid_candidates([a2, b2, c2], step)
-    lex = _lex_rel(n)
+
+    def lex(i: int, u: Point, v: Point) -> bool:
+        """Order i: coordinates compared from axis i on, wrapping around."""
+        return u[i:] + u[:i] < v[i:] + v[:i]
 
     def pinched(lo: Point, y: Point, his: list[Point]) -> bool:
         """Whether y lies above lo and below his[i] in each order i."""

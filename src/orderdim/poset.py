@@ -318,9 +318,6 @@ class FinitePoset(_Frozen):
     def less(self, a: str, b: str) -> bool:
         return bool(self.up[self.index(a)] >> self.index(b) & 1)
 
-    def leq(self, a: str, b: str) -> bool:
-        return a == b or self.less(a, b)
-
     def incomparable(self, a: str, b: str) -> bool:
         return a != b and not self.less(a, b) and not self.less(b, a)
 
@@ -393,9 +390,6 @@ class LinearOrder(_Frozen):
 
     def __repr__(self) -> str:
         return "LinearOrder(" + " < ".join(self.order) + ")"
-
-    def before(self, a: str, b: str) -> bool:
-        return self.rank[a] < self.rank[b]
 
 
 def _sequence_rows(seq: Sequence[int], m: int) -> list[int]:

@@ -1,12 +1,14 @@
 """Grid combinatorics behind the partition property of realizer classes.
 
-The pipeline mirrors the induced-coloring argument: structures embed
-rigidly into grids at their rank coordinates, colorings of copies pull
-back to colorings of subgrids, and a monochromatic subgrid found there
-pushes forward to a monochromatic copy.  `_grid_groups` is the one
-enumeration of the l^n-subgrids inside each m^n-subgrid: the grid
-coloring search, the monochromatic-subgrid scan and the reduction of
-`ramsey_witness_check` all read its index lists.  Every search here is an
+Structures embed rigidly into grids at their rank coordinates.
+`ramsey_witness_check(method="reduction")` replays the induced-coloring
+argument on index lists: a coloring of copies pulls back to the
+l^n-subgrids, each colored by its rigid copy (`_rigid_copies`), the
+first m^n-subgrid whose cells share one color is found
+(`_first_mono_group`), and its rigid copy of the target is the
+monochromatic copy.  `_grid_groups` is the one enumeration of the
+l^n-subgrids inside each m^n-subgrid: the grid coloring search and the
+reduction's scan both read its index lists.  Every search here is an
 exhaustive sweep over a finite space.  The coloring search cuts only
 branches that provably contain nothing (completed monochromatic groups,
 color permutations), so it returns the first coloring an uncut
@@ -20,10 +22,10 @@ or "monochromatic-subgrid scan" ("copy enumeration" for a bare
 tries every subset of the host, so more subsets than the budget are
 refused before any is tried.
 
-Canonical orderings, used for coloring serialization: grid points are
-row-major; copies are indexed by their element subsets in lexicographic
-order of sorted index lists; subgrid axes run through per-axis
-combinations in the same lexicographic order.
+Canonical orderings, which fix the first coloring a search returns:
+grid points are row-major; copies are indexed by their element subsets
+in lexicographic order of sorted index lists; subgrid axes run through
+per-axis combinations in the same lexicographic order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .budget import BudgetMeter
 from .dimension import _colour_classes
@@ -45,14 +47,9 @@ from .poset import (
 
 __all__ = [
     "GridStruct",
-    "Subgrid",
-    "Coloring",
     "rigid_embed",
     "enumerate_copies",
     "all_subgrids",
-    "rigid_copy_in_subgrid",
-    "induced_coloring",
-    "find_mono_subgrid",
     "product_ramsey_number",
     "ramsey_witness_check",
 ]
@@ -65,7 +62,7 @@ SCAN = "monochromatic-subgrid scan"
 GridPoint = tuple[int, ...]
 
 
-def _point_label(p: GridPoint) -> str:
+def _point_label(p: Sequence[int]) -> str:
     return ",".join(str(v) for v in p)
 
 
@@ -103,80 +100,6 @@ class GridStruct(_Frozen):
     @cached_property
     def structure(self) -> OrderedStructure:
         return _product_structure([self.label(p) for p in self.points], self.points)
-
-
-class Subgrid(_Frozen):
-    """Per-axis value subsets; the subgrid is their product."""
-
-    __slots__ = ("axes",)
-
-    def __init__(self, axes: tuple[tuple[int, ...], ...]):
-        if not axes:
-            raise TooSmall("a subgrid needs at least one axis")
-        for axis in axes:
-            if not axis or any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ElementMismatch(
-                    "each axis must be a nonempty strictly increasing tuple"
-                )
-        super().__init__(axes)
-
-    @property
-    def side(self) -> int | None:
-        sizes = {len(axis) for axis in self.axes}
-        return sizes.pop() if len(sizes) == 1 else None
-
-    def points(self) -> Iterator[GridPoint]:
-        return iter_product(*self.axes)
-
-    def to_json(self) -> dict:
-        return {"axes": [list(axis) for axis in self.axes]}
-
-    @staticmethod
-    def from_json(payload: dict) -> "Subgrid":
-        return Subgrid(tuple(tuple(axis) for axis in payload["axes"]))
-
-
-class Coloring(_Frozen):
-    """Total map from a canonically ordered target set into {1..k}.
-
-    kind is "copies" (keys are label tuples aligned with the pattern's
-    elements) or "subgrids" (keys are axis tuples).  JSON keeps only the
-    value array; the key list is regenerated from the same parameters.
-    """
-
-    __slots__ = ("kind", "k", "keys", "values", "__dict__")
-
-    def __init__(self, kind: str, k: int, keys: tuple, values: tuple[int, ...]):
-        if kind not in ("copies", "subgrids"):
-            raise ElementMismatch(f"unknown coloring kind {kind!r}")
-        if k < 1:
-            raise TooSmall("colorings need k >= 1")
-        if len(keys) != len(values):
-            raise ElementMismatch("one value per target key required")
-        if len(set(keys)) != len(keys):
-            raise ElementMismatch("target keys must be distinct")
-        if any(not 1 <= v <= k for v in values):
-            raise ElementMismatch("colors must lie in 1..k")
-        super().__init__(kind, k, keys, values)
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return dict(zip(self.keys, self.values))
-
-    def color(self, key) -> int:
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise ElementMismatch(f"{key!r} is not in the coloring's target")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "k": self.k, "values": list(self.values)}
-
-    @staticmethod
-    def from_json(payload: dict, keys: Sequence) -> "Coloring":
-        return Coloring(
-            payload["kind"], payload["k"], tuple(keys), tuple(payload["values"])
-        )
 
 
 def rigid_embed(s: OrderedStructure) -> list[GridPoint]:
@@ -241,71 +164,17 @@ def all_subgrids(r: int, n: int, l: int) -> list[tuple[tuple[int, ...], ...]]:
     return list(iter_product(per_axis, repeat=n))
 
 
-def rigid_copy_in_subgrid(
-    a: OrderedStructure, axes: tuple[tuple[int, ...], ...]
-) -> list[GridPoint]:
-    """The unique rigid copy of a inside the given subgrid.
-
-    Coordinate i of element e is the rk_i(e)-th smallest value of
-    axis i; aligned with a.elements.
-    """
-    if len(axes) != a.n:
-        raise ElementMismatch(f"the subgrid has {len(axes)} axes, the pattern {a.n} orders")
-    if any(len(axis) != len(a.elements) for axis in axes):
-        raise ElementMismatch("subgrid sides must equal the structure size")
-    return _at_ranks(a.realizers.rank_points(a.elements), axes)
-
-
-def _at_ranks(ranks: Sequence[GridPoint], axes: Sequence[Sequence[int]]) -> list[GridPoint]:
-    """Each rank point r sent into the subgrid: coordinate i becomes the
-    r[i]-th smallest value of axes[i]."""
-    return [tuple([axis[r - 1] for axis, r in zip(axes, p)]) for p in ranks]
-
-
-def induced_coloring(
-    c: Coloring, a: OrderedStructure, grid: GridStruct
-) -> Coloring:
-    """Pull a coloring of copies of a back to the l^n-subgrids of the grid.
-
-    Each subgrid is colored by its rigid copy of a, the one copy every
-    subgrid is guaranteed to contain.
-    """
-    if c.kind != "copies":
-        raise ElementMismatch("induced colorings start from copy colorings")
-    if grid.n != a.n:
-        raise ElementMismatch("pattern and grid carry different realizer counts")
-    keys = all_subgrids(grid.m, grid.n, len(a.elements))
-    values = [c.color(copy) for copy in _rigid_copies(a, keys)]
-    return Coloring("subgrids", c.k, tuple(keys), tuple(values))
-
-
 def _rigid_copies(
     s: OrderedStructure, keys: Sequence[Sequence[Sequence[int]]]
 ) -> list[tuple[str, ...]]:
     """The label tuple of s's rigid copy in each subgrid of keys, aligned
-    with s.elements."""
+    with s.elements: coordinate i of element e is the rk_i(e)-th smallest
+    value of axis i."""
     ranks = s.realizers.rank_points(s.elements)
-    return [tuple(_point_label(p) for p in _at_ranks(ranks, axes)) for axes in keys]
-
-
-def find_mono_subgrid(
-    col: Coloring, m: int, budget: int | None = None
-) -> Subgrid | None:
-    """First m^n-subgrid whose l^n-subgrids share one color, if any."""
-    meter = BudgetMeter(budget, SCAN)
-    if col.kind != "subgrids":
-        raise ElementMismatch("expected a coloring of subgrids")
-    if not col.keys:
-        raise TooSmall("the coloring's target is empty")
-    sample = col.keys[0]
-    n = len(sample)
-    l = len(sample[0])
-    r = max(v for axes in col.keys for axis in axes for v in axis)
-    if not l <= m <= r:
-        raise TooSmall(f"need l <= m <= r, got l={l}, m={m}, r={r}")
-    cells, groups = _grid_groups(l, m, n, r)
-    found = _first_mono_group([col.color(key) for key in cells], groups, meter.tick)
-    return None if found is None else Subgrid(all_subgrids(r, n, m)[found])
+    return [
+        tuple(_point_label([axis[i - 1] for axis, i in zip(axes, p)]) for p in ranks)
+        for axes in keys
+    ]
 
 
 def _first_mono_group(
@@ -379,18 +248,13 @@ def _grid_counterexample(
     m: int,
     n: int,
     r: int,
-    meter: BudgetMeter | None = None,
-) -> Coloring | None:
-    """A k-coloring of the l^n-subgrids of r^n with no monochromatic
-    m^n-subgrid, or None when every coloring has one.  Spends the given
-    meter, else one of its own."""
-    if meter is None:
-        meter = BudgetMeter(None, f"{GRID_SEARCH} at r={r}")
+    meter: BudgetMeter,
+) -> list[int] | None:
+    """The colors, in canonical cell order, of a k-coloring of the
+    l^n-subgrids of r^n with no monochromatic m^n-subgrid, or None when
+    every coloring has one."""
     cells, groups = _grid_groups(l, m, n, r)
-    found = _search_free_coloring(len(cells), k, groups, meter)
-    if found is None:
-        return None
-    return Coloring("subgrids", k, tuple(cells), tuple(found))
+    return _search_free_coloring(len(cells), k, groups, meter)
 
 
 def product_ramsey_number(
@@ -425,14 +289,12 @@ def _copy_groups(
     grid: GridStruct,
     a: OrderedStructure,
     b: OrderedStructure,
-    meter: BudgetMeter | None = None,
+    meter: BudgetMeter,
 ) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]], list[list[int]]]:
     """Copies of a in the grid, copies of b in the grid, and for each
     copy of b the indices of the grid's a-copies lying inside it.  The
-    given meter, else one of its own, refuses too many subsets; b, the
-    larger pattern, is enumerated first."""
-    if meter is None:
-        meter = BudgetMeter(None, COPIES)
+    meter refuses too many subsets; b, the larger pattern, is enumerated
+    first."""
     copies_b = _copies(grid, b, meter)
     copies_a = _copies(grid, a, meter)
     index = {key: t for t, key in enumerate(copies_a)}
@@ -468,10 +330,14 @@ def ramsey_witness_check(
     rigid copy of b is not monochromatic contradicts the argument and
     raises SelfCheckFailed.  Both methods decide the same predicate.  One
     budget covers the whole call, every subgrid scan and the up-front
-    refusal of too many copy candidates included.
+    refusal of too many copy candidates included.  Fewer than one color
+    is refused before any copy is counted, as `product_ramsey_number`
+    refuses it.
     """
     if method not in ("exhaustive", "reduction"):
         raise ElementMismatch(f"unknown method {method!r}")
+    if k < 1:
+        raise TooSmall("colorings need k >= 1")
     meter = BudgetMeter(budget, COPY_SEARCH if method == "exhaustive" else SCAN)
     if a.n != b.n:
         raise ElementMismatch("pattern and target carry different realizer counts")

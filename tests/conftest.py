@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 from itertools import product as iter_product
 from typing import Iterator, Sequence
 
@@ -27,7 +27,7 @@ from orderdim.errors import (
     TooSmall,
     TransitivityViolation,
 )
-from orderdim.geometry import PartialEmbedding, as_fraction, cyclic_priority, lex_less
+from orderdim.geometry import PartialEmbedding, as_fraction
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
@@ -567,6 +567,22 @@ def oracle_intersection_rows(orders, elements) -> list[int]:
     return out
 
 
+def cyclic_priority(i: int, n: int) -> list[int]:
+    """0-based axis priority i, i+1, ..., n-1, 0, ..., i-1: the axes that
+    decide the i-th cyclic lexicographic order, first to last."""
+    return [(i + j) % n for j in range(n)]
+
+
+def lex_less(a: Sequence, b: Sequence, priority: Sequence[int]) -> bool:
+    """Is a before b when coordinates are compared in priority order?  The
+    pairwise oracle for every cyclic lexicographic order the library
+    builds or compares."""
+    for axis in priority:
+        if a[axis] != b[axis]:
+            return a[axis] < b[axis]
+    return False
+
+
 def oracle_point_structure(points: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
     """The product order's up rows on distinct points, by `product_less`
     on every ordered pair, and the point indices of each cyclic
@@ -602,7 +618,8 @@ def oracle_verify(emb: PartialEmbedding) -> None:
                 continue
             px, py = emb.cloud.points[xi], emb.cloud.points[yi]
             for i in range(n):
-                if orders[i].before(x, y) != lex_less(px, py, pris[i]):
+                before = orders[i].rank[x] < orders[i].rank[y]
+                if before != lex_less(px, py, pris[i]):
                     raise InvalidEmbedding(f"order {i + 1} not preserved on ({x}, {y})")
             if emb.source.poset.less(x, y) != product_less(px, py):
                 raise InvalidEmbedding(f"product order not preserved on ({x}, {y})")
@@ -610,13 +627,13 @@ def oracle_verify(emb: PartialEmbedding) -> None:
 
 def oracle_product_rows(ps: Sequence[FinitePoset]) -> list[int]:
     """`product_order`'s up rows, by comparing every ordered pair of
-    tuples factor by factor with `leq`."""
+    tuples factor by factor, each factor equal or below."""
     tuples = list(iter_product(*[p.elements for p in ps]))
     return [
         sum(
             1 << j
             for j, u in enumerate(tuples)
-            if t != u and all(p.leq(x, y) for p, x, y in zip(ps, t, u))
+            if t != u and all(x == y or p.less(x, y) for p, x, y in zip(ps, t, u))
         )
         for t in tuples
     ]
@@ -672,6 +689,63 @@ def naive_is_copy(
             if x != y and a.poset.less(x, y) != b.poset.less(phi[x], phi[y]):
                 return False
     return True
+
+
+# --- the induced-coloring argument, object by object ----------------------
+#
+# The reduction of `ramsey_witness_check` runs the argument on index
+# lists.  These oracles run it on axis tuples and label tuples, as the
+# library's value-class pipeline did: subgrids as per-axis value tuples in
+# canonical order (per-axis combinations, row-major), colourings as lists
+# aligned with that order or as dicts keyed by copy.
+
+
+def oracle_subgrids(r: int, n: int, l: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Axis tuples of every l^n-subgrid of r^n, in canonical order."""
+    return list(iter_product(combinations(range(1, r + 1), l), repeat=n))
+
+
+def oracle_rigid_copy_in_subgrid(
+    a: OrderedStructure, axes: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The unique rigid copy of a inside the subgrid: coordinate i of
+    element e is the rk_i(e)-th smallest value of axes[i]; aligned with
+    a.elements.  One axis per order of a."""
+    orders = a.realizers.orders
+    return [
+        tuple(axis[o.rank[e] - 1] for axis, o in zip(axes, orders, strict=True))
+        for e in a.elements
+    ]
+
+
+def oracle_induced_coloring(
+    colour: dict[tuple[str, ...], int], a: OrderedStructure, r: int
+) -> list[int]:
+    """Pull a colouring of the copies of a in the r^n grid (label tuple,
+    aligned with a.elements, to colour) back to the l^n-subgrids, in
+    canonical order: each subgrid takes the colour of its rigid copy."""
+    out = []
+    for axes in oracle_subgrids(r, a.n, len(a.elements)):
+        points = oracle_rigid_copy_in_subgrid(a, axes)
+        out.append(colour[tuple(",".join(map(str, p)) for p in points)])
+    return out
+
+
+def oracle_find_mono_subgrid(
+    colours: Sequence[int], l: int, m: int, n: int, r: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """The first m^n-subgrid of r^n, in canonical order, whose
+    l^n-subgrids all share one colour, or None; colours lists the
+    l^n-subgrids' colours in canonical order.  Brute force: every
+    m^n-subgrid lists its l^n-subgrids afresh."""
+    colour = dict(zip(oracle_subgrids(r, n, l), colours, strict=True))
+    for big in oracle_subgrids(r, n, m):
+        shades = {
+            colour[small] for small in iter_product(*[combinations(axis, l) for axis in big])
+        }
+        if len(shades) == 1:
+            return big
+    return None
 
 
 # --- numpy oracles for the bit-row poset kernel ----------------------------

@@ -17,7 +17,17 @@ from math import factorial
 
 import pytest
 
-from conftest import naive_is_realizer, random_poset, random_structure
+from conftest import (
+    cyclic_priority,
+    lex_less,
+    naive_is_realizer,
+    oracle_find_mono_subgrid,
+    oracle_induced_coloring,
+    oracle_subgrids,
+    random_poset,
+    random_structure,
+)
+from orderdim import ramsey
 from orderdim.dimension import dimension
 from orderdim.flow import (
     cloud_automorphisms,
@@ -30,10 +40,8 @@ from orderdim.geometry import (
     PartialEmbedding,
     PointCloud,
     back_and_forth_iso,
-    cyclic_priority,
     forth_extend,
     induced_structure,
-    lex_less,
     regions_of,
     sample_dn,
 )
@@ -55,6 +63,7 @@ from orderdim.poset import (
 )
 from orderdim.ramsey import (
     GridStruct,
+    enumerate_copies,
     product_ramsey_number,
     ramsey_witness_check,
     rigid_embed,
@@ -118,7 +127,7 @@ def test_04_forth_extension_soundness():
                 if s.poset.less(x, y) != product_less(pts[x], pts[y]):
                     ok = False
                 for i in range(n):
-                    want = s.realizers.orders[i].before(x, y)
+                    want = s.realizers.orders[i].rank[x] < s.realizers.orders[i].rank[y]
                     if want != lex_less(pts[x], pts[y], cyclic_priority(i, n)):
                         ok = False
         good += ok
@@ -216,7 +225,7 @@ def _brute_grid_embeddings(s, m):
                 if i == j:
                     continue
                 for ax in range(2):
-                    want = s.realizers.orders[ax].before(x, y)
+                    want = s.realizers.orders[ax].rank[x] < s.realizers.orders[ax].rank[y]
                     if want != (image[i][ax] < image[j][ax]):
                         ok = False
         if ok:
@@ -239,7 +248,7 @@ def test_09_rigid_embedding_uniqueness():
                     phi
                     for phi in permutations(range(1, m + 1))
                     if all(
-                        (phi[i] < phi[j]) == order.before(x, y)
+                        (phi[i] < phi[j]) == (order.rank[x] < order.rank[y])
                         for i, x in enumerate(s.elements)
                         for j, y in enumerate(s.elements)
                         if i != j
@@ -304,6 +313,36 @@ def test_10_product_ramsey_oracle_agreement():
         red = ramsey_witness_check(a, b, k, r, method="reduction")
         exh = ramsey_witness_check(a, b, k, r, method="exhaustive")
         assert red == exh
+
+
+@pytest.mark.parametrize("case", range(len(_agreement_instances())))
+def test_10_reduction_scans_the_induced_coloring(case, monkeypatch):
+    # Every scan of the reduction reads the pullback of one copy coloring,
+    # colorings in lexicographic order, and finds the m^n-subgrid that a
+    # brute-force scan of the object-level argument finds.
+    a, b, k, r = _agreement_instances()[case]
+    l, m, n = len(a), len(b), a.n
+    copies = enumerate_copies(GridStruct(r, n), a)
+    colorings = iter_product(range(1, k + 1), repeat=len(copies))
+    bigs = oracle_subgrids(r, n, m)
+    scan = ramsey._first_mono_group
+    calls = 0
+
+    def checked(colors, groups, tick):
+        nonlocal calls
+        calls += 1
+        assert list(colors) == oracle_induced_coloring(dict(zip(copies, next(colorings))), a, r)
+        found = scan(colors, groups, tick)
+        assert (None if found is None else bigs[found]) == oracle_find_mono_subgrid(
+            colors, l, m, n, r
+        )
+        return found
+
+    monkeypatch.setattr(ramsey, "_first_mono_group", checked)
+    if ramsey_witness_check(a, b, k, r, method="reduction"):
+        assert calls == k ** len(copies)
+    else:
+        assert calls <= k ** len(copies)
 
 
 @pytest.mark.xfail(

@@ -371,6 +371,25 @@ class TestRamsey:
         assert code == 0
         assert json.loads(out) == {"holds": True}
 
+    @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_witness_refuses_fewer_than_one_color(
+        self, capsys, monkeypatch, tmp_path, method, k
+    ):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "1", "--n", "1", "--out", str(a)])
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "2", "--n", "1", "--out", str(b)])
+        code, out = run(
+            capsys,
+            monkeypatch,
+            ["ramsey", "witness", "--a", str(a), "--b", str(b),
+             "--k", k, "--r", "3", "--method", method],
+        )
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "TooSmall", "detail": "colorings need k >= 1"}
+
 
 class TestEnumerationsPastTheBudget:
     """Enumerations whose size is known up front are refused before any

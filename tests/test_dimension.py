@@ -511,7 +511,7 @@ class TestFastPathsAgainstOracles:
         assert by_x == [sum(1 << c for c, (x, _) in enumerate(want) if x == i) for i in e]
         assert by_y == [sum(1 << c for c, (_, y) in enumerate(want) if y == i) for i in e]
         conflicts = [
-            sum(1 << d for d, (u, v) in enumerate(want) if p.leq(a, v) and p.leq(u, b))
+            sum(1 << d for d, (u, v) in enumerate(want) if (a == v or p.less(a, v)) and (u == b or p.less(u, b)))
             for a, b in want
         ]
         assert _RealizerSearch(p, None).conflicts == conflicts

@@ -59,7 +59,7 @@ from orderdim.poset import (
     is_realizer,
     validate_poset,
 )
-from orderdim.ramsey import Coloring, GridStruct, Subgrid
+from orderdim.ramsey import GridStruct
 
 
 class Narrower(Region):
@@ -77,8 +77,6 @@ FIELDS = {
     DensityDefect: ("region", "witnesses", "gaps"),
     AxiomReport: ("density_defects",),
     Certificate: ("kind", "data"),
-    Subgrid: ("axes",),
-    Coloring: ("kind", "k", "keys", "values"),
     RealizerSet: ("base", "tuples"),
     Narrower: ("intervals",),
     DecompositionReport: (
@@ -106,8 +104,6 @@ def samples() -> dict[type, list]:
     """At least two instances of each class, most from library calls."""
     report = check_dpo_fragment(sample_dn(2, 3, seed=0))
     fwd, bwd = back_and_forth_iso(sample_dn(2, 3, seed=0), sample_dn(2, 3, seed=1), 3)
-    coloring = Coloring("subgrids", 2, ((1,), (2,), (3,)), (1, 2, 1))
-    coloring.color((2,))  # fills the cached lookup, which is no field
     return {
         DimensionResult: [
             dimension(crown(3)),
@@ -126,12 +122,6 @@ def samples() -> dict[type, list]:
         Certificate: [
             ap_failure_certificate(2),
             Certificate(CertificateKind.APFailure, {}),
-        ],
-        Subgrid: [Subgrid(((1, 2), (1, 3))), Subgrid(((1,),)), Subgrid(((1, 2), (1, 3)))],
-        Coloring: [
-            coloring,
-            Coloring("subgrids", 2, ((1,), (2,), (3,)), (1, 2, 1)),
-            Coloring("copies", 3, (("a",), ("b",)), (3, 1)),
         ],
         RealizerSet: [enumerate_realizers(STRUCTURE), RealizerSet(STRUCTURE, ())],
         DecompositionReport: [
@@ -230,8 +220,8 @@ class TestAgainstTheDataclassTwin:
 
 def test_equal_fields_of_another_class_are_unequal():
     intervals = ((1, 2),)
-    assert Region(intervals) != Subgrid(intervals)
-    assert Subgrid(intervals) != Region(intervals)
+    assert Region(intervals) != FlipPattern(intervals)
+    assert FlipPattern(intervals) != Region(intervals)
 
     twin_narrower = dataclasses.make_dataclass(
         "Narrower", [], bases=(twin(Region),), frozen=True
@@ -253,35 +243,6 @@ class TestFormerPostInitChecks:
             Region(intervals)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "axes, error",
-        [
-            ((), TooSmall),
-            (((),), ElementMismatch),
-            (((1, 1),), ElementMismatch),
-            (((1, 2), (3, 2)), ElementMismatch),
-        ],
-    )
-    def test_subgrid_refuses_bad_axes(self, axes, error):
-        with pytest.raises(error):
-            Subgrid(axes)
-
-    @pytest.mark.parametrize(
-        "args, error, message",
-        [
-            (("cells", 2, ((1,),), (1,)), ElementMismatch, "unknown coloring kind 'cells'"),
-            (("copies", 0, (), ()), TooSmall, "colorings need k >= 1"),
-            (("copies", 2, ((1,),), ()), ElementMismatch, "one value per target key required"),
-            (("copies", 2, ((1,), (1,)), (1, 2)), ElementMismatch, "target keys must be distinct"),
-            (("copies", 2, ((1,),), (3,)), ElementMismatch, "colors must lie in 1..k"),
-            (("copies", 2, ((1,),), (0,)), ElementMismatch, "colors must lie in 1..k"),
-        ],
-    )
-    def test_coloring_refuses_bad_colours(self, args, error, message):
-        with pytest.raises(error) as info:
-            Coloring(*args)
-        assert str(info.value) == message
-
     def test_realizer_set_refuses_a_non_realizer(self):
         order = STRUCTURE.realizers.orders[0]
         with pytest.raises(NotARealizer):
@@ -289,13 +250,6 @@ class TestFormerPostInitChecks:
         foreign = LinearOrder(("a", "b", "x"))
         with pytest.raises(ElementMismatch):
             RealizerSet(STRUCTURE, ((RealizerTuple([foreign, foreign]), None),))
-
-    def test_coloring_keeps_its_cached_lookup(self):
-        c = Coloring("copies", 2, (("a",), ("b",)), (2, 1))
-        assert c.color(("b",)) == 1
-        assert "_lookup" in c.__dict__
-        with pytest.raises(ElementMismatch):
-            c.color(("z",))
 
 
 # The value classes that sit on the same base, each with its fields.

@@ -17,18 +17,16 @@ from orderdim.geometry import (
     PointCloud,
     Region,
     back_and_forth_iso,
-    cyclic_priority,
     forth_extend,
     induced_structure,
     iter_balls,
-    lex_less,
     pick_in_region,
     regions_of,
     sample_dn,
 )
 from orderdim.poset import LinearOrder, OrderedStructure, product_less
 
-from conftest import less_pairs, oracle_verify, random_structure
+from conftest import cyclic_priority, less_pairs, lex_less, oracle_verify, random_structure
 
 # Figure with six marked points; the hyperplanes through them cut the
 # plane into 49 cells.
@@ -127,13 +125,14 @@ class TestInducedStructure:
         s = induced_structure(PointCloud(2, [(0, 0), (1, 1)]))
         assert s.poset.less("p0", "p1")
         for o in s.realizers.orders:
-            assert o.before("p0", "p1")
+            assert o.rank["p0"] < o.rank["p1"]
 
     def test_two_incomparable_points_give_antichain(self):
         s = induced_structure(PointCloud(2, [(0, 1), (1, 0)]))
         assert s.poset.incomparable("p0", "p1")
-        assert s.realizers.orders[0].before("p0", "p1")
-        assert s.realizers.orders[1].before("p1", "p0")
+        first, second = (o.rank for o in s.realizers.orders)
+        assert first["p0"] < first["p1"]
+        assert second["p1"] < second["p0"]
 
     def test_six_point_figure_orders(self):
         s = induced_structure(six_cloud())
@@ -317,13 +316,9 @@ class TestPickInRegion:
         with pytest.raises(TooSmall):
             Region(((F(1), F(1)), (F(0), F(1))))
 
-    def test_region_json_round_trip(self):
+    def test_region_json_writes_exact_endpoints(self):
         r = Region(((None, F(7, 2)), (F(-1), None)))
-        assert Region.from_json(r.to_json()) == r
-
-    def test_region_json_rejects_floats(self):
-        with pytest.raises(TypeError):
-            Region.from_json([[None, 3.5], ["-1/1", None]])
+        assert r.to_json() == [[None, "7/2"], ["-1/1", None]]
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_result_in_region_and_insertable(self, seed, k):
@@ -350,9 +345,8 @@ def assert_isomorphic_to_image(s: OrderedStructure, emb: PartialEmbedding):
         for y in s.elements:
             assert s.poset.less(x, y) == image.poset.less(to_label[x], to_label[y])
             for i in range(s.n):
-                assert s.realizers.orders[i].before(x, y) == image.realizers.orders[
-                    i
-                ].before(to_label[x], to_label[y])
+                rank, image_rank = s.realizers.orders[i].rank, image.realizers.orders[i].rank
+                assert (rank[x] < rank[y]) == (image_rank[to_label[x]] < image_rank[to_label[y]])
 
 
 class TestForthExtend:

@@ -14,7 +14,9 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     all_posets_on,
+    cyclic_priority,
     identity_seeded_back_and_forth,
+    lex_less,
     naive_is_realizer,
     oracle_verify_chase,
     random_poset,
@@ -34,9 +36,7 @@ from orderdim.flow import symmetric_sample
 from orderdim.geometry import (
     PointCloud,
     Region,
-    cyclic_priority,
     induced_structure,
-    lex_less,
     pick_in_region,
     regions_of,
     sample_dn,

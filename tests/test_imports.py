@@ -69,9 +69,7 @@ EXPORTED = {
     ),
     **dict.fromkeys(
         (
-            "Coloring",
             "GridStruct",
-            "Subgrid",
             "enumerate_copies",
             "product_ramsey_number",
             "ramsey_witness_check",

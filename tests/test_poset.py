@@ -442,7 +442,7 @@ class TestLexOrder:
             tuples = {lab: lab.strip("()").split(",") for lab in o.order}
             for a in o.order:
                 for b in o.order:
-                    if o.before(a, b):
+                    if o.rank[a] < o.rank[b]:
                         assert tuples[a][i - 1] <= tuples[b][i - 1]
 
 

@@ -8,27 +8,32 @@ from itertools import combinations, permutations, product as iter_product
 
 import pytest
 
-from conftest import naive_free_coloring, naive_is_copy, random_structure
+from conftest import (
+    cyclic_priority,
+    lex_less,
+    naive_free_coloring,
+    naive_is_copy,
+    oracle_find_mono_subgrid,
+    oracle_rigid_copy_in_subgrid,
+    oracle_subgrids,
+    random_structure,
+)
 from orderdim.budget import BudgetMeter
 from orderdim.errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
-from orderdim.geometry import cyclic_priority, lex_less
 from orderdim.poset import LinearOrder, OrderedStructure, chain, product_less, product_order
 from orderdim.ramsey import (
-    Coloring,
     GridStruct,
-    Subgrid,
     _copy_groups,
+    _first_mono_group,
     _grid_counterexample,
     _is_copy,
     _grid_groups,
+    _rigid_copies,
     _search_free_coloring,
     all_subgrids,
     enumerate_copies,
-    find_mono_subgrid,
-    induced_coloring,
     product_ramsey_number,
     ramsey_witness_check,
-    rigid_copy_in_subgrid,
     rigid_embed,
 )
 
@@ -101,28 +106,6 @@ class TestGridStruct:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             GridStruct(0, 2)
-
-
-class TestSubgrid:
-    def test_side_and_points(self):
-        sub = Subgrid(((1, 3), (2, 4)))
-        assert sub.side == 2
-        assert list(sub.points()) == [(1, 2), (1, 4), (3, 2), (3, 4)]
-
-    def test_ragged_has_no_side(self):
-        assert Subgrid(((1, 2), (3,))).side is None
-
-    def test_axes_must_increase(self):
-        with pytest.raises(ElementMismatch):
-            Subgrid(((2, 1),))
-        with pytest.raises(ElementMismatch):
-            Subgrid(((1, 1),))
-        with pytest.raises(ElementMismatch):
-            Subgrid(((),))
-
-    def test_json_round_trip(self):
-        sub = Subgrid(((1, 3), (2, 4)))
-        assert Subgrid.from_json(sub.to_json()) == sub
 
 
 def is_rigid_placement(s, image):
@@ -290,150 +273,66 @@ class TestEnumerateCopies:
         assert verdicts
 
 
-def parity_coloring(grid, a):
-    """Color 1 when the copy's first element has even first coordinate."""
-    keys = tuple(enumerate_copies(grid, a))
-    values = tuple(
-        1 if int(key[0].split(",")[0]) % 2 == 0 else 2 for key in keys
-    )
-    return Coloring("copies", 2, keys, values)
+class TestRigidCopies:
+    def test_spot_values(self):
+        cells = [((1, 2), (1, 2)), ((2, 3), (1, 3)), ((1, 3), (2, 3))]
+        assert _rigid_copies(aligned_chain(), cells) == [
+            ("1,1", "2,2"),
+            ("2,1", "3,3"),
+            ("1,2", "3,3"),
+        ]
+        assert _rigid_copies(crossed_antichain(), cells[:1]) == [("1,2", "2,1")]
+
+    def test_every_copy_is_the_oracle_placement(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            s = random_structure(rng, rng.randint(1, 4), n)
+            r = len(s) + rng.randint(0, 2)
+            keys = oracle_subgrids(r, n, len(s))
+            want = [
+                tuple(",".join(map(str, p)) for p in oracle_rigid_copy_in_subgrid(s, axes))
+                for axes in keys
+            ]
+            assert _rigid_copies(s, keys) == want
+
+    def test_every_cell_holds_its_rigid_copy(self):
+        # the pullback reads a copy of the pattern in every l^n-subgrid
+        for a in (one_point(), aligned_chain(), crossed_antichain(), figure_structure()):
+            copies = set(enumerate_copies(GridStruct(len(a) + 1, 2), a))
+            cells = all_subgrids(len(a) + 1, 2, len(a))
+            assert set(_rigid_copies(a, cells)) <= copies
 
 
-class TestRigidCopyInSubgrid:
-    @pytest.mark.parametrize("axes", [((1, 2),), ((1, 2), (1, 2), (1, 2))])
-    def test_axes_must_match_the_orders(self, axes):
-        # one axis per order of the pattern: fewer or more are refused,
-        # not cut to the shorter of the two
-        with pytest.raises(ElementMismatch, match=f"has {len(axes)} axes, the pattern 2"):
-            rigid_copy_in_subgrid(aligned_chain(), axes)
-
-
-class TestInducedColoring:
-    def test_constant_stays_constant(self):
-        grid = GridStruct(3, 2)
-        keys = tuple(enumerate_copies(grid, aligned_chain()))
-        const = Coloring("copies", 2, keys, (1,) * len(keys))
-        pulled = induced_coloring(const, aligned_chain(), grid)
-        assert set(pulled.values) == {1}
-        assert len(pulled.keys) == 9
-
-    def test_parity_coloring_spot_values(self):
-        grid = GridStruct(3, 2)
-        col = parity_coloring(grid, aligned_chain())
-        assert len(col.keys) == 27
-        pulled = induced_coloring(col, aligned_chain(), grid)
-        assert pulled.color(((1, 2), (1, 2))) == 2  # rigid copy starts at (1,1)
-        assert pulled.color(((2, 3), (1, 3))) == 1  # rigid copy starts at (2,1)
-        assert pulled.color(((1, 3), (2, 3))) == 2  # rigid copy starts at (1,2)
-
-    def test_every_value_replays_the_definition(self):
-        grid = GridStruct(3, 2)
-        a = aligned_chain()
-        col = parity_coloring(grid, a)
-        pulled = induced_coloring(col, a, grid)
-        for axes, value in zip(pulled.keys, pulled.values):
-            points = rigid_copy_in_subgrid(a, axes)
-            key = tuple(",".join(str(v) for v in p) for p in points)
-            assert value == col.color(key)
-
-    def test_requires_copy_coloring(self):
-        keys = tuple(all_subgrids(2, 2, 1))
-        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
-        with pytest.raises(ElementMismatch):
-            induced_coloring(col, one_point(), GridStruct(2, 2))
-
-    def test_grid_of_another_width_is_refused(self):
-        # a 2-order pattern has no rigid copy in the 3-axis subgrids of 3^3
-        keys = tuple(enumerate_copies(GridStruct(3, 2), aligned_chain()))
-        col = Coloring("copies", 2, keys, (1,) * len(keys))
-        with pytest.raises(ElementMismatch, match="different realizer counts"):
-            induced_coloring(col, aligned_chain(), GridStruct(3, 3))
-
-
-class TestColoring:
-    def test_total_and_in_range(self):
-        with pytest.raises(ElementMismatch):
-            Coloring("copies", 2, (("a",),), (3,))
-        with pytest.raises(ElementMismatch):
-            Coloring("copies", 2, (("a",), ("b",)), (1,))
-        with pytest.raises(ElementMismatch):
-            Coloring("copies", 2, (("a",), ("a",)), (1, 2))
-        with pytest.raises(ElementMismatch):
-            Coloring("spam", 2, (("a",),), (1,))
-        with pytest.raises(TooSmall):
-            Coloring("copies", 0, (), ())
-
-    def test_lookup_outside_target(self):
-        col = Coloring("copies", 2, (("a",),), (2,))
-        with pytest.raises(ElementMismatch):
-            col.color(("b",))
-
-    def test_json_keeps_only_the_value_array(self):
-        keys = tuple(all_subgrids(3, 1, 1))
-        col = Coloring("subgrids", 2, keys, (1, 2, 1))
-        payload = col.to_json()
-        assert payload == {"kind": "subgrids", "k": 2, "values": [1, 2, 1]}
-        assert Coloring.from_json(payload, keys) == col
-
-
-def brute_mono_subgrid(col, m):
-    sample = col.keys[0]
-    n, l = len(sample), len(sample[0])
-    r = max(v for axes in col.keys for axis in axes for v in axis)
-    for big in iter_product(combinations(range(1, r + 1), m), repeat=n):
-        shades = {
-            col.color(small)
-            for small in iter_product(
-                *[list(combinations(axis, l)) for axis in big]
-            )
-        }
-        if len(shades) == 1:
-            return big
-    return None
-
-
-class TestFindMonoSubgrid:
+class TestFirstMonoGroup:
     def test_pigeonhole_on_a_line(self):
-        keys = tuple(all_subgrids(3, 1, 1))
-        for values in iter_product((1, 2), repeat=3):
-            col = Coloring("subgrids", 2, keys, values)
-            assert find_mono_subgrid(col, 2) is not None
+        _, groups = _grid_groups(1, 2, 1, 3)
+        for colors in iter_product((1, 2), repeat=3):
+            assert _first_mono_group(colors, groups, lambda: None) is not None
 
-    def test_constant_coloring_returns_leading_block(self):
-        keys = tuple(all_subgrids(4, 2, 1))
-        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
-        assert find_mono_subgrid(col, 3) == Subgrid(((1, 2, 3), (1, 2, 3)))
+    def test_constant_coloring_returns_the_leading_block(self):
+        cells, groups = _grid_groups(1, 3, 2, 4)
+        assert _first_mono_group([1] * len(cells), groups, lambda: None) == 0
+        assert all_subgrids(4, 2, 3)[0] == ((1, 2, 3), (1, 2, 3))
 
-    def test_agreement_with_brute_scan(self):
+    @pytest.mark.parametrize("l, m, n, r", [(1, 2, 2, 3), (1, 2, 1, 4), (2, 3, 2, 4), (1, 3, 2, 4)])
+    def test_agreement_with_the_brute_scan(self, l, m, n, r):
         rng = random.Random(5)
-        keys = tuple(all_subgrids(3, 2, 1))
+        cells, groups = _grid_groups(l, m, n, r)
+        bigs = oracle_subgrids(r, n, m)
         for _ in range(40):
-            values = tuple(rng.choice((1, 2)) for _ in keys)
-            col = Coloring("subgrids", 2, keys, values)
-            got = find_mono_subgrid(col, 2)
-            brute = brute_mono_subgrid(col, 2)
-            assert (got is None) == (brute is None)
-            if got is not None:
-                assert got.axes == brute
+            colors = [rng.choice((1, 2)) for _ in cells]
+            got = _first_mono_group(colors, groups, lambda: None)
+            want = oracle_find_mono_subgrid(colors, l, m, n, r)
+            assert (None if got is None else bigs[got]) == want
 
-    def test_out_of_range_m(self):
-        keys = tuple(all_subgrids(3, 1, 2))
-        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
-        with pytest.raises(TooSmall):
-            find_mono_subgrid(col, 4)
-
-    def test_budget(self):
-        keys = tuple(all_subgrids(4, 2, 1))
-        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
-        with pytest.raises(LimitExceeded):
-            find_mono_subgrid(col, 2, budget=3)
-
-    def test_env_budget_names_the_scan(self, monkeypatch):
-        monkeypatch.setenv("ORDERDIM_BUDGET", "3")
-        keys = tuple(all_subgrids(4, 2, 1))
-        col = Coloring("subgrids", 2, keys, (1,) * len(keys))
+    def test_each_cell_read_ticks_the_budget(self):
+        cells, groups = _grid_groups(1, 2, 2, 4)
+        meter = BudgetMeter(3, "monochromatic-subgrid scan")
         with pytest.raises(LimitExceeded, match="^monochromatic-subgrid scan: "):
-            find_mono_subgrid(col, 2)
+            _first_mono_group([1] * len(cells), groups, meter.tick)
+        meter = BudgetMeter(4, "monochromatic-subgrid scan")
+        assert _first_mono_group([1] * len(cells), groups, meter.tick) == 0
 
 
 class TestColoringSearch:
@@ -479,8 +378,18 @@ class TestGridSearchPins:
     def test_steps_and_coloring_are_pinned(self, args):
         meter = BudgetMeter(10**9, "test")
         found = _grid_counterexample(*args, meter=meter)
-        values = None if found is None else "".join(map(str, found.values))
+        values = None if found is None else "".join(map(str, found))
         assert (10**9 - meter.remaining, values) == self.PINS[args]
+
+    @pytest.mark.parametrize(
+        "args", sorted(a for a, (_, values) in PINS.items() if values), ids=str
+    )
+    def test_pinned_coloring_has_no_monochromatic_subgrid(self, args):
+        # the lower side of each threshold, checked by the brute-force scan
+        k, l, m, n, r = args
+        colors = [int(c) for c in self.PINS[args][1]]
+        assert set(colors) <= set(range(1, k + 1))
+        assert oracle_find_mono_subgrid(colors, l, m, n, r) is None
 
 
 class TestProductRamseyNumber:
@@ -495,11 +404,12 @@ class TestProductRamseyNumber:
         assert product_ramsey_number(2, 1, 2, 2) == SQUARE_POINT_THRESHOLD
 
     def test_threshold_is_sharp(self):
-        cex = _grid_counterexample(2, 1, 2, 2, SQUARE_POINT_THRESHOLD - 1)
+        r = SQUARE_POINT_THRESHOLD - 1
+        cex = _grid_counterexample(2, 1, 2, 2, r, BudgetMeter(None, "test"))
         assert cex is not None
-        assert find_mono_subgrid(cex, 2) is None
+        assert oracle_find_mono_subgrid(cex, 1, 2, 2, r) is None
         assert (
-            _grid_counterexample(2, 1, 2, 2, SQUARE_POINT_THRESHOLD) is None
+            _grid_counterexample(2, 1, 2, 2, r + 1, BudgetMeter(None, "test")) is None
         )
 
     def test_unreachable_within_r_max(self):
@@ -509,11 +419,8 @@ class TestProductRamseyNumber:
         # the library's search against the uncut oracle on the same groups
         for r in (2, 3, 4):
             cells, groups = _grid_groups(1, 2, 2, r)
-            pruned = _grid_counterexample(2, 1, 2, 2, r)
-            plain = naive_free_coloring(len(cells), 2, groups)
-            assert (pruned is None) == (plain is None)
-            if pruned is not None:
-                assert list(pruned.values) == plain
+            pruned = _grid_counterexample(2, 1, 2, 2, r, BudgetMeter(None, "test"))
+            assert pruned == naive_free_coloring(len(cells), 2, groups)
 
     def test_invalid_parameters(self):
         with pytest.raises(TooSmall):
@@ -601,7 +508,7 @@ class TestRamseyWitnessCheck:
         # the library's search against the uncut oracle on the same groups
         for r in (2, 3):
             copies_a, _, groups = _copy_groups(
-                GridStruct(r, 2), one_point(), crossed_antichain()
+                GridStruct(r, 2), one_point(), crossed_antichain(), BudgetMeter(None, "test")
             )
             meter = BudgetMeter(None, "test")
             pruned = _search_free_coloring(len(copies_a), 2, groups, meter)
@@ -620,16 +527,15 @@ class TestRamseyWitnessCheck:
                 ((1, 3, 4, 5), (2, 3, 4, 5)),
             ):
                 b = figure_structure()
-                placed = dict(
-                    zip(b.elements, rigid_copy_in_subgrid(b, axes))
-                )
+                placed = dict(zip(b.elements, _rigid_copies(b, [axes])[0]))
                 for copy in enumerate_copies(b, a):
-                    points = [placed[x] for x in copy]
+                    labels = tuple(placed[x] for x in copy)
+                    points = [tuple(map(int, lab.split(","))) for lab in labels]
                     span = tuple(
                         tuple(sorted(p[i] for p in points))
                         for i in range(2)
                     )
-                    assert rigid_copy_in_subgrid(a, span) == points
+                    assert _rigid_copies(a, [span]) == [labels]
 
     def test_pattern_must_embed(self):
         with pytest.raises(ElementMismatch):
@@ -663,6 +569,16 @@ class TestRamseyWitnessCheck:
     def test_unknown_method_is_refused_first(self, a, b, r):
         with pytest.raises(ElementMismatch, match="^unknown method 'typo'$"):
             ramsey_witness_check(a, b, 2, r, method="typo")
+
+    @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_fewer_than_one_color_is_refused(self, method, k):
+        # before any copy is counted: the 30^2 grid's C(900, 3) candidates
+        # would be refused on the budget otherwise
+        with pytest.raises(TooSmall, match="^colorings need k >= 1$"):
+            ramsey_witness_check(one_point(), aligned_chain(), k, 2, method)
+        with pytest.raises(TooSmall, match="^colorings need k >= 1$"):
+            ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), k, 30, method)
 
     def test_pattern_larger_than_target(self):
         with pytest.raises(TooSmall):

@@ -60,25 +60,22 @@ def test_field_stores_only_in_poset():
     assert found == []
 
 
-def test_lex_less_is_called_only_by_homogeneity():
-    # Orders on points come from poset's one product builder.  The qn-lex
-    # certificate derivation in homogeneity keeps its own comparisons, because
-    # its points tie on coordinates.
+def test_no_pairwise_lex_comparator_in_the_library():
+    # Orders on points come from poset's one product builder, and the
+    # qn-lex certificate derivation compares rotated coordinate tuples.
+    # The pairwise comparators `lex_less` and `cyclic_priority` are the
+    # oracle in tests/conftest.py: the library neither defines nor calls
+    # them, in any module.
+    names = {"lex_less", "cyclic_priority"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "homogeneity.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "lex_less"
-                or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "lex_less"
-            )
+            if isinstance(node, (ast.FunctionDef, ast.alias)) and node.name in names
+            or isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
         ]
     assert found == []
 
