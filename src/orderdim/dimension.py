@@ -1,4 +1,4 @@
-"""Order dimension: critical pairs, realizer search, Ore embedding.
+"""Order dimension: critical pairs and the realizer search.
 
 A pair (x, y) of incomparable elements is critical when down(x) is
 contained in down(y) and up(y) is contained in up(x).  A family of linear
@@ -72,10 +72,8 @@ from .poset import (
     _beyond,
     _Frozen,
     _meet_rows,
-    _product_structure,
     _realizer_of_indices,
     hiraguchi_bound,
-    is_realizer,
 )
 
 __all__ = [
@@ -84,7 +82,6 @@ __all__ = [
     "critical_pairs",
     "find_realizers",
     "dimension",
-    "ore_embedding",
 ]
 
 COLOURING = "critical-pair colouring"
@@ -426,17 +423,3 @@ def dimension(p: FinitePoset, budget: int | None = None) -> DimensionResult:
             f"dimension {n} breaks the Hiraguchi bound for {len(p)} elements"
         )
     return DimensionResult(n, _checked(p, search.witness(n)))
-
-
-def ore_embedding(
-    p: FinitePoset, t: RealizerTuple
-) -> dict[str, tuple[int, ...]]:
-    """The diagonal map into the product of the witness chains, in rank
-    coordinates; the product order on the image, built by poset's one
-    product builder, must be p."""
-    if not is_realizer(p, t):
-        raise NotARealizer("ore_embedding needs a realizer of p")
-    points = t.rank_points(p.elements)
-    if _product_structure(p.elements, points).poset != p:
-        raise SelfCheckFailed("the Ore embedding disagrees with the order")
-    return dict(zip(p.elements, points))

@@ -62,10 +62,6 @@ class ColinearPoints(OrderError):
         super().__init__(f"points {i} and {j} {what}")
 
 
-class NotLinear(OrderError):
-    """An order that must be linear is not."""
-
-
 class NotARealizer(OrderError):
     """Orders do not realize the order they come with."""
 

@@ -18,7 +18,6 @@ Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -27,7 +26,6 @@ from .errors import (
     ElementMismatch,
     LimitExceeded,
     NotARealizer,
-    NotLinear,
     OrderError,
     ReflexiveViolation,
     SelfCheckFailed,
@@ -46,10 +44,7 @@ __all__ = [
     "crown",
     "chain",
     "antichain",
-    "product_order",
-    "lex_order",
     "hiraguchi_bound",
-    "tuple_label",
 ]
 
 # Crowns and `ramsey` grids past this size are refused before anything is
@@ -166,19 +161,6 @@ def _distinct(labels: Sequence[str]) -> Sequence[str]:
     return labels
 
 
-_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "(": "\\(", ")": "\\)"})
-
-
-def tuple_label(parts: Sequence[str]) -> str:
-    """Canonical label for an element of a product: "(a,b,c)".
-
-    A backslash, comma or parenthesis inside a part is escaped with a
-    backslash, so that distinct tuples always get distinct labels; a part
-    without those characters keeps its bytes.
-    """
-    return "(" + ",".join(part.translate(_LABEL_ESCAPES) for part in parts) + ")"
-
-
 class _Frozen:
     """Immutable value over the fields listed in ``__slots__``.
 
@@ -249,11 +231,11 @@ class _Frozen:
 class FinitePoset(_Frozen):
     """Strict partial order on an ordered tuple of distinct labels.
 
-    Construct through validate_poset or the module constructors; the
-    class itself only checks shape and that no label repeats, not the
-    order axioms.  ``lt`` may be a numpy bool array or nested lists of
-    bools; ``from_rows`` takes the bit rows directly.  ``down`` is ``up``
-    transposed.
+    The constructor checks shape, that no label repeats and the order
+    axioms, naming the first violation; ``lt`` may be a numpy bool array
+    or nested lists of bools.  ``from_rows`` takes the bit rows directly
+    and checks only their shape and the labels: it is for rows that
+    already are an order.  ``down`` is ``up`` transposed.
     """
 
     __slots__ = ("elements", "up", "down", "__dict__")
@@ -265,6 +247,9 @@ class FinitePoset(_Frozen):
         elements = _distinct(tuple(elements))
         m = len(elements)
         up = tuple(_matrix_rows(lt, m))
+        err = _axiom_violation(elements, up)
+        if err is not None:
+            raise err
         super().__init__(elements, up, tuple(_transpose(up, m)))
 
     @classmethod
@@ -330,13 +315,6 @@ class FinitePoset(_Frozen):
             for j in _bits(row & ~_beyond(self.up, row))
         ]
 
-    def is_chain(self) -> bool:
-        full = (1 << len(self)) - 1
-        return all(
-            up | down | 1 << i == full
-            for i, (up, down) in enumerate(zip(self.up, self.down))
-        )
-
     def to_json(self) -> dict:
         m = len(self)
         return {
@@ -356,19 +334,16 @@ class FinitePoset(_Frozen):
 
 
 def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
-    """Check the strict-order axioms, naming the first violation found.
+    """The poset on elements with relation lt, refusing an empty one.
 
-    ``lt`` is a numpy bool array or nested lists of bools.
+    The constructor checks the strict-order axioms, naming the first
+    violation found.  ``lt`` is a numpy bool array or nested lists of
+    bools.
     """
     labels = tuple(elements)
     if len(labels) < 1:
         raise TooSmall("a poset needs at least one element")
-    _distinct(labels)
-    up = _matrix_rows(lt, len(labels))
-    err = _axiom_violation(labels, up)
-    if err is not None:
-        raise err
-    return FinitePoset.from_rows(labels, up)
+    return FinitePoset(labels, lt)
 
 
 class LinearOrder(_Frozen):
@@ -649,82 +624,36 @@ def antichain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
     return FinitePoset.from_rows(_generated_labels("antichain", m, labels, "e"), [0] * m)
 
 
-def _product_rows(coords: Sequence[Sequence[int]], axes: Sequence[Sequence[int]]) -> list[int]:
-    """Up rows of the product order on distinct points, for every product
-    in the package.  coords[a][b] is point b's value on axis a, an index
-    into axes[a], the bit rows of that axis's order; point b is below
-    point c when c's value is b's or above it on every axis."""
-    m = len(coords[0])
-    up = [((1 << m) - 1) ^ 1 << b for b in range(m)]
-    for coord, rows in zip(coords, axes):
-        at = [0] * len(rows)
-        for b, v in enumerate(coord):
-            at[v] |= 1 << b
-        # Points whose value on this axis is v or above it, built from the
-        # top down (fewer values above first): with w the lowest-indexed
-        # value above v, those are at[v], at_least[w] and at[u] for each u
-        # above v but not w or above it.  On a chain listed bottom to top,
-        # as the axes of clouds and grids are, w covers v and nothing is
-        # left over, so the axis costs one OR per value.
-        at_least = at[:]
-        for v in sorted(range(len(rows)), key=lambda v: rows[v].bit_count()):
-            row = rows[v]
-            if row:
-                w = (row & -row).bit_length() - 1
-                at_least[v] |= at_least[w] | _beyond(at, row & ~(rows[w] | 1 << w))
-        for b, v in enumerate(coord):
-            up[b] &= at_least[v]
-    return up
-
-
 def _product_structure(labels: Sequence[str], points: Sequence[Sequence]) -> OrderedStructure:
     """Distinct points, labels[b] naming points[b], under the product
     order and its n cyclic lexicographic orders: order i compares axes i,
     i+1, ..., n-1, 0, ..., i-1 in turn.  Each axis's values need only
-    compare; they enter as dense ranks, which sort alike."""
+    compare; they enter as dense ranks, which sort alike.  Every axis is
+    a chain, so the points at or above rank r on it are a suffix OR over
+    ranks, one OR per value; point b is below point c when c is at or
+    above b's rank on every axis, one AND per point per axis."""
     if not points:
         raise TooSmall("the product order needs at least one point")
+    m = len(points)
+    up = [((1 << m) - 1) ^ 1 << b for b in range(m)]
     coords = []
     for values in zip(*points):
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
-        coords.append([rank[v] for v in values])
-    up = _product_rows(coords, [_chain_rows(max(c) + 1) for c in coords])
+        coord = [rank[v] for v in values]
+        at_least = [0] * len(rank)
+        for b, r in enumerate(coord):
+            at_least[r] |= 1 << b
+        for r in reversed(range(len(rank) - 1)):
+            at_least[r] |= at_least[r + 1]
+        for b, r in enumerate(coord):
+            up[b] &= at_least[r]
+        coords.append(coord)
     orders = []
     for i in range(len(coords)):
         key = list(zip(*coords[i:], *coords[:i]))
-        seq = sorted(range(len(up)), key=key.__getitem__)
+        seq = sorted(range(m), key=key.__getitem__)
         orders.append(LinearOrder([labels[b] for b in seq]))
     return OrderedStructure(FinitePoset.from_rows(labels, up), RealizerTuple(orders))
-
-
-def product_order(ps: Sequence[FinitePoset]) -> FinitePoset:
-    """Cartesian product with the componentwise order (<= everywhere, not
-    equal), built by _product_rows over the factors' rows."""
-    if not ps:
-        raise TooSmall("product_order needs at least one factor")
-    tuples = list(iter_product(*[p.elements for p in ps]))
-    coords = [[p.index(t[a]) for t in tuples] for a, p in enumerate(ps)]
-    up = _product_rows(coords, [p.up for p in ps])
-    return FinitePoset.from_rows([tuple_label(t) for t in tuples], up)
-
-
-def lex_order(ps: Sequence[FinitePoset], i: int) -> LinearOrder:
-    """The i-th lexicographic order on the product of the given chains.
-
-    Coordinates are compared with cyclic priority i, i+1, ..., n, 1, ..., i-1
-    (1-based i as in the written convention): the i-th order of the
-    product structure that _product_structure builds over chain ranks.
-    """
-    if not ps:
-        raise TooSmall("lex_order needs at least one factor")
-    n = len(ps)
-    if not 1 <= i <= n:
-        raise ElementMismatch(f"priority index {i} out of range 1..{n}")
-    if not all(p.is_chain() for p in ps):
-        raise NotLinear("lex_order factors must be chains")
-    tuples = list(iter_product(*[p.elements for p in ps]))
-    ranks = [tuple(p.down[p.index(x)].bit_count() for p, x in zip(ps, t)) for t in tuples]
-    return _product_structure([tuple_label(t) for t in tuples], ranks).realizers.orders[i - 1]
 
 
 def hiraguchi_bound(p: FinitePoset) -> int:

@@ -113,6 +113,11 @@ def naive_is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:
     return True
 
 
+def is_chain(p: FinitePoset) -> bool:
+    """Every two elements are comparable, asked through poset.less."""
+    return all(a == b or p.less(a, b) or p.less(b, a) for a in p.elements for b in p.elements)
+
+
 def less_pairs(p: FinitePoset) -> set[tuple[str, str]]:
     """Every related pair (a, b), a < b, read off `less`."""
     return {(a, b) for a in p.elements for b in p.elements if p.less(a, b)}
@@ -623,20 +628,6 @@ def oracle_verify(emb: PartialEmbedding) -> None:
                     raise InvalidEmbedding(f"order {i + 1} not preserved on ({x}, {y})")
             if emb.source.poset.less(x, y) != product_less(px, py):
                 raise InvalidEmbedding(f"product order not preserved on ({x}, {y})")
-
-
-def oracle_product_rows(ps: Sequence[FinitePoset]) -> list[int]:
-    """`product_order`'s up rows, by comparing every ordered pair of
-    tuples factor by factor, each factor equal or below."""
-    tuples = list(iter_product(*[p.elements for p in ps]))
-    return [
-        sum(
-            1 << j
-            for j, u in enumerate(tuples)
-            if t != u and all(x == y or p.less(x, y) for p, x, y in zip(ps, t, u))
-        )
-        for t in tuples
-    ]
 
 
 def naive_free_coloring(

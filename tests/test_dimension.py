@@ -23,7 +23,6 @@ from hypothesis import given, strategies as st
 from orderdim.errors import LimitExceeded, NotARealizer, SelfCheckFailed
 from orderdim.poset import (
     FinitePoset,
-    LinearOrder,
     RealizerTuple,
     _bits,
     antichain,
@@ -31,9 +30,9 @@ from orderdim.poset import (
     crown,
     hiraguchi_bound,
     is_realizer,
-    product_order,
 )
 from orderdim.budget import BudgetMeter
+from orderdim.ramsey import GridStruct
 from orderdim.dimension import (
     _RealizerSearch,
     _checked,
@@ -45,12 +44,12 @@ from orderdim.dimension import (
     critical_pairs,
     dimension,
     find_realizers,
-    ore_embedding,
 )
 
 from conftest import (
     all_posets_on,
     CoverSearch,
+    is_chain,
     less_pairs,
     naive_critical_pairs,
     naive_is_realizer,
@@ -185,7 +184,7 @@ class TestExtensionStream:
     def test_stream_matches_the_index_walk_on_grids(self, m):
         # The first 2,000 extensions of the m x m grid, where the index
         # walk rescans every placed element at each step.
-        down = product_order([chain(m), chain(m)]).down
+        down = GridStruct(m, 2).structure.poset.down
         got = drain(_extensions, down, 2_000)
         assert got[1] and len(got[0]) == 2_000
         assert got == drain(oracle_extensions, down, 2_000)
@@ -274,7 +273,7 @@ class TestDimension:
         for m in (1, 2, 3, 4):
             labels = tuple(f"e{i}" for i in range(m))
             for p in all_posets_on(labels):
-                assert (dimension(p).dim == 1) == p.is_chain()
+                assert (dimension(p).dim == 1) == is_chain(p)
 
     def test_hiraguchi_bound_random(self):
         rng = random.Random(12)
@@ -302,38 +301,6 @@ class TestDimension:
         a = dimension(crown(3)).witness
         b = dimension(crown(3)).witness
         assert a == b
-
-
-class TestOreEmbedding:
-    def test_chain_into_itself(self):
-        p = chain(2, ("a", "b"))
-        t = RealizerTuple([LinearOrder(("a", "b"))])
-        assert ore_embedding(p, t) == {"a": (1,), "b": (2,)}
-
-    def test_two_antichain_rank_coordinates(self):
-        p = antichain(2, ("a", "b"))
-        t = RealizerTuple([LinearOrder(("a", "b")), LinearOrder(("b", "a"))])
-        assert ore_embedding(p, t) == {"a": (1, 2), "b": (2, 1)}
-
-    def test_crown3_six_points_in_cube(self):
-        p = crown(3)
-        t = dimension(p).witness
-        img = ore_embedding(p, t)
-        assert len(img) == 6
-        for coords in img.values():
-            assert all(1 <= c <= 6 for c in coords)
-        # projections recover each witness order
-        for axis, o in enumerate(t.orders):
-            by_axis = sorted(p.elements, key=lambda e: img[e][axis])
-            assert tuple(by_axis) == o.order
-
-    def test_rejects_non_realizer(self):
-        from orderdim.errors import NotARealizer
-
-        p = antichain(2, ("a", "b"))
-        t = RealizerTuple([LinearOrder(("a", "b")), LinearOrder(("a", "b"))])
-        with pytest.raises(NotARealizer):
-            ore_embedding(p, t)
 
 
 def assert_agrees_with_cover_search(p):
@@ -844,15 +811,6 @@ class TestSelfChecks:
         monkeypatch.setattr(_RealizerSearch, "_bipartite", lambda search, mask: mask)
         with pytest.raises(SelfCheckFailed, match="no linear extension"):
             dimension(antichain(2))
-
-    # The cross-check compares the product order on the rank points with
-    # p; rank points placed the wrong way up fail it.
-    def test_failed_ore_cross_check_is_typed(self, monkeypatch):
-        p = chain(2, ("a", "b"))
-        t = RealizerTuple([LinearOrder(("a", "b"))])
-        monkeypatch.setattr(RealizerTuple, "rank_points", lambda self, elements: [(2,), (1,)])
-        with pytest.raises(SelfCheckFailed):
-            ore_embedding(p, t)
 
     def test_checks_run_under_optimize(self):
         script = (

@@ -13,7 +13,6 @@ from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
     ElementMismatch,
-    NotLinear,
     ReflexiveViolation,
     TooSmall,
     TransitivityViolation,
@@ -32,10 +31,7 @@ from orderdim.poset import (
     is_realizer,
     _intersection_rows,
     _meet_rows,
-    lex_order,
-    product_order,
     szpilrajn_extend,
-    tuple_label,
     validate_poset,
 )
 from orderdim.ramsey import GridStruct
@@ -46,7 +42,6 @@ from conftest import (
     naive_is_realizer,
     oracle_intersection_rows,
     oracle_point_structure,
-    oracle_product_rows,
     random_poset,
 )
 
@@ -98,6 +93,36 @@ class TestValidatePoset:
     def test_empty_element_list_rejected(self):
         with pytest.raises(TooSmall):
             validate_poset((), np.zeros((0, 0), dtype=bool))
+
+
+T, F = True, False
+
+# Relations that are no strict order, with the violation each one names.
+NON_ORDERS = {
+    "reflexive": (("a", "b"), [[T, F], [F, F]], ReflexiveViolation, "label", "a"),
+    "two-cycle": (("a", "b"), [[F, T], [T, F]], TransitivityViolation, "triple", ("a", "b", "a")),
+    "transitivity-gap": (
+        ("a", "b", "c"),
+        [[F, T, F], [F, F, T], [F, F, F]],
+        TransitivityViolation,
+        "triple",
+        ("a", "b", "c"),
+    ),
+}
+
+
+class TestMatrixConstructorChecksAxioms:
+    """FinitePoset(elements, lt) refuses a relation that is no strict
+    order, with the error validate_poset raises; built anyway, each of
+    these made dimension() fail its self-check."""
+
+    @pytest.mark.parametrize("case", list(NON_ORDERS))
+    def test_non_order_is_refused(self, case):
+        labels, lt, error, field, named = NON_ORDERS[case]
+        for build in (FinitePoset, validate_poset):
+            with pytest.raises(error) as exc:
+                build(labels, lt)
+            assert getattr(exc.value, field) == named
 
 
 class TestRepeatedLabels:
@@ -334,118 +359,6 @@ class TestCrown:
         assert validate_poset(p.elements, p.lt) == p
 
 
-class TestProductOrder:
-    def test_two_two_chains_make_grid(self):
-        p = product_order([chain(2, ("1", "2"))] * 2)
-        assert p.elements == ("(1,1)", "(1,2)", "(2,1)", "(2,2)")
-        assert less_pairs(p) == {
-            ("(1,1)", "(1,2)"),
-            ("(1,1)", "(2,1)"),
-            ("(1,1)", "(2,2)"),
-            ("(1,2)", "(2,2)"),
-            ("(2,1)", "(2,2)"),
-        }
-
-    def test_three_chain_squared_size(self):
-        p = product_order([chain(3, ("1", "2", "3"))] * 2)
-        assert len(p) == 9
-        assert validate_poset(p.elements, p.lt) == p
-
-    def test_one_chain_factor_is_identity(self):
-        q = crown(2)
-        p = product_order([chain(1, ("u",)), q])
-        assert np.array_equal(p.lt, q.lt)
-
-    def test_empty_factor_list_rejected(self):
-        with pytest.raises(TooSmall):
-            product_order([])
-
-    def test_labels_with_commas_stay_distinct(self):
-        # joined unescaped, ("a", "b,c") and ("a,b", "c") both read "(a,b,c)"
-        p = product_order([antichain(2, ["a", "a,b"]), antichain(2, ["b,c", "c"])])
-        assert len(set(p.elements)) == len(p) == 4
-        assert p.elements == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
-
-    @given(
-        st.lists(
-            st.lists(st.text("ab,()\\", max_size=4), min_size=1, max_size=3, unique=True),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    def test_labels_of_distinct_tuples_are_distinct(self, factors):
-        tuples = list(iter_product(*factors))
-        assert len({tuple_label(t) for t in tuples}) == len(tuples)
-        p = product_order([antichain(len(f), f) for f in factors])
-        assert p.elements == tuple(tuple_label(t) for t in tuples)
-
-    @given(st.integers(0, 2**32), st.integers(1, 3))
-    def test_random_factors_match_the_pairwise_oracle(self, seed, count):
-        # General posets, and chains whose order does not follow element
-        # index, where the lowest-indexed value above v need not cover v.
-        rng = random.Random(seed)
-        factors = []
-        for _ in range(count):
-            k = rng.randint(1, 5)
-            if rng.random() < 0.5:
-                factors.append(random_poset(rng, k))
-            else:
-                perm = rng.sample(range(k), k)
-                rows = [0] * k
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        rows[perm[a]] |= 1 << perm[b]
-                factors.append(FinitePoset.from_rows([f"y{v}" for v in range(k)], rows))
-        assert list(product_order(factors).up) == oracle_product_rows(factors)
-
-
-class TestLexOrder:
-    def test_standard_lexicographic(self):
-        two = chain(2, ("1", "2"))
-        o = lex_order([two, two], 1)
-        assert o.order == ("(1,1)", "(1,2)", "(2,1)", "(2,2)")
-
-    def test_colexicographic(self):
-        two = chain(2, ("1", "2"))
-        o = lex_order([two, two], 2)
-        assert o.order == ("(1,1)", "(2,1)", "(1,2)", "(2,2)")
-
-    def test_cyclic_priority_against_brute_comparator(self):
-        two = chain(2, ("1", "2"))
-        o = lex_order([two, two, two], 2)
-        # priority 2, 3, 1: sort tuples by (t[1], t[2], t[0])
-        expect = sorted(
-            iter_product("12", repeat=3), key=lambda t: (t[1], t[2], t[0])
-        )
-        assert o.order == tuple(tuple_label(t) for t in expect)
-
-    def test_non_chain_rejected(self):
-        with pytest.raises(NotLinear):
-            lex_order([antichain(2), chain(2)], 1)
-
-    def test_lex_orders_realize_product_of_chains(self):
-        # exhaustive over chain lengths <= 3 and n <= 3
-        for n in (1, 2, 3):
-            for lengths in iter_product((1, 2, 3), repeat=n):
-                factors = [
-                    chain(l, tuple(f"{c}" for c in range(1, l + 1))) for l in lengths
-                ]
-                p = product_order(factors)
-                t = RealizerTuple([lex_order(factors, i) for i in range(1, n + 1)])
-                assert is_realizer(p, t)
-
-    def test_lex_implies_weak_coordinate_inequality(self):
-        three = chain(3, ("1", "2", "3"))
-        factors = [three, three, three]
-        for i in (1, 2, 3):
-            o = lex_order(factors, i)
-            tuples = {lab: lab.strip("()").split(",") for lab in o.order}
-            for a in o.order:
-                for b in o.order:
-                    if o.rank[a] < o.rank[b]:
-                        assert tuples[a][i - 1] <= tuples[b][i - 1]
-
-
 def _built(s: OrderedStructure) -> tuple:
     return list(s.elements), list(s.poset.up), [list(o.order) for o in s.realizers.orders]
 
@@ -470,35 +383,6 @@ def _grid_case(m: int, n: int) -> tuple[tuple, tuple]:
     return _built(g.structure), _expected([g.label(p) for p in g.points], list(g.points))
 
 
-def _factors_case(seed: int) -> tuple[tuple, tuple]:
-    """product_order over random posets that are not chains."""
-    rng = random.Random(seed)
-    count = rng.randint(2, 3)
-    ps = []
-    while len(ps) < count:
-        p = random_poset(rng, rng.randint(2, 4))
-        if not p.is_chain():
-            ps.append(p)
-    p = product_order(ps)
-    labels = [tuple_label(t) for t in iter_product(*[q.elements for q in ps])]
-    return (list(p.elements), list(p.up), []), (labels, oracle_product_rows(ps), [])
-
-
-def _chains_case(seed: int) -> tuple[tuple, tuple]:
-    """product_order and every lex_order over chains whose elements are
-    not listed bottom to top."""
-    rng = random.Random(seed)
-    labels = [f"y{v}" for v in range(5)]
-    seqs = [rng.sample(labels, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
-    chains = [chain(len(seq), seq) for seq in seqs]
-    tuples = list(iter_product(*[c.elements for c in chains]))
-    ranks = [tuple(seq.index(x) for seq, x in zip(seqs, t)) for t in tuples]
-    p = product_order(chains)
-    orders = [list(lex_order(chains, i).order) for i in range(1, len(chains) + 1)]
-    expected = _expected([tuple_label(t) for t in tuples], ranks)
-    return (list(p.elements), list(p.up), orders), expected
-
-
 PRODUCT_CASES = {
     "sample_dn-2d": lambda: _cloud_case(sample_dn(2, 200, seed=1)),
     "sample_dn-3d": lambda: _cloud_case(sample_dn(3, 100, seed=2)),
@@ -507,11 +391,10 @@ PRODUCT_CASES = {
     "symmetric-3d-relaxed": lambda: _cloud_case(symmetric_sample(3, 24, seed=5)),
     "relaxed-2d": lambda: _cloud_case(_relaxed_cloud(2, 12, seed=6)),
     "relaxed-3d": lambda: _cloud_case(_relaxed_cloud(3, 40, seed=7)),
+    "relaxed-4d": lambda: _cloud_case(_relaxed_cloud(4, 90, seed=9)),
     "grid-7^1": lambda: _grid_case(7, 1),
     "grid-6^2": lambda: _grid_case(6, 2),
     "grid-4^3": lambda: _grid_case(4, 3),
-    **{f"factors-{seed}": lambda seed=seed: _factors_case(seed) for seed in range(4)},
-    **{f"chains-{seed}": lambda seed=seed: _chains_case(seed) for seed in range(4)},
 }
 
 
@@ -523,6 +406,7 @@ class TestProductBuilderAgainstOracle:
     def test_matches_pairwise_oracle(self, case):
         built, expected = PRODUCT_CASES[case]()
         assert built == expected
+
 
 
 class TestHiraguchi:

@@ -10,17 +10,32 @@ import pytest
 
 from conftest import (
     cyclic_priority,
+    is_chain,
     lex_less,
     naive_free_coloring,
     naive_is_copy,
     oracle_find_mono_subgrid,
+    oracle_point_structure,
     oracle_rigid_copy_in_subgrid,
     oracle_subgrids,
     random_structure,
 )
 from orderdim.budget import BudgetMeter
-from orderdim.errors import ElementMismatch, LimitExceeded, SelfCheckFailed, TooSmall
-from orderdim.poset import LinearOrder, OrderedStructure, chain, product_less, product_order
+from orderdim.errors import (
+    ElementMismatch,
+    LimitExceeded,
+    NotARealizer,
+    SelfCheckFailed,
+    TooSmall,
+)
+from orderdim.poset import (
+    LinearOrder,
+    OrderedStructure,
+    RealizerTuple,
+    antichain,
+    chain,
+    product_less,
+)
 from orderdim.ramsey import (
     GridStruct,
     _copy_groups,
@@ -77,6 +92,18 @@ def figure_structure():
     )
 
 
+def assert_matches_point_oracle(g: GridStruct) -> None:
+    """The grid's labels, rows and orders against pairwise product
+    comparison and tuple sorts of its points."""
+    s = g.structure
+    up, seqs = oracle_point_structure(list(g.points))
+    assert list(s.elements) == [g.label(p) for p in g.points]
+    assert list(s.poset.up) == up
+    assert [list(o.order) for o in s.realizers.orders] == [
+        [s.elements[b] for b in seq] for seq in seqs
+    ]
+
+
 class TestGridStruct:
     def test_square_orders(self):
         g = GridStruct(2, 2)
@@ -87,21 +114,18 @@ class TestGridStruct:
         assert s.poset.incomparable("1,2", "2,1")
 
     def test_lex_orders_realize_product_order_all_small_grids(self):
+        # Construction re-checks that the orders realize the rows.
         for m in range(1, 6):
             for n in range(1, 4):
-                GridStruct(m, n).structure  # construction re-checks
+                assert_matches_point_oracle(GridStruct(m, n))
 
     def test_structure_at_the_cap_is_the_product_of_chains(self):
-        # The 1024 points of `gen grid --m 32 --n 2`; construction re-checks
-        # that the lexicographic orders realize the rows.
-        s = GridStruct(32, 2).structure
-        p = product_order([chain(32, [str(v) for v in range(1, 33)])] * 2)
-        assert [f"({lab})" for lab in s.elements] == list(p.elements)
-        assert s.poset.up == p.up
+        # The 1024 points of `gen grid --m 32 --n 2`.
+        assert_matches_point_oracle(GridStruct(32, 2))
 
     def test_line_grid(self):
         g = GridStruct(3, 1)
-        assert g.structure.poset.is_chain()
+        assert is_chain(g.structure.poset)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -149,6 +173,17 @@ class TestRigidEmbed:
             s = random_structure(random.Random(seed), 5, 3)
             image = rigid_embed(s)
             assert is_rigid_placement(s, image)
+
+    def test_single_order_gives_rank_coordinates(self):
+        p = chain(2, ("a", "b"))
+        s = OrderedStructure(p, RealizerTuple([LinearOrder(("a", "b"))]))
+        assert rigid_embed(s) == [(1,), (2,)]
+
+    def test_non_realizer_is_refused_before_embedding(self):
+        p = antichain(2, ("a", "b"))
+        t = RealizerTuple([LinearOrder(("a", "b")), LinearOrder(("a", "b"))])
+        with pytest.raises(NotARealizer):
+            OrderedStructure(p, t)
 
     def test_uniqueness_by_exhaustion_width_two(self):
         s = figure_structure()

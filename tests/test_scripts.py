@@ -1,9 +1,11 @@
-"""The certificate script: every certificate replayed, failures stop it."""
+"""The scripts: certificates replayed (failures stop them), the dimension
+survey, the two-class check and the code-line counter."""
 
 from __future__ import annotations
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -114,3 +116,44 @@ def test_dimension_survey_profile_under_optimize():
         us, *phase_us, colouring, witness = map(float, line.split()[1:])
         assert us > 0 and colouring >= 0 and witness >= 1
         assert len(phase_us) == 4 and all(t >= 0 for t in phase_us)
+
+
+# Seven code lines: the import, the def, both lines of the bracketed
+# sum, both lines of the returned string (no docstring) and the class.
+SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves a code line
+
+
+def f(x):
+    """One-line docstring."""
+    # a comment line
+    y = (x +
+         1)
+
+    return """not a
+docstring"""
+
+
+class C:
+    """Class docstring."""
+'''
+
+
+def test_code_line_count_of_a_snippet():
+    count = runpy.run_path(str(SCRIPTS / "code_lines.py"))["code_lines"]
+    assert count(SNIPPET) == 7
+    assert count("") == 0
+
+
+def test_code_line_script_counts_each_module_and_the_total(tmp_path):
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    out = run_python([str(SCRIPTS / "code_lines.py"), str(tmp_path)])
+    assert out.returncode == 0, out.stderr
+    assert [line.split() for line in out.stdout.splitlines()] == [
+        ["a.py", "7"],
+        ["b.py", "1"],
+        ["total", "8"],
+    ]
