@@ -31,6 +31,7 @@ from orderdim.poset import (
     is_realizer,
     _intersection_rows,
     _meet_rows,
+    _product_structure,
     szpilrajn_extend,
     validate_poset,
 )
@@ -123,6 +124,15 @@ class TestMatrixConstructorChecksAxioms:
             with pytest.raises(error) as exc:
                 build(labels, lt)
             assert getattr(exc.value, field) == named
+
+    def test_every_order_on_three_labels_is_accepted(self):
+        for p in all_posets_on(("a", "b", "c")):
+            assert FinitePoset(p.elements, p.lt) == p
+
+    @given(st.integers(0, 2**32), st.integers(1, 9))
+    def test_random_orders_are_accepted(self, seed, m):
+        p = random_poset(random.Random(seed), m)
+        assert FinitePoset(p.elements, p.lt) == p
 
 
 class TestRepeatedLabels:
@@ -383,6 +393,24 @@ def _grid_case(m: int, n: int) -> tuple[tuple, tuple]:
     return _built(g.structure), _expected([g.label(p) for p in g.points], list(g.points))
 
 
+def _grid_points(lengths) -> tuple[list[str], list[tuple]]:
+    """The points of a product of chains of the given lengths, values
+    from 1, with labels "a,b,c"."""
+    points = list(iter_product(*[range(1, k + 1) for k in lengths]))
+    return [",".join(map(str, p)) for p in points], points
+
+
+def _chains_case(seed: int) -> tuple[tuple, tuple]:
+    """A product of chains whose axis values are spread out and whose
+    points are listed in random order, not bottom to top."""
+    rng = random.Random(seed)
+    axes = [rng.sample(range(-20, 20), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    points = list(iter_product(*axes))
+    rng.shuffle(points)
+    labels = [f"y{b}" for b in range(len(points))]
+    return _built(_product_structure(labels, points)), _expected(labels, points)
+
+
 PRODUCT_CASES = {
     "sample_dn-2d": lambda: _cloud_case(sample_dn(2, 200, seed=1)),
     "sample_dn-3d": lambda: _cloud_case(sample_dn(3, 100, seed=2)),
@@ -395,6 +423,7 @@ PRODUCT_CASES = {
     "grid-7^1": lambda: _grid_case(7, 1),
     "grid-6^2": lambda: _grid_case(6, 2),
     "grid-4^3": lambda: _grid_case(4, 3),
+    **{f"chains-{seed}": lambda seed=seed: _chains_case(seed) for seed in range(4)},
 }
 
 
@@ -407,6 +436,96 @@ class TestProductBuilderAgainstOracle:
         built, expected = PRODUCT_CASES[case]()
         assert built == expected
 
+
+class TestProductOfChains:
+    """`_product_structure` called directly: the product order of chains
+    and its cyclic lexicographic orders."""
+
+    def test_two_two_chains_make_grid(self):
+        labels, points = _grid_points((2, 2))
+        p = _product_structure(labels, points).poset
+        assert p.elements == ("1,1", "1,2", "2,1", "2,2")
+        assert less_pairs(p) == {
+            ("1,1", "1,2"),
+            ("1,1", "2,1"),
+            ("1,1", "2,2"),
+            ("1,2", "2,2"),
+            ("2,1", "2,2"),
+        }
+
+    def test_three_chain_squared_size(self):
+        p = _product_structure(*_grid_points((3, 3))).poset
+        assert len(p) == 9
+        assert validate_poset(p.elements, p.lt) == p
+
+    def test_one_chain_factor_is_identity(self):
+        # A one-value axis compares every pair equal, so it adds no relation.
+        labels, points = _grid_points((2, 3))
+        flat = _product_structure(labels, points)
+        padded = _product_structure(labels, [(0,) + q for q in points])
+        assert padded.poset == flat.poset
+        assert padded.realizers.orders[0] == flat.realizers.orders[0]
+
+    def test_empty_point_list_rejected(self):
+        with pytest.raises(TooSmall):
+            _product_structure([], [])
+
+    def test_labels_name_points_in_input_order(self):
+        labels, points = _grid_points((2, 2, 2))
+        seq = list(range(len(points)))
+        random.Random(3).shuffle(seq)
+        s = _product_structure([labels[b] for b in seq], [points[b] for b in seq])
+        assert s.elements == tuple(labels[b] for b in seq)
+        assert less_pairs(s.poset) == less_pairs(_product_structure(labels, points).poset)
+
+    def test_values_enter_as_dense_ranks(self):
+        # Values that only compare, with gaps, build what their ranks build.
+        labels, points = _grid_points((3, 2, 4))
+        words = ["ant", "bee", "cat", "dog"]
+        spread = [(words[a - 1], -10.5 * (3 - b), 7**c) for a, b, c in points]
+        assert _product_structure(labels, spread) == _product_structure(labels, points)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=30, unique=True
+            )
+        )
+    )
+    def test_random_points_match_the_pairwise_oracle(self, points):
+        labels = [f"q{b}" for b in range(len(points))]
+        assert _built(_product_structure(labels, points)) == _expected(labels, points)
+
+    def test_standard_lexicographic(self):
+        o = _product_structure(*_grid_points((2, 2))).realizers.orders[0]
+        assert o.order == ("1,1", "1,2", "2,1", "2,2")
+
+    def test_colexicographic(self):
+        o = _product_structure(*_grid_points((2, 2))).realizers.orders[1]
+        assert o.order == ("1,1", "2,1", "1,2", "2,2")
+
+    def test_cyclic_priority_against_brute_comparator(self):
+        o = _product_structure(*_grid_points((2, 2, 2))).realizers.orders[1]
+        # priority 2, 3, 1: sort tuples by (t[1], t[2], t[0])
+        expect = sorted(iter_product("12", repeat=3), key=lambda t: (t[1], t[2], t[0]))
+        assert o.order == tuple(",".join(t) for t in expect)
+
+    def test_lex_orders_realize_product_of_chains(self):
+        # exhaustive over chain lengths <= 3 and n <= 3
+        for n in (1, 2, 3):
+            for lengths in iter_product((1, 2, 3), repeat=n):
+                s = _product_structure(*_grid_points(lengths))
+                assert s.n == n
+                assert naive_is_realizer(s.poset, s.realizers)
+
+    def test_lex_implies_weak_coordinate_inequality(self):
+        s = _product_structure(*_grid_points((3, 3, 3)))
+        for i, o in enumerate(s.realizers.orders):
+            coords = {lab: lab.split(",") for lab in o.order}
+            for a in o.order:
+                for b in o.order:
+                    if o.rank[a] < o.rank[b]:
+                        assert coords[a][i] <= coords[b][i]
 
 
 class TestHiraguchi:

@@ -32,10 +32,13 @@ from orderdim.poset import (
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
+    _product_structure,
     antichain,
     chain,
+    crown,
     product_less,
 )
+from orderdim.dimension import dimension
 from orderdim.ramsey import (
     GridStruct,
     _copy_groups,
@@ -184,6 +187,26 @@ class TestRigidEmbed:
         t = RealizerTuple([LinearOrder(("a", "b")), LinearOrder(("a", "b"))])
         with pytest.raises(NotARealizer):
             OrderedStructure(p, t)
+
+    def test_crown3_six_points_in_cube(self):
+        p = crown(3)
+        s = OrderedStructure(p, dimension(p).witness)
+        image = dict(zip(s.elements, rigid_embed(s)))
+        assert len(image) == 6
+        for coords in image.values():
+            assert all(1 <= c <= 6 for c in coords)
+        # projections recover each witness order
+        for axis, o in enumerate(s.realizers.orders):
+            assert tuple(sorted(p.elements, key=lambda e: image[e][axis])) == o.order
+
+    def test_rank_points_rebuild_the_structure(self):
+        # Dushnik-Miller: the product order on the rank points is the
+        # poset.  No two points share a coordinate, so each cyclic
+        # lexicographic order is decided by its first axis: the realizers.
+        for seed in range(8):
+            s = random_structure(random.Random(seed), 7, 3)
+            rebuilt = _product_structure(s.elements, rigid_embed(s))
+            assert rebuilt == s
 
     def test_uniqueness_by_exhaustion_width_two(self):
         s = figure_structure()
