@@ -80,6 +80,16 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse more than MAX_CLOUD_DIM axes: the one width cap of clouds and
+    of the certificate derivations that build one, checked before any
+    point is made."""
+    if dim > MAX_CLOUD_DIM:
+        raise LimitExceeded(
+            f"point clouds are capped at {MAX_CLOUD_DIM} dimensions, got {dim}"
+        )
+
+
 class PointCloud(_Frozen):
     """Finite list of n-dimensional exact-rational points.
 
@@ -95,10 +105,7 @@ class PointCloud(_Frozen):
     def __init__(self, dim: int, points: Sequence[Sequence[object]], strict: bool = True):
         if dim < 2:
             raise TooSmall("point clouds need dimension >= 2")
-        if dim > MAX_CLOUD_DIM:
-            raise LimitExceeded(
-                f"point clouds are capped at {MAX_CLOUD_DIM} dimensions, got {dim}"
-            )
+        _check_dim(dim)
         pts: list[Point] = []
         seen: dict[Point, int] = {}
         axis_values: list[dict[Fraction, int]] = [{} for _ in range(dim)]

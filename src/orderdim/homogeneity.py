@@ -16,14 +16,20 @@ all of the data:
   over the common antichain is forced back to the full crown, whose
   dimension exceeds the ambient one.
 - not-ultrahomogeneous: the three-antichain swap that no product-order
-  automorphism can extend (interval propagation shows the image
-  constraints are unsatisfiable).
+  automorphism can extend: every point above the images of two of the
+  antichain points is above the third on every axis, which the
+  derivation checks axis by axis, so no point of Q^n is an image.
 - qn-lex-not-ultrahomogeneous: the colinear triple under lexicographic
   realizers whose extension point is forced to collapse onto an
-  existing point.
+  existing point: its bounds in each order tie on the axis that order
+  compares first, so the point equals the lower bound on every axis.
 - two-homogeneity-extension: a pair-to-pair map extended to a larger
   partial automorphism by matching coordinate sign patterns with an
   axis permutation and then running back-and-forth.
+
+The two Q^n kinds decide their claim axis by axis, with no search.  The
+kinds that build a point cloud refuse a width past
+geometry.MAX_CLOUD_DIM before any point is built.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product as iter_product
-from typing import Sequence
 
 from .budget import BudgetMeter
 from .errors import (
@@ -48,6 +53,7 @@ from .geometry import (
     PointCloud,
     Region,
     _cells,
+    _check_dim,
     as_fraction,
     back_and_forth_iso,
     frac_str,
@@ -388,22 +394,11 @@ def ap_failure_certificate(n: int = 2) -> Certificate:
 
 # --- product-order non-homogeneity ---------------------------------------
 
-
-def _grid_candidates(points: Sequence[Point], step: Fraction):
-    """Exact grid over a box one unit beyond the configuration; a grid
-    larger than the budget is refused before any point is made."""
-    n = len(points[0])
-    lo = min(v for p in points for v in p) - 1
-    hi = max(v for p in points for v in p) + 1
-    ticks = []
-    t = lo
-    while t <= hi:
-        ticks.append(t)
-        t += step
-    BudgetMeter(None, "certificate grid search").require(
-        len(ticks) ** n, "grid points"
-    )
-    return iter_product(ticks, repeat=n)
+# Both Q^n certificates record a grid step, although no grid is searched:
+# each derivation decides its constraints over all of Q^n axis by axis.
+# The field stays so that certificate bytes do not change; dropping it
+# changes every pinned nonhom and qnlex certificate.
+GRID_STEP = "1/2"
 
 
 def _nonhom_data(n: int) -> dict | None:
@@ -415,12 +410,11 @@ def _nonhom_data(n: int) -> dict | None:
     """
     if n < 2:
         raise TooSmall("the antichain swap needs n >= 2")
+    _check_dim(n)
     a = (Fraction(1),) + (Fraction(4),) * (n - 1)
     b = (Fraction(2),) * n
     c = (Fraction(3),) + (Fraction(1),) * (n - 1)
     x = (Fraction(4),) + (Fraction(3),) * (n - 1)
-    step = Fraction(1, 2)
-    grid = _grid_candidates([a, b, c, x], step)
     cloud = PointCloud(n, [a, b, c, x])
     s = induced_structure(cloud)
     bound = [max(a[i], c[i]) for i in range(n)]
@@ -431,13 +425,9 @@ def _nonhom_data(n: int) -> dict | None:
         and product_less(b, x)
         and product_less(c, x)
         and not product_less(a, x)
-        # propagation: above-both forces above-b on every axis
+        # the decision over Q^n: a point above a and c is at or above
+        # bound on every axis, and bound exceeds b there, so b < y is forced
         and all(b[i] < bound[i] for i in range(n))
-        # exhaustive search over the exact grid
-        and not any(
-            product_less(a, y) and product_less(c, y) and not product_less(b, y)
-            for y in grid
-        )
     ):
         return None
     # control: dropping the negated constraint is satisfiable
@@ -451,7 +441,7 @@ def _nonhom_data(n: int) -> dict | None:
         "points": {k: [frac_str(v) for v in p] for k, p in zip("abcx", (a, b, c, x))},
         "swap": {"a": "b", "b": "a", "c": "c"},
         "per_axis_bound": [frac_str(v) for v in bound],
-        "grid_step": frac_str(step),
+        "grid_step": GRID_STEP,
     }
 
 
@@ -460,7 +450,10 @@ def nonhom_witness(n: int) -> Certificate:
 
     The image y of x must lie above both a and c, but every coordinate
     upper bound of {a, c} already exceeds b, so b < y is forced against
-    the requirement that it fail.
+    the requirement that it fail.  The derivation checks that bound on
+    each axis (`per_axis_bound`), which decides the claim over all of
+    Q^n in O(n) comparisons; n past geometry.MAX_CLOUD_DIM is refused
+    with LimitExceeded before any point is built.
     """
     return _certified(CertificateKind.NotUltrahomogeneous, _nonhom_data(n))
 
@@ -478,6 +471,7 @@ def _qn_lex_data(n: int) -> dict | None:
     """
     if n < 2:
         raise TooSmall("the lexicographic collapse needs n >= 2")
+    _check_dim(n)
     one, two, four = Fraction(1), Fraction(2), Fraction(4)
     pts = {
         "a": (one,) * n,
@@ -493,8 +487,6 @@ def _qn_lex_data(n: int) -> dict | None:
     a, x, b, c, a2, b2, c2 = pts.values()
     src = [pts[t] for t in tops]
     dst = [pts[triple[t]] for t in tops]
-    step = Fraction(1, 2)
-    grid = _grid_candidates([a2, b2, c2], step)
 
     def lex(i: int, u: Point, v: Point) -> bool:
         """Order i: coordinates compared from axis i on, wrapping around."""
@@ -523,10 +515,10 @@ def _qn_lex_data(n: int) -> dict | None:
             product_less(pts[p], pts[q]) == product_less(pts[triple[p]], pts[triple[q]])
             for p, q in pairs
         )
-        # forced equalities: a2 ties with its upper bound on the deciding axis
+        # the decision over Q^n: a2 ties with its upper bound in order i on
+        # axis i, which order i compares first, so an image y of x has
+        # y_i = a2_i on every axis, and y = a2 is not above a2
         and all(a2[i] == dst[i][i] for i in range(n))
-        # exhaustive search over the exact grid: no image for x exists
-        and not any(pinched(a2, y, dst) for y in grid)
     ):
         return None
     # control: a non-colinear target triple admits an image via one pick
@@ -539,14 +531,17 @@ def _qn_lex_data(n: int) -> dict | None:
         "points": {k: [frac_str(v) for v in p] for k, p in pts.items()},
         "map": triple,
         "forced_equalities": [[str(i + 1), "a2", triple[t]] for i, t in enumerate(tops)],
-        "grid_step": frac_str(step),
+        "grid_step": GRID_STEP,
     }
 
 
 def qn_lex_nonhom_witness(n: int) -> Certificate:
     """Certify the lexicographic collapse: the image of x is pinched
     between points that tie on every deciding axis, forcing it to equal
-    an existing point."""
+    an existing point.  The derivation checks each tie
+    (`forced_equalities`), which decides the claim over all of Q^n; n
+    past geometry.MAX_CLOUD_DIM is refused with LimitExceeded before any
+    point is built."""
     return _certified(CertificateKind.QnLexNotUltrahomogeneous, _qn_lex_data(n))
 
 
@@ -650,7 +645,9 @@ def two_homogeneity_certificate(
 def two_homogeneity_demo(n: int) -> Certificate:
     """The two-homogeneity certificate on an ascending four-chain in n
     coordinates.  Per-axis values stay distinct and both pairs ascend on
-    every axis, so the extension is guaranteed to exist."""
+    every axis, so the extension is guaranteed to exist.  n past
+    geometry.MAX_CLOUD_DIM is refused before any point is built."""
+    _check_dim(n)
     pts = [tuple(4 * k + i for i in range(n)) for k in range(4)]
     c = PointCloud(n, pts)
     return two_homogeneity_certificate(

@@ -161,6 +161,14 @@ def _distinct(labels: Sequence[str]) -> Sequence[str]:
     return labels
 
 
+def _poset_labels(elements: Sequence[str]) -> tuple[str, ...]:
+    """elements as a tuple of distinct labels; TooSmall when there are none."""
+    labels = _distinct(tuple(elements))
+    if not labels:
+        raise TooSmall("a poset needs at least one element")
+    return labels
+
+
 class _Frozen:
     """Immutable value over the fields listed in ``__slots__``.
 
@@ -231,11 +239,11 @@ class _Frozen:
 class FinitePoset(_Frozen):
     """Strict partial order on an ordered tuple of distinct labels.
 
-    The constructor checks shape, that no label repeats and the order
-    axioms, naming the first violation; ``lt`` may be a numpy bool array
-    or nested lists of bools.  ``from_rows`` takes the bit rows directly
-    and checks only their shape and the labels: it is for rows that
-    already are an order.  ``down`` is ``up`` transposed.
+    The constructor checks that there is at least one label and none
+    repeats, the shape and the order axioms, naming the first violation;
+    ``lt`` may be a numpy bool array or nested lists of bools.
+    ``from_rows`` takes the bit rows directly and checks only the labels
+    and the rows' shape: it is for rows that already are an order.  ``down`` is ``up`` transposed.
     """
 
     __slots__ = ("elements", "up", "down", "__dict__")
@@ -244,7 +252,7 @@ class FinitePoset(_Frozen):
     down: tuple[int, ...]
 
     def __init__(self, elements: Sequence[str], lt):
-        elements = _distinct(tuple(elements))
+        elements = _poset_labels(elements)
         m = len(elements)
         up = tuple(_matrix_rows(lt, m))
         err = _axiom_violation(elements, up)
@@ -255,7 +263,7 @@ class FinitePoset(_Frozen):
     @classmethod
     def from_rows(cls, elements: Sequence[str], up: Sequence[int]) -> "FinitePoset":
         """Poset whose bit j of up[i] says elements[i] < elements[j]."""
-        elements = _distinct(tuple(elements))
+        elements = _poset_labels(elements)
         m = len(elements)
         up = tuple(up)
         if len(up) != m or any(row >> m for row in up):
@@ -334,16 +342,12 @@ class FinitePoset(_Frozen):
 
 
 def validate_poset(elements: Sequence[str], lt) -> FinitePoset:
-    """The poset on elements with relation lt, refusing an empty one.
-
-    The constructor checks the strict-order axioms, naming the first
-    violation found.  ``lt`` is a numpy bool array or nested lists of
-    bools.
+    """The poset on elements with relation lt: ``FinitePoset(elements, lt)``,
+    whose constructor refuses an empty poset and checks the strict-order
+    axioms, naming the first violation found.  ``lt`` is a numpy bool
+    array or nested lists of bools.
     """
-    labels = tuple(elements)
-    if len(labels) < 1:
-        raise TooSmall("a poset needs at least one element")
-    return FinitePoset(labels, lt)
+    return FinitePoset(elements, lt)
 
 
 class LinearOrder(_Frozen):
@@ -631,9 +635,8 @@ def _product_structure(labels: Sequence[str], points: Sequence[Sequence]) -> Ord
     compare; they enter as dense ranks, which sort alike.  Every axis is
     a chain, so the points at or above rank r on it are a suffix OR over
     ranks, one OR per value; point b is below point c when c is at or
-    above b's rank on every axis, one AND per point per axis."""
-    if not points:
-        raise TooSmall("the product order needs at least one point")
+    above b's rank on every axis, one AND per point per axis.  No points
+    make no poset, which FinitePoset refuses."""
     m = len(points)
     up = [((1 << m) - 1) ^ 1 << b for b in range(m)]
     coords = []

@@ -588,6 +588,21 @@ def lex_less(a: Sequence, b: Sequence, priority: Sequence[int]) -> bool:
     return False
 
 
+def oracle_grid_points(points: Sequence[tuple], step) -> Iterator[tuple]:
+    """Every point of the grid of the given step over the box one unit
+    beyond points on every axis: the oracle for the per-axis decisions of
+    the Q^n certificates.  A sample of Q^n, so it can refute a decision
+    but not prove one."""
+    lo = min(v for p in points for v in p) - 1
+    hi = max(v for p in points for v in p) + 1
+    ticks = []
+    t = lo
+    while t <= hi:
+        ticks.append(t)
+        t += step
+    return iter_product(ticks, repeat=len(points[0]))
+
+
 def oracle_point_structure(points: Sequence[tuple]) -> tuple[list[int], list[list[int]]]:
     """The product order's up rows on distinct points, by `product_less`
     on every ordered pair, and the point indices of each cyclic

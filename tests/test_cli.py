@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import identity_seeded_back_and_forth, parse_dot
@@ -296,22 +297,30 @@ class TestCertify:
     @pytest.mark.parametrize(
         "kind, n, phase",
         [
-            ("nonhom", 8, "certificate grid search"),
-            ("qnlex", 8, "certificate grid search"),
             ("ap", 512, "the amalgamation diagram"),
-            # 11^5000 grid points: past the digits an int prints with
-            ("nonhom", 5000, "certificate grid search"),
+            *(
+                (kind, n, f"point clouds are capped at {MAX_CLOUD_DIM} dimensions")
+                for kind in ("nonhom", "qnlex", "twohom")
+                for n in (MAX_CLOUD_DIM + 1, 100_000_000)
+            ),
         ],
     )
     def test_sizes_past_the_limits_are_single_line_json(
         self, capsys, monkeypatch, kind, n, phase
     ):
-        code, out = run(capsys, monkeypatch, ["certify", kind, "--n", str(n)])
+        # refused before any point or diagram row is built
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, monkeypatch, ["certify", kind, "--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 1
         assert out.count("\n") == 1
         payload = json.loads(out)
         assert payload["error"] == "LimitExceeded"
         assert payload["detail"].startswith(phase)
+        assert peak < 1 << 20
 
 
 class TestRamsey:

@@ -759,6 +759,13 @@ class TestSearchBudget:
         with pytest.raises(LimitExceeded, match="witness search"):
             dimension(antichain(16), budget=250)
 
+    def test_a_count_past_the_digit_cap_is_named_by_a_power_of_ten(self):
+        # 11^5000 has more digits than an int may print with by default
+        with pytest.raises(
+            LimitExceeded, match=r"^phase: cases: at least 10\^5206 cases, over the budget of 5$"
+        ):
+            BudgetMeter(5, "phase").require(11**5000, "cases")
+
     def test_env_budget_honoured(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "5")
         with pytest.raises(LimitExceeded):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
-from itertools import product as iter_product
 from types import SimpleNamespace
 
 import pytest
@@ -18,10 +20,12 @@ from conftest import (
     identity_seeded_back_and_forth,
     lex_less,
     naive_is_realizer,
+    oracle_grid_points,
     oracle_verify_chase,
     random_poset,
     random_structure,
 )
+import orderdim
 from orderdim import homogeneity
 from orderdim.dimension import dimension
 from orderdim.errors import (
@@ -34,6 +38,7 @@ from orderdim.errors import (
 )
 from orderdim.flow import symmetric_sample
 from orderdim.geometry import (
+    MAX_CLOUD_DIM,
     PointCloud,
     Region,
     induced_structure,
@@ -76,15 +81,31 @@ SIX_POINTS = [
 AP_COMPLETION_COUNT = 1
 
 
-def grid_points(points, step, n):
-    lo = min(v for p in points for v in p) - 1
-    hi = max(v for p in points for v in p) + 1
-    ticks = []
-    t = lo
-    while t <= hi:
-        ticks.append(t)
-        t += step
-    return iter_product(ticks, repeat=n)
+def recorded_points(cert):
+    """The certificate's named points as Fraction tuples, and the grid of
+    its recorded step over them: the oracle's search space."""
+    pts = {k: tuple(map(F, v)) for k, v in cert.data["points"].items()}
+    return pts, oracle_grid_points(list(pts.values()), F(cert.data["grid_step"]))
+
+
+def pinched(lo, y, his):
+    """Whether y lies above lo and below hi in the i-th cyclic
+    lexicographic order, for each i, hi in his.items(), by the pairwise
+    oracle."""
+    n = len(lo)
+    return all(
+        lex_less(lo, y, cyclic_priority(i, n)) and lex_less(y, hi, cyclic_priority(i, n))
+        for i, hi in his.items()
+    )
+
+
+def qn_lex_bounds(n):
+    """The certificate's points, grid, and the upper bound of x's image in
+    each order, read off its forced equalities."""
+    cert = qn_lex_nonhom_witness(n)
+    pts, grid = recorded_points(cert)
+    his = {int(i) - 1: pts[hi] for i, _, hi in cert.data["forced_equalities"]}
+    return pts, grid, his
 
 
 class TestCheckDpoFragment:
@@ -265,15 +286,25 @@ class TestNonhomWitness:
     def test_width_three(self):
         assert nonhom_witness(3).replay()
 
-    def test_unsat_reproduced_by_independent_grid_search(self):
-        a, b, c = (F(1), F(4)), (F(2), F(2)), (F(3), F(1))
-        hits = [
-            y
-            for y in grid_points([a, b, c], F(1, 2), 2)
-            if product_less(a, y) and product_less(c, y)
-        ]
-        assert hits
-        assert all(product_less(b, y) for y in hits)
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_unsat_reproduced_by_independent_grid_search(self, n):
+        # no grid point is above a and c without being above b
+        pts, grid = recorded_points(nonhom_witness(n))
+        a, b, c = pts["a"], pts["b"], pts["c"]
+        assert not any(
+            product_less(a, y) and product_less(c, y) and not product_less(b, y)
+            for y in grid
+        )
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_grid_finds_an_image_without_the_negated_constraint(self, n):
+        # the control: the same search does find points above a, b and c
+        pts, grid = recorded_points(nonhom_witness(n))
+        a, b, c = pts["a"], pts["b"], pts["c"]
+        assert any(
+            product_less(a, y) and product_less(c, y) and product_less(b, y)
+            for y in grid
+        )
 
     def test_control_point_exists_without_the_negated_constraint(self):
         a, b, c = (F(1), F(4)), (F(2), F(2)), (F(3), F(1))
@@ -315,19 +346,21 @@ class TestQnLexWitness:
     def test_width_three(self):
         assert qn_lex_nonhom_witness(3).replay()
 
-    def test_unsat_reproduced_by_independent_grid_search(self):
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_unsat_reproduced_by_independent_grid_search(self, n):
         # between a2 and b2 in the first order and between a2 and c2 in
-        # the second leaves no room: the bounding pairs tie on the axis
+        # the others leaves no room: the bounding pairs tie on the axis
         # that decides each comparison
-        a2, b2, c2 = (F(1), F(1)), (F(1), F(4)), (F(4), F(1))
-        pri0, pri1 = cyclic_priority(0, 2), cyclic_priority(1, 2)
-        for y in grid_points([a2, b2, c2], F(1, 2), 2):
-            assert not (
-                lex_less(a2, y, pri0)
-                and lex_less(y, b2, pri0)
-                and lex_less(a2, y, pri1)
-                and lex_less(y, c2, pri1)
-            )
+        pts, grid, his = qn_lex_bounds(n)
+        assert not any(pinched(pts["a2"], y, his) for y in grid)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_grid_finds_an_image_without_the_first_order(self, n):
+        # the control: with the first order's bounds dropped, no pair of
+        # bounds pins the first axis, and the same search finds an image
+        pts, grid, his = qn_lex_bounds(n)
+        del his[0]
+        assert any(pinched(pts["a2"], y, his) for y in grid)
 
     def test_control_triple_admits_an_image(self):
         a, b, c = (F(1), F(1)), (F(2), F(4)), (F(4), F(2))
@@ -673,30 +706,58 @@ class TestMalformedData:
         assert not Certificate.from_json({"kind": "ap-failure", "data": []}).replay()
 
     def test_typed_errors_of_the_derivation_propagate(self):
-        with pytest.raises(LimitExceeded, match="certificate grid search"):
-            Certificate(CertificateKind.NotUltrahomogeneous, {"n": 8}).replay()
-        with pytest.raises(TooSmall):
-            Certificate(CertificateKind.QnLexNotUltrahomogeneous, {"n": 1}).replay()
+        # crafted widths are refused before the derivation builds a point
+        for kind in (CertificateKind.NotUltrahomogeneous, CertificateKind.QnLexNotUltrahomogeneous):
+            with pytest.raises(LimitExceeded, match="capped at 1000 dimensions, got 1000000000"):
+                Certificate(kind, {"n": 10**9}).replay()
+            with pytest.raises(TooSmall):
+                Certificate(kind, {"n": 1}).replay()
 
 
-class TestGridBudget:
+class TestWidthCap:
+    """The Q^n certificates decide their claim axis by axis, so they
+    answer up to the cloud cap; past it each builder refuses before it
+    builds a point."""
+
     @pytest.mark.parametrize("build", [nonhom_witness, qn_lex_nonhom_witness])
-    def test_grid_past_the_budget_is_refused(self, build, monkeypatch):
-        # the box one unit beyond the points has 11 ticks per axis
-        monkeypatch.setenv("ORDERDIM_BUDGET", str(11**3 - 1))
-        with pytest.raises(
-            LimitExceeded, match="certificate grid search: grid points: 1331 cases"
-        ):
-            build(3)
-        monkeypatch.setenv("ORDERDIM_BUDGET", str(11**3))
-        assert build(3).replay()
+    def test_widest_certificates_build_and_replay(self, build):
+        cert = build(MAX_CLOUD_DIM)
+        assert cert.data["n"] == MAX_CLOUD_DIM
+        assert cert.replay()
 
-    def test_a_count_past_the_digit_cap_is_refused(self):
-        # 11^5000 has more digits than an int may print with by default
+    @pytest.mark.parametrize("n", [MAX_CLOUD_DIM + 1, 10**8])
+    @pytest.mark.parametrize(
+        "build", [nonhom_witness, qn_lex_nonhom_witness, two_homogeneity_demo]
+    )
+    def test_width_past_the_cap_is_refused(self, build, n):
         with pytest.raises(
-            LimitExceeded, match=r"^certificate grid search: grid points: at least 10\^5206 cases"
+            LimitExceeded, match=f"^point clouds are capped at 1000 dimensions, got {n}$"
         ):
-            nonhom_witness(5000)
+            build(n)
+
+    @pytest.mark.parametrize("kind", ["nonhom", "qnlex"])
+    def test_width_six_builds_and_replays_under_optimize(self, kind):
+        # 11^6 points of a half-step grid lie past the default budget; the
+        # per-axis decision needs none of them, with asserts stripped too
+        src = os.path.dirname(os.path.dirname(orderdim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        built = subprocess.run(
+            [sys.executable, "-O", "-m", "orderdim.cli", "certify", kind, "--n", "6"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert built.returncode == 0, built.stderr
+        replay = (
+            "import json, sys\n"
+            "from orderdim.homogeneity import Certificate\n"
+            "print(Certificate.from_json(json.load(sys.stdin)).replay())\n"
+        )
+        replayed = subprocess.run(
+            [sys.executable, "-O", "-c", replay],
+            input=built.stdout, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert replayed.returncode == 0, replayed.stderr
+        assert replayed.stdout == "True\n"
+        assert json.loads(built.stdout)["data"]["n"] == 6
 
 
 class TestApChase:

@@ -95,6 +95,22 @@ class TestValidatePoset:
         with pytest.raises(TooSmall):
             validate_poset((), np.zeros((0, 0), dtype=bool))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FinitePoset([], []),
+            lambda: FinitePoset((), np.zeros((0, 0), dtype=bool)),
+            lambda: FinitePoset.from_rows([], []),
+            lambda: RealizerTuple([LinearOrder([])]).intersection(),
+        ],
+        ids=["matrix", "numpy", "rows", "intersection"],
+    )
+    def test_every_constructor_refuses_no_elements(self, build):
+        # dimension() would give no elements dimension 1, with a
+        # zero-element witness
+        with pytest.raises(TooSmall, match="^a poset needs at least one element$"):
+            build()
+
 
 T, F = True, False
 

@@ -80,6 +80,25 @@ def test_no_pairwise_lex_comparator_in_the_library():
     assert found == []
 
 
+def test_no_certificate_grid_search_in_the_library():
+    # The Q^n certificates decide their constraints axis by axis over all
+    # of Q^n; a grid sample proves nothing off the grid.  The grid scan is
+    # the oracle `oracle_grid_points` in tests/conftest.py: the library
+    # defines no `_grid_candidates` and opens no budget phase for it.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_grid_candidates"
+            or isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "certificate grid search" in node.value
+        ]
+    assert found == []
+
+
 def test_budgets_are_resolved_only_by_the_meter():
     # BudgetMeter resolves its own budget, so a search passes its budget=
     # argument, or None, straight to the meter; a second resolver would let
