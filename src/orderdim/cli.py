@@ -261,7 +261,7 @@ def _cmd_ramsey(args) -> None:
     else:
         a = OrderedStructure.from_json(_read_json(args.a))
         b = OrderedStructure.from_json(_read_json(args.b))
-        holds = ramsey_witness_check(a, b, args.k, args.r, method=args.method)
+        holds = ramsey_witness_check(a, b, args.k, args.r)
         _emit_json({"holds": holds}, args.out)
 
 
@@ -384,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--r", type=int, required=True)
-    q.add_argument("--method", choices=("reduction", "exhaustive"), default="reduction")
     add_out(q)
     q.set_defaults(func=_cmd_ramsey)
 

@@ -27,7 +27,7 @@ from .errors import (
     LimitExceeded,
     TooSmall,
 )
-from .poset import OrderedStructure, _Frozen, _product_structure
+from .poset import OrderedStructure, _Frozen, _json_field, _product_structure
 
 __all__ = [
     "Point",
@@ -159,11 +159,12 @@ class PointCloud(_Frozen):
     def from_json(data: dict) -> "PointCloud":
         """The cloud of a to_json payload.  Stricter than the constructor:
         dim must be a JSON integer, points a list of lists, and strict,
-        when present, a JSON boolean."""
-        dim = data["dim"]
+        when present, a JSON boolean.  A payload that is no JSON object,
+        or lacks dim or points, is a TypeError that says so."""
+        dim = _json_field(data, "dim")
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise TypeError("dim must be a JSON integer")
-        points = data["points"]
+        points = _json_field(data, "points")
         if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
             raise TypeError("points must be a list of lists")
         strict = data.get("strict", True)

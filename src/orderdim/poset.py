@@ -147,6 +147,16 @@ def product_less(a: Sequence, b: Sequence) -> bool:
     return a != b and all(x <= y for x, y in zip(a, b))
 
 
+def _json_field(data: object, key: str) -> object:
+    """data[key] of a JSON object payload; TypeError when data is no JSON
+    object or has no such field."""
+    if not isinstance(data, dict):
+        raise TypeError("the payload is not a JSON object")
+    if key not in data:
+        raise TypeError(f"the payload has no {key!r} field")
+    return data[key]
+
+
 def _json_labels(value: object, what: str) -> list[str]:
     """value, when it is a JSON list of strings; TypeError otherwise."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -333,9 +343,11 @@ class FinitePoset(_Frozen):
     @staticmethod
     def from_json(data: dict) -> "FinitePoset":
         """The poset of a to_json payload.  Stricter than the constructor:
-        labels must be strings and relation cells JSON booleans."""
-        labels = _json_labels(data["elements"], "elements")
-        lt = data["lt"]
+        labels must be strings and relation cells JSON booleans.  A
+        payload that is no JSON object, or lacks a field, is a TypeError
+        that says so."""
+        labels = _json_labels(_json_field(data, "elements"), "elements")
+        lt = _json_field(data, "lt")
         if not all(isinstance(v, bool) for row in lt for v in row):
             raise TypeError("lt cells must be JSON booleans")
         return validate_poset(labels, lt)
@@ -533,7 +545,7 @@ class OrderedStructure(_Frozen):
     @staticmethod
     def from_json(data: dict) -> "OrderedStructure":
         p = FinitePoset.from_json(data)
-        return OrderedStructure(p, RealizerTuple.from_json(data["orders"]))
+        return OrderedStructure(p, RealizerTuple.from_json(_json_field(data, "orders")))
 
 
 def _find_cycle(edges: Sequence[int], start: int, labels: Sequence[str]) -> list[str]:

@@ -11,11 +11,12 @@ import random
 import re
 from itertools import combinations, permutations
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from orderdim.budget import BudgetMeter
 from orderdim.dimension import _RealizerSearch, _checked, all_linear_extensions
 from orderdim.errors import (
     CycleIntroduced,
@@ -39,6 +40,7 @@ from orderdim.poset import (
     product_less,
     validate_poset,
 )
+from orderdim.ramsey import GridStruct, _grid_groups, all_subgrids, enumerate_copies
 
 settings.register_profile(
     "fast",
@@ -699,11 +701,93 @@ def naive_is_copy(
 
 # --- the induced-coloring argument, object by object ----------------------
 #
-# The reduction of `ramsey_witness_check` runs the argument on index
-# lists.  These oracles run it on axis tuples and label tuples, as the
+# `oracle_ramsey_reduction` runs the argument on index lists.  The
+# oracles after it run it on axis tuples and label tuples, as the
 # library's value-class pipeline did: subgrids as per-axis value tuples in
 # canonical order (per-axis combinations, row-major), colourings as lists
 # aligned with that order or as dicts keyed by copy.
+
+
+def oracle_rigid_copies(
+    s: OrderedStructure, keys: Sequence[Sequence[Sequence[int]]]
+) -> list[tuple[str, ...]]:
+    """The label tuple of s's rigid copy in each subgrid of keys, aligned
+    with s.elements: coordinate i of element e is the rk_i(e)-th smallest
+    value of axis i, read off s's rank points."""
+    ranks = s.realizers.rank_points(s.elements)
+    return [
+        tuple(",".join(str(axis[i - 1]) for axis, i in zip(axes, p)) for p in ranks)
+        for axes in keys
+    ]
+
+
+def oracle_first_mono_group(
+    colors: Sequence[int], groups: Sequence[Sequence[int]], tick: Callable[[], None]
+) -> int | None:
+    """Index of the first group whose cells all have one color, or None.
+    Reads each group's cells in order up to the first color that differs,
+    ticking once per cell read."""
+    for g, cells in enumerate(groups):
+        first = colors[cells[0]]
+        for t in cells:
+            tick()
+            if colors[t] != first:
+                break
+        else:
+            return g
+    return None
+
+
+def oracle_ramsey_reduction(
+    a: OrderedStructure,
+    b: OrderedStructure,
+    k: int,
+    r: int,
+    budget: int | None = None,
+    scan: Callable = oracle_first_mono_group,
+) -> bool:
+    """`ramsey_witness_check` by the paper's induced-coloring argument.
+
+    Walks every k-coloring of the copies of a in the r^n grid, in
+    lexicographic order.  Each is pulled back to the l^n-subgrids, each
+    colored by its rigid copy of a; `scan` finds the first m^n-subgrid
+    whose cells share one color, and that subgrid's rigid copy of b must
+    then be monochromatic, or SelfCheckFailed.  With no such subgrid (as
+    when m > r) the copies of b are checked directly, and a coloring
+    that leaves each of them non-monochromatic answers False.  The copies
+    of a inside a copy of b are the a-copies on a subset of its labels.
+    More colorings than the budget are refused up front under
+    "monochromatic-subgrid scan"; each cell read ticks the meter.
+    """
+    if k < 1:
+        raise TooSmall("colorings need k >= 1")
+    meter = BudgetMeter(budget, "monochromatic-subgrid scan")
+    grid = GridStruct(r, a.n)
+    copies_a = enumerate_copies(grid, a)
+    inside = {
+        bcopy: [t for t, acopy in enumerate(copies_a) if set(acopy) <= set(bcopy)]
+        for bcopy in enumerate_copies(grid, b)
+    }
+    if not inside:
+        return False
+    meter.require(k ** len(copies_a), "colorings to scan")
+    index_a = {key: t for t, key in enumerate(copies_a)}
+    cells, subgrids = _grid_groups(len(a.elements), len(b.elements), a.n, r)
+    cell_copy = [index_a[key] for key in oracle_rigid_copies(a, cells)]
+    rigid_b = [
+        inside[key] for key in oracle_rigid_copies(b, all_subgrids(r, a.n, len(b.elements)))
+    ]
+    for assignment in iter_product(range(1, k + 1), repeat=len(copies_a)):
+        pulled = [assignment[t] for t in cell_copy]
+        mono = scan(pulled, subgrids, meter.tick)
+        if mono is None:
+            if all(len({assignment[t] for t in g}) > 1 for g in inside.values()):
+                return False
+        elif len({assignment[t] for t in rigid_b[mono]}) != 1:
+            raise SelfCheckFailed(
+                "a monochromatic subgrid's rigid copy of the target is not monochromatic"
+            )
+    return True
 
 
 def oracle_subgrids(r: int, n: int, l: int) -> list[tuple[tuple[int, ...], ...]]:

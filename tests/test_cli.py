@@ -380,11 +380,26 @@ class TestRamsey:
         assert code == 0
         assert json.loads(out) == {"holds": True}
 
-    @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
-    @pytest.mark.parametrize("k", ["0", "-3"])
-    def test_witness_refuses_fewer_than_one_color(
-        self, capsys, monkeypatch, tmp_path, method, k
+    @pytest.mark.parametrize("r", ["5", "6"])
+    def test_witness_of_a_point_in_the_square_past_the_colorings_scan(
+        self, capsys, monkeypatch, tmp_path, r
     ):
+        # 2^(r^2) colorings of the grid's points: decided by the coloring
+        # kernel, not walked one by one
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "1", "--n", "2", "--out", str(a)])
+        run(capsys, monkeypatch, ["gen", "grid", "--m", "2", "--n", "2", "--out", str(b)])
+        code, out = run(
+            capsys,
+            monkeypatch,
+            ["ramsey", "witness", "--a", str(a), "--b", str(b), "--k", "2", "--r", r],
+        )
+        assert code == 0
+        assert json.loads(out) == {"holds": True}
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_witness_refuses_fewer_than_one_color(self, capsys, monkeypatch, tmp_path, k):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run(capsys, monkeypatch, ["gen", "grid", "--m", "1", "--n", "1", "--out", str(a)])
@@ -393,7 +408,7 @@ class TestRamsey:
             capsys,
             monkeypatch,
             ["ramsey", "witness", "--a", str(a), "--b", str(b),
-             "--k", k, "--r", "3", "--method", method],
+             "--k", k, "--r", "3"],
         )
         assert code == 1
         assert out.count("\n") == 1
@@ -419,13 +434,7 @@ class TestEnumerationsPastTheBudget:
         code, out = run(capsys, monkeypatch, ["check", "dpo"], stdin_text=cloud)
         self.assert_refused(code, out, "cell enumeration: cells times axes: ")
 
-    @pytest.mark.parametrize("method, phase", [
-        ("reduction", "monochromatic-subgrid scan"),
-        ("exhaustive", "copy coloring search"),
-    ])
-    def test_ramsey_witness_copy_candidates(
-        self, capsys, monkeypatch, tmp_path, method, phase
-    ):
+    def test_ramsey_witness_copy_candidates(self, capsys, monkeypatch, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run(capsys, monkeypatch, ["gen", "grid", "--m", "2", "--n", "1", "--out", str(a)])
@@ -435,9 +444,11 @@ class TestEnumerationsPastTheBudget:
             capsys,
             monkeypatch,
             ["ramsey", "witness", "--a", str(a), "--b", str(b),
-             "--k", "2", "--r", "1000", "--method", method],
+             "--k", "2", "--r", "1000"],
         )
-        self.assert_refused(code, out, f"{phase}: subsets of the host to test as copies: ")
+        self.assert_refused(
+            code, out, "copy coloring search: subsets of the host to test as copies: "
+        )
 
 
 class TestExport:
@@ -633,6 +644,28 @@ def assert_capped_cli_refuses(args, stdin=""):
     assert out.stdout.count("\n") == 1
     assert json.loads(out.stdout)["error"] == "LimitExceeded"
     assert out.stderr == ""
+
+
+CLOUD = {"dim": 2, "points": []}
+POSET = {"elements": ["a"], "lt": [[False]]}
+
+
+class TestPayloadOfAnotherKind:
+    """A payload that is no JSON object, or lacks a field its reader
+    needs, is one TypeError line that says so."""
+
+    @pytest.mark.parametrize("command, payload, detail", [
+        *[(c, CLOUD, "has no 'elements' field")
+          for c in ("dim", "flow realizers", "embed rigid", "export dot")],
+        *[(c, POSET, "has no 'dim' field") for c in ("check dpo", "flow decompose")],
+        *[(c, payload, "is not a JSON object")
+          for c in ("dim", "flow realizers", "check dpo") for payload in ([], "x")],
+    ])
+    def test_one_type_error_line(self, capsys, monkeypatch, command, payload, detail):
+        code, out = run(capsys, monkeypatch, command.split(), stdin_text=json.dumps(payload))
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": "TypeError", "detail": f"the payload {detail}"}
 
 
 class TestCloudInputGuard:

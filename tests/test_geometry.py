@@ -74,6 +74,19 @@ class TestPointCloud:
         with pytest.raises(TypeError):
             PointCloud.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "payload, detail",
+        [
+            ({"elements": ["a"], "lt": [[False]]}, "has no 'dim' field"),
+            ({"dim": 2}, "has no 'points' field"),
+            ([], "is not a JSON object"),
+            ("x", "is not a JSON object"),
+        ],
+    )
+    def test_json_payload_of_another_kind_is_a_type_error(self, payload, detail):
+        with pytest.raises(TypeError, match=f"^the payload {detail}$"):
+            PointCloud.from_json(payload)
+
     def test_rejects_boolean_coordinates(self):
         with pytest.raises(TypeError):
             PointCloud(2, [(True, 2)])

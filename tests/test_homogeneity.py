@@ -683,6 +683,13 @@ class TestMalformedData:
     def test_empty_data(self):
         assert not Certificate.from_json({"kind": "ap-failure", "data": {}}).replay()
 
+    @pytest.mark.parametrize(
+        "cloud", [{"elements": ["a"], "lt": [[False]]}, {"dim": 2}, [], "x"]
+    )
+    def test_cloud_of_another_kind(self, cloud):
+        cert = two_homogeneity_demo(2)
+        assert not Certificate(cert.kind, dict(cert.data, cloud=cloud)).replay()
+
     @pytest.mark.parametrize("n", ["x", "2", 2.0, True, None])
     def test_width_that_is_no_integer(self, n):
         assert not Certificate(CertificateKind.APFailure, {"n": n}).replay()

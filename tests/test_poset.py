@@ -600,6 +600,25 @@ class TestCoversAndJson:
         with pytest.raises(TypeError):
             OrderedStructure.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "cls, payload, detail",
+        [
+            (FinitePoset, {"dim": 2, "points": []}, "has no 'elements' field"),
+            (FinitePoset, {"elements": ["a"]}, "has no 'lt' field"),
+            (OrderedStructure, {"dim": 2, "points": []}, "has no 'elements' field"),
+            (OrderedStructure, crown(2).to_json(), "has no 'orders' field"),
+        ]
+        + [
+            (cls, payload, "is not a JSON object")
+            for cls in (FinitePoset, OrderedStructure)
+            for payload in ([], "x")
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_json_payload_of_another_kind_is_a_type_error(self, cls, payload, detail):
+        with pytest.raises(TypeError, match=f"^the payload {detail}$"):
+            cls.from_json(payload)
+
     def test_json_checks_keep_shape_and_axiom_errors(self):
         with pytest.raises(ElementMismatch):
             FinitePoset.from_json({"elements": ["a", "b"], "lt": [[False]]})

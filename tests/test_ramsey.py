@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from itertools import combinations, permutations, product as iter_product
 
 import pytest
@@ -15,7 +14,10 @@ from conftest import (
     naive_free_coloring,
     naive_is_copy,
     oracle_find_mono_subgrid,
+    oracle_first_mono_group,
     oracle_point_structure,
+    oracle_ramsey_reduction,
+    oracle_rigid_copies,
     oracle_rigid_copy_in_subgrid,
     oracle_subgrids,
     random_structure,
@@ -42,11 +44,9 @@ from orderdim.dimension import dimension
 from orderdim.ramsey import (
     GridStruct,
     _copy_groups,
-    _first_mono_group,
     _grid_counterexample,
     _is_copy,
     _grid_groups,
-    _rigid_copies,
     _search_free_coloring,
     all_subgrids,
     enumerate_copies,
@@ -332,14 +332,16 @@ class TestEnumerateCopies:
 
 
 class TestRigidCopies:
+    # The reduction oracle's pullback: rank points against per-order ranks.
+
     def test_spot_values(self):
         cells = [((1, 2), (1, 2)), ((2, 3), (1, 3)), ((1, 3), (2, 3))]
-        assert _rigid_copies(aligned_chain(), cells) == [
+        assert oracle_rigid_copies(aligned_chain(), cells) == [
             ("1,1", "2,2"),
             ("2,1", "3,3"),
             ("1,2", "3,3"),
         ]
-        assert _rigid_copies(crossed_antichain(), cells[:1]) == [("1,2", "2,1")]
+        assert oracle_rigid_copies(crossed_antichain(), cells[:1]) == [("1,2", "2,1")]
 
     def test_every_copy_is_the_oracle_placement(self):
         rng = random.Random(31)
@@ -352,25 +354,27 @@ class TestRigidCopies:
                 tuple(",".join(map(str, p)) for p in oracle_rigid_copy_in_subgrid(s, axes))
                 for axes in keys
             ]
-            assert _rigid_copies(s, keys) == want
+            assert oracle_rigid_copies(s, keys) == want
 
     def test_every_cell_holds_its_rigid_copy(self):
         # the pullback reads a copy of the pattern in every l^n-subgrid
         for a in (one_point(), aligned_chain(), crossed_antichain(), figure_structure()):
             copies = set(enumerate_copies(GridStruct(len(a) + 1, 2), a))
             cells = all_subgrids(len(a) + 1, 2, len(a))
-            assert set(_rigid_copies(a, cells)) <= copies
+            assert set(oracle_rigid_copies(a, cells)) <= copies
 
 
 class TestFirstMonoGroup:
+    # The reduction oracle's scan, against the brute-force object scan.
+
     def test_pigeonhole_on_a_line(self):
         _, groups = _grid_groups(1, 2, 1, 3)
         for colors in iter_product((1, 2), repeat=3):
-            assert _first_mono_group(colors, groups, lambda: None) is not None
+            assert oracle_first_mono_group(colors, groups, lambda: None) is not None
 
     def test_constant_coloring_returns_the_leading_block(self):
         cells, groups = _grid_groups(1, 3, 2, 4)
-        assert _first_mono_group([1] * len(cells), groups, lambda: None) == 0
+        assert oracle_first_mono_group([1] * len(cells), groups, lambda: None) == 0
         assert all_subgrids(4, 2, 3)[0] == ((1, 2, 3), (1, 2, 3))
 
     @pytest.mark.parametrize("l, m, n, r", [(1, 2, 2, 3), (1, 2, 1, 4), (2, 3, 2, 4), (1, 3, 2, 4)])
@@ -380,7 +384,7 @@ class TestFirstMonoGroup:
         bigs = oracle_subgrids(r, n, m)
         for _ in range(40):
             colors = [rng.choice((1, 2)) for _ in cells]
-            got = _first_mono_group(colors, groups, lambda: None)
+            got = oracle_first_mono_group(colors, groups, lambda: None)
             want = oracle_find_mono_subgrid(colors, l, m, n, r)
             assert (None if got is None else bigs[got]) == want
 
@@ -388,9 +392,9 @@ class TestFirstMonoGroup:
         cells, groups = _grid_groups(1, 2, 2, 4)
         meter = BudgetMeter(3, "monochromatic-subgrid scan")
         with pytest.raises(LimitExceeded, match="^monochromatic-subgrid scan: "):
-            _first_mono_group([1] * len(cells), groups, meter.tick)
+            oracle_first_mono_group([1] * len(cells), groups, meter.tick)
         meter = BudgetMeter(4, "monochromatic-subgrid scan")
-        assert _first_mono_group([1] * len(cells), groups, meter.tick) == 0
+        assert oracle_first_mono_group([1] * len(cells), groups, meter.tick) == 0
 
 
 class TestColoringSearch:
@@ -521,63 +525,56 @@ class TestRamseyWitnessCheck:
         assert ramsey_witness_check(aligned_chain(), aligned_chain(), 2, 2)
 
     def test_point_in_chain_at_the_grid_threshold(self):
-        assert ramsey_witness_check(
-            one_point(), aligned_chain(), 2, SQUARE_POINT_THRESHOLD,
-            method="exhaustive",
-        )
+        assert ramsey_witness_check(one_point(), aligned_chain(), 2, SQUARE_POINT_THRESHOLD)
 
     def test_crossed_pair_fails_then_holds(self):
-        assert not ramsey_witness_check(
-            one_point(), crossed_antichain(), 2, 2, method="exhaustive"
-        )
-        assert ramsey_witness_check(
-            one_point(), crossed_antichain(), 2, 3, method="exhaustive"
-        )
+        assert not ramsey_witness_check(one_point(), crossed_antichain(), 2, 2)
+        assert ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
 
     def test_reduction_and_exhaustive_agree(self):
+        # Both method names run the kernel; the reduction oracle agrees.
         cases = [(b, r) for r in (2, 3) for b in (aligned_chain(), crossed_antichain())]
         # 2^2 holds copies of the 3-chain but no 3^2-subgrid
         cases.append((aligned_chain_of_three(), 2))
         for b, r in cases:
-            fast = ramsey_witness_check(one_point(), b, 2, r)
-            full = ramsey_witness_check(
-                one_point(), b, 2, r, method="exhaustive"
-            )
-            assert fast == full
+            fast = ramsey_witness_check(one_point(), b, 2, r, method="reduction")
+            full = ramsey_witness_check(one_point(), b, 2, r, method="exhaustive")
+            assert fast == full == oracle_ramsey_reduction(one_point(), b, 2, r)
 
     def test_reduction_steps_are_pinned(self):
-        # Frozen from the scan that re-listed the subgrids per coloring:
-        # 8,014 cell reads over the 2^9 colorings of r = 3.
+        # The reduction oracle, frozen from the scan that re-listed the
+        # subgrids per coloring: 8,014 cell reads over the 2^9 colorings
+        # of r = 3.
         for b in (aligned_chain(), crossed_antichain()):
-            assert ramsey_witness_check(one_point(), b, 2, 3, budget=8014)
-            with pytest.raises(LimitExceeded):
-                ramsey_witness_check(one_point(), b, 2, 3, budget=8013)
+            assert oracle_ramsey_reduction(one_point(), b, 2, 3, budget=8014)
+            with pytest.raises(LimitExceeded, match="^monochromatic-subgrid scan: step"):
+                oracle_ramsey_reduction(one_point(), b, 2, 3, budget=8013)
 
-    def test_unsettled_monochromatic_subgrid_is_a_failed_self_check(self, monkeypatch):
+    def test_unsettled_monochromatic_subgrid_is_a_failed_self_check(self):
         # The argument makes the rigid copy of b in a monochromatic subgrid
         # monochromatic; a scan that reports the first subgrid whatever
         # its colors breaks that on some coloring.
-        ramsey_mod = sys.modules["orderdim.ramsey"]
-        monkeypatch.setattr(ramsey_mod, "_first_mono_group", lambda colors, groups, tick: 0)
         with pytest.raises(SelfCheckFailed):
-            ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
+            oracle_ramsey_reduction(
+                one_point(), crossed_antichain(), 2, 3, scan=lambda colors, groups, tick: 0
+            )
 
     def test_pruning_does_not_change_verdicts(self):
         # the library's search against the uncut oracle on the same groups
         for r in (2, 3):
-            copies_a, _, groups = _copy_groups(
+            count, groups = _copy_groups(
                 GridStruct(r, 2), one_point(), crossed_antichain(), BudgetMeter(None, "test")
             )
             meter = BudgetMeter(None, "test")
-            pruned = _search_free_coloring(len(copies_a), 2, groups, meter)
-            plain = naive_free_coloring(len(copies_a), 2, groups)
+            pruned = _search_free_coloring(count, 2, groups, meter)
+            plain = naive_free_coloring(count, 2, groups)
             assert pruned == plain
-            assert ramsey_witness_check(
-                one_point(), crossed_antichain(), 2, r, method="exhaustive"
-            ) == (plain is None)
+            assert ramsey_witness_check(one_point(), crossed_antichain(), 2, r) == (
+                plain is None
+            )
 
     def test_inner_copies_sit_rigidly_in_subgrids(self):
-        # the reduction's key step: inside a rigidly embedded target,
+        # the reduction oracle's key step: inside a rigidly embedded target,
         # every pattern copy spans a subgrid whose rigid copy it is
         for a in (aligned_chain(), crossed_antichain()):
             for axes in (
@@ -585,7 +582,7 @@ class TestRamseyWitnessCheck:
                 ((1, 3, 4, 5), (2, 3, 4, 5)),
             ):
                 b = figure_structure()
-                placed = dict(zip(b.elements, _rigid_copies(b, [axes])[0]))
+                placed = dict(zip(b.elements, oracle_rigid_copies(b, [axes])[0]))
                 for copy in enumerate_copies(b, a):
                     labels = tuple(placed[x] for x in copy)
                     points = [tuple(map(int, lab.split(","))) for lab in labels]
@@ -593,7 +590,7 @@ class TestRamseyWitnessCheck:
                         tuple(sorted(p[i] for p in points))
                         for i in range(2)
                     )
-                    assert _rigid_copies(a, [span]) == [labels]
+                    assert oracle_rigid_copies(a, [span]) == [labels]
 
     def test_pattern_must_embed(self):
         with pytest.raises(ElementMismatch):
@@ -603,14 +600,12 @@ class TestRamseyWitnessCheck:
         with pytest.raises(ElementMismatch):
             ramsey_witness_check(one_point(n=3), aligned_chain(), 2, 2)
 
-    @pytest.mark.parametrize("method, phase", [
-        ("reduction", "monochromatic-subgrid scan"),
-        ("exhaustive", "copy coloring search"),
-    ])
-    def test_copy_candidates_are_refused_on_the_call_budget(self, method, phase):
+    @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
+    def test_copy_candidates_are_refused_on_the_call_budget(self, method):
         # C(900, 3) subsets of the 30^2 grid, refused before any is tried
         with pytest.raises(
-            LimitExceeded, match=f"^{phase}: subsets of the host to test as copies: 121095300"
+            LimitExceeded,
+            match="^copy coloring search: subsets of the host to test as copies: 121095300",
         ):
             ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), 2, 30, method)
         # C(9, 3) = 84 in the 3^2 grid: the call's own budget= decides
@@ -643,24 +638,31 @@ class TestRamseyWitnessCheck:
             ramsey_witness_check(aligned_chain(), one_point(), 2, 2)
 
     def test_reduction_budget(self):
-        with pytest.raises(LimitExceeded):
-            ramsey_witness_check(one_point(), aligned_chain(), 2, 5)
+        # 2^25 copy colorings: the reduction oracle refuses them up front,
+        # and the kernel decides the call inside the default budget.
+        with pytest.raises(LimitExceeded, match="colorings to scan: 33554432 cases"):
+            oracle_ramsey_reduction(one_point(), aligned_chain(), 2, 5)
+        assert ramsey_witness_check(one_point(), aligned_chain(), 2, 5)
 
     def test_env_budget_honoured(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "20")
         with pytest.raises(LimitExceeded, match="copy coloring search"):
-            ramsey_witness_check(
-                one_point(), crossed_antichain(), 2, 3, method="exhaustive"
-            )
+            ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
 
     def test_one_meter_serves_every_scan(self, monkeypatch):
-        # 2^9 colorings pass the up-front check; each scan alone is far
-        # below the budget, their sum is not
-        monkeypatch.setenv("ORDERDIM_BUDGET", "1000")
+        # One meter under one phase refuses the C(16, 2) = 120 copy
+        # candidates up front and counts every step of the kernel: 1,017
+        # for three colors of the crossed pair's points in 4^2.
+        a, b = one_point(), crossed_antichain()
+        meter = BudgetMeter(10**9, "test")
+        count, groups = _copy_groups(GridStruct(4, 2), a, b, meter)
+        assert _search_free_coloring(count, 3, groups, meter) is None
+        assert 10**9 - meter.remaining == 1017
+        assert ramsey_witness_check(a, b, 3, 4, budget=1017)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "1016")
+        with pytest.raises(LimitExceeded, match="^copy coloring search: step budget"):
+            ramsey_witness_check(a, b, 3, 4)
         with pytest.raises(
-            LimitExceeded, match="monochromatic-subgrid scan: step budget"
+            LimitExceeded, match="^copy coloring search: subsets of the host to test as copies: 120"
         ):
-            ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
-        assert ramsey_witness_check(
-            one_point(), crossed_antichain(), 2, 3, budget=10_000
-        )
+            ramsey_witness_check(a, b, 3, 4, budget=119)

@@ -99,6 +99,27 @@ def test_no_certificate_grid_search_in_the_library():
     assert found == []
 
 
+def test_no_copy_coloring_walk_in_the_library():
+    # The coloring kernel alone decides `ramsey_witness_check`.  The
+    # induced-coloring reduction, which walks every copy coloring, is the
+    # oracle `oracle_ramsey_reduction` in tests/conftest.py: the library
+    # defines neither its pullback nor its scan and opens no budget phase
+    # for it.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("_first_mono_group", "_rigid_copies")
+            or isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "monochromatic-subgrid scan" in node.value
+        ]
+    assert found == []
+
+
 def test_budgets_are_resolved_only_by_the_meter():
     # BudgetMeter resolves its own budget, so a search passes its budget=
     # argument, or None, straight to the meter; a second resolver would let
