@@ -10,34 +10,42 @@ Submodules:
 - flow: realizer enumeration and the automorphism action.
 - cli: command-line entry point (gen / dim / certify / ramsey / ...).
 
-``import orderdim`` loads only errors, poset and dimension.  The names
-exported from the other four submodules are looked up on first use, so
-a caller (or a CLI command) that never touches them never imports them.
-``dimension`` stays eager: the function is bound over the submodule of
-the same name before anything else can import that submodule.
+``import orderdim`` loads no submodule.  Every exported name is looked
+up in its submodule on first use and then bound on the package, so a
+caller (or a CLI command) that never touches a submodule never imports
+it.  The package's class binds the ``dimension`` function wherever the
+import system would bind the ``dimension`` submodule of the same name,
+so ``orderdim.dimension`` is the function whichever module imports the
+submodule first.
 """
 
+import sys
 from importlib import import_module
-
-from .errors import OrderError
-from .poset import (
-    FinitePoset,
-    LinearOrder,
-    OrderedStructure,
-    RealizerTuple,
-    antichain,
-    chain,
-    crown,
-    is_realizer,
-    szpilrajn_extend,
-    validate_poset,
-)
-from .dimension import DimensionResult, all_linear_extensions, dimension
+from types import ModuleType
 
 __version__ = "0.1.0"
 
 # Exported name -> the submodule that defines it, imported on first use.
 _LAZY = {
+    "OrderError": "errors",
+    **dict.fromkeys(
+        (
+            "FinitePoset",
+            "LinearOrder",
+            "OrderedStructure",
+            "RealizerTuple",
+            "antichain",
+            "chain",
+            "crown",
+            "is_realizer",
+            "szpilrajn_extend",
+            "validate_poset",
+        ),
+        "poset",
+    ),
+    **dict.fromkeys(
+        ("DimensionResult", "all_linear_extensions", "dimension"), "dimension"
+    ),
     **dict.fromkeys(
         (
             "PointCloud",
@@ -88,29 +96,16 @@ _LAZY = {
     ),
 }
 
-__all__ = [
-    "OrderError",
-    "FinitePoset",
-    "LinearOrder",
-    "OrderedStructure",
-    "RealizerTuple",
-    "antichain",
-    "chain",
-    "crown",
-    "is_realizer",
-    "szpilrajn_extend",
-    "validate_poset",
-    "DimensionResult",
-    "all_linear_extensions",
-    "dimension",
-    *_LAZY,
-]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name: str):
-    """An exported name of a lazy submodule, or that submodule itself."""
+    """An exported name, bound on the package once found, or a submodule
+    that defines some."""
     if name in _LAZY:
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
     if name in _LAZY.values():
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -118,3 +113,15 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    # Loading a submodule binds it on its package under its own name, so
+    # the `dimension` submodule would hide the `dimension` function.
+    def __setattr__(self, name, value):
+        if name == "dimension" and isinstance(value, ModuleType):
+            value = value.dimension
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,9 +11,10 @@ traceback.
 
 Each handler imports the library modules it calls, when it is called,
 so a process loads only what its subcommand runs: `gen crown` and
-`export dot` load poset alone (beyond the package's eager core),
-`ramsey number` and `gen grid` add ramsey but no geometry, and `flow
-realizers` adds flow alone.  No command loads dataclasses or inspect.
+`export dot` load errors and poset alone, `dim` adds budget and
+dimension, `ramsey number` and `gen grid` add ramsey to those but no
+geometry, and `flow realizers` adds flow alone.  No command loads
+dataclasses or inspect.
 `python -X importtime -m orderdim.cli <cmd>` lists the modules loaded.
 
 A process enters through run(), both as `python -m orderdim.cli` and as

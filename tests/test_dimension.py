@@ -822,6 +822,7 @@ class TestSelfChecks:
     def test_checks_run_under_optimize(self):
         script = (
             "import sys\n"
+            "import orderdim.dimension\n"
             "from orderdim.poset import crown\n"
             "d = sys.modules['orderdim.dimension']\n"
             "d._meet_rows = lambda seqs, m: [0] * m\n"

@@ -127,11 +127,60 @@ def cli_output(capsys, monkeypatch, argv: list[str], stdin: str = "") -> str:
     return capsys.readouterr().out
 
 
+# One command line per family that the cli-pipelines benchmark runs, with
+# its stdin; SAMPLE_FILE stands for a file that holds SAMPLE.
+FAMILIES = {
+    "gen-crown": (["gen", "crown", "--n", "3"], ""),
+    "gen-grid": (["gen", "grid", "--m", "2", "--n", "2"], ""),
+    "gen-sample": (["gen", "sample", "--n", "2", "--count", "4", "--seed", "1"], ""),
+    "dim": (["dim"], CROWN),
+    "export-dot": (["export", "dot"], CROWN),
+    "check-dpo": (["check", "dpo"], SAMPLE),
+    "certify": (["certify", "ap", "--n", "2"], ""),
+    "ramsey-number": (
+        ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2", "--n", "1", "--rmax", "5"],
+        "",
+    ),
+    "flow-realizers": (["flow", "realizers"], GRID),
+    "iso-bnf": (["iso", "bnf", "--a", "-", "--b", "SAMPLE_FILE", "--steps", "10"], SAMPLE),
+}
+
+
+# The orderdim submodules that each family's process loads, exactly.
+LOADS = {
+    "gen-crown": {"errors", "poset"},
+    "export-dot": {"errors", "poset"},
+    "gen-sample": {"errors", "poset", "budget", "geometry"},
+    "iso-bnf": {"errors", "poset", "budget", "geometry"},
+    "dim": {"errors", "poset", "budget", "dimension"},
+    "gen-grid": {"errors", "poset", "budget", "dimension", "ramsey"},
+    "ramsey-number": {"errors", "poset", "budget", "dimension", "ramsey"},
+    "flow-realizers": {"errors", "poset", "budget", "dimension", "flow"},
+    "check-dpo": {"errors", "poset", "budget", "dimension", "geometry", "homogeneity"},
+    "certify": {"errors", "poset", "budget", "dimension", "geometry", "homogeneity"},
+}
+
+
+def family_command(family: str, tmp_path: Path) -> tuple[list[str], str]:
+    """FAMILIES[family] with SAMPLE_FILE written under tmp_path."""
+    argv, stdin = FAMILIES[family]
+    sample = tmp_path / "sample.json"
+    sample.write_text(SAMPLE, encoding="utf-8")
+    return [str(sample) if a == "SAMPLE_FILE" else a for a in argv], stdin
+
+
 class TestWhatLoads:
-    def test_package_import_loads_the_core_only(self):
+    def test_package_import_loads_no_submodule(self):
         names, _ = loaded(["-c", "import orderdim"])
-        assert {"errors", "poset", "dimension"} <= names
-        assert not names & LAZY
+        assert names == set()
+        names, _ = loaded(["-c", "import orderdim.cli"])
+        assert names == {"cli", "errors"}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_each_family_loads_its_modules_alone(self, family, tmp_path):
+        argv, stdin = family_command(family, tmp_path)
+        names, _ = loaded(["-m", "orderdim.cli", *argv], stdin)
+        assert names == LOADS[family]
 
     @pytest.mark.parametrize(
         "argv, stdin",
@@ -161,32 +210,10 @@ class TestWhatLoads:
         assert out == cli_output(capsys, monkeypatch, argv)
 
 
-# One command line per family that the cli-pipelines benchmark runs, with
-# its stdin; SAMPLE_FILE stands for a file that holds SAMPLE.
-FAMILIES = {
-    "gen-crown": (["gen", "crown", "--n", "3"], ""),
-    "gen-grid": (["gen", "grid", "--m", "2", "--n", "2"], ""),
-    "gen-sample": (["gen", "sample", "--n", "2", "--count", "4", "--seed", "1"], ""),
-    "dim": (["dim"], CROWN),
-    "export-dot": (["export", "dot"], CROWN),
-    "check-dpo": (["check", "dpo"], SAMPLE),
-    "certify": (["certify", "ap", "--n", "2"], ""),
-    "ramsey-number": (
-        ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2", "--n", "1", "--rmax", "5"],
-        "",
-    ),
-    "flow-realizers": (["flow", "realizers"], GRID),
-    "iso-bnf": (["iso", "bnf", "--a", "-", "--b", "SAMPLE_FILE", "--steps", "10"], SAMPLE),
-}
-
-
 class TestStartUp:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_no_command_loads_dataclasses_or_inspect(self, family, tmp_path):
-        argv, stdin = FAMILIES[family]
-        sample = tmp_path / "sample.json"
-        sample.write_text(SAMPLE, encoding="utf-8")
-        argv = [str(sample) if a == "SAMPLE_FILE" else a for a in argv]
+        argv, stdin = family_command(family, tmp_path)
         names, _ = loaded(["-m", "orderdim.cli", *argv], stdin, prefix="")
         assert "orderdim.poset" in names
         assert not names & {"dataclasses", "inspect"}
@@ -208,15 +235,50 @@ class TestNamespace:
         module = importlib.import_module(f"orderdim.{EXPORTED[name]}")
         assert getattr(orderdim, name) is getattr(module, name)
 
-    def test_dimension_stays_the_function(self):
-        # In a fresh process, so that homogeneity is what first imports
-        # the dimension submodule.
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import orderdim.homogeneity",
+            "import orderdim.ramsey",
+            "import orderdim.flow",
+            "from orderdim.dimension import _colour_classes",
+            "import orderdim; orderdim.dimension",
+        ],
+        ids=["homogeneity", "ramsey", "flow", "from-import", "package-attribute"],
+    )
+    def test_dimension_stays_the_function(self, first):
+        # In a fresh process, so that `first` is what imports the dimension
+        # submodule and binds it on the package.
         loaded(
             [
                 "-c",
-                "import sys, orderdim.homogeneity, orderdim\n"
-                "from orderdim.dimension import dimension\n"
-                "if orderdim.dimension is not dimension: sys.exit(1)",
+                "import sys, types\n"
+                f"{first}\n"
+                "import orderdim\n"
+                "module = sys.modules['orderdim.dimension']\n"
+                "assert isinstance(module, types.ModuleType)\n"
+                "assert module.__name__ == 'orderdim.dimension'\n"
+                "assert orderdim.dimension is module.dimension",
+            ]
+        )
+
+    def test_function_set_on_dimension_is_kept(self, monkeypatch):
+        # bench/tracer.py rebinds the package attribute to its wrapper
+        def wrapper(*args, **kwargs):
+            return None
+
+        monkeypatch.setattr(orderdim, "dimension", wrapper)
+        assert orderdim.dimension is wrapper
+
+    def test_first_lookup_binds_the_name(self):
+        loaded(
+            [
+                "-c",
+                "import sys, orderdim\n"
+                "assert 'crown' not in vars(orderdim)\n"
+                "crown = orderdim.crown\n"
+                "assert vars(orderdim)['crown'] is crown\n"
+                "assert crown is sys.modules['orderdim.poset'].crown",
             ]
         )
 
@@ -261,10 +323,7 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_process_output_is_mains(self, family, tmp_path, capsys, monkeypatch):
-        argv, stdin = FAMILIES[family]
-        sample = tmp_path / "sample.json"
-        sample.write_text(SAMPLE, encoding="utf-8")
-        argv = [str(sample) if a == "SAMPLE_FILE" else a for a in argv]
+        argv, stdin = family_command(family, tmp_path)
         out = process(argv, stdin)
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout == cli_output(capsys, monkeypatch, argv, stdin)

@@ -271,3 +271,33 @@ def test_only_the_process_entry_skips_the_collector():
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert in_run == 1
+
+
+def test_package_init_imports_no_submodule():
+    # `import orderdim` loads nothing: every exported name resolves through
+    # the one lazy table in __init__.py when it is first used.  A
+    # module-level import of a submodule there would load it, and all it
+    # imports, in every process, whatever the process goes on to run.
+    path = SRC / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." if node.level else node.module or ""]
+        elif isinstance(node, ast.Call) and "import_module" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            names = ["."]
+        else:
+            names = []
+        if any(n == "." or n.split(".")[0] == "orderdim" for n in names):
+            found.append(f"{path.name}:{node.lineno}")
+        todo += ast.iter_child_nodes(node)
+    assert found == []
