@@ -12,9 +12,9 @@ traceback.
 Each handler imports the library modules it calls, when it is called,
 so a process loads only what its subcommand runs: `gen crown` and
 `export dot` load errors and poset alone, `dim` adds budget and
-dimension, `ramsey number` and `gen grid` add ramsey to those but no
-geometry, and `flow realizers` adds flow alone.  No command loads
-dataclasses or inspect.
+dimension, `ramsey number` and `gen grid` add budget and ramsey, and
+`flow realizers` adds budget and flow; none of these three loads
+dimension or geometry.  No command loads dataclasses or inspect.
 `python -X importtime -m orderdim.cli <cmd>` lists the modules loaded.
 
 A process enters through run(), both as `python -m orderdim.cli` and as

@@ -17,19 +17,20 @@ reversible class: no strict alternating cycle lies inside one side
 17, 2000; `scripts/check_dim_two.py` checks the split on every naturally
 labelled poset up to a given size).  The colouring has to cover the
 whole pair set: a subset can close no odd 2-cycle and still need three
-classes.  From t = 3 on
-`_colour_classes`, the kernel that `ramsey` shares, backtracks over class
-assignments: classes open in order of first use, and each keeps its own
-reachability bitsets, grown as pairs join it, in the greedy pair order
-built when a colouring first runs.  Deciding dim(P) <= t is NP-complete
+classes.  From t = 3 on `poset._colour_classes`, the kernel that
+`ramsey` shares, backtracks over class assignments: classes open in
+order of first use, and each keeps its own reachability bitsets, grown
+by `poset._reverse` as pairs join it, in the greedy pair order built
+when a colouring first runs.  Deciding dim(P) <= t is NP-complete
 for t >= 3 (Yannakakis 1982).
 
-Linear extensions come from one greedy completion, `_complete`: from a
-prefix, place the least element whose predecessors are all placed, again
-and again.  The extension stream of `all_linear_extensions` is the
-completion of the empty prefix and then, after each extension, the
-completion that puts a larger element in place of the deepest one that
-has a larger element ready.  The witness is read off the split that
+Linear extensions come from one greedy completion, `poset._complete`:
+from a prefix, place the least element whose predecessors are all
+placed, again and again.  The extension stream of
+`all_linear_extensions`, `poset._extensions`, is the completion of the
+empty prefix and then, after each extension, the completion that puts a
+larger element in place of the deepest one that has a larger element
+ready.  The witness is read off the split that
 decided the dimension, one linear extension per class: the completion,
 from the empty prefix, of the poset with y put below x for each pair
 (x, y) of the class.  The classes are one empty class for t = 1; for
@@ -61,18 +62,23 @@ charged together once its order is complete.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .budget import BudgetMeter
 from .errors import NotARealizer, SelfCheckFailed
 from .poset import (
+    EXTENSIONS,
     FinitePoset,
     LinearOrder,
     RealizerTuple,
     _beyond,
+    _colour_classes,
+    _complete,
+    _extensions,
     _Frozen,
     _meet_rows,
     _realizer_of_indices,
+    _reverse,
     hiraguchi_bound,
 )
 
@@ -86,9 +92,6 @@ __all__ = [
 
 COLOURING = "critical-pair colouring"
 WITNESS = "witness search"
-EXTENSIONS = "linear extension enumeration"
-
-_State = TypeVar("_State")
 
 
 class DimensionResult(_Frozen):
@@ -106,55 +109,6 @@ def all_linear_extensions(
     e = p.elements
     meter = BudgetMeter(budget, EXTENSIONS)
     return (LinearOrder([e[i] for i in seq]) for seq in _extensions(p.down, meter))
-
-
-def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, ...]]:
-    """all_linear_extensions as index sequences, on a meter that the caller
-    may share.
-
-    down[i] holds elements that must come before element i; it need not
-    be transitively closed.  Sequences come in lexicographic order, one
-    tick each: the first is the greedy completion of the empty prefix,
-    and each next one pops the deepest element i and completes with a
-    larger element than i in its place, popping further while none is
-    ready.  A cyclic relation yields nothing: its first completion dead
-    ends, which for an acyclic relation never happens.
-    """
-    order: list[int] = []
-    free = (1 << len(down)) - 1
-    if not _complete(down, order, free, free):
-        return
-    while True:
-        meter.tick()
-        yield tuple(order)
-        free = 0
-        while order:
-            i = order.pop()
-            free |= 1 << i
-            if _complete(down, order, free, free & -(2 << i)):
-                break
-        else:
-            return
-
-
-def _complete(need: Sequence[int], order: list[int], free: int, rest: int) -> bool:
-    """Append to order the least element of rest that is ready, one whose
-    need row misses free, the elements not yet placed; then the least
-    ready element of what is left of free, each time.  True once free is
-    empty, False at a dead end."""
-    while free:
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if not need[i] & free:
-                break
-            rest ^= low
-        else:
-            return False
-        order.append(i)
-        free ^= low
-        rest = free
-    return True
 
 
 def _critical_indices(
@@ -189,51 +143,6 @@ def critical_pairs(p: FinitePoset) -> list[tuple[str, str]]:
     """Ordered pairs (x, y): incomparable, down(x) <= down(y), up(y) <= up(x)."""
     e = p.elements
     return [(e[x], e[y]) for x, y in _critical_indices(p.up, p.down)[0]]
-
-
-def _reverse(leq: Sequence[int], lows: int, hi: int) -> list[int] | None:
-    """Reflexive reachability rows with lo < hi added for every lo in the
-    mask lows, or None if that closes a cycle, when hi is at or below one
-    of them already.  Every new edge ends at hi, so one pass adds them
-    all: each row that reaches some lo gains everything hi reaches."""
-    gain = leq[hi]
-    if gain & lows:
-        return None
-    return [row | gain if row & lows else row for row in leq]
-
-
-def _colour_classes(
-    count: int, t: int, empty: _State,
-    fits: Callable[[_State, int], _State | None], tick: Callable[[], None],
-) -> list[int] | None:
-    """Items 0..count-1 put into at most t classes: each item's class, or None.
-
-    A class is an opaque state that starts as empty; fits(state, d) is the
-    state grown by item d, or None when d cannot join it.  Item d tries the
-    open classes in order, then a new one (they are interchangeable), one
-    tick each.  A dead end moves the latest item on to its next class.
-    """
-    # states[d]: the open classes' states before item d joins one.
-    states: list[tuple] = [()]
-    placed: list[int] = []
-    c = 0
-    while len(placed) < count:
-        classes = states[-1]
-        while c <= len(classes) and c < t:
-            tick()
-            grown = fits(classes[c] if c < len(classes) else empty, len(placed))
-            if grown is not None:
-                placed.append(c)
-                states.append(classes[:c] + (grown,) + classes[c + 1 :])
-                c = 0
-                break
-            c += 1
-        else:
-            if not placed:
-                return None
-            states.pop()
-            c = placed.pop() + 1
-    return placed
 
 
 class _RealizerSearch:

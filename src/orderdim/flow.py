@@ -33,9 +33,10 @@ base point to images sharing that coordinate).  Tests treat those gaps
 as measured facts, not failures.
 
 Only symmetric_sample and classify_realizer import geometry; the
-automorphism search reads a cloud's order from poset's product builder.
-So enumerating the realizers of an abstract structure loads neither
-geometry nor homogeneity.
+automorphism search reads a cloud's order from poset's product builder,
+and the linear extensions come from poset's extension stream.  So
+enumerating the realizers of an abstract structure loads neither
+dimension, geometry nor homogeneity.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from operator import and_, or_, xor
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .budget import BudgetMeter
-from .dimension import EXTENSIONS, _extensions
 from .errors import (
     CycleFound,
     DecompositionFailed,
@@ -58,11 +58,13 @@ from .errors import (
     TooSmall,
 )
 from .poset import (
+    EXTENSIONS,
     FinitePoset,
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
     _closed_or_cycle,
+    _extensions,
     _Frozen,
     _product_structure,
     _sequence_rows,

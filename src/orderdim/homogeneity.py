@@ -68,10 +68,12 @@ from .poset import (
     _closure,
     _first_loop,
     _Frozen,
+    _json_field,
+    _reverse,
     crown,
     product_less,
 )
-from .dimension import _reverse, dimension
+from .dimension import dimension
 
 __all__ = [
     "AxiomReport",
@@ -186,7 +188,11 @@ class Certificate(_Frozen):
 
     @staticmethod
     def from_json(payload: dict) -> "Certificate":
-        return Certificate(CertificateKind(payload["kind"]), payload["data"])
+        """The certificate of a to_json payload.  A payload that is no
+        JSON object, or lacks a field, is a TypeError that says so; an
+        unknown kind is a ValueError."""
+        kind = CertificateKind(_json_field(payload, "kind"))
+        return Certificate(kind, _json_field(payload, "data"))
 
 
 def _same_json(a: object, b: object) -> bool:

@@ -13,12 +13,19 @@ Conventions that the rest of the package relies on:
 - A realizer is a tuple of linear orders over one element set whose
   intersection equals the poset's relation.
 - The 2n-element crown uses the convention a_i < b_j iff i != j.
+
+The search kernels that several modules run on these rows live here
+too: the greedy completion ``_complete`` and the extension stream
+``_extensions`` built on it (``dimension`` and ``flow``), the one-pass
+closure step ``_reverse`` (``dimension`` and ``homogeneity``), and the
+class-colouring backtracker ``_colour_classes``, which the realizer
+search in ``dimension`` and both partition searches in ``ramsey`` share.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     CycleIntroduced,
@@ -32,6 +39,9 @@ from .errors import (
     TooSmall,
     TransitivityViolation,
 )
+
+if TYPE_CHECKING:
+    from .budget import BudgetMeter
 
 __all__ = [
     "FinitePoset",
@@ -50,6 +60,11 @@ __all__ = [
 # Crowns and `ramsey` grids past this size are refused before anything is
 # built: their JSON grows with the square of the size, 13 MB at the cap.
 MAX_GENERATED_ELEMENTS = 1024
+
+# The budget phase of the extension stream.
+EXTENSIONS = "linear extension enumeration"
+
+_State = TypeVar("_State")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -114,6 +129,100 @@ def _beyond(up: Sequence[int], row: int) -> int:
 def _first_loop(rows: Sequence[int]) -> int | None:
     """Least i with bit i of rows[i] set, or None."""
     return next((i for i, row in enumerate(rows) if row >> i & 1), None)
+
+
+def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, ...]]:
+    """`dimension.all_linear_extensions` as index sequences, on a meter
+    that the caller may share.
+
+    down[i] holds elements that must come before element i; it need not
+    be transitively closed.  Sequences come in lexicographic order, one
+    tick each: the first is the greedy completion of the empty prefix,
+    and each next one pops the deepest element i and completes with a
+    larger element than i in its place, popping further while none is
+    ready.  A cyclic relation yields nothing: its first completion dead
+    ends, which for an acyclic relation never happens.
+    """
+    order: list[int] = []
+    free = (1 << len(down)) - 1
+    if not _complete(down, order, free, free):
+        return
+    while True:
+        meter.tick()
+        yield tuple(order)
+        free = 0
+        while order:
+            i = order.pop()
+            free |= 1 << i
+            if _complete(down, order, free, free & -(2 << i)):
+                break
+        else:
+            return
+
+
+def _complete(need: Sequence[int], order: list[int], free: int, rest: int) -> bool:
+    """Append to order the least element of rest that is ready, one whose
+    need row misses free, the elements not yet placed; then the least
+    ready element of what is left of free, each time.  True once free is
+    empty, False at a dead end."""
+    while free:
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if not need[i] & free:
+                break
+            rest ^= low
+        else:
+            return False
+        order.append(i)
+        free ^= low
+        rest = free
+    return True
+
+
+def _reverse(leq: Sequence[int], lows: int, hi: int) -> list[int] | None:
+    """Reflexive reachability rows with lo < hi added for every lo in the
+    mask lows, or None if that closes a cycle, when hi is at or below one
+    of them already.  Every new edge ends at hi, so one pass adds them
+    all: each row that reaches some lo gains everything hi reaches."""
+    gain = leq[hi]
+    if gain & lows:
+        return None
+    return [row | gain if row & lows else row for row in leq]
+
+
+def _colour_classes(
+    count: int, t: int, empty: _State,
+    fits: Callable[[_State, int], _State | None], tick: Callable[[], None],
+) -> list[int] | None:
+    """Items 0..count-1 put into at most t classes: each item's class, or None.
+
+    A class is an opaque state that starts as empty; fits(state, d) is the
+    state grown by item d, or None when d cannot join it.  Item d tries the
+    open classes in order, then a new one (they are interchangeable), one
+    tick each.  A dead end moves the latest item on to its next class.
+    """
+    # states[d]: the open classes' states before item d joins one.
+    states: list[tuple] = [()]
+    placed: list[int] = []
+    c = 0
+    while len(placed) < count:
+        classes = states[-1]
+        while c <= len(classes) and c < t:
+            tick()
+            grown = fits(classes[c] if c < len(classes) else empty, len(placed))
+            if grown is not None:
+                placed.append(c)
+                states.append(classes[:c] + (grown,) + classes[c + 1 :])
+                c = 0
+                break
+            c += 1
+        else:
+            if not placed:
+                return None
+            states.pop()
+            c = placed.pop() + 1
+    return placed
 
 
 def _axiom_violation(labels: Sequence[str], up: Sequence[int]) -> OrderError | None:
@@ -187,7 +296,8 @@ class _Frozen:
     not a field.  The constructor takes the fields by position or
     keyword and raises TypeError when one is missing, unknown or given
     twice.  A subclass that checks its arguments does so in its own
-    ``__init__`` and then calls ``super().__init__``.  Equality holds
+    ``__init__`` and then calls ``super().__init__``; ``_trusted`` stores
+    fields whose checks have already passed, without either.  Equality holds
     only within one class and compares the field tuples; ``hash`` is the
     field tuple's hash, so it raises TypeError when a field is
     unhashable; the repr is ``Name(field=value, ...)``.  Assigning or
@@ -217,6 +327,16 @@ class _Frozen:
             )
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """The value of cls holding values, one per field in order, stored
+        without the checks of cls's constructor: only for values that have
+        already passed them."""
+        self = cls.__new__(cls)
+        for name, value in zip(cls.__match_args__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -278,9 +398,7 @@ class FinitePoset(_Frozen):
         up = tuple(up)
         if len(up) != m or any(row >> m for row in up):
             raise ElementMismatch(f"relation rows do not match {m} elements")
-        p = cls.__new__(cls)
-        _Frozen.__init__(p, elements, up, tuple(_transpose(up, m)))
-        return p
+        return cls._trusted(elements, up, tuple(_transpose(up, m)))
 
     def __reduce__(self):
         # The constructor takes a matrix, not the fields.
@@ -488,14 +606,9 @@ def _realizer_of_indices(labels: Sequence[str], seqs: Iterable[Sequence[int]]) -
     sequence, built without the constructors' duplicate and support
     checks: only for sequences that _meet_rows has just accepted, which
     are permutations of range(len(labels)) over distinct labels."""
-    orders = []
-    for seq in seqs:
-        o = LinearOrder.__new__(LinearOrder)
-        _Frozen.__init__(o, tuple([labels[i] for i in seq]))
-        orders.append(o)
-    t = RealizerTuple.__new__(RealizerTuple)
-    _Frozen.__init__(t, tuple(orders))
-    return t
+    return RealizerTuple._trusted(
+        tuple([LinearOrder._trusted(tuple([labels[i] for i in seq])) for seq in seqs])
+    )
 
 
 def is_realizer(p: FinitePoset, t: RealizerTuple) -> bool:

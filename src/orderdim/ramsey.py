@@ -1,10 +1,11 @@
 """Grid combinatorics behind the partition property of realizer classes.
 
 Structures embed rigidly into grids at their rank coordinates.  Both
-partition questions go to one coloring kernel, `dimension._colour_classes`,
-which the realizer search shares: `product_ramsey_number` colors the
-l^n-subgrids of r^n against the m^n-subgrids (`_grid_groups` lists the
-l^n-subgrids inside each), and `ramsey_witness_check` colors the copies
+partition questions go to one coloring kernel, `poset._colour_classes`,
+which the realizer search in `dimension` shares, so this module loads
+no `dimension`: `product_ramsey_number` colors the l^n-subgrids of r^n
+against the m^n-subgrids (`_grid_groups` lists the l^n-subgrids inside
+each), and `ramsey_witness_check` colors the copies
 of a pattern against the copies of a target (`_copy_groups`).  Every
 search here is an exhaustive sweep over a finite space.  The coloring
 search cuts only branches that provably contain nothing (completed
@@ -34,11 +35,11 @@ from math import comb
 from typing import Sequence
 
 from .budget import BudgetMeter
-from .dimension import _colour_classes
 from .errors import ElementMismatch, LimitExceeded, TooSmall
 from .poset import (
     MAX_GENERATED_ELEMENTS,
     OrderedStructure,
+    _colour_classes,
     _Frozen,
     _product_structure,
 )
@@ -170,7 +171,7 @@ def _search_free_coloring(
     """A coloring of the cells leaving every group non-monochromatic.
 
     Exhaustive depth-first search in canonical cell order by the kernel
-    that the realizer search shares, `dimension._colour_classes`.  A
+    that the realizer search shares, `poset._colour_classes`.  A
     color is the bitmask of its cells, and each group, as a bitmask,
     waits under its largest cell: a cell joins a color unless that
     completes one of its groups there, which later cells cannot undo.

@@ -125,6 +125,22 @@ def less_pairs(p: FinitePoset) -> set[tuple[str, str]]:
     return {(a, b) for a in p.elements for b in p.elements if p.less(a, b)}
 
 
+def generalised_crown(n: int, k: int) -> FinitePoset:
+    """Trotter's crown S_n^k ("Dimension of the crown S_n^k", Discrete
+    Math. 8, 1974), built through the checking constructor: minimal
+    elements a1..a(n+k) and maximal b1..b(n+k), each a_i incomparable to
+    b_i, b_(i+1), ..., b_(i+k), indices mod n + k, and below every other
+    b_j.  S_n^0 is the crown of 2n elements; for n >= 3 and k >= 0 the
+    dimension is ceil(2(n + k) / (k + 2))."""
+    m = n + k
+    labels = [f"a{i}" for i in range(1, m + 1)] + [f"b{i}" for i in range(1, m + 1)]
+    lt = [[False] * 2 * m for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            lt[i][m + j] = (j - i) % m > k
+    return FinitePoset(labels, lt)
+
+
 def random_poset_shuffled(rng: random.Random, m: int) -> FinitePoset:
     """random_poset with its labels dealt out of index order, so that
     breaking ties by label and by element index differ."""
@@ -354,8 +370,8 @@ def oracle_extensions(down: Sequence[int], meter) -> Iterator[tuple[int, ...]]:
     is all taken goes next, and a dead end moves the deepest element on
     to the next index.  One tick of the meter per sequence, before it is
     yielded; a cyclic relation yields nothing, since the walk stops at
-    its first dead end.  The walk `dimension._extensions` ran before it
-    took its sequences from `dimension._complete`, and its oracle."""
+    its first dead end.  The walk the stream `poset._extensions` ran
+    before it took its sequences from `poset._complete`, and its oracle."""
     m = len(down)
     order = [0] * m
     taken = d = i = 0
@@ -435,7 +451,7 @@ def naturally_labelled_posets(m: int) -> Iterator[FinitePoset]:
 
 def reverse_pair(above: Sequence[int], lo: int, hi: int) -> list[int] | None:
     """Strict reachability rows with lo < hi added, or None if that closes
-    a cycle: one pair at a time, the oracle for `dimension._reverse`,
+    a cycle: one pair at a time, the oracle for `poset._reverse`,
     which adds every pair ending at hi in one pass on reflexive rows."""
     if above[hi] >> lo & 1:
         return None
@@ -482,7 +498,7 @@ def identity_seeded_back_and_forth(monkeypatch):
 def oracle_colour(search, mask: int, t: int) -> bool:
     """Whether the pairs in mask split into t reversible classes, by the
     chronological backtracking loop that `_RealizerSearch._colour` ran
-    before it shared `dimension._colour_classes` with the Ramsey search:
+    before it shared `poset._colour_classes` with the Ramsey search:
     pairs in colouring order, each trying the open classes and then a new
     one, one tick of the search's meter per class tried.  The oracle for
     the kernel's verdicts and step counts."""

@@ -340,3 +340,30 @@ def test_a_poset_pickles_through_its_rows():
     p = crown(4)
     again = pickle.loads(pickle.dumps(p))
     assert (again.elements, again.up, again.down) == (p.elements, p.up, p.down)
+
+
+def assert_same_value(trusted, checked):
+    assert type(trusted) is type(checked)
+    assert trusted == checked
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [crown(2), crown(3), crown(5), antichain(1), antichain(2), antichain(6), chain(4)],
+    ids=["crown2", "crown3", "crown5", "antichain1", "antichain2", "antichain6", "chain4"],
+)
+def test_trusted_builds_equal_the_checked_ones(p):
+    # FinitePoset.from_rows and the realizer that dimension() returns store
+    # their fields through _Frozen._trusted, past the constructors' checks;
+    # the checking constructors, given the same values, build the same value
+    m = len(p)
+    matrix = [[bool(row >> j & 1) for j in range(m)] for row in p.up]
+    assert_same_value(FinitePoset.from_rows(p.elements, p.up), FinitePoset(p.elements, matrix))
+    witness = dimension(p).witness
+    orders = [LinearOrder(list(o.order)) for o in witness.orders]
+    for trusted, checked in zip(witness.orders, orders):
+        assert_same_value(trusted, checked)
+    assert_same_value(witness, RealizerTuple(orders))
+    assert is_realizer(p, witness)

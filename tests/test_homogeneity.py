@@ -712,6 +712,25 @@ class TestMalformedData:
     def test_data_that_is_a_list(self):
         assert not Certificate.from_json({"kind": "ap-failure", "data": []}).replay()
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({}, "no 'kind' field"),
+            ({"data": {"n": 2}}, "no 'kind' field"),
+            ({"kind": "ap-failure"}, "no 'data' field"),
+            ([], "not a JSON object"),
+            ("ap-failure", "not a JSON object"),
+            (None, "not a JSON object"),
+        ],
+    )
+    def test_payload_without_a_field_is_a_type_error_naming_it(self, payload, message):
+        with pytest.raises(TypeError, match=message):
+            Certificate.from_json(payload)
+
+    def test_unknown_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'no-such-kind'"):
+            Certificate.from_json({"kind": "no-such-kind", "data": {}})
+
     def test_typed_errors_of_the_derivation_propagate(self):
         # crafted widths are refused before the derivation builds a point
         for kind in (CertificateKind.NotUltrahomogeneous, CertificateKind.QnLexNotUltrahomogeneous):

@@ -520,6 +520,30 @@ class TestProductRamseyNumber:
             product_ramsey_number(2, 1, 2, 2, r_max=4, budget=25)
 
 
+class TestChainRamseyCase:
+    """Two colours on the aligned 2-chains of r^2, asking for an aligned
+    3-chain whose three pairs share a colour.  Aligned copies are chains
+    of the product order.  At r = 4 the grid holds the diagonal 7-chain
+    from (1, 1) to (4, 4); by R(3, 3) = 6 every 2-colouring of its pairs
+    has a monochromatic triangle, and each triangle of a chain is an
+    aligned 3-chain.  So the answer is False below r = 4 and True from
+    there on, whatever the search."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_a_free_colouring_exists_below_four(self, monkeypatch, r):
+        monkeypatch.delenv("ORDERDIM_BUDGET", raising=False)
+        assert not ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), 2, r)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=LimitExceeded,
+        reason="runs out of the default budget before every colouring is ruled out",
+    )
+    def test_four_holds_by_r33(self, monkeypatch):
+        monkeypatch.delenv("ORDERDIM_BUDGET", raising=False)
+        assert ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), 2, 4)
+
+
 class TestRamseyWitnessCheck:
     def test_pattern_equal_to_target(self):
         assert ramsey_witness_check(aligned_chain(), aligned_chain(), 2, 2)

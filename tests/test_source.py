@@ -301,3 +301,33 @@ def test_package_init_imports_no_submodule():
             found.append(f"{path.name}:{node.lineno}")
         todo += ast.iter_child_nodes(node)
     assert found == []
+
+
+def test_only_the_dimension_search_lives_in_dimension():
+    # The kernels several modules share (the extension stream, the
+    # closure step, the class colouring) live in poset.  A module that
+    # reached into dimension for a private name would load the whole
+    # dimension search for it: only cli and homogeneity import from
+    # dimension, and only public names.
+    importers = set()
+    private = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name == "orderdim.dimension"]
+            elif isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module in (".dimension", "orderdim.dimension"):
+                    names = [a.name for a in node.names]
+                elif module in (".", "orderdim"):
+                    names = [a.name for a in node.names if a.name == "dimension"]
+                else:
+                    names = []
+            else:
+                continue
+            if names:
+                importers.add(path.stem)
+            private += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("_")]
+    assert private == []
+    assert importers == {"cli", "homogeneity"}
