@@ -6,7 +6,7 @@ Submodules:
 - dimension: order dimension by critical-pair colouring, with witnesses.
 - geometry: rational point clouds, regions, back-and-forth embeddings.
 - homogeneity: density-axiom reports and homogeneity certificates.
-- ramsey: grid structures, rigid copies, product Ramsey numbers.
+- ramsey: rigid copies in grids, product Ramsey numbers.
 - flow: realizer enumeration and the automorphism action.
 - cli: command-line entry point (gen / dim / certify / ramsey / ...).
 
@@ -37,6 +37,7 @@ _LAZY = {
             "antichain",
             "chain",
             "crown",
+            "grid",
             "is_realizer",
             "szpilrajn_extend",
             "validate_poset",
@@ -61,7 +62,6 @@ _LAZY = {
             "AxiomReport",
             "Certificate",
             "CertificateKind",
-            "FlipPattern",
             "ap_failure_certificate",
             "check_dpo_fragment",
             "nonhom_witness",
@@ -73,7 +73,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "GridStruct",
             "enumerate_copies",
             "product_ramsey_number",
             "ramsey_witness_check",

@@ -10,11 +10,11 @@ argparse.  A reader that closes stdout early gets exit 1 and no
 traceback.
 
 Each handler imports the library modules it calls, when it is called,
-so a process loads only what its subcommand runs: `gen crown` and
-`export dot` load errors and poset alone, `dim` adds budget and
-dimension, `ramsey number` and `gen grid` add budget and ramsey, and
-`flow realizers` adds budget and flow; none of these three loads
-dimension or geometry.  No command loads dataclasses or inspect.
+so a process loads only what its subcommand runs: `gen crown`, `gen
+grid` and `export dot` load errors and poset alone, `dim` adds budget
+and dimension, `ramsey number` adds budget and ramsey, and `flow
+realizers` adds budget and flow; neither of these two loads dimension
+or geometry.  No command loads dataclasses or inspect.
 `python -X importtime -m orderdim.cli <cmd>` lists the modules loaded.
 
 A process enters through run(), both as `python -m orderdim.cli` and as
@@ -134,9 +134,9 @@ def _cmd_gen(args) -> None:
 
         payload = crown(args.n).to_json()
     elif args.shape == "grid":
-        from .ramsey import GridStruct
+        from .poset import grid
 
-        payload = GridStruct(args.m, args.n).structure.to_json()
+        payload = grid(args.m, args.n).to_json()
     elif args.symmetric:
         from .flow import symmetric_sample
 

@@ -105,7 +105,11 @@ class DimensionResult(_Frozen):
 def all_linear_extensions(
     p: FinitePoset, budget: int | None = None
 ) -> Iterator[LinearOrder]:
-    """Every linear extension exactly once, smallest-available-index first."""
+    """Every linear extension exactly once, smallest-available-index first.
+
+    The budget counts the elements placed: all m for the first extension,
+    and for each next one those after the prefix it shares with the one
+    before."""
     e = p.elements
     meter = BudgetMeter(budget, EXTENSIONS)
     return (LinearOrder([e[i] for i in seq]) for seq in _extensions(p.down, meter))

@@ -73,14 +73,12 @@ from .poset import (
     crown,
     product_less,
 )
-from .dimension import dimension
 
 __all__ = [
     "AxiomReport",
     "Certificate",
     "CertificateKind",
     "DensityDefect",
-    "FlipPattern",
     "check_dpo_fragment",
     "ap_failure_certificate",
     "nonhom_witness",
@@ -89,45 +87,6 @@ __all__ = [
     "two_homogeneity_certificate",
     "two_homogeneity_demo",
 ]
-
-
-class FlipPattern(_Frozen):
-    """Per-coordinate ascent signs of an ordered point pair.
-
-    True marks an axis on which the pair ascends.  Two pairs of a strict
-    cloud can be aligned by permuting axes exactly when their patterns
-    have the same number of ascents; the canonical such permutation
-    matches ascending axes to ascending axes in increasing order.
-    """
-
-    __slots__ = ("signs",)
-    signs: tuple[bool, ...]
-
-    @staticmethod
-    def of_pair(u: Point, v: Point) -> "FlipPattern":
-        if len(u) != len(v):
-            raise ElementMismatch("pair points have different arities")
-        if any(a == b for a, b in zip(u, v)):
-            raise ElementMismatch(
-                "sign patterns need coordinatewise distinct points"
-            )
-        return FlipPattern(tuple(a < b for a, b in zip(u, v)))
-
-    @property
-    def ascents(self) -> int:
-        return sum(self.signs)
-
-    def matching_permutation(self, other: "FlipPattern") -> list[int] | None:
-        """perm with self.signs[perm[i]] == other.signs[i], lexicographically
-        least, or None when the ascent counts differ."""
-        if len(self.signs) != len(other.signs):
-            return None
-        ups = [i for i, b in enumerate(self.signs) if b]
-        downs = [i for i, b in enumerate(self.signs) if not b]
-        if len(ups) != other.ascents:
-            return None
-        up_iter, down_iter = iter(ups), iter(downs)
-        return [next(up_iter) if b else next(down_iter) for b in other.signs]
 
 
 class CertificateKind(str, Enum):
@@ -372,6 +331,8 @@ def _ap_data(n: int) -> dict | None:
     if n != 2:
         data["mode"] = "chase"
         return data
+    from .dimension import dimension
+
     target = crown(n + 1)
     completions = []
     for choice, poset in _enumerate_amalgams(n):
@@ -572,6 +533,25 @@ def two_homogeneity_extend(
     return _aligned_extension(c, pair1, pair2, steps)[0]
 
 
+def _axis_alignment(
+    pair1: tuple[Point, Point], pair2: tuple[Point, Point]
+) -> list[int] | None:
+    """The lexicographically least axis permutation perm under which
+    pair1 ascends where pair2 does, u[perm[i]] < v[perm[i]] exactly when
+    u2[i] < v2[i], or None when the pairs ascend on different numbers of
+    axes.  The least one matches ascending axes to ascending axes, and
+    the others to the others, each in increasing order.  The points of a
+    pair differ on every axis, as two points of a strict cloud do."""
+    (u, v), (u2, v2) = pair1, pair2
+    ups = [i for i, (a, b) in enumerate(zip(u, v)) if a < b]
+    downs = [i for i, (a, b) in enumerate(zip(u, v)) if a > b]
+    signs = [a < b for a, b in zip(u2, v2)]
+    if len(ups) != sum(signs):
+        return None
+    up_iter, down_iter = iter(ups), iter(downs)
+    return [next(up_iter) if up else next(down_iter) for up in signs]
+
+
 def _aligned_extension(
     c: PointCloud,
     pair1: tuple[Point, Point],
@@ -597,9 +577,7 @@ def _aligned_extension(
             raise NotOrderPreserving(
                 "pair map does not preserve the product order"
             )
-    perm = FlipPattern.of_pair(u, v).matching_permutation(
-        FlipPattern.of_pair(u2, v2)
-    )
+    perm = _axis_alignment((u, v), (u2, v2))
     if perm is None:
         raise FlipNotRealizable(
             "pairs ascend on a different number of axes; no axis "

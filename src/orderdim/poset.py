@@ -25,6 +25,7 @@ search in ``dimension`` and both partition searches in ``ramsey`` share.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product as iter_product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -54,11 +55,12 @@ __all__ = [
     "crown",
     "chain",
     "antichain",
+    "grid",
     "hiraguchi_bound",
 ]
 
-# Crowns and `ramsey` grids past this size are refused before anything is
-# built: their JSON grows with the square of the size, 13 MB at the cap.
+# Crowns and grids past this size are refused before anything is built:
+# their JSON grows with the square of the size, 13 MB at the cap.
 MAX_GENERATED_ELEMENTS = 1024
 
 # The budget phase of the extension stream.
@@ -136,19 +138,22 @@ def _extensions(down: Sequence[int], meter: BudgetMeter) -> Iterator[tuple[int, 
     that the caller may share.
 
     down[i] holds elements that must come before element i; it need not
-    be transitively closed.  Sequences come in lexicographic order, one
-    tick each: the first is the greedy completion of the empty prefix,
-    and each next one pops the deepest element i and completes with a
-    larger element than i in its place, popping further while none is
-    ready.  A cyclic relation yields nothing: its first completion dead
-    ends, which for an acyclic relation never happens.
+    be transitively closed.  Sequences come in lexicographic order: the
+    first is the greedy completion of the empty prefix, and each next one
+    pops the deepest element i and completes with a larger element than i
+    in its place, popping further while none is ready.  Each sequence
+    ticks the meter once, by the elements placed since the one before:
+    all m for the first, then the popped mask free, since on an acyclic
+    relation a completion can dead end only at its first choice, before
+    it places anything.  A cyclic relation yields nothing: its first
+    completion dead ends, which for an acyclic relation never happens.
     """
     order: list[int] = []
     free = (1 << len(down)) - 1
     if not _complete(down, order, free, free):
         return
     while True:
-        meter.tick()
+        meter.tick(free.bit_count())
         yield tuple(order)
         free = 0
         while order:
@@ -751,6 +756,19 @@ def chain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
 
 def antichain(m: int, labels: Sequence[str] | None = None) -> FinitePoset:
     return FinitePoset.from_rows(_generated_labels("antichain", m, labels, "e"), [0] * m)
+
+
+def grid(m: int, n: int) -> OrderedStructure:
+    """The m^n grid: the points of (1..m)^n in row-major order, labelled
+    "i,j,...", under the product order and its n cyclic lexicographic
+    orders, which `_product_structure` builds."""
+    if m < 1 or n < 1:
+        raise TooSmall("grids need m >= 1 and n >= 1")
+    cap = MAX_GENERATED_ELEMENTS
+    if max(m, n) > cap or m**n > cap:
+        raise LimitExceeded(f"the grid {m}^{n} is past the cap of {cap} points and axes")
+    points = list(iter_product(range(1, m + 1), repeat=n))
+    return _product_structure([",".join(map(str, p)) for p in points], points)
 
 
 def _product_structure(labels: Sequence[str], points: Sequence[Sequence]) -> OrderedStructure:

@@ -1,12 +1,14 @@
 """Grid combinatorics behind the partition property of realizer classes.
 
-Structures embed rigidly into grids at their rank coordinates.  Both
+Structures embed rigidly into grids at their rank coordinates.  A grid
+is an ordinary structure, `poset.grid(r, n)`: the points of r^n under
+the product order and its n cyclic lexicographic orders.  Both
 partition questions go to one coloring kernel, `poset._colour_classes`,
 which the realizer search in `dimension` shares, so this module loads
 no `dimension`: `product_ramsey_number` colors the l^n-subgrids of r^n
 against the m^n-subgrids (`_grid_groups` lists the l^n-subgrids inside
-each), and `ramsey_witness_check` colors the copies
-of a pattern against the copies of a target (`_copy_groups`).  Every
+each), and `ramsey_witness_check` colors the copies of a pattern in the
+grid against the copies of a target (`_copy_groups`).  Every
 search here is an exhaustive sweep over a finite space.  The coloring
 search cuts only branches that provably contain nothing (completed
 monochromatic groups, color permutations), so it returns the first
@@ -29,23 +31,15 @@ per-axis combinations in the same lexicographic order.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, product as iter_product
 from math import comb
 from typing import Sequence
 
 from .budget import BudgetMeter
-from .errors import ElementMismatch, LimitExceeded, TooSmall
-from .poset import (
-    MAX_GENERATED_ELEMENTS,
-    OrderedStructure,
-    _colour_classes,
-    _Frozen,
-    _product_structure,
-)
+from .errors import ElementMismatch, TooSmall
+from .poset import OrderedStructure, _colour_classes, grid
 
 __all__ = [
-    "GridStruct",
     "rigid_embed",
     "enumerate_copies",
     "all_subgrids",
@@ -57,50 +51,7 @@ GRID_SEARCH = "grid coloring search"
 COPY_SEARCH = "copy coloring search"
 COPIES = "copy enumeration"
 
-GridPoint = tuple[int, ...]
-
-
-def _point_label(p: Sequence[int]) -> str:
-    return ",".join(str(v) for v in p)
-
-
-class GridStruct(_Frozen):
-    """The m^n grid: product order plus its n cyclic lexicographic orders.
-
-    Order i compares coordinates i, i+1, ..., wrapping around; their
-    intersection is the product order.  The points and the structure are
-    built lazily, the structure by poset's one product builder, which
-    re-checks the pair on construction.
-    """
-
-    __slots__ = ("m", "n", "__dict__")
-    m: int
-    n: int
-
-    def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
-            raise TooSmall("grids need m >= 1 and n >= 1")
-        cap = MAX_GENERATED_ELEMENTS
-        if max(m, n) > cap or m**n > cap:
-            raise LimitExceeded(f"the grid {m}^{n} is past the cap of {cap} points and axes")
-        super().__init__(m, n)
-
-    @cached_property
-    def points(self) -> tuple[GridPoint, ...]:
-        return tuple(iter_product(range(1, self.m + 1), repeat=self.n))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def label(self, p: GridPoint) -> str:
-        return _point_label(p)
-
-    @cached_property
-    def structure(self) -> OrderedStructure:
-        return _product_structure([self.label(p) for p in self.points], self.points)
-
-
-def rigid_embed(s: OrderedStructure) -> list[GridPoint]:
+def rigid_embed(s: OrderedStructure) -> list[tuple[int, ...]]:
     """Each element at its tuple of realizer ranks, aligned with s.elements:
     `RealizerTuple.rank_points`, which puts no two points on one
     coordinate and makes each order of s the matching coordinate order."""
@@ -123,10 +74,9 @@ def _is_copy(
     return True
 
 
-def enumerate_copies(
-    b: OrderedStructure | GridStruct, a: OrderedStructure
-) -> list[tuple[str, ...]]:
-    """All induced substructures of b isomorphic to a, each once.
+def enumerate_copies(b: OrderedStructure, a: OrderedStructure) -> list[tuple[str, ...]]:
+    """All induced substructures of the host structure b isomorphic to
+    a, each once; the host of the partition property is `poset.grid`.
 
     Returns label tuples aligned with a.elements.  A candidate subset
     admits at most one isomorphism: linear realizers force the match of
@@ -137,21 +87,20 @@ def enumerate_copies(
 
 
 def _copies(
-    b: OrderedStructure | GridStruct, a: OrderedStructure, meter: BudgetMeter
+    b: OrderedStructure, a: OrderedStructure, meter: BudgetMeter
 ) -> list[tuple[str, ...]]:
     """enumerate_copies, refusing through a meter that the caller may share."""
-    bs = b.structure if isinstance(b, GridStruct) else b
-    if a.n != bs.n:
+    if a.n != b.n:
         raise ElementMismatch("pattern and host carry different realizer counts")
     l = len(a.elements)
-    meter.require(comb(len(bs.elements), l), "subsets of the host to test as copies")
+    meter.require(comb(len(b.elements), l), "subsets of the host to test as copies")
     a_by_first = a.realizers.orders[0].order
-    first_rank = bs.realizers.orders[0].rank
+    first_rank = b.realizers.orders[0].rank
     copies = []
-    for subset in combinations(bs.elements, l):
+    for subset in combinations(b.elements, l):
         ordered = sorted(subset, key=lambda x: first_rank[x])
         phi = dict(zip(a_by_first, ordered))
-        if _is_copy(a, bs, phi):
+        if _is_copy(a, b, phi):
             copies.append(tuple(phi[e] for e in a.elements))
     return copies
 
@@ -254,17 +203,17 @@ def product_ramsey_number(
 
 
 def _copy_groups(
-    grid: GridStruct,
+    host: OrderedStructure,
     a: OrderedStructure,
     b: OrderedStructure,
     meter: BudgetMeter,
 ) -> tuple[int, list[list[int]]]:
-    """The number of copies of a in the grid, and for each copy of b in
-    the grid the indices of the a-copies lying inside it.  The meter
+    """The number of copies of a in the host, and for each copy of b in
+    the host the indices of the a-copies lying inside it.  The meter
     refuses too many subsets; b, the larger pattern, is enumerated
     first."""
-    copies_b = _copies(grid, b, meter)
-    copies_a = _copies(grid, a, meter)
+    copies_b = _copies(host, b, meter)
+    copies_a = _copies(host, a, meter)
     index = {key: t for t, key in enumerate(copies_a)}
     inner = _copies(b, a, meter)
     if copies_b and not inner:
@@ -307,5 +256,5 @@ def ramsey_witness_check(
         raise ElementMismatch("pattern and target carry different realizer counts")
     if len(a.elements) > len(b.elements):
         raise TooSmall("the pattern must fit inside the target")
-    num_copies, groups = _copy_groups(GridStruct(r, a.n), a, b, meter)
+    num_copies, groups = _copy_groups(grid(r, a.n), a, b, meter)
     return bool(groups) and _search_free_coloring(num_copies, k, groups, meter) is None

@@ -37,10 +37,11 @@ from orderdim.poset import (
     _bits,
     _closure,
     _first_loop,
+    grid,
     product_less,
     validate_poset,
 )
-from orderdim.ramsey import GridStruct, _grid_groups, all_subgrids, enumerate_copies
+from orderdim.ramsey import _grid_groups, all_subgrids, enumerate_copies
 
 settings.register_profile(
     "fast",
@@ -369,15 +370,17 @@ def oracle_extensions(down: Sequence[int], meter) -> Iterator[tuple[int, ...]]:
     the elements in index order, the first one not taken whose down row
     is all taken goes next, and a dead end moves the deepest element on
     to the next index.  One tick of the meter per sequence, before it is
-    yielded; a cyclic relation yields nothing, since the walk stops at
-    its first dead end.  The walk the stream `poset._extensions` ran
-    before it took its sequences from `poset._complete`, and its oracle."""
+    yielded, by the number of elements placed since the last one; a
+    cyclic relation yields nothing, since the walk stops at its first
+    dead end.  The walk the stream `poset._extensions` ran before it
+    took its sequences from `poset._complete`, and its oracle."""
     m = len(down)
     order = [0] * m
-    taken = d = i = 0
+    taken = d = i = placed = 0
     while True:
         if d == m:
-            meter.tick()
+            meter.tick(placed)
+            placed = 0
             yield tuple(order)
         else:
             fresh = i == 0
@@ -386,6 +389,7 @@ def oracle_extensions(down: Sequence[int], meter) -> Iterator[tuple[int, ...]]:
             if i < m:
                 order[d] = i
                 taken |= 1 << i
+                placed += 1
                 d += 1
                 i = 0
                 continue
@@ -778,11 +782,11 @@ def oracle_ramsey_reduction(
     if k < 1:
         raise TooSmall("colorings need k >= 1")
     meter = BudgetMeter(budget, "monochromatic-subgrid scan")
-    grid = GridStruct(r, a.n)
-    copies_a = enumerate_copies(grid, a)
+    host = grid(r, a.n)
+    copies_a = enumerate_copies(host, a)
     inside = {
         bcopy: [t for t, acopy in enumerate(copies_a) if set(acopy) <= set(bcopy)]
-        for bcopy in enumerate_copies(grid, b)
+        for bcopy in enumerate_copies(host, b)
     }
     if not inside:
         return False

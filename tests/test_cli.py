@@ -6,6 +6,7 @@ they would in a shell.  Only a closed stdout needs a real process.
 """
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -23,8 +24,15 @@ from orderdim.errors import LimitExceeded
 from orderdim.homogeneity import Certificate
 from orderdim.flow import symmetric_sample
 from orderdim.geometry import MAX_CLOUD_DIM, MAX_SAMPLE_COORDINATES, PointCloud, sample_dn
-from orderdim.poset import MAX_GENERATED_ELEMENTS, FinitePoset, OrderedStructure, crown
-from orderdim.ramsey import GridStruct
+from orderdim.poset import MAX_GENERATED_ELEMENTS, FinitePoset, OrderedStructure, crown, grid
+
+# sha256 of `gen grid` stdout, frozen from the commit before grids became
+# plain structures built by poset.grid
+GRID_SHA256 = {
+    (3, 2): "912ec6aff4de3d4a1c3e8a8879c55d3cd26f9db114bd9807c500681ca39fdc0e",
+    (4, 3): "ba0d1706f704f51d77c6514979236736988b200aebfd2679d9e5a046df9169b0",
+    (32, 2): "e6b03dcaabb79f5361ff20d285fe3611d5d56a2cfdb08c305af2deb0893a9583",
+}
 
 RAMSEY_SINGLETON_VALUE = 3  # least r with every 2-coloring of points of
 # the r-chain containing a monochromatic 2-chain: pigeonhole at r=3
@@ -53,6 +61,13 @@ class TestGen:
         s = OrderedStructure.from_json(json.loads(out))
         assert s.elements == ("1,1", "1,2", "2,1", "2,2")
         assert s.n == 2
+
+    @pytest.mark.parametrize("m, n", sorted(GRID_SHA256), ids=lambda v: str(v))
+    def test_grid_stdout_is_pinned(self, capsys, monkeypatch, m, n):
+        # 32 x 32 is the cap
+        code, out = run(capsys, monkeypatch, ["gen", "grid", "--m", str(m), "--n", str(n)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GRID_SHA256[m, n]
 
     def test_sample_round_trips_exactly(self, capsys, monkeypatch):
         code, out = run(
@@ -709,10 +724,10 @@ class TestGenSizeGuard:
     def test_caps_are_checked_in_the_builders(self):
         with pytest.raises(LimitExceeded, match=r"^crown\(513\) is past the cap of 1024 elements"):
             crown(MAX_GENERATED_ELEMENTS // 2 + 1)
-        assert len(GridStruct(32, 2)) == MAX_GENERATED_ELEMENTS
+        assert len(grid(32, 2)) == MAX_GENERATED_ELEMENTS
         for m, n in ((33, 2), (2, 11), (1, MAX_GENERATED_ELEMENTS + 1)):
             with pytest.raises(LimitExceeded, match="past the cap of 1024 points and axes"):
-                GridStruct(m, n)
+                grid(m, n)
         with pytest.raises(LimitExceeded, match="and 500000 coordinates"):
             sample_dn(2, MAX_SAMPLE_COORDINATES // 2 + 1, seed=0)
         with pytest.raises(LimitExceeded, match="caps of 1000 dimensions"):

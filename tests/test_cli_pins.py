@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orderdim.cli import _json_text, main
-from orderdim.poset import LinearOrder, OrderedStructure
-from orderdim.ramsey import GridStruct
+from orderdim.poset import LinearOrder, OrderedStructure, grid
 
 
 def structure(*orders: str) -> dict:
@@ -32,8 +31,8 @@ def cloud(dim: int, *points: str) -> dict:
 
 
 STRUCTURES = {
-    "grid2x2": GridStruct(2, 2).structure.to_json(),
-    "grid3x2": GridStruct(3, 2).structure.to_json(),
+    "grid2x2": grid(2, 2).to_json(),
+    "grid3x2": grid(3, 2).to_json(),
     "four-in-two": structure("a b c d", "b d a c"),
     "five-in-three": structure("a b c d e", "e c a d b", "c b e a d"),
     "chain3-in-three": structure("x y z", "x y z", "x y z"),

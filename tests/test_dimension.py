@@ -15,7 +15,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, islice, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,11 +31,11 @@ from orderdim.poset import (
     antichain,
     chain,
     crown,
+    grid,
     hiraguchi_bound,
     is_realizer,
 )
 from orderdim.budget import BudgetMeter
-from orderdim.ramsey import GridStruct
 from orderdim.dimension import (
     _RealizerSearch,
     _checked,
@@ -181,19 +181,43 @@ class TestExtensionStream:
             outcomes["ran out" if got[1] else "finished" if got[0] else "empty"] += 1
         assert min(outcomes.values()) > 500, outcomes
 
-    @pytest.mark.parametrize("m", [8, 16])
-    def test_stream_matches_the_index_walk_on_grids(self, m):
-        # The first 2,000 extensions of the m x m grid, where the index
-        # walk rescans every placed element at each step.
-        down = GridStruct(m, 2).structure.poset.down
-        got = drain(_extensions, down, 2_000)
-        assert got[1] and len(got[0]) == 2_000
-        assert got == drain(oracle_extensions, down, 2_000)
+    @pytest.mark.parametrize("m, count", [(8, 4_108), (16, 2_994)])
+    def test_stream_matches_the_index_walk_on_grids(self, m, count):
+        # The extensions of the m x m grid that 20,000 placements reach,
+        # where the index walk rescans every placed element at each step.
+        down = grid(m, 2).poset.down
+        got = drain(_extensions, down, 20_000)
+        assert got[1] and len(got[0]) == count
+        assert got == drain(oracle_extensions, down, 20_000)
+
+    def test_each_tick_is_the_placements_since_the_last_extension(self):
+        # An extension that shares its first d elements with the one
+        # before has placed the other m - d anew; the first places all m.
+        # The stream's ticks are exactly those counts, on every 1-7
+        # element poset drawn here and on the first extensions of grids.
+        class Costs:
+            def __init__(self):
+                self.paid = []
+
+            def tick(self, cost=1):
+                self.paid.append(cost)
+
+        rng = random.Random(5)
+        downs = [random_poset(rng, rng.randint(1, 7)).down for _ in range(300)]
+        downs += [grid(m, n).poset.down for m, n in ((3, 2), (2, 3), (4, 3))]
+        for down in downs:
+            meter = Costs()
+            seqs = list(islice(_extensions(down, meter), 2_000))
+            m = len(down)
+            want = [m] + [
+                m - next(d for d in range(m) if a[d] != b[d]) for a, b in zip(seqs, seqs[1:])
+            ]
+            assert meter.paid == want
 
     def test_element_cap(self):
-        # No size cap: the budget bounds the walk, one tick per extension,
-        # so a chain of any length has its one extension, and the 11! of
-        # an 11-antichain run out of an explicit budget.
+        # No size cap: the budget bounds the walk, one step per element
+        # placed, so a chain of any length has its one extension, and the
+        # 11! of an 11-antichain run out of an explicit budget.
         assert [o.order for o in all_linear_extensions(chain(11))] == [chain(11).elements]
         with pytest.raises(LimitExceeded, match="^linear extension enumeration: "):
             list(all_linear_extensions(antichain(11), budget=10_000))
@@ -201,6 +225,14 @@ class TestExtensionStream:
     def test_budget_cap(self):
         with pytest.raises(LimitExceeded):
             list(all_linear_extensions(antichain(7), budget=100))
+
+    @pytest.mark.parametrize("m", [1, 4, 11])
+    def test_the_first_extension_costs_every_element(self, m):
+        # A chain's one extension places all m elements: m steps, not one.
+        assert len(list(all_linear_extensions(chain(m), budget=m))) == 1
+        if m > 1:
+            with pytest.raises(LimitExceeded, match="^linear extension enumeration: "):
+                list(all_linear_extensions(chain(m), budget=m - 1))
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("ORDERDIM_BUDGET", "10")

@@ -10,6 +10,9 @@ symmetric samples have accidental automorphisms.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
@@ -20,6 +23,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import orderdim
 from conftest import (
     less_pairs,
     naive_is_realizer,
@@ -52,18 +56,18 @@ from orderdim.geometry import (
     induced_structure,
     sample_dn,
 )
-from orderdim.homogeneity import FlipPattern
+from orderdim.homogeneity import _axis_alignment
 from orderdim.poset import (
     FinitePoset,
     LinearOrder,
     OrderedStructure,
     RealizerTuple,
     antichain,
+    grid,
     is_realizer,
     product_less,
     szpilrajn_extend,
 )
-from orderdim.ramsey import GridStruct
 
 # Frozen from the oracle runs.
 GRID_EXTENSIONS = {(2, 2): 2, (3, 2): 42, (2, 3): 48}
@@ -216,46 +220,35 @@ def classified(rs: RealizerSet) -> int:
     return sum(sigma is not None for _t, sigma in rs.tuples)
 
 
-class TestFlipPattern:
-    def test_of_pair_signs(self):
-        pat = FlipPattern.of_pair((1, 5), (3, 2))
-        assert pat.signs == (True, False)
-        assert pat.ascents == 1
+class TestAxisAlignment:
+    @staticmethod
+    def pair(signs):
+        """Two points that ascend exactly on the axes marked True."""
+        return (0,) * len(signs), tuple(1 if up else -1 for up in signs)
 
-    def test_of_pair_rejects_ties(self):
-        with pytest.raises(ElementMismatch):
-            FlipPattern.of_pair((1, 2), (1, 3))
+    def test_swap(self):
+        # (1, 5) -> (3, 2) ascends on axis 0 alone, (7, 1) -> (2, 4) on axis 1
+        assert _axis_alignment(((1, 5), (3, 2)), ((7, 1), (2, 4))) == [1, 0]
+        assert _axis_alignment(((1, 5), (3, 2)), ((0, 9), (4, 8))) == [0, 1]
 
-    def test_of_pair_rejects_arity_mismatch(self):
-        with pytest.raises(ElementMismatch):
-            FlipPattern.of_pair((1, 2), (3, 4, 5))
+    def test_none_on_unequal_ascents(self):
+        assert _axis_alignment(self.pair((True, True)), self.pair((True, False))) is None
 
-    def test_matching_permutation_swap(self):
-        up_down = FlipPattern((True, False))
-        down_up = FlipPattern((False, True))
-        assert up_down.matching_permutation(down_up) == [1, 0]
-        assert up_down.matching_permutation(up_down) == [0, 1]
-
-    def test_matching_permutation_none_on_unequal_ascents(self):
-        assert FlipPattern((True, True)).matching_permutation(
-            FlipPattern((True, False))
-        ) is None
-        assert FlipPattern((True,)).matching_permutation(
-            FlipPattern((True, False))
-        ) is None
-
-    def test_matching_permutation_exhaustive_small(self):
-        # perm exists iff the ascent counts agree, and then it matches
-        for k in (1, 2, 3):
+    def test_least_permutation_exhaustive_small(self):
+        # the lexicographically least perm with s1[perm[i]] == s2[i], by
+        # brute force over every permutation, or None when there is none
+        for k in (1, 2, 3, 4):
             for s1 in iter_product((False, True), repeat=k):
                 for s2 in iter_product((False, True), repeat=k):
-                    perm = FlipPattern(s1).matching_permutation(FlipPattern(s2))
-                    if sum(s1) != sum(s2):
-                        assert perm is None
-                    else:
-                        assert perm is not None
-                        assert sorted(perm) == list(range(k))
-                        assert all(s1[perm[i]] == s2[i] for i in range(k))
+                    want = next(
+                        (
+                            list(perm)
+                            for perm in permutations(range(k))
+                            if all(s1[perm[i]] == s2[i] for i in range(k))
+                        ),
+                        None,
+                    )
+                    assert _axis_alignment(self.pair(s1), self.pair(s2)) == want
 
 
 class TestEnumerateRealizers:
@@ -313,7 +306,7 @@ class TestEnumerateRealizers:
     )
     def test_tuples_and_sigmas_match_naive_oracle_in_order(self, case):
         if case[0] == "grid":
-            s = GridStruct(*case[1:]).structure
+            s = grid(*case[1:])
         else:
             s = induced_structure(sample_dn(*case[1:]))
         assert list(enumerate_realizers(s).tuples) == naive_realizer_tuples(s)
@@ -342,15 +335,18 @@ class TestEnumerateRealizers:
             enumerate_realizers(s, budget=10)
 
     def test_one_meter_counts_extensions_heads_and_tuples(self):
-        # 2 extensions, 2 heads and 2 tuples: 6 steps in all
+        # 2 extensions, each placing both elements (a b, then b a after
+        # popping both), 2 heads at one step each, and 2 tuples, each the
+        # one extension of its head's conjugate order, placing both
+        # elements: 4 + 2 + 4 = 10 steps in all
         s = OrderedStructure.from_orders(
             [LinearOrder(("a", "b")), LinearOrder(("b", "a"))]
         )
-        assert enumerate_realizers(s, budget=6).census == 2
+        assert enumerate_realizers(s, budget=10).census == 2
         with pytest.raises(LimitExceeded, match="^realizer enumeration"):
-            enumerate_realizers(s, budget=5)
+            enumerate_realizers(s, budget=9)
         with pytest.raises(LimitExceeded, match="^linear extension enumeration"):
-            enumerate_realizers(s, budget=1)
+            enumerate_realizers(s, budget=3)
 
     def test_set_reverifies_tuples(self):
         s = OrderedStructure.from_orders(
@@ -561,7 +557,7 @@ class TestGridRealizers:
         for (m, n), expected in GRID_EXTENSIONS.items():
             exts = list(
                 all_linear_extensions(
-                    GridStruct(m, n).structure.poset, budget=5_000_000
+                    grid(m, n).poset, budget=5_000_000
                 )
             )
             assert len(exts) == expected
@@ -571,21 +567,21 @@ class TestGridRealizers:
         # the one-directional form: a_i < b_i forces a before b in the
         # order at position sigma[i]; grids have colinear points, so the
         # biconditional variant is not expected
-        gs = GridStruct(m, n)
-        rs = enumerate_realizers(gs.structure, budget=5_000_000)
+        g = grid(m, n)
+        rs = enumerate_realizers(g, budget=5_000_000)
         assert rs.census == GRID_CENSUS[(m, n)]
         points = {
             lab: tuple(int(v) for v in lab.split(","))
-            for lab in gs.structure.poset.elements
+            for lab in g.poset.elements
         }
         for t, _ in rs.tuples:
             assert permutation_witness(points, t, biconditional=False) is not None
 
     def test_cube_classified_are_lex_rearrangements(self):
-        gs = GridStruct(2, 3)
-        rs = enumerate_realizers(gs.structure, budget=5_000_000)
+        g = grid(2, 3)
+        rs = enumerate_realizers(g, budget=5_000_000)
         assert classified(rs) == CUBE_CLASSIFIED
-        refs = {o.order for o in gs.structure.realizers.orders}
+        refs = {o.order for o in g.realizers.orders}
         for t, sigma in rs.tuples:
             if sigma is not None:
                 assert {o.order for o in t.orders} == refs
@@ -593,7 +589,38 @@ class TestGridRealizers:
     def test_three_cube_exceeds_extension_cap(self):
         # The 27-element cube has far more extensions than this budget.
         with pytest.raises(LimitExceeded, match="^linear extension enumeration: "):
-            enumerate_realizers(GridStruct(3, 3).structure, budget=20_000)
+            enumerate_realizers(grid(3, 3), budget=20_000)
+
+    def test_the_extension_list_is_bounded_by_the_budget(self):
+        # Each extension is charged the elements it places, so under a
+        # budget of 40,000 the 16 x 16 grid's list holds a few thousand
+        # 256-element extensions before the meter stops it, not 40,000
+        # of them (some 80 MB).  Peak RSS, read in a fresh process.
+        script = (
+            "import resource\n"
+            "from orderdim.errors import LimitExceeded\n"
+            "from orderdim.flow import enumerate_realizers\n"
+            "from orderdim.poset import grid\n"
+            "s = grid(16, 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    enumerate_realizers(s, budget=40_000)\n"
+            "except LimitExceeded as exc:\n"
+            "    print(str(exc).split(':')[0])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(orderdim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        phase, growth_kb = out.stdout.splitlines()
+        assert phase == "linear extension enumeration"
+        assert int(growth_kb) < 20 * 1024
 
 
 class TestExtendRealizerClosure:

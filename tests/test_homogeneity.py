@@ -538,7 +538,10 @@ class TestTwoHomogeneity:
 
 
 def _refuse_dimension(monkeypatch):
-    monkeypatch.setattr(homogeneity, "dimension", lambda poset: SimpleNamespace(dim=2))
+    # _ap_data imports dimension from its module when it calls it
+    monkeypatch.setattr(
+        sys.modules["orderdim.dimension"], "dimension", lambda poset: SimpleNamespace(dim=2)
+    )
 
 
 def _refuse_chase(monkeypatch):

@@ -26,8 +26,7 @@ ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(orderdim.__fil
 
 LAZY = {"geometry", "homogeneity", "ramsey", "flow"}
 
-# Every name the package bound when it imported all submodules eagerly,
-# with the submodule that defines it.
+# Every name the package exports, with the submodule that defines it.
 EXPORTED = {
     "OrderError": "errors",
     **dict.fromkeys(
@@ -39,6 +38,7 @@ EXPORTED = {
             "antichain",
             "chain",
             "crown",
+            "grid",
             "is_realizer",
             "szpilrajn_extend",
             "validate_poset",
@@ -57,7 +57,6 @@ EXPORTED = {
             "AxiomReport",
             "Certificate",
             "CertificateKind",
-            "FlipPattern",
             "ap_failure_certificate",
             "check_dpo_fragment",
             "nonhom_witness",
@@ -69,7 +68,6 @@ EXPORTED = {
     ),
     **dict.fromkeys(
         (
-            "GridStruct",
             "enumerate_copies",
             "product_ramsey_number",
             "ramsey_witness_check",
@@ -93,7 +91,7 @@ EXPORTED = {
 }
 
 CROWN = json.dumps(orderdim.crown(3).to_json())
-GRID = json.dumps(orderdim.ramsey.GridStruct(2, 2).structure.to_json())
+GRID = json.dumps(orderdim.grid(2, 2).to_json())
 SAMPLE = json.dumps(orderdim.geometry.sample_dn(2, 4, seed=1).to_json())
 
 
@@ -137,6 +135,10 @@ FAMILIES = {
     "export-dot": (["export", "dot"], CROWN),
     "check-dpo": (["check", "dpo"], SAMPLE),
     "certify": (["certify", "ap", "--n", "2"], ""),
+    "certify-nonhom": (["certify", "nonhom", "--n", "2"], ""),
+    "certify-qnlex": (["certify", "qnlex", "--n", "3"], ""),
+    "certify-twohom": (["certify", "twohom", "--n", "2"], ""),
+    "certify-ap-chase": (["certify", "ap", "--n", "3"], ""),
     "ramsey-number": (
         ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2", "--n", "1", "--rmax", "5"],
         "",
@@ -153,11 +155,16 @@ LOADS = {
     "gen-sample": {"errors", "poset", "budget", "geometry"},
     "iso-bnf": {"errors", "poset", "budget", "geometry"},
     "dim": {"errors", "poset", "budget", "dimension"},
-    "gen-grid": {"errors", "poset", "budget", "ramsey"},
+    "gen-grid": {"errors", "poset"},
     "ramsey-number": {"errors", "poset", "budget", "ramsey"},
     "flow-realizers": {"errors", "poset", "budget", "flow"},
-    "check-dpo": {"errors", "poset", "budget", "dimension", "geometry", "homogeneity"},
+    "check-dpo": {"errors", "poset", "budget", "geometry", "homogeneity"},
+    # Only certify ap's enumeration, at n = 2, calls dimension().
     "certify": {"errors", "poset", "budget", "dimension", "geometry", "homogeneity"},
+    "certify-nonhom": {"errors", "poset", "budget", "geometry", "homogeneity"},
+    "certify-qnlex": {"errors", "poset", "budget", "geometry", "homogeneity"},
+    "certify-twohom": {"errors", "poset", "budget", "geometry", "homogeneity"},
+    "certify-ap-chase": {"errors", "poset", "budget", "geometry", "homogeneity"},
 }
 
 
@@ -186,25 +193,19 @@ class TestWhatLoads:
         "argv, stdin",
         [
             (["gen", "crown", "--n", "3"], ""),
+            (["gen", "grid", "--m", "2", "--n", "2"], ""),
             (["export", "dot"], CROWN),
             (["dim"], CROWN),
         ],
-        ids=["gen-crown", "export-dot", "dim"],
+        ids=["gen-crown", "gen-grid", "export-dot", "dim"],
     )
     def test_poset_commands_load_no_lazy_module(self, capsys, monkeypatch, argv, stdin):
         names, out = loaded(["-m", "orderdim.cli", *argv], stdin)
         assert not names & LAZY
         assert out == cli_output(capsys, monkeypatch, argv, stdin)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ramsey", "number", "--k", "2", "--l", "1", "--m", "2", "--n", "1", "--rmax", "5"],
-            ["gen", "grid", "--m", "2", "--n", "2"],
-        ],
-        ids=["ramsey-number", "gen-grid"],
-    )
-    def test_grid_commands_load_ramsey_without_geometry(self, capsys, monkeypatch, argv):
+    def test_ramsey_number_loads_ramsey_without_geometry(self, capsys, monkeypatch):
+        argv, _ = FAMILIES["ramsey-number"]
         names, out = loaded(["-m", "orderdim.cli", *argv])
         assert names & LAZY == {"ramsey"}
         assert out == cli_output(capsys, monkeypatch, argv)
@@ -238,7 +239,7 @@ class TestNamespace:
     @pytest.mark.parametrize(
         "first",
         [
-            "import orderdim.homogeneity",
+            "from orderdim.homogeneity import ap_failure_certificate as ap; ap(2)",
             "from orderdim.dimension import _RealizerSearch",
             "import orderdim; orderdim.dimension",
         ],
@@ -286,7 +287,7 @@ class TestNamespace:
         _, out = loaded(
             [
                 "-c",
-                "import sys, orderdim; orderdim.ramsey.GridStruct(2, 2)\n"
+                "import sys, orderdim; orderdim.ramsey.all_subgrids(2, 2, 1)\n"
                 "print(*sorted(m for m in sys.modules if m.startswith('orderdim.')))",
             ]
         )

@@ -27,6 +27,7 @@ from orderdim.poset import (
     antichain,
     chain,
     crown,
+    grid,
     hiraguchi_bound,
     is_realizer,
     _intersection_rows,
@@ -35,7 +36,6 @@ from orderdim.poset import (
     szpilrajn_extend,
     validate_poset,
 )
-from orderdim.ramsey import GridStruct
 
 from conftest import (
     all_posets_on,
@@ -405,8 +405,7 @@ def _relaxed_cloud(n: int, k: int, seed: int) -> PointCloud:
 
 
 def _grid_case(m: int, n: int) -> tuple[tuple, tuple]:
-    g = GridStruct(m, n)
-    return _built(g.structure), _expected([g.label(p) for p in g.points], list(g.points))
+    return _built(grid(m, n)), _expected(*_grid_points([m] * n))
 
 
 def _grid_points(lengths) -> tuple[list[str], list[tuple]]:

@@ -38,11 +38,11 @@ from orderdim.poset import (
     antichain,
     chain,
     crown,
+    grid,
     product_less,
 )
 from orderdim.dimension import dimension
 from orderdim.ramsey import (
-    GridStruct,
     _copy_groups,
     _grid_counterexample,
     _is_copy,
@@ -95,22 +95,22 @@ def figure_structure():
     )
 
 
-def assert_matches_point_oracle(g: GridStruct) -> None:
-    """The grid's labels, rows and orders against pairwise product
-    comparison and tuple sorts of its points."""
-    s = g.structure
-    up, seqs = oracle_point_structure(list(g.points))
-    assert list(s.elements) == [g.label(p) for p in g.points]
+def assert_matches_point_oracle(m: int, n: int) -> None:
+    """grid(m, n)'s labels, rows and orders against the points of (1..m)^n
+    in row-major order: pairwise product comparison and tuple sorts."""
+    s = grid(m, n)
+    points = list(iter_product(range(1, m + 1), repeat=n))
+    up, seqs = oracle_point_structure(points)
+    assert list(s.elements) == [",".join(map(str, p)) for p in points]
     assert list(s.poset.up) == up
     assert [list(o.order) for o in s.realizers.orders] == [
         [s.elements[b] for b in seq] for seq in seqs
     ]
 
 
-class TestGridStruct:
+class TestGrid:
     def test_square_orders(self):
-        g = GridStruct(2, 2)
-        s = g.structure
+        s = grid(2, 2)
         assert s.realizers.orders[0].order == ("1,1", "1,2", "2,1", "2,2")
         assert s.realizers.orders[1].order == ("1,1", "2,1", "1,2", "2,2")
         assert s.poset.less("1,1", "2,2")
@@ -120,19 +120,19 @@ class TestGridStruct:
         # Construction re-checks that the orders realize the rows.
         for m in range(1, 6):
             for n in range(1, 4):
-                assert_matches_point_oracle(GridStruct(m, n))
+                assert_matches_point_oracle(m, n)
 
     def test_structure_at_the_cap_is_the_product_of_chains(self):
         # The 1024 points of `gen grid --m 32 --n 2`.
-        assert_matches_point_oracle(GridStruct(32, 2))
+        assert_matches_point_oracle(32, 2)
 
     def test_line_grid(self):
-        g = GridStruct(3, 1)
-        assert is_chain(g.structure.poset)
+        assert is_chain(grid(3, 1).poset)
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
-            GridStruct(0, 2)
+        for m, n in ((0, 2), (2, 0)):
+            with pytest.raises(TooSmall, match="^grids need m >= 1 and n >= 1$"):
+                grid(m, n)
 
 
 def is_rigid_placement(s, image):
@@ -256,18 +256,17 @@ def naive_copy_check(a, host, labels):
 
 class TestEnumerateCopies:
     def test_one_point_pattern_counts_points(self):
-        assert len(enumerate_copies(GridStruct(3, 2), one_point())) == 9
+        assert len(enumerate_copies(grid(3, 2), one_point())) == 9
 
     def test_aligned_chain_in_square(self):
-        copies = enumerate_copies(GridStruct(2, 2), aligned_chain())
+        copies = enumerate_copies(grid(2, 2), aligned_chain())
         assert len(copies) == ALIGNED_CHAIN_COPIES_IN_SQUARE
         assert ("1,2", "2,1") not in copies and ("2,1", "1,2") not in copies
 
     def test_aligned_chain_in_square_against_naive_oracle(self):
-        grid = GridStruct(2, 2)
-        host = grid.structure
+        host = grid(2, 2)
         found = {
-            frozenset(c) for c in enumerate_copies(grid, aligned_chain())
+            frozenset(c) for c in enumerate_copies(host, aligned_chain())
         }
         for pair in combinations(host.elements, 2):
             expect = naive_copy_check(aligned_chain(), host, pair)
@@ -293,19 +292,19 @@ class TestEnumerateCopies:
 
     def test_mismatched_widths(self):
         with pytest.raises(ElementMismatch):
-            enumerate_copies(GridStruct(2, 2), one_point(n=3))
+            enumerate_copies(grid(2, 2), one_point(n=3))
 
     def test_subsets_past_the_budget_are_refused(self, monkeypatch):
         # C(9, 2) candidate pairs in the 3^2 grid
-        copies = enumerate_copies(GridStruct(3, 2), aligned_chain())
+        copies = enumerate_copies(grid(3, 2), aligned_chain())
         monkeypatch.setenv("ORDERDIM_BUDGET", "35")
         with pytest.raises(
             LimitExceeded,
             match="^copy enumeration: subsets of the host to test as copies: 36 cases",
         ):
-            enumerate_copies(GridStruct(3, 2), aligned_chain())
+            enumerate_copies(grid(3, 2), aligned_chain())
         monkeypatch.setenv("ORDERDIM_BUDGET", "36")
-        assert enumerate_copies(GridStruct(3, 2), aligned_chain()) == copies
+        assert enumerate_copies(grid(3, 2), aligned_chain()) == copies
 
     def test_bit_row_copy_test_matches_pairwise_oracle(self):
         # Pattern and host carry the same number of orders, as every
@@ -359,7 +358,7 @@ class TestRigidCopies:
     def test_every_cell_holds_its_rigid_copy(self):
         # the pullback reads a copy of the pattern in every l^n-subgrid
         for a in (one_point(), aligned_chain(), crossed_antichain(), figure_structure()):
-            copies = set(enumerate_copies(GridStruct(len(a) + 1, 2), a))
+            copies = set(enumerate_copies(grid(len(a) + 1, 2), a))
             cells = all_subgrids(len(a) + 1, 2, len(a))
             assert set(oracle_rigid_copies(a, cells)) <= copies
 
@@ -587,7 +586,7 @@ class TestRamseyWitnessCheck:
         # the library's search against the uncut oracle on the same groups
         for r in (2, 3):
             count, groups = _copy_groups(
-                GridStruct(r, 2), one_point(), crossed_antichain(), BudgetMeter(None, "test")
+                grid(r, 2), one_point(), crossed_antichain(), BudgetMeter(None, "test")
             )
             meter = BudgetMeter(None, "test")
             pruned = _search_free_coloring(count, 2, groups, meter)
@@ -679,7 +678,7 @@ class TestRamseyWitnessCheck:
         # for three colors of the crossed pair's points in 4^2.
         a, b = one_point(), crossed_antichain()
         meter = BudgetMeter(10**9, "test")
-        count, groups = _copy_groups(GridStruct(4, 2), a, b, meter)
+        count, groups = _copy_groups(grid(4, 2), a, b, meter)
         assert _search_free_coloring(count, 3, groups, meter) is None
         assert 10**9 - meter.remaining == 1017
         assert ramsey_witness_check(a, b, 3, 4, budget=1017)
