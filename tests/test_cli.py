@@ -62,7 +62,7 @@ class TestGen:
         assert s.elements == ("1,1", "1,2", "2,1", "2,2")
         assert s.n == 2
 
-    @pytest.mark.parametrize("m, n", sorted(GRID_SHA256), ids=lambda v: str(v))
+    @pytest.mark.parametrize("m, n", sorted(GRID_SHA256))
     def test_grid_stdout_is_pinned(self, capsys, monkeypatch, m, n):
         # 32 x 32 is the cap
         code, out = run(capsys, monkeypatch, ["gen", "grid", "--m", str(m), "--n", str(n)])
