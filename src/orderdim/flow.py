@@ -22,7 +22,8 @@ Everything here lists every answer at small scale, without brute force:
   part.  That part is always the identity, so an automorphism factors
   exactly when it is the label map of some coordinate permutation, and
   factoring compares it with each and returns that permutation alone.
-  Automorphisms are found by backtracking over bit rows.
+  Automorphisms are the embeddings of a cloud's product order into
+  itself, found by poset's embedding search.
 
 Finite-scale caveat: the census equals n! and every tuple classifies
 only for special base structures; small samples routinely admit
@@ -64,6 +65,7 @@ from .poset import (
     OrderedStructure,
     RealizerTuple,
     _closed_or_cycle,
+    _embeddings,
     _extensions,
     _Frozen,
     _product_structure,
@@ -153,12 +155,18 @@ def enumerate_realizers(
     Tuples come out in lexicographic order of their indices into the
     extension stream.  The sigma tags refer to the structure's own
     realizers (for an induced cloud structure, its coordinate orders).
-    One meter counts extensions, heads and tuples.
+    One meter counts extensions, heads and tuples: each extension costs
+    the elements it places and then m for the list that keeps it.
     """
     p = s.poset
     m, n = len(p), s.n
     meter = BudgetMeter(budget, EXTENSIONS)
-    seqs = list(_extensions(p.down, meter))
+    seqs = []
+    for seq in _extensions(p.down, meter):
+        # Each extension kept holds m elements, so the list stays within
+        # one budget's worth of them.
+        meter.tick(m)
+        seqs.append(seq)
     meter.what = REALIZERS
     position = {seq: k for k, seq in enumerate(seqs)}
     exts = [LinearOrder([p.elements[i] for i in seq]) for seq in seqs]
@@ -239,51 +247,19 @@ def cloud_automorphisms(c: PointCloud, budget: int | None = None) -> list[dict[s
 
 
 def _automorphisms(c: PointCloud, meter: BudgetMeter) -> list[dict[str, str]]:
-    """cloud_automorphisms on a meter that the caller may share.
-
-    Backtracking maps points in index order to unused images of the same
-    up- and down-degree (one tick each) that relate to earlier images as
-    the point relates to earlier points.
-    """
+    """cloud_automorphisms on a meter that the caller may share: the
+    embedding search of the product order into itself, each point
+    allowed onto the points of its up- and down-degree."""
     p = _product_structure([c.label(i) for i in range(len(c))], c.points).poset
-    up, down, labels = p.up, p.down, p.elements
-    m = len(p)
-    degree = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
-    image = [0] * m
-    # wants[i]: images of the points before i that lie above i, and below.
-    wants = [(0, 0)] * m
-    used = 0
-    out = []
-    i = j = 0
-    while True:
-        want_up, want_down = wants[i]
-        while j < m:
-            if not used >> j & 1 and degree[j] == degree[i]:
-                meter.tick()
-                if up[j] & used == want_up and down[j] & used == want_down:
-                    break
-            j += 1
-        if j < m:
-            image[i] = j
-            if i < m - 1:
-                used |= 1 << j
-                i, j = i + 1, 0
-                above = below = 0
-                for a in range(i):
-                    if up[i] >> a & 1:
-                        above |= 1 << image[a]
-                    elif down[i] >> a & 1:
-                        below |= 1 << image[a]
-                wants[i] = (above, below)
-                continue
-            out.append({labels[a]: labels[image[a]] for a in range(m)})
-        elif i == 0:
-            break
-        else:
-            i -= 1
-            j = image[i]
-            used ^= 1 << j
-        j += 1
+    labels = p.elements
+    degree = [(u.bit_count(), d.bit_count()) for u, d in zip(p.up, p.down)]
+    same: dict[tuple[int, int], int] = {}
+    for i, d in enumerate(degree):
+        same[d] = same.get(d, 0) | 1 << i
+    out = [
+        dict(zip(labels, map(labels.__getitem__, image)))
+        for image in _embeddings([p.up], [p.up], [same[d] for d in degree], meter)
+    ]
     out.sort(key=lambda g: tuple(g[lab] for lab in labels))
     return out
 

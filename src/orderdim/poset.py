@@ -17,9 +17,11 @@ Conventions that the rest of the package relies on:
 The search kernels that several modules run on these rows live here
 too: the greedy completion ``_complete`` and the extension stream
 ``_extensions`` built on it (``dimension`` and ``flow``), the one-pass
-closure step ``_reverse`` (``dimension`` and ``homogeneity``), and the
+closure step ``_reverse`` (``dimension`` and ``homogeneity``), the
 class-colouring backtracker ``_colour_classes``, which the realizer
-search in ``dimension`` and both partition searches in ``ramsey`` share.
+search in ``dimension`` and both partition searches in ``ramsey`` share,
+and the embedding search ``_embeddings``, which finds the copies of a
+pattern in ``ramsey`` and the automorphisms of a cloud in ``flow``.
 """
 
 from __future__ import annotations
@@ -228,6 +230,58 @@ def _colour_classes(
             states.pop()
             c = placed.pop() + 1
     return placed
+
+
+def _embeddings(
+    a_up: Sequence[Sequence[int]], b_up: Sequence[Sequence[int]],
+    allowed: Sequence[int], meter: BudgetMeter,
+) -> list[tuple[int, ...]]:
+    """Every one-to-one map of a's items into b's elements that keeps each
+    relation both ways, as image tuples in lexicographic order.
+
+    a_up and b_up list the same relations as up rows, one relation per
+    entry; allowed[k] masks the elements that item k may map to.  Items
+    are placed in index order.  Item k's candidates are the unused
+    elements of allowed[k] that lie above, below, or apart from each
+    earlier item's image, as k lies from that item, in every relation:
+    one AND of a b row per earlier item and relation.  Each placement
+    ticks the meter once.
+    """
+    rows = [(rel, up, _transpose(up, len(up))) for rel, up in zip(a_up, b_up)]
+    last = len(allowed) - 1
+    out: list[tuple[int, ...]] = []
+    image: list[int] = []
+    used = 0
+    # tries[k]: the candidates of item k not tried yet.
+    tries = [allowed[0]]
+    while tries:
+        free = tries[-1]
+        if not free:
+            tries.pop()
+            if image:
+                used ^= 1 << image.pop()
+            continue
+        low = free & -free
+        tries[-1] = free ^ low
+        meter.tick()
+        if len(image) == last:
+            out.append((*image, low.bit_length() - 1))
+            continue
+        image.append(low.bit_length() - 1)
+        used |= low
+        k = len(image)
+        free = allowed[k] & ~used
+        for rel, up, down in rows:
+            above = rel[k]
+            for j, x in enumerate(image):
+                if rel[j] >> k & 1:
+                    free &= up[x]
+                elif above >> j & 1:
+                    free &= down[x]
+                else:
+                    free &= ~(up[x] | down[x])
+        tries.append(free)
+    return out
 
 
 def _axiom_violation(labels: Sequence[str], up: Sequence[int]) -> OrderError | None:

@@ -8,8 +8,10 @@ which the realizer search in `dimension` shares, so this module loads
 no `dimension`: `product_ramsey_number` colors the l^n-subgrids of r^n
 against the m^n-subgrids (`_grid_groups` lists the l^n-subgrids inside
 each), and `ramsey_witness_check` colors the copies of a pattern in the
-grid against the copies of a target (`_copy_groups`).  Every
-search here is an exhaustive sweep over a finite space.  The coloring
+grid against the copies of a target (`_copy_groups`).  The copies come
+from a second shared kernel, the embedding search `poset._embeddings`,
+which places the pattern's elements one at a time.  Every search here
+is an exhaustive sweep over a finite space.  The coloring
 search cuts only branches that provably contain nothing (completed
 monochromatic groups, color permutations), so it returns the first
 coloring an uncut depth-first search would; that uncut search is the
@@ -20,8 +22,9 @@ Each public call resolves one budget and spends it on one meter, across
 every r of `product_ramsey_number`.  The meter's phase, "grid coloring
 search at r=..." or "copy coloring search" ("copy enumeration" for a
 bare `enumerate_copies`), opens the LimitExceeded message.  Copy
-enumeration tries every subset of the host, so more subsets than the
-budget are refused before any is tried.
+enumeration ticks once per element placed, so the budget bounds both
+its work and the copies it keeps; only the grid coloring space, whose
+size is known up front, is refused before any work.
 
 Canonical orderings, which fix the first coloring a search returns:
 grid points are row-major; copies are indexed by their element subsets
@@ -37,7 +40,7 @@ from typing import Sequence
 
 from .budget import BudgetMeter
 from .errors import ElementMismatch, TooSmall
-from .poset import OrderedStructure, _colour_classes, grid
+from .poset import OrderedStructure, _colour_classes, _embeddings, _sequence_rows, grid
 
 __all__ = [
     "rigid_embed",
@@ -58,30 +61,15 @@ def rigid_embed(s: OrderedStructure) -> list[tuple[int, ...]]:
     return s.realizers.rank_points(s.elements)
 
 
-def _is_copy(
-    a: OrderedStructure, b: OrderedStructure, phi: dict[str, str]
-) -> bool:
-    """Does phi embed a into b?  Both carry the same number of orders, so
-    keeping every order is enough: each poset is the intersection of its
-    orders, and phi keeps every order, so it keeps the poset too."""
-    for i in range(a.n):
-        seq = a.realizers.orders[i].order
-        rank = b.realizers.orders[i].rank
-        if any(
-            rank[phi[x]] >= rank[phi[y]] for x, y in zip(seq, seq[1:])
-        ):
-            return False
-    return True
-
-
 def enumerate_copies(b: OrderedStructure, a: OrderedStructure) -> list[tuple[str, ...]]:
     """All induced substructures of the host structure b isomorphic to
     a, each once; the host of the partition property is `poset.grid`.
 
-    Returns label tuples aligned with a.elements.  A candidate subset
-    admits at most one isomorphism: linear realizers force the match of
-    first-order ranks, so each subset is tested against that single map.
-    More subsets than the budget are refused before any is tried.
+    Returns label tuples aligned with a.elements, in canonical order.
+    Both structures carry the same number of orders, so a map that keeps
+    every order keeps the poset too: each poset is the intersection of
+    its orders.  The embedding search places a's elements one at a time
+    on the host elements that every order allows, one step each.
     """
     return _copies(b, a, BudgetMeter(None, COPIES))
 
@@ -89,20 +77,19 @@ def enumerate_copies(b: OrderedStructure, a: OrderedStructure) -> list[tuple[str
 def _copies(
     b: OrderedStructure, a: OrderedStructure, meter: BudgetMeter
 ) -> list[tuple[str, ...]]:
-    """enumerate_copies, refusing through a meter that the caller may share."""
+    """enumerate_copies, on a meter that the caller may share."""
     if a.n != b.n:
         raise ElementMismatch("pattern and host carry different realizer counts")
-    l = len(a.elements)
-    meter.require(comb(len(b.elements), l), "subsets of the host to test as copies")
-    a_by_first = a.realizers.orders[0].order
-    first_rank = b.realizers.orders[0].rank
-    copies = []
-    for subset in combinations(b.elements, l):
-        ordered = sorted(subset, key=lambda x: first_rank[x])
-        phi = dict(zip(a_by_first, ordered))
-        if _is_copy(a, b, phi):
-            copies.append(tuple(phi[e] for e in a.elements))
-    return copies
+
+    def orders(s: OrderedStructure) -> list[list[int]]:
+        index = s.poset._index
+        return [_sequence_rows([index[x] for x in o.order], len(s)) for o in s.realizers.orders]
+
+    everything = (1 << len(b)) - 1
+    images = _embeddings(orders(a), orders(b), [everything] * len(a), meter)
+    # Linear orders leave each subset at most one copy.
+    images.sort(key=sorted)
+    return [tuple(b.elements[i] for i in image) for image in images]
 
 
 def all_subgrids(r: int, n: int, l: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -209,9 +196,9 @@ def _copy_groups(
     meter: BudgetMeter,
 ) -> tuple[int, list[list[int]]]:
     """The number of copies of a in the host, and for each copy of b in
-    the host the indices of the a-copies lying inside it.  The meter
-    refuses too many subsets; b, the larger pattern, is enumerated
-    first."""
+    the host the indices of the a-copies lying inside it.  All three
+    enumerations place on the one meter; b, the larger pattern, is
+    enumerated first."""
     copies_b = _copies(host, b, meter)
     copies_a = _copies(host, a, meter)
     index = {key: t for t, key in enumerate(copies_a)}
@@ -238,8 +225,8 @@ def ramsey_witness_check(
     True iff every k-coloring of the copies of a admits a copy of b all
     of whose a-copies share one color: the coloring kernel finds no
     k-coloring of the a-copies that leaves every copy of b
-    non-monochromatic.  One budget covers the whole call, the up-front
-    refusal of too many copy candidates included.
+    non-monochromatic.  One budget covers the whole call, the placements
+    of every copy included.
 
     `method` chooses nothing.  "reduction" and "exhaustive" both run the
     kernel, and any other value is refused; the parameter is kept only

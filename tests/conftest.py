@@ -41,7 +41,7 @@ from orderdim.poset import (
     product_less,
     validate_poset,
 )
-from orderdim.ramsey import _grid_groups, all_subgrids, enumerate_copies
+from orderdim.ramsey import _grid_groups, all_subgrids
 
 settings.register_profile(
     "fast",
@@ -702,9 +702,10 @@ def naive_free_coloring(
 def naive_is_copy(
     a: OrderedStructure, b: OrderedStructure, phi: dict[str, str]
 ) -> bool:
-    """The copy test of ramsey._is_copy label by label, its oracle: phi
-    keeps every order of a, and x < y in a exactly when phi(x) < phi(y)
-    in b, asked through poset.less for each pair."""
+    """Does phi embed a into b?  Label by label: phi keeps every order of
+    a, each tested on its neighbouring pairs by rank, and x < y in a
+    exactly when phi(x) < phi(y) in b, asked through poset.less for each
+    pair."""
     for i in range(a.n):
         seq = a.realizers.orders[i].order
         rank = b.realizers.orders[i].rank
@@ -717,6 +718,53 @@ def naive_is_copy(
             if x != y and a.poset.less(x, y) != b.poset.less(phi[x], phi[y]):
                 return False
     return True
+
+
+def oracle_copies(b: OrderedStructure, a: OrderedStructure) -> list[tuple[str, ...]]:
+    """`ramsey.enumerate_copies` by the subset walk: every subset of the
+    host of the pattern's size, in lexicographic order of index lists,
+    tested by naive_is_copy against the one map that matches first-order
+    ranks (linear realizers allow no other).  Unbudgeted, so for small
+    hosts only."""
+    if a.n != b.n:
+        raise ElementMismatch("pattern and host carry different realizer counts")
+    a_by_first = a.realizers.orders[0].order
+    first_rank = b.realizers.orders[0].rank
+    copies = []
+    for subset in combinations(b.elements, len(a)):
+        phi = dict(zip(a_by_first, sorted(subset, key=first_rank.__getitem__)))
+        if naive_is_copy(a, b, phi):
+            copies.append(tuple(phi[e] for e in a.elements))
+    return copies
+
+
+def oracle_embeddings(
+    a_up: Sequence[Sequence[int]], b_up: Sequence[Sequence[int]], allowed: Sequence[int]
+) -> tuple[list[tuple[int, ...]], int]:
+    """`poset._embeddings` by brute force: every one-to-one map of the
+    items into b's elements, in lexicographic order, that puts each item
+    in its allowed mask and relates every ordered pair of images in each
+    relation exactly as the pair of items.  Also the number of nonempty
+    partial maps of the first items that pass the same test: the
+    placements the search makes."""
+    size = len(b_up[0])
+
+    def fits(image: tuple[int, ...]) -> bool:
+        return all(allowed[k] >> x & 1 for k, x in enumerate(image)) and all(
+            (rel[i] >> j & 1) == (up[x] >> y & 1)
+            for rel, up in zip(a_up, b_up)
+            for i, x in enumerate(image)
+            for j, y in enumerate(image)
+            if i != j
+        )
+
+    maps = [image for image in permutations(range(size), len(allowed)) if fits(image)]
+    placements = sum(
+        fits(image)
+        for length in range(1, len(allowed) + 1)
+        for image in permutations(range(size), length)
+    )
+    return maps, placements
 
 
 # --- the induced-coloring argument, object by object ----------------------
@@ -783,10 +831,10 @@ def oracle_ramsey_reduction(
         raise TooSmall("colorings need k >= 1")
     meter = BudgetMeter(budget, "monochromatic-subgrid scan")
     host = grid(r, a.n)
-    copies_a = enumerate_copies(host, a)
+    copies_a = oracle_copies(host, a)
     inside = {
         bcopy: [t for t, acopy in enumerate(copies_a) if set(acopy) <= set(bcopy)]
-        for bcopy in enumerate_copies(host, b)
+        for bcopy in oracle_copies(host, b)
     }
     if not inside:
         return False

@@ -431,8 +431,10 @@ class TestRamsey:
 
 
 class TestEnumerationsPastTheBudget:
-    """Enumerations whose size is known up front are refused before any
-    work, as one LimitExceeded JSON line."""
+    """Enumerations past the budget end in one LimitExceeded JSON line:
+    the cells of `check dpo` are refused before any work, since their
+    count is known up front, and the copies of `ramsey witness` are
+    charged per placement until the meter runs out."""
 
     def assert_refused(self, code, out, phase):
         assert code == 1
@@ -454,16 +456,15 @@ class TestEnumerationsPastTheBudget:
         b = tmp_path / "b.json"
         run(capsys, monkeypatch, ["gen", "grid", "--m", "2", "--n", "1", "--out", str(a)])
         run(capsys, monkeypatch, ["gen", "grid", "--m", "3", "--n", "1", "--out", str(b)])
-        # one order each: the 3-chain's C(1000, 3) subsets of the 1000^1 grid
+        # one order each: the 3-chains of the 1000^1 grid take far more
+        # placements than the default budget of 1,000,000 steps
         code, out = run(
             capsys,
             monkeypatch,
             ["ramsey", "witness", "--a", str(a), "--b", str(b),
              "--k", "2", "--r", "1000"],
         )
-        self.assert_refused(
-            code, out, "copy coloring search: subsets of the host to test as copies: "
-        )
+        self.assert_refused(code, out, "copy coloring search: step budget exhausted")
 
 
 class TestExport:

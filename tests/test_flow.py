@@ -336,17 +336,20 @@ class TestEnumerateRealizers:
 
     def test_one_meter_counts_extensions_heads_and_tuples(self):
         # 2 extensions, each placing both elements (a b, then b a after
-        # popping both), 2 heads at one step each, and 2 tuples, each the
-        # one extension of its head's conjugate order, placing both
-        # elements: 4 + 2 + 4 = 10 steps in all
+        # popping both) and then charged both for the list that keeps
+        # it, 2 heads at one step each, and 2 tuples, each the one
+        # extension of its head's conjugate order, placing both elements:
+        # 8 + 2 + 4 = 14 steps in all
         s = OrderedStructure.from_orders(
             [LinearOrder(("a", "b")), LinearOrder(("b", "a"))]
         )
-        assert enumerate_realizers(s, budget=10).census == 2
+        assert enumerate_realizers(s, budget=14).census == 2
         with pytest.raises(LimitExceeded, match="^realizer enumeration"):
-            enumerate_realizers(s, budget=9)
+            enumerate_realizers(s, budget=13)
+        with pytest.raises(LimitExceeded, match="^realizer enumeration"):
+            enumerate_realizers(s, budget=8)
         with pytest.raises(LimitExceeded, match="^linear extension enumeration"):
-            enumerate_realizers(s, budget=3)
+            enumerate_realizers(s, budget=7)
 
     def test_set_reverifies_tuples(self):
         s = OrderedStructure.from_orders(
@@ -592,10 +595,11 @@ class TestGridRealizers:
             enumerate_realizers(grid(3, 3), budget=20_000)
 
     def test_the_extension_list_is_bounded_by_the_budget(self):
-        # Each extension is charged the elements it places, so under a
-        # budget of 40,000 the 16 x 16 grid's list holds a few thousand
-        # 256-element extensions before the meter stops it, not 40,000
-        # of them (some 80 MB).  Peak RSS, read in a fresh process.
+        # Each extension kept is charged its 256 elements on top of the
+        # elements it places, so at the default budget of 1,000,000 the
+        # 16 x 16 grid's list holds under 4,000 extensions when the meter
+        # stops it, not the 181,979 that the placements alone allow (some
+        # 380 MB).  Peak RSS, read in a fresh process.
         script = (
             "import resource\n"
             "from orderdim.errors import LimitExceeded\n"
@@ -604,7 +608,7 @@ class TestGridRealizers:
             "s = grid(16, 2)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "try:\n"
-            "    enumerate_realizers(s, budget=40_000)\n"
+            "    enumerate_realizers(s)\n"
             "except LimitExceeded as exc:\n"
             "    print(str(exc).split(':')[0])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
@@ -614,7 +618,10 @@ class TestGridRealizers:
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env={
+                **{k: v for k, v in os.environ.items() if k != "ORDERDIM_BUDGET"},
+                "PYTHONPATH": src,
+            },
             timeout=120,
         )
         assert out.returncode == 0, out.stderr

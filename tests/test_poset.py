@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orderdim.budget import BudgetMeter
 from orderdim.errors import (
     CycleIntroduced,
     DuplicateLabel,
@@ -30,6 +31,7 @@ from orderdim.poset import (
     grid,
     hiraguchi_bound,
     is_realizer,
+    _embeddings,
     _intersection_rows,
     _meet_rows,
     _product_structure,
@@ -41,6 +43,7 @@ from conftest import (
     all_posets_on,
     less_pairs,
     naive_is_realizer,
+    oracle_embeddings,
     oracle_intersection_rows,
     oracle_point_structure,
     random_poset,
@@ -359,6 +362,29 @@ class TestIntersectionRows:
         t = RealizerTuple([LinearOrder(("a", "b", "c"))])
         with pytest.raises(DuplicateLabel):
             t.intersection(("a", "a", "b"))
+
+
+class TestEmbeddings:
+    def test_maps_and_placements_match_the_brute_force_oracle(self):
+        # partial orders in one to three relations, each item allowed on
+        # a random mask or everywhere; one tick per placement
+        rng = random.Random(41)
+        found = 0
+        for _ in range(300):
+            size, count = rng.randint(1, 6), rng.randint(1, 4)
+            relations = rng.randint(1, 3)
+            a_up = [random_poset(rng, count).up for _ in range(relations)]
+            b_up = [random_poset(rng, size).up for _ in range(relations)]
+            everything = (1 << size) - 1
+            allowed = [
+                everything if rng.random() < 0.5 else rng.randrange(1 << size)
+                for _ in range(count)
+            ]
+            meter = BudgetMeter(10**9, "test")
+            maps = _embeddings(a_up, b_up, allowed, meter)
+            assert (maps, 10**9 - meter.remaining) == oracle_embeddings(a_up, b_up, allowed)
+            found += len(maps)
+        assert found
 
 
 class TestCrown:

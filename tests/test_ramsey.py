@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations, product as iter_product
+from math import comb
 
 import pytest
 
+import orderdim
 from conftest import (
     cyclic_priority,
     is_chain,
     lex_less,
     naive_free_coloring,
-    naive_is_copy,
+    oracle_copies,
     oracle_find_mono_subgrid,
     oracle_first_mono_group,
     oracle_point_structure,
@@ -45,7 +50,6 @@ from orderdim.dimension import dimension
 from orderdim.ramsey import (
     _copy_groups,
     _grid_counterexample,
-    _is_copy,
     _grid_groups,
     _search_free_coloring,
     all_subgrids,
@@ -294,40 +298,44 @@ class TestEnumerateCopies:
         with pytest.raises(ElementMismatch):
             enumerate_copies(grid(2, 2), one_point(n=3))
 
-    def test_subsets_past_the_budget_are_refused(self, monkeypatch):
-        # C(9, 2) candidate pairs in the 3^2 grid
-        copies = enumerate_copies(grid(3, 2), aligned_chain())
-        monkeypatch.setenv("ORDERDIM_BUDGET", "35")
-        with pytest.raises(
-            LimitExceeded,
-            match="^copy enumeration: subsets of the host to test as copies: 36 cases",
-        ):
-            enumerate_copies(grid(3, 2), aligned_chain())
-        monkeypatch.setenv("ORDERDIM_BUDGET", "36")
-        assert enumerate_copies(grid(3, 2), aligned_chain()) == copies
+    def test_placements_past_the_budget_are_refused(self, monkeypatch):
+        # One step per element placed: the 16 points of the 4^2 grid for
+        # u, then v on each point above u's in the product order, 84 in
+        # all; 100 steps against the C(16, 2) = 120 subsets of the walk
+        copies = enumerate_copies(grid(4, 2), aligned_chain())
+        assert len(copies) == 84
+        monkeypatch.setenv("ORDERDIM_BUDGET", "99")
+        with pytest.raises(LimitExceeded, match="^copy enumeration: step budget exhausted"):
+            enumerate_copies(grid(4, 2), aligned_chain())
+        monkeypatch.setenv("ORDERDIM_BUDGET", "100")
+        assert enumerate_copies(grid(4, 2), aligned_chain()) == copies
 
-    def test_bit_row_copy_test_matches_pairwise_oracle(self):
-        # Pattern and host carry the same number of orders, as every
-        # caller requires; then keeping the orders keeps the poset.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grids_match_the_subset_walk(self, n):
+        # random patterns of each size whose subset walk stays small
+        rng = random.Random(23 + n)
+        for r in range(1, 6):
+            host = grid(r, n)
+            for size in range(1, 5):
+                if comb(len(host), size) > 20_000:
+                    break
+                patterns = [random_structure(rng, size, n) for _ in range(3)]
+                if (n, size) == (2, 4):
+                    patterns.append(figure_structure())
+                for a in patterns:
+                    assert enumerate_copies(host, a) == oracle_copies(host, a)
+
+    def test_random_hosts_match_the_subset_walk(self):
         rng = random.Random(23)
-        verdicts = 0
-        for _ in range(600):
+        found = 0
+        for _ in range(300):
             n = rng.randint(1, 3)
-            b = random_structure(rng, rng.randint(1, 6), n)
+            b = random_structure(rng, rng.randint(1, 8), n)
             a = random_structure(rng, rng.randint(1, len(b)), n)
-            if rng.random() < 0.5:
-                image = rng.sample(b.elements, len(a))
-            else:  # the map enumerate_copies tries: matched first-order ranks
-                subset = rng.sample(b.elements, len(a))
-                image = sorted(subset, key=b.realizers.orders[0].rank.__getitem__)
-                image = [
-                    image[a.realizers.orders[0].rank[x] - 1] for x in a.elements
-                ]
-            phi = dict(zip(a.elements, image))
-            expect = naive_is_copy(a, b, phi)
-            assert _is_copy(a, b, phi) == expect
-            verdicts += expect
-        assert verdicts
+            copies = enumerate_copies(b, a)
+            assert copies == oracle_copies(b, a)
+            found += len(copies)
+        assert found
 
 
 class TestRigidCopies:
@@ -624,22 +632,54 @@ class TestRamseyWitnessCheck:
             ramsey_witness_check(one_point(n=3), aligned_chain(), 2, 2)
 
     @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
-    def test_copy_candidates_are_refused_on_the_call_budget(self, method):
-        # C(900, 3) subsets of the 30^2 grid, refused before any is tried
-        with pytest.raises(
-            LimitExceeded,
-            match="^copy coloring search: subsets of the host to test as copies: 121095300",
-        ):
-            ramsey_witness_check(aligned_chain(), aligned_chain_of_three(), 2, 30, method)
-        # C(9, 3) = 84 in the 3^2 grid: the call's own budget= decides
-        with pytest.raises(LimitExceeded, match=": 84 cases, over the budget of 83$"):
-            ramsey_witness_check(
-                aligned_chain(), aligned_chain_of_three(), 2, 3, method, budget=83
-            )
+    def test_copy_placements_are_charged_to_the_call_budget(self, method):
+        # 2-chains into 3-chains at r = 3: 115 copy placements and 1,378
+        # colouring steps; the call's own budget= decides
+        assert not ramsey_witness_check(
+            aligned_chain(), aligned_chain_of_three(), 2, 3, method, budget=1493
+        )
+        for budget in (1492, 114):
+            with pytest.raises(LimitExceeded, match="^copy coloring search: step budget"):
+                ramsey_witness_check(
+                    aligned_chain(), aligned_chain_of_three(), 2, 3, method, budget=budget
+                )
+
+    def test_copies_past_the_budget_stay_small(self):
+        # The 3-chains of the 30^2 grid take far more steps than this
+        # budget; each copy found is kept as a tuple of host indices until
+        # the meter stops the enumeration.  Peak RSS, read in a fresh
+        # process.
+        script = (
+            "import resource\n"
+            "from orderdim.errors import LimitExceeded\n"
+            "from orderdim.poset import LinearOrder, OrderedStructure\n"
+            "from orderdim.ramsey import ramsey_witness_check\n"
+            "a = OrderedStructure.from_orders([LinearOrder(['u', 'v'])] * 2)\n"
+            "b = OrderedStructure.from_orders([LinearOrder(['u', 'v', 'w'])] * 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    ramsey_witness_check(a, b, 2, 30, budget=200_000)\n"
+            "except LimitExceeded as exc:\n"
+            "    print(exc)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(orderdim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        message, growth_kb = out.stdout.splitlines()
+        assert message.startswith("copy coloring search: step budget exhausted")
+        assert int(growth_kb) < 40 * 1024
 
     @pytest.mark.parametrize("a, b, r", [
         (one_point(), aligned_chain_of_three(), 1),
-        # C(900, 3) copy candidates: the method is refused before any count
+        # the 3-chains of 30^2 run out the budget: the method is refused
+        # before any copy is placed
         (aligned_chain(), aligned_chain_of_three(), 30),
     ])
     def test_unknown_method_is_refused_first(self, a, b, r):
@@ -649,8 +689,8 @@ class TestRamseyWitnessCheck:
     @pytest.mark.parametrize("method", ["reduction", "exhaustive"])
     @pytest.mark.parametrize("k", [0, -3])
     def test_fewer_than_one_color_is_refused(self, method, k):
-        # before any copy is counted: the 30^2 grid's C(900, 3) candidates
-        # would be refused on the budget otherwise
+        # before any copy is placed: the 3-chains of the 30^2 grid would
+        # run out the budget otherwise
         with pytest.raises(TooSmall, match="^colorings need k >= 1$"):
             ramsey_witness_check(one_point(), aligned_chain(), k, 2, method)
         with pytest.raises(TooSmall, match="^colorings need k >= 1$"):
@@ -673,19 +713,19 @@ class TestRamseyWitnessCheck:
             ramsey_witness_check(one_point(), crossed_antichain(), 2, 3)
 
     def test_one_meter_serves_every_scan(self, monkeypatch):
-        # One meter under one phase refuses the C(16, 2) = 120 copy
-        # candidates up front and counts every step of the kernel: 1,017
-        # for three colors of the crossed pair's points in 4^2.
+        # One meter under one phase counts every copy placement and every
+        # step of the kernel: 16 + 36 placements for the crossed pairs in
+        # 4^2, 16 for its points and 2 for the points of the pair, then
+        # 1,017 for three colors: 1,087 in all.
         a, b = one_point(), crossed_antichain()
         meter = BudgetMeter(10**9, "test")
         count, groups = _copy_groups(grid(4, 2), a, b, meter)
+        assert 10**9 - meter.remaining == 70
         assert _search_free_coloring(count, 3, groups, meter) is None
-        assert 10**9 - meter.remaining == 1017
-        assert ramsey_witness_check(a, b, 3, 4, budget=1017)
-        monkeypatch.setenv("ORDERDIM_BUDGET", "1016")
+        assert 10**9 - meter.remaining == 1087
+        assert ramsey_witness_check(a, b, 3, 4, budget=1087)
+        monkeypatch.setenv("ORDERDIM_BUDGET", "1086")
         with pytest.raises(LimitExceeded, match="^copy coloring search: step budget"):
             ramsey_witness_check(a, b, 3, 4)
-        with pytest.raises(
-            LimitExceeded, match="^copy coloring search: subsets of the host to test as copies: 120"
-        ):
-            ramsey_witness_check(a, b, 3, 4, budget=119)
+        with pytest.raises(LimitExceeded, match="^copy coloring search: step budget"):
+            ramsey_witness_check(a, b, 3, 4, budget=69)

@@ -331,3 +331,32 @@ def test_only_the_dimension_search_lives_in_dimension():
             private += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("_")]
     assert private == []
     assert importers == {"cli", "homogeneity"}
+
+
+def test_one_embedding_search_in_the_library():
+    # Copies of a pattern and automorphisms of a cloud both come from
+    # poset's one embedding search.  The subset walk with its per-subset
+    # copy test is the oracle `oracle_copies` in tests/conftest.py: no
+    # module defines `_is_copy`, and ramsey calls `combinations` only to
+    # list subgrid axes.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_is_copy"
+        ]
+        if path.name != "ramsey.py":
+            continue
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name in ("all_subgrids", "_grid_groups"):
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "combinations"
+            ]
+    assert found == []
